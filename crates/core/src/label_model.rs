@@ -164,30 +164,21 @@ pub trait LabelModel: std::fmt::Debug + Send + Sync {
         true
     }
 
-    /// Posterior class distribution for one row of votes.
-    fn posterior(&self, cols: &[u32], votes: &[Vote]) -> Vec<f64>;
-
-    /// Write the posterior for one row of votes into a caller-owned
-    /// slice of exactly `scheme().num_classes()` elements — the
-    /// allocation-free form of [`posterior`](Self::posterior) used by
-    /// the serving read path, which owns one flat probability arena per
-    /// worker instead of a `Vec` per request.
-    ///
-    /// The contract is bitwise: for any input, the values written here
-    /// are bit-identical to what `posterior` returns. Backends on this
-    /// crate override it with a zero-allocation body performing the
-    /// same float-op sequence; the default goes through `posterior`
-    /// (correct, but allocating — fine for backends off the hot path).
+    /// Write the posterior class distribution for one row of votes into
+    /// a caller-owned slice of exactly `scheme().num_classes()` elements
+    /// — the one per-row kernel every backend implements. The serving
+    /// read path calls it directly on its per-worker probability arena;
+    /// everything else goes through the [`posterior`](Self::posterior)
+    /// wrapper.
     ///
     /// Panics if `out.len() != scheme().num_classes()`.
-    fn posterior_into(&self, cols: &[u32], votes: &[Vote], out: &mut [f64]) {
-        let p = self.posterior(cols, votes);
-        assert_eq!(
-            out.len(),
-            p.len(),
-            "posterior_into needs a slice of num_classes elements"
-        );
-        out.copy_from_slice(&p);
+    fn posterior_into(&self, cols: &[u32], votes: &[Vote], out: &mut [f64]);
+
+    /// [`posterior_into`](Self::posterior_into) into a fresh `Vec`.
+    fn posterior(&self, cols: &[u32], votes: &[Vote]) -> Vec<f64> {
+        let mut out = vec![0.0; self.scheme().num_classes()];
+        self.posterior_into(cols, votes, &mut out);
+        out
     }
 
     /// Posterior class distributions for every row of `lambda`
@@ -242,7 +233,7 @@ impl dyn LabelModel {
 
 /// MAP vote of one posterior row: the unique argmax class's vote value,
 /// 0 on a tie over the top classes.
-fn map_vote(scheme: LabelScheme, post: &[f64]) -> Vote {
+pub(crate) fn map_vote(scheme: LabelScheme, post: &[f64]) -> Vote {
     let best = post.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
     let winners: Vec<usize> = (0..post.len())
         .filter(|&c| (post[c] - best).abs() < 1e-12)
@@ -259,7 +250,7 @@ fn map_vote(scheme: LabelScheme, post: &[f64]) -> Vote {
 /// shard order), row by row otherwise. The posterior of a row is a pure
 /// function of its vote signature for every backend, so both paths are
 /// bit-identical.
-fn marginals_via<F>(
+pub(crate) fn marginals_via<F>(
     lambda: &LabelMatrix,
     plan: Option<&ShardedMatrix>,
     posterior: F,
@@ -366,32 +357,11 @@ impl LabelModel for MajorityVoteModel {
         self.fit(lambda, plan, cfg)
     }
 
-    fn posterior(&self, _cols: &[u32], votes: &[Vote]) -> Vec<f64> {
-        let k = self.scheme.num_classes();
-        let mut tally = vec![0usize; k];
-        for &v in votes {
-            if let Some(c) = self.scheme.class_of_vote(v) {
-                tally[c] += 1;
-            }
-        }
-        let best = tally.iter().copied().max().unwrap_or(0);
-        let winner_count = tally.iter().filter(|&&t| t == best).count();
-        let mut p = vec![0.0; k];
-        if best == 0 || winner_count > 1 {
-            p.iter_mut().for_each(|x| *x = 1.0 / k as f64);
-        } else {
-            let winner = tally.iter().position(|&t| t == best).expect("best exists");
-            p[winner] = 1.0;
-        }
-        p
-    }
-
     fn posterior_into(&self, _cols: &[u32], votes: &[Vote], out: &mut [f64]) {
         let k = self.scheme.num_classes();
         assert_eq!(out.len(), k, "posterior_into needs {k} elements");
         // Tally into the output slice itself (counts are exact in f64),
-        // so no scratch vector is needed. The written probabilities are
-        // the same literals `posterior` produces: 0.0 / 1.0 / 1.0 ÷ k.
+        // so no scratch vector is needed.
         out.fill(0.0);
         for &v in votes {
             if let Some(c) = self.scheme.class_of_vote(v) {
@@ -486,10 +456,6 @@ impl LabelModel for GenerativeModel {
             // Different backend or incompatible shape: cold fit.
             _ => LabelModel::fit(self, lambda, plan, cfg),
         }
-    }
-
-    fn posterior(&self, cols: &[u32], votes: &[Vote]) -> Vec<f64> {
-        GenerativeModel::posterior(self, cols, votes)
     }
 
     fn posterior_into(&self, cols: &[u32], votes: &[Vote], out: &mut [f64]) {
@@ -1107,10 +1073,6 @@ impl LabelModel for MomentModel {
         Some(self.fit_from_stats(stats, cfg))
     }
 
-    fn posterior(&self, cols: &[u32], votes: &[Vote]) -> Vec<f64> {
-        self.inner.posterior(cols, votes)
-    }
-
     fn posterior_into(&self, cols: &[u32], votes: &[Vote], out: &mut [f64]) {
         self.inner.posterior_into(cols, votes, out)
     }
@@ -1386,35 +1348,6 @@ mod tests {
         // Plan-deduplicated path is bit-identical.
         let plan = ShardedMatrix::build(&lambda, 3);
         assert_eq!(LabelModel::marginals(&mv, &lambda, Some(&plan)), marg);
-    }
-
-    #[test]
-    fn posterior_into_is_bit_identical_across_backends() {
-        let (lambda, _) = planted(600, &[0.85, 0.7, 0.6], 0.5, 19);
-        let cfg = TrainConfig::default();
-        let mut backends: Vec<Box<dyn LabelModel>> = vec![
-            Box::new(MajorityVoteModel::new(3, LabelScheme::Binary)),
-            Box::new(GenerativeModel::new(3, LabelScheme::Binary)),
-            Box::new(MomentModel::new(3, LabelScheme::Binary)),
-        ];
-        for model in &mut backends {
-            model.fit(&lambda, None, &cfg);
-            let k = model.scheme().num_classes();
-            let mut out = vec![f64::NAN; k];
-            for i in 0..lambda.num_points() {
-                let (cols, votes) = lambda.row(i);
-                model.posterior_into(cols, votes, &mut out);
-                let reference = model.posterior(cols, votes);
-                let out_bits: Vec<u64> = out.iter().map(|x| x.to_bits()).collect();
-                let ref_bits: Vec<u64> = reference.iter().map(|x| x.to_bits()).collect();
-                assert_eq!(
-                    out_bits,
-                    ref_bits,
-                    "row {i} on backend {}",
-                    model.backend_name()
-                );
-            }
-        }
     }
 
     #[test]

@@ -33,7 +33,7 @@ use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use snorkel_linalg::math::{sigmoid, softmax_in_place};
+use snorkel_linalg::math::sigmoid;
 use snorkel_linalg::SparseVec;
 use snorkel_matrix::Vote;
 
@@ -54,21 +54,16 @@ use crate::softmax::SoftmaxRegression;
 /// assert!((v.norm2_sq() - 1.0).abs() < 1e-9);
 /// ```
 pub fn hash_features<'a>(names: impl IntoIterator<Item = &'a str>, buckets: u32) -> SparseVec {
-    let pairs: Vec<(u32, f64)> = names
-        .into_iter()
-        .map(|name| (hash_feature(name, buckets), 1.0))
-        .collect();
-    let mut v = SparseVec::from_pairs(pairs);
-    v.l2_normalize();
+    let mut v = SparseVec::new();
+    hash_features_into(names, buckets, &mut Vec::new(), &mut v);
     v
 }
 
-/// [`hash_features`] into caller-owned scratch: `pairs` is the hash
-/// staging buffer, `out` receives the L2-normalized vector. Both keep
-/// their capacity across calls, so a warm serving worker hashes every
-/// request without touching the allocator. Produces exactly what
-/// `hash_features` returns (same hash, same merge order, same
-/// normalization).
+/// The hashing kernel behind [`hash_features`], into caller-owned
+/// scratch: `pairs` is the hash staging buffer, `out` receives the
+/// L2-normalized vector. Both keep their capacity across calls, so a
+/// warm serving worker hashes every request without touching the
+/// allocator.
 pub fn hash_features_into<'a>(
     names: impl IntoIterator<Item = &'a str>,
     buckets: u32,
@@ -251,22 +246,10 @@ impl DistilledModel {
         }
     }
 
-    /// Class posterior for one feature vector, in marginal-row order.
-    pub fn predict_proba(&self, x: &SparseVec) -> Vec<f64> {
-        match self {
-            DistilledModel::Binary(m) => {
-                let p = m.predict_proba(x);
-                vec![p, 1.0 - p]
-            }
-            DistilledModel::Multi(m) => m.predict_proba(x),
-        }
-    }
-
-    /// [`Self::predict_proba`] into a caller-owned slice of
-    /// `num_classes()` elements, allocating nothing; the values written
-    /// are bit-identical to `predict_proba`'s (same score, same
-    /// sigmoid/softmax sequence). This is the kernel under the serving
-    /// layer's `PREDICT` arena path.
+    /// Class posterior for one feature vector, in marginal-row order,
+    /// written into a caller-owned slice of `num_classes()` elements,
+    /// allocating nothing — the kernel under the serving layer's
+    /// `PREDICT` arena path.
     ///
     /// Panics if `out.len() != num_classes()`.
     pub fn predict_proba_into(&self, x: &SparseVec, out: &mut [f64]) {
@@ -279,6 +262,13 @@ impl DistilledModel {
             }
             DistilledModel::Multi(m) => m.predict_proba_into(x, out),
         }
+    }
+
+    /// [`Self::predict_proba_into`] into a fresh `Vec`.
+    pub fn predict_proba(&self, x: &SparseVec) -> Vec<f64> {
+        let mut out = vec![0.0; self.num_classes()];
+        self.predict_proba_into(x, &mut out);
+        out
     }
 
     /// Independent parameter groups: one weight vector + bias for the
@@ -537,8 +527,7 @@ impl DistilledModel {
                     acc.grad_bias[0] += err;
                 }
                 DistilledModel::Multi(m) => {
-                    let mut probs: Vec<f64> = m.scores(x);
-                    softmax_in_place(&mut probs);
+                    let probs = m.predict_proba(x);
                     for c in 0..k {
                         let err = w * (probs[c] - marginals[i][c]);
                         acc.loss -= w * marginals[i][c] * probs[c].max(1e-12).ln();
@@ -753,48 +742,6 @@ mod tests {
         let p = m.predict_proba(&xs[0]);
         assert_eq!(p.len(), 3);
         assert!((p.iter().sum::<f64>() - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn into_variants_match_owned_paths_bitwise() {
-        // hash_features_into reuses scratch and matches hash_features.
-        let names = ["u=magnesium", "btw=causes", "w=the", "u=magnesium"];
-        let mut pairs = Vec::new();
-        let mut x = SparseVec::new();
-        hash_features_into(names.iter().copied(), 1 << 10, &mut pairs, &mut x);
-        assert_eq!(x, crate::hash_features(names.iter().copied(), 1 << 10));
-
-        // predict_proba_into matches predict_proba on both backends.
-        let (xs, ms, _) = planted(300, 0.9, 8);
-        let mut bin = DistilledModel::new(64, 2);
-        bin.fit(&xs, &ms, &[], &cfg());
-        let mut tri = DistilledModel::new(64, 3);
-        let ms3: Vec<Vec<f64>> = (0..xs.len())
-            .map(|i| {
-                let p = ms[i][0];
-                vec![p, (1.0 - p) * 0.75, (1.0 - p) * 0.25]
-            })
-            .collect();
-        tri.fit(
-            &xs,
-            &ms3,
-            &[],
-            &DistillConfig {
-                dim: 64,
-                epochs: 3,
-                ..DistillConfig::default()
-            },
-        );
-        for model in [&bin, &tri] {
-            let mut out = vec![f64::NAN; model.num_classes()];
-            for x in &xs[..40] {
-                model.predict_proba_into(x, &mut out);
-                let reference = model.predict_proba(x);
-                let out_bits: Vec<u64> = out.iter().map(|v| v.to_bits()).collect();
-                let ref_bits: Vec<u64> = reference.iter().map(|v| v.to_bits()).collect();
-                assert_eq!(out_bits, ref_bits);
-            }
-        }
     }
 
     #[test]

@@ -100,26 +100,9 @@ impl SoftmaxRegression {
         self.weights.len()
     }
 
-    /// Raw per-class logits `w_c·x + b_c` (before the softmax).
-    pub(crate) fn scores(&self, x: &SparseVec) -> Vec<f64> {
-        self.weights
-            .iter()
-            .zip(&self.bias)
-            .map(|(w, b)| x.dot_dense(w) + b)
-            .collect()
-    }
-
-    /// Class probability distribution for one example.
-    pub fn predict_proba(&self, x: &SparseVec) -> Vec<f64> {
-        let mut scores = self.scores(x);
-        softmax_in_place(&mut scores);
-        scores
-    }
-
-    /// [`Self::predict_proba`] into a caller-owned slice of
-    /// `num_classes()` elements, allocating nothing. Same float-op
-    /// sequence (per-class dot + bias, then softmax in place), so the
-    /// written values are bit-identical to `predict_proba`'s.
+    /// Class probability distribution for one example, written into a
+    /// caller-owned slice of `num_classes()` elements, allocating
+    /// nothing.
     ///
     /// Panics if `out.len() != num_classes()`.
     pub fn predict_proba_into(&self, x: &SparseVec, out: &mut [f64]) {
@@ -132,6 +115,13 @@ impl SoftmaxRegression {
             *slot = x.dot_dense(w) + b;
         }
         softmax_in_place(out);
+    }
+
+    /// [`Self::predict_proba_into`] into a fresh `Vec`.
+    pub fn predict_proba(&self, x: &SparseVec) -> Vec<f64> {
+        let mut out = vec![0.0; self.weights.len()];
+        self.predict_proba_into(x, &mut out);
+        out
     }
 
     /// MAP class (0-based) per example.

@@ -21,9 +21,10 @@
 //!   validates (same error strings, property-tested) but write into
 //!   the scratch arenas instead of fresh `Vec`s.
 //! * [`compute_marginal`] / [`compute_predict`] — the batch cores both
-//!   wire planes route through. Replies are bit-identical to the
-//!   allocating path: every `*_into` kernel they call replicates its
-//!   allocating counterpart's float-op sequence exactly.
+//!   wire planes route through, on the `*_into` kernels (the only
+//!   implementation of each posterior; the allocating forms wrap
+//!   them). [`posterior_row`] is the per-row step they share with text
+//!   `APPLY`.
 //!
 //! The zero-allocation claim is enforced, not aspirational:
 //! `tests/no_alloc_read_path.rs` runs the steady-state batch path
@@ -406,18 +407,52 @@ fn row_at<'a>(
     (&cols[off..off + len], &votes[off..off + len])
 }
 
+/// Validate one vote row — every vote legal for `cardinality`, every
+/// column inside the model's layout — and write its posterior into
+/// `out` (`num_classes` elements): the row kernel under every entry
+/// point that scores votes ([`compute_marginal`]'s miss loop, hence
+/// binary `OP_MARGINAL` and text `MARGINAL`, and text `APPLY`). With
+/// `model = None` the posterior is the majority vote over `num_lfs`
+/// columns, mirroring the session's MV labeling path.
+pub fn posterior_row(
+    model: Option<&dyn LabelModel>,
+    num_lfs: usize,
+    cardinality: u8,
+    cols: &[u32],
+    votes: &[Vote],
+    out: &mut [f64],
+) -> Result<(), String> {
+    if let Some(&v) = votes
+        .iter()
+        .find(|&&v| !snorkel_matrix::is_legal_vote(cardinality, v))
+    {
+        return Err(format!("vote {v} illegal for cardinality {cardinality}"));
+    }
+    match model {
+        Some(model) => {
+            if let Some(&c) = cols.iter().find(|&&c| (c as usize) >= model.num_lfs()) {
+                return Err(format!(
+                    "column {c} out of range (model covers {} LFs)",
+                    model.num_lfs()
+                ));
+            }
+            model.posterior_into(cols, votes, out);
+        }
+        None => MajorityVoteModel::new(num_lfs, LabelScheme::from_cardinality(cardinality))
+            .posterior_into(cols, votes, out),
+    }
+    Ok(())
+}
+
 /// Posteriors for the decoded vote rows, written flat into
 /// `scratch.probs` — the batch core both wire planes route through,
 /// under the caller's state read lock.
 ///
-/// Memo protocol (unchanged from the `HashMap` era, so replies are
-/// bit-identical to the allocating path): one lock pass harvests hits
-/// — on a generation mismatch the memo resets and everything is a miss
-/// — the misses are computed lock-free via the `posterior_into`
-/// kernels (majority vote when no model is trained, mirroring the
-/// session's MV labeling path), and a second lock pass publishes them.
-/// The batch is atomic: the first invalid row fails the whole call,
-/// and nothing is published.
+/// Memo protocol: one lock pass harvests hits — on a generation
+/// mismatch the memo resets and everything is a miss — the misses are
+/// computed lock-free via [`posterior_row`], and a second lock pass
+/// publishes them. The batch is atomic: the first invalid row fails
+/// the whole call, and nothing is published.
 ///
 /// The memo lock nests inside the state read lock; `REFRESH` holds the
 /// state write lock, so a generation observed here stays current until
@@ -429,8 +464,7 @@ pub fn compute_marginal(
     scratch: &mut ReadScratch,
 ) -> Result<MarginalOutcome, String> {
     let cardinality = session.config().executor.cardinality;
-    let scheme = LabelScheme::from_cardinality(cardinality);
-    let width = scheme.num_classes();
+    let width = LabelScheme::from_cardinality(cardinality).num_classes();
     let num_lfs = session.num_lfs();
     let model = session.model();
     let ReadScratch {
@@ -466,30 +500,12 @@ pub fn compute_marginal(
         }
     }
     // Compute the misses lock-free (the caller's state guard is held,
-    // so the model cannot change under us). Validation mirrors the
-    // text plane: illegal votes and out-of-range columns fail the
-    // whole batch.
+    // so the model cannot change under us); the first invalid row
+    // fails the whole batch.
     for &i in pending.iter() {
         let (rc, rv) = row_at(rows, cols, votes, i as usize);
-        if let Some(&v) = rv
-            .iter()
-            .find(|&&v| !snorkel_matrix::is_legal_vote(cardinality, v))
-        {
-            return Err(format!("vote {v} illegal for cardinality {cardinality}"));
-        }
         let out_row = &mut probs[i as usize * width..(i as usize + 1) * width];
-        match model {
-            Some(model) => {
-                if let Some(&c) = rc.iter().find(|&&c| (c as usize) >= model.num_lfs()) {
-                    return Err(format!(
-                        "column {c} out of range (model covers {} LFs)",
-                        model.num_lfs()
-                    ));
-                }
-                model.posterior_into(rc, rv, out_row);
-            }
-            None => MajorityVoteModel::new(num_lfs, scheme).posterior_into(rc, rv, out_row),
-        }
+        posterior_row(model, num_lfs, cardinality, rc, rv, out_row)?;
     }
     // Memo pass 2: publish the new signatures under one lock.
     if !pending.is_empty() {
@@ -513,8 +529,7 @@ pub fn compute_marginal(
 /// flat into `scratch.probs`, under the caller's state read lock.
 /// Feature names are read back out of `payload` (the ranges
 /// [`decode_predict`] recorded), hashed into the reusable sparse
-/// vector, and scored through the `*_into` kernels — bit-identical to
-/// the owned `hash_features` + `predict_proba` path.
+/// vector, and scored through the `*_into` kernels.
 pub fn compute_predict(
     session: &IncrementalSession,
     payload: &[u8],

@@ -18,9 +18,8 @@
 //!   process warm-starts in milliseconds instead of re-running every LF
 //!   and re-fitting from scratch, on the *same backend* it was running.
 //!   Round trips are bit-exact; corrupted, truncated, wrong-version, or
-//!   unknown-backend files yield a typed [`SnapError`], never a panic
-//!   (v1 files, which predate backend tags, still load as the
-//!   generative backend).
+//!   unknown-backend files yield a typed [`SnapError`], never a panic.
+//!   One format version is read and written ([`FORMAT_VERSION`]).
 //! * [`server`] — a fixed worker pool of `std::net` threads
 //!   multiplexing many nonblocking sockets, speaking a line-delimited
 //!   text protocol (`MARGINAL`, `APPLY`, `PREDICT`, `PREDICT_TEXT`,

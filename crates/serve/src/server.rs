@@ -1619,7 +1619,7 @@ fn handle_request(inner: &Inner, req: Request, scratch: &mut ReadScratch) -> Str
         Request::Ping => "OK pong".into(),
         Request::Marginal { cols, votes } => handle_marginal(inner, cols, votes, scratch),
         Request::Apply { span1, span2, text } => handle_apply(inner, span1, span2, &text),
-        Request::Predict { features } => handle_predict(inner, &features),
+        Request::Predict { features } => handle_predict(inner, features),
         Request::PredictText { span1, span2, text } => {
             handle_predict_text(inner, span1, span2, &text)
         }
@@ -1745,58 +1745,6 @@ fn handle_slowlog(n: usize) -> String {
     out
 }
 
-/// Validate a vote row against the scheme and compute its posterior
-/// under the current model (majority vote when no model is trained —
-/// mirroring the session's MV labeling path).
-fn posterior_for(
-    session: &IncrementalSession,
-    cols: &[u32],
-    votes: &[Vote],
-) -> Result<Vec<f64>, String> {
-    let cardinality = session.config().executor.cardinality;
-    let scheme = LabelScheme::from_cardinality(cardinality);
-    if let Some(&v) = votes
-        .iter()
-        .find(|&&v| !snorkel_matrix::is_legal_vote(cardinality, v))
-    {
-        return Err(format!("vote {v} illegal for cardinality {cardinality}"));
-    }
-    match session.model() {
-        Some(model) => {
-            if let Some(&c) = cols.iter().find(|&&c| (c as usize) >= model.num_lfs()) {
-                return Err(format!(
-                    "column {c} out of range (model covers {} LFs)",
-                    model.num_lfs()
-                ));
-            }
-            Ok(model.posterior(cols, votes))
-        }
-        None => Ok(majority_probs(scheme, votes)),
-    }
-}
-
-/// Plurality-class probabilities for one vote row (uniform on ties and
-/// all-abstain) — the no-model fallback, mirroring the session's
-/// majority-vote labeling path.
-fn majority_probs(scheme: LabelScheme, votes: &[Vote]) -> Vec<f64> {
-    let k = scheme.num_classes();
-    let mut tally = vec![0usize; k];
-    for &v in votes {
-        if let Some(c) = scheme.class_of_vote(v) {
-            tally[c] += 1;
-        }
-    }
-    let best = tally.iter().copied().max().unwrap_or(0);
-    let winners: Vec<usize> = (0..k).filter(|&c| tally[c] == best).collect();
-    let mut p = vec![0.0; k];
-    if best == 0 || winners.len() > 1 {
-        p.iter_mut().for_each(|x| *x = 1.0 / k as f64);
-    } else {
-        p[winners[0]] = 1.0;
-    }
-    p
-}
-
 /// Text `MARGINAL`: a batch of one through the same
 /// [`hotpath::compute_marginal`] core (and the same signature memo) as
 /// the binary plane, so the two planes answer bit-identically and warm
@@ -1881,7 +1829,8 @@ fn handle_apply(inner: &Inner, span1: (usize, usize), span2: (usize, usize), tex
     };
 
     let state = read_state(inner);
-    let votes = state.session.apply_lfs(&scratch.candidate(cand));
+    let session = &state.session;
+    let votes = session.apply_lfs(&scratch.candidate(cand));
     let non_abstain: (Vec<u32>, Vec<Vote>) = votes
         .iter()
         .enumerate()
@@ -1893,15 +1842,20 @@ fn handle_apply(inner: &Inner, span1: (usize, usize), span2: (usize, usize), tex
     // votes whose column indexes refer to exactly the layout it was
     // fitted on (an equal LF *count* is not enough — a remove+add of
     // the same arity would silently misalign columns).
-    let model_ok = state.session.model().is_some() && state.session.suite_matches_last_refresh();
-    let p = if model_ok {
-        posterior_for(&state.session, &non_abstain.0, &non_abstain.1)
-    } else {
-        let scheme = LabelScheme::from_cardinality(state.session.config().executor.cardinality);
-        Ok(majority_probs(scheme, &non_abstain.1))
-    };
-    match p {
-        Ok(p) => {
+    let model = session
+        .model()
+        .filter(|_| session.suite_matches_last_refresh());
+    let cardinality = session.config().executor.cardinality;
+    let mut p = vec![0.0; LabelScheme::from_cardinality(cardinality).num_classes()];
+    match hotpath::posterior_row(
+        model,
+        session.num_lfs(),
+        cardinality,
+        &non_abstain.0,
+        &non_abstain.1,
+        &mut p,
+    ) {
+        Ok(()) => {
             let vote_strs: Vec<String> = votes.iter().map(|v| v.to_string()).collect();
             format!(
                 "OK gen={} votes={} p={}",
@@ -1919,9 +1873,8 @@ fn handle_apply(inner: &Inner, span1: (usize, usize), span2: (usize, usize), tex
 /// the read lock; the reply's `disc_gen=` says which refresh generation
 /// the serving model was trained on (it can lag `gen=` while a retrain
 /// runs — reads never wait for one).
-fn handle_predict(inner: &Inner, features: &[String]) -> String {
-    let row = features.to_vec();
-    match predict_batch(inner, std::slice::from_ref(&row)) {
+fn handle_predict(inner: &Inner, features: Vec<String>) -> String {
+    match predict_batch(inner, std::slice::from_ref(&features)) {
         Ok((gen, disc_gen, probs)) => {
             format!(
                 "OK gen={gen} disc_gen={disc_gen} p={}",

@@ -13,7 +13,7 @@
 //! ```text
 //! offset  size  field
 //! 0       8     magic  "SNKLSNAP"
-//! 8       4     format version (u32 LE, currently 1)
+//! 8       4     format version (u32 LE, currently 5)
 //! 12      4     section count (u32 LE)
 //! 16      28×k  section table: tag (u32), offset (u64), len (u64),
 //!               FNV-1a checksum of the section bytes (u64)
@@ -37,53 +37,30 @@
 //! | `TCFG` | the [`TrainConfig`]                              | always   |
 //! | `LMTX` | the label matrix (raw CSR)                       | if built |
 //! | `PLAN` | the sharded pattern index                        | if built |
-//! | `MODL` | the label model, backend-tagged (v2) — weights + structure for the generative/moment backends, shape only for majority vote | if trained |
-//! | `DISC` | the distilled serving model (v3): refresh/disc generation counters, featurizer + distill config, sparse per-class weights | if distilled |
-//! | `STRM` | the streaming plane (v4): running moment sufficient statistics, drift config, frozen reference window, drift scores, lifetime ingest counters | if streaming |
-//! | `REPL` | the replication mark (v5): the op-log LSN and server generation the snapshot was taken at, so a follower bootstrapped from it resumes tailing exactly where the image ends | if replicated |
+//! | `MODL` | the label model, backend-tagged — weights + structure for the generative/moment backends, shape only for majority vote | if trained |
+//! | `DISC` | the distilled serving model: refresh/disc generation counters, featurizer + distill config, sparse per-class weights | if distilled |
+//! | `STRM` | the streaming plane: running moment sufficient statistics, drift config, frozen reference window, drift scores, lifetime ingest counters | if streaming |
+//! | `REPL` | the replication mark: the op-log LSN and server generation the snapshot was taken at, so a follower bootstrapped from it resumes tailing exactly where the image ends | if replicated |
 //!
 //! ## Versioning
 //!
-//! * **v1** — the pre-[`LabelModel`] format: `MODL` is an untagged
-//!   generative-model parameter block. Still read: it decodes into a
-//!   [`ModelSnapshot::Generative`], so v1 snapshots thaw into a session
-//!   running the generative backend.
-//! * **v2** — `MODL` opens with a backend tag byte
-//!   (1 = generative, 2 = majority-vote, 3 = moment). Unknown tags are
-//!   a typed [`SnapError::UnknownBackend`]; structurally invalid model
-//!   parameters are a typed [`SnapError::Model`]. v2 also adds the
-//!   moment-matching strategy tag to `SESS`.
-//! * **v3** — adds the optional `DISC` section carrying the
-//!   distilled serving model and its staleness generation. v1/v2 files
-//!   still thaw (no disc model, generation counters at zero); a `DISC`
-//!   section in a file claiming v1/v2 is a typed corruption error.
-//! * **v4** — adds the optional `STRM` section carrying the
-//!   streaming plane's state: the online moment backend's running
-//!   sufficient statistics, the drift detector's configuration and
-//!   frozen reference window, the latest drift scores, and the
-//!   lifetime ingest counters. v1–v3 files still thaw (streaming
-//!   restarts disabled until the first `INGEST`); a `STRM` section in
-//!   a file claiming an older version is a typed corruption error.
-//! * **v5** (current) — adds the optional `REPL` section carrying the
-//!   replication mark: the op-log LSN applied as of the snapshot and
-//!   the server generation at that LSN. v1–v4 files still thaw (no
-//!   mark — a restarted replica treats the image as the log origin); a
-//!   `REPL` section in a file claiming an older version is a typed
-//!   corruption error.
+//! This build reads and writes exactly one format, [`FORMAT_VERSION`].
+//! A file claiming any other version — older or newer — is refused
+//! with [`SnapError::UnsupportedVersion`] before anything else is
+//! decoded. A snapshot is only ever re-read by the build that wrote it
+//! (restart, follower bootstrap), so a format change replaces this
+//! format and bumps the number; it does not add a decode branch.
 //!
-//! [`Snapshot::to_bytes_with_version`] can still *write* v1–v4 (for
-//! handing a snapshot to an older build) as long as the snapshot fits
-//! the older format: v1 needs an absent-or-generative model, v1/v2
-//! cannot carry a distilled model, v1–v3 cannot carry streaming
-//! state, and v1–v4 cannot carry a replication mark — each mismatch is
-//! a typed refusal, never a silent drop.
+//! `MODL` opens with a backend tag byte (1 = generative,
+//! 2 = majority-vote, 3 = moment). Unknown tags are a typed
+//! [`SnapError::UnknownBackend`]; structurally invalid model parameters
+//! are a typed [`SnapError::Model`].
 //!
 //! The normative format specification — section payload layouts,
 //! checksum rules, and the compatibility policy — is
 //! `docs/SNAPSHOT_FORMAT.md`.
 //!
 //! [`IncrementalSession`]: snorkel_incr::IncrementalSession
-//! [`LabelModel`]: snorkel_core::label_model::LabelModel
 
 use std::io::Write as _;
 use std::path::Path;
@@ -105,13 +82,10 @@ use crate::wire::{fnv1a, Reader, Writer};
 /// Magic bytes opening every snapshot file.
 pub const MAGIC: [u8; 8] = *b"SNKLSNAP";
 
-/// The format version this build writes by default.
+/// The one format version this build writes and reads.
 pub const FORMAT_VERSION: u32 = 5;
 
-/// The oldest format version this build still reads.
-pub const MIN_READ_VERSION: u32 = 1;
-
-/// Backend tag bytes of the v2 `MODL` section.
+/// Backend tag bytes of the `MODL` section.
 const MODEL_TAG_GENERATIVE: u8 = 1;
 const MODEL_TAG_MAJORITY_VOTE: u8 = 2;
 const MODEL_TAG_MOMENT: u8 = 3;
@@ -143,12 +117,11 @@ pub enum SnapError {
     Io(std::io::Error),
     /// The file does not start with [`MAGIC`] — not a snapshot.
     BadMagic,
-    /// The file's format version is not one this build reads.
+    /// The file's format version is not the one this build reads.
     UnsupportedVersion {
         /// Version found in the file.
         found: u32,
-        /// Newest version this build supports (it also reads every
-        /// version down to [`MIN_READ_VERSION`]).
+        /// The version this build supports ([`FORMAT_VERSION`]).
         supported: u32,
     },
     /// The model section names a label-model backend this build does
@@ -248,68 +221,16 @@ pub struct Snapshot {
     /// Training configuration, persisted so a restarted service refits
     /// with identical hyperparameters.
     pub train: TrainConfig,
-    /// The replication mark (v5): the op-log LSN and server generation
-    /// this image was taken at. `None` on non-replicated servers and in
-    /// pre-v5 files.
+    /// The replication mark: the op-log LSN and server generation this
+    /// image was taken at. `None` on non-replicated servers.
     pub repl: Option<ReplMark>,
 }
 
 impl Snapshot {
-    /// Serialize to the on-disk byte format (current version).
+    /// Serialize to the on-disk byte format.
     pub fn to_bytes(&self) -> Vec<u8> {
-        self.to_bytes_with_version(FORMAT_VERSION)
-            .expect("current version encodes every model")
-    }
-
-    /// Serialize as a specific format version — for handing a snapshot
-    /// to an older build. v1 has no backend tag in its model section,
-    /// so it can only carry an absent or generative model; anything
-    /// else is a [`SnapError::Corrupt`] ("cannot encode"), not a silent
-    /// misread on the other end.
-    pub fn to_bytes_with_version(&self, version: u32) -> Result<Vec<u8>, SnapError> {
-        if !(MIN_READ_VERSION..=FORMAT_VERSION).contains(&version) {
-            return Err(SnapError::UnsupportedVersion {
-                found: version,
-                supported: FORMAT_VERSION,
-            });
-        }
-        let model_section = match (&self.session.model, version) {
-            (None, _) => None,
-            (Some(model), 1) => match model {
-                ModelSnapshot::Generative(params) => Some(enc_model_v1(params)),
-                other => {
-                    return Err(corrupt(format!(
-                        "format v1 cannot encode the {} backend",
-                        other.backend_name()
-                    )))
-                }
-            },
-            (Some(model), _) => Some(enc_model(model)),
-        };
-        if version == 1 {
-            if let Some((ModelingStrategy::MomentMatching, _)) = &self.session.last_gm_strategy {
-                return Err(corrupt(
-                    "format v1 cannot encode the moment-matching strategy",
-                ));
-            }
-        }
-        if version < 3 && self.session.disc.is_some() {
-            return Err(corrupt(format!(
-                "format v{version} cannot encode a distilled model"
-            )));
-        }
-        if version < 4 && self.session.stream.is_some() {
-            return Err(corrupt(format!(
-                "format v{version} cannot encode streaming state"
-            )));
-        }
-        if version < 5 && self.repl.is_some() {
-            return Err(corrupt(format!(
-                "format v{version} cannot encode a replication mark"
-            )));
-        }
         let mut sections: Vec<(u32, Vec<u8>)> = Vec::new();
-        sections.push((TAG_SESS, enc_session_meta(&self.session, version)));
+        sections.push((TAG_SESS, enc_session_meta(&self.session)));
         sections.push((TAG_CACH, enc_cache(&self.session.cache)));
         sections.push((TAG_TCFG, enc_train(&self.train)));
         if let Some(lambda) = &self.session.lambda {
@@ -318,8 +239,8 @@ impl Snapshot {
         if let Some(plan) = &self.session.plan {
             sections.push((TAG_PLAN, enc_plan(plan)));
         }
-        if let Some(model) = model_section {
-            sections.push((TAG_MODL, model));
+        if let Some(model) = &self.session.model {
+            sections.push((TAG_MODL, enc_model(model)));
         }
         if let Some(disc) = &self.session.disc {
             sections.push((TAG_DISC, enc_disc(disc)));
@@ -336,7 +257,7 @@ impl Snapshot {
         for b in MAGIC {
             head.put_u8(b);
         }
-        head.put_u32(version);
+        head.put_u32(FORMAT_VERSION);
         head.put_u32(sections.len() as u32);
         let mut offset = header_end as u64;
         for (tag, payload) in &sections {
@@ -353,7 +274,7 @@ impl Snapshot {
         for (_, payload) in &sections {
             out.extend_from_slice(payload);
         }
-        Ok(out)
+        out
     }
 
     /// Deserialize from the on-disk byte format, verifying magic,
@@ -366,7 +287,7 @@ impl Snapshot {
             return Err(SnapError::BadMagic);
         }
         let version = u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes"));
-        if !(MIN_READ_VERSION..=FORMAT_VERSION).contains(&version) {
+        if version != FORMAT_VERSION {
             return Err(SnapError::UnsupportedVersion {
                 found: version,
                 supported: FORMAT_VERSION,
@@ -451,24 +372,9 @@ impl Snapshot {
             {
                 return Err(corrupt(format!("unknown section {}", tag_name(*tag))));
             }
-            if *tag == TAG_DISC && version < 3 {
-                return Err(corrupt(format!(
-                    "DISC section in a v{version} file (introduced in v3)"
-                )));
-            }
-            if *tag == TAG_STRM && version < 4 {
-                return Err(corrupt(format!(
-                    "STRM section in a v{version} file (introduced in v4)"
-                )));
-            }
-            if *tag == TAG_REPL && version < 5 {
-                return Err(corrupt(format!(
-                    "REPL section in a v{version} file (introduced in v5)"
-                )));
-            }
         }
 
-        let mut session = dec_session_meta(&mut Reader::new(require(TAG_SESS)?), version)?;
+        let mut session = dec_session_meta(&mut Reader::new(require(TAG_SESS)?))?;
         session.cache = dec_cache(&mut Reader::new(require(TAG_CACH)?))?;
         let train = dec_train(&mut Reader::new(require(TAG_TCFG)?))?;
         session.lambda = match find(TAG_LMTX) {
@@ -480,9 +386,6 @@ impl Snapshot {
             None => None,
         };
         session.model = match find(TAG_MODL) {
-            // v1 model sections carry a bare (untagged) generative
-            // parameter block; v2 sections open with a backend tag.
-            Some(p) if version == 1 => Some(dec_model_v1(&mut Reader::new(p))?),
             Some(p) => Some(dec_model(&mut Reader::new(p))?),
             None => None,
         };
@@ -547,7 +450,7 @@ impl Snapshot {
 // Section encoders/decoders
 // ----------------------------------------------------------------------
 
-fn enc_session_meta(s: &FrozenSession, version: u32) -> Vec<u8> {
+fn enc_session_meta(s: &FrozenSession) -> Vec<u8> {
     let mut w = Writer::new();
     w.put_usize(s.candidates.len());
     for id in &s.candidates {
@@ -598,15 +501,12 @@ fn enc_session_meta(s: &FrozenSession, version: u32) -> Vec<u8> {
             }
         }
     }
-    // v3 appends the refresh-generation counter (disc staleness anchor);
-    // older formats cannot carry it and thaw with the counter at zero.
-    if version >= 3 {
-        w.put_u64(s.refresh_generation);
-    }
+    // The refresh-generation counter (disc staleness anchor).
+    w.put_u64(s.refresh_generation);
     w.into_bytes()
 }
 
-fn dec_session_meta(r: &mut Reader<'_>, version: u32) -> Result<FrozenSession, SnapError> {
+fn dec_session_meta(r: &mut Reader<'_>) -> Result<FrozenSession, SnapError> {
     let n = r.len(4, "candidate count")?;
     let mut candidates = Vec::with_capacity(n);
     for _ in 0..n {
@@ -665,11 +565,7 @@ fn dec_session_meta(r: &mut Reader<'_>, version: u32) -> Result<FrozenSession, S
         }
         tag => return Err(corrupt(format!("unknown strategy tag {tag}"))),
     };
-    let refresh_generation = if version >= 3 {
-        r.u64("refresh generation")?
-    } else {
-        0
-    };
+    let refresh_generation = r.u64("refresh generation")?;
     if !r.is_exhausted() {
         return Err(corrupt("trailing bytes in SESS"));
     }
@@ -874,14 +770,7 @@ fn dec_plan(r: &mut Reader<'_>) -> Result<ShardedMatrixParts, SnapError> {
     Ok(ShardedMatrixParts { num_lfs, shards })
 }
 
-/// The v1 (untagged) model payload: a bare generative parameter block.
-fn enc_model_v1(m: &ModelParams) -> Vec<u8> {
-    let mut w = Writer::new();
-    enc_model_params(&mut w, m);
-    w.into_bytes()
-}
-
-/// The v2 model payload: backend tag byte, then the backend's state.
+/// The model payload: backend tag byte, then the backend's state.
 fn enc_model(m: &ModelSnapshot) -> Vec<u8> {
     let mut w = Writer::new();
     match m {
@@ -926,15 +815,7 @@ fn enc_model_params(w: &mut Writer, m: &ModelParams) {
     put_f64s(w, &m.b_class);
 }
 
-/// Decode and structurally validate a v1 model section (always the
-/// generative backend — the only one that existed).
-fn dec_model_v1(r: &mut Reader<'_>) -> Result<ModelSnapshot, SnapError> {
-    let snapshot = ModelSnapshot::Generative(dec_model_params(r)?);
-    snapshot.validate()?;
-    Ok(snapshot)
-}
-
-/// Decode and structurally validate a v2 (tagged) model section.
+/// Decode and structurally validate the (tagged) model section.
 /// Unknown backend tags and invalid parameters are typed errors.
 fn dec_model(r: &mut Reader<'_>) -> Result<ModelSnapshot, SnapError> {
     let snapshot = match r.u8("model backend tag")? {
@@ -1096,7 +977,7 @@ fn dec_train(r: &mut Reader<'_>) -> Result<TrainConfig, SnapError> {
     })
 }
 
-/// The v3 `DISC` section: the disc model's trained-at generation
+/// The `DISC` section: the disc model's trained-at generation
 /// (staleness survives restarts — `SESS` carries the live counter), the
 /// self-contained distillation configuration, and the sparse per-class
 /// weights.
@@ -1129,7 +1010,7 @@ fn enc_disc(disc: &FrozenDisc) -> Vec<u8> {
     w.into_bytes()
 }
 
-/// The v4 `STRM` section: the streaming plane's persistent state. The
+/// The `STRM` section: the streaming plane's persistent state. The
 /// running moment totals travel as raw f64 bits (they are exact sums
 /// of integer counts, so bit-exactness preserves the online-equals-
 /// batch invariant across a restart); the diagnostic window ring is
@@ -1332,7 +1213,7 @@ fn dec_disc(r: &mut Reader<'_>) -> Result<FrozenDisc, SnapError> {
     Ok(disc)
 }
 
-/// The v5 `REPL` section: a fixed 16-byte replication mark — the op-log
+/// The `REPL` section: a fixed 16-byte replication mark — the op-log
 /// LSN this image reflects and the server generation at that LSN. A
 /// replica restarting from the snapshot resumes its WAL (or its leader
 /// subscription) at `applied_lsn + 1` instead of replaying history.

@@ -65,7 +65,9 @@ const SPECS: [&str; 2] = [
     "lf_treats KEYWORD -1 1 treats",
 ];
 
-fn primed_session(rows: usize) -> IncrementalSession {
+/// The two-LF suite over `rows` candidates, not yet refreshed (no
+/// model: the server answers by majority vote).
+fn unrefreshed_session(rows: usize) -> IncrementalSession {
     let corpus = build_corpus(rows);
     let ids: Vec<CandidateId> = corpus.candidate_ids().collect();
     let mut session = IncrementalSession::new(corpus, gm_config());
@@ -74,6 +76,11 @@ fn primed_session(rows: usize) -> IncrementalSession {
         let spec = LfSpec::parse(spec).expect("valid spec");
         session.add_lf_tagged(spec.build().expect("buildable"), spec.content_tag());
     }
+    session
+}
+
+fn primed_session(rows: usize) -> IncrementalSession {
+    let mut session = unrefreshed_session(rows);
     session.refresh();
     session
 }
@@ -92,25 +99,39 @@ fn shared_server() -> SocketAddr {
     })
 }
 
+/// The value of one `key=` field of a text reply.
+fn reply_field<'a>(reply: &'a str, key: &str) -> &'a str {
+    reply
+        .split_whitespace()
+        .find_map(|tok| tok.strip_prefix(key))
+        .unwrap_or_else(|| panic!("no {key} in {reply:?}"))
+}
+
 /// Decode a `p=` list from a text `MARGINAL` reply. Shortest-round-trip
 /// formatting means these parse back to the exact bits the server
 /// computed.
 fn text_probs(reply: &str) -> Vec<f64> {
-    let p = reply
-        .split_whitespace()
-        .find_map(|tok| tok.strip_prefix("p="))
-        .unwrap_or_else(|| panic!("no p= in {reply:?}"));
-    p.split(',')
+    reply_field(reply, "p=")
+        .split(',')
         .map(|v| v.parse().expect("parseable probability"))
         .collect()
 }
 
 fn text_gen(reply: &str) -> u64 {
-    reply
-        .split_whitespace()
-        .find_map(|tok| tok.strip_prefix("gen="))
-        .and_then(|v| v.parse().ok())
-        .unwrap_or_else(|| panic!("no gen= in {reply:?}"))
+    reply_field(reply, "gen=")
+        .parse()
+        .unwrap_or_else(|_| panic!("bad gen= in {reply:?}"))
+}
+
+/// The text `MARGINAL` request line for one vote row.
+fn marginal_line(row: &VoteRow) -> String {
+    let entries: Vec<String> = row
+        .0
+        .iter()
+        .zip(&row.1)
+        .map(|(c, v)| format!("{c}:{v}"))
+        .collect();
+    format!("MARGINAL {}", entries.join(","))
 }
 
 /// A batch row over the two primed LF columns: a nonempty subset of
@@ -154,15 +175,7 @@ proptest! {
         prop_assert_eq!(probs.len(), rows.len());
 
         for (row, bin_probs) in rows.iter().zip(&probs) {
-            let entries: Vec<String> = row
-                .0
-                .iter()
-                .zip(&row.1)
-                .map(|(c, v)| format!("{c}:{v}"))
-                .collect();
-            let reply = text
-                .request(&format!("MARGINAL {}", entries.join(",")))
-                .expect("text round trip");
+            let reply = text.request(&marginal_line(row)).expect("text round trip");
             prop_assert!(reply.starts_with("OK "), "{}", reply);
             prop_assert_eq!(text_gen(&reply), gen);
             let text_bits: Vec<u64> = text_probs(&reply).iter().map(|p| p.to_bits()).collect();
@@ -170,6 +183,41 @@ proptest! {
             prop_assert_eq!(text_bits, bin_bits, "binary and text disagree for {:?}", row);
         }
     }
+}
+
+/// Text `APPLY` scores the votes it reports through the same `hotpath`
+/// row kernel as both `MARGINAL` planes — with a trained model, and on
+/// a server with none (majority-vote fallback).
+#[test]
+fn apply_matches_marginal_on_both_planes() {
+    let no_model =
+        LabelServer::start(unrefreshed_session(10), ServeConfig::default()).expect("bind");
+    for addr in [shared_server(), no_model.addr()] {
+        let mut text = Client::connect(addr).expect("text connect");
+        let mut bin = FrameClient::connect(addr).expect("frame connect");
+        let apply = text
+            .request("APPLY 0 1 2 3 alpha1 causes beta1")
+            .expect("apply round trip");
+        assert!(apply.starts_with("OK "), "{apply}");
+        let row: VoteRow = reply_field(&apply, "votes=")
+            .split(',')
+            .map(|v| v.parse::<i8>().expect("vote"))
+            .enumerate()
+            .filter(|&(_, v)| v != 0)
+            .map(|(j, v)| (j as u32, v))
+            .unzip();
+        assert!(!row.0.is_empty(), "probe text must draw a vote: {apply}");
+
+        let marginal = text
+            .request(&marginal_line(&row))
+            .expect("marginal round trip");
+        assert_eq!(reply_field(&apply, "p="), reply_field(&marginal, "p="));
+        match bin.marginal(std::slice::from_ref(&row)).expect("binary") {
+            BinReply::Marginal { probs, .. } => assert_eq!(probs[0], text_probs(&apply)),
+            other => panic!("unexpected reply {other:?}"),
+        }
+    }
+    no_model.shutdown().expect("clean shutdown");
 }
 
 #[test]

@@ -1,6 +1,6 @@
 //! Snapshot format property tests: bit-identical round trips over
 //! arbitrary matrices/models/cardinalities, and corruption tests —
-//! bit-flips, truncations, version bumps, and random garbage must all
+//! bit-flips, truncations, other versions, and random garbage must all
 //! yield a typed `SnapError`, never a panic or a silent misread.
 
 use proptest::prelude::*;
@@ -245,59 +245,6 @@ fn patch_section(bytes: &mut [u8], tag: &[u8; 4], offset_in_section: usize, valu
 }
 
 #[test]
-fn v1_snapshot_thaws_with_generative_backend() {
-    // A pre-redesign (v1) snapshot must still load and thaw into a
-    // session running the generative backend, bit-identical marginals
-    // included.
-    let salts = [21u64, 22, 23];
-    let session = session_for(40, &salts, 2, Scaleout::RowWise);
-    let snapshot = snapshot_of(&session);
-    let v1_bytes = snapshot
-        .to_bytes_with_version(1)
-        .expect("generative models encode as v1");
-    let back = Snapshot::from_bytes(&v1_bytes).expect("v1 parses");
-    assert!(matches!(
-        back.session.model,
-        Some(ModelSnapshot::Generative(_))
-    ));
-
-    let (corpus, _) = build_corpus(40);
-    let lfs: Vec<BoxedLf> = salts
-        .iter()
-        .enumerate()
-        .map(|(j, &salt)| salted_lf(&format!("lf_{j}"), salt, 2))
-        .collect();
-    let thawed = IncrementalSession::thaw(corpus, session.config().clone(), back.session, lfs)
-        .expect("v1 snapshot thaws");
-    assert_eq!(thawed.backend_name(), Some("generative"));
-    let lambda = session.label_matrix().expect("Λ");
-    assert_eq!(
-        thawed.model().expect("model").marginals(lambda, None),
-        session.model().expect("model").marginals(lambda, None),
-    );
-}
-
-#[test]
-fn v1_cannot_encode_non_generative_backends() {
-    let session = session_with_strategy(
-        30,
-        &[31, 32],
-        2,
-        Scaleout::RowWise,
-        ModelingStrategy::MajorityVote,
-    );
-    assert_eq!(session.backend_name(), Some("majority-vote"));
-    let snapshot = snapshot_of(&session);
-    // v2 carries it fine…
-    assert!(Snapshot::from_bytes(&snapshot.to_bytes()).is_ok());
-    // …but v1 has no tag to express it: typed refusal, not a misread.
-    assert!(matches!(
-        snapshot.to_bytes_with_version(1),
-        Err(SnapError::Corrupt { .. })
-    ));
-}
-
-#[test]
 fn mv_and_moment_backends_round_trip_through_snapshots() {
     for (strategy, backend) in [
         (ModelingStrategy::MajorityVote, "majority-vote"),
@@ -330,7 +277,7 @@ fn mv_and_moment_backends_round_trip_through_snapshots() {
 fn unknown_backend_tag_is_a_typed_error() {
     let session = session_for(20, &[51, 52], 2, Scaleout::RowWise);
     let mut bytes = snapshot_of(&session).to_bytes();
-    // The v2 MODL section opens with the backend tag byte; overwrite it
+    // The MODL section opens with the backend tag byte; overwrite it
     // with an unassigned value and re-seal the checksums.
     patch_section(&mut bytes, b"MODL", 0, 200);
     match Snapshot::from_bytes(&bytes) {
@@ -357,16 +304,25 @@ fn corrupt_model_params_are_typed_errors() {
 }
 
 #[test]
-fn version_bump_is_a_typed_error() {
+fn every_other_version_is_a_typed_error() {
     let session = session_for(9, &[3], 2, Scaleout::RowWise);
-    let mut bytes = snapshot_of(&session).to_bytes();
-    bytes[8..12].copy_from_slice(&(FORMAT_VERSION + 1).to_le_bytes());
-    match Snapshot::from_bytes(&bytes) {
-        Err(SnapError::UnsupportedVersion { found, supported }) => {
-            assert_eq!(found, FORMAT_VERSION + 1);
-            assert_eq!(supported, FORMAT_VERSION);
+    let bytes = snapshot_of(&session).to_bytes();
+    let count = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
+    let header_end = 16 + 28 * count + 8;
+    // The retired formats and the next one, each under a valid header
+    // checksum: the refusal is about the version, never `Corrupt`.
+    for version in (1..FORMAT_VERSION).chain([FORMAT_VERSION + 1]) {
+        let mut patched = bytes.clone();
+        patched[8..12].copy_from_slice(&version.to_le_bytes());
+        let header_checksum = fnv1a(&patched[..header_end - 8]);
+        patched[header_end - 8..header_end].copy_from_slice(&header_checksum.to_le_bytes());
+        match Snapshot::from_bytes(&patched) {
+            Err(SnapError::UnsupportedVersion { found, supported }) => {
+                assert_eq!(found, version);
+                assert_eq!(supported, FORMAT_VERSION);
+            }
+            other => panic!("v{version}: want UnsupportedVersion, got {other:?}"),
         }
-        other => panic!("want UnsupportedVersion, got {other:?}"),
     }
 }
 
@@ -451,7 +407,7 @@ fn distilled_session(rows: usize, salts: &[u64]) -> IncrementalSession {
 }
 
 #[test]
-fn disc_model_round_trips_in_v3_with_staleness() {
+fn disc_model_round_trips_with_staleness() {
     let salts = [41u64, 42, 43];
     let mut session = distilled_session(60, &salts);
     // Leave the disc model stale so the staleness relation is what the
@@ -464,7 +420,7 @@ fn disc_model_round_trips_in_v3_with_staleness() {
 
     let snapshot = snapshot_of(&session);
     let bytes = snapshot.to_bytes();
-    let back = Snapshot::from_bytes(&bytes).expect("v3 parses");
+    let back = Snapshot::from_bytes(&bytes).expect("own bytes parse");
     assert_eq!(back.session.refresh_generation, 2);
     let frozen_disc = back.session.disc.as_ref().expect("DISC section decoded");
     assert_eq!(frozen_disc.generation, 1);
@@ -476,54 +432,14 @@ fn disc_model_round_trips_in_v3_with_staleness() {
         salted_lf("lf_2", 43, 2),
     ];
     let thawed = IncrementalSession::thaw(corpus, session.config().clone(), back.session, lfs)
-        .expect("v3 snapshot thaws");
+        .expect("distilled snapshot thaws");
     assert!(thawed.disc_is_stale(), "staleness survives the round trip");
     let after = thawed.disc().unwrap().model.predict_proba(&probe);
     assert_eq!(before, after, "disc predictions are bit-identical");
 }
 
-#[test]
-fn older_versions_cannot_encode_a_distilled_model() {
-    let session = distilled_session(40, &[51, 52]);
-    let snapshot = snapshot_of(&session);
-    for version in [1, 2] {
-        assert!(
-            matches!(
-                snapshot.to_bytes_with_version(version),
-                Err(SnapError::Corrupt { .. })
-            ),
-            "v{version} must refuse a disc model"
-        );
-    }
-    assert!(Snapshot::from_bytes(&snapshot.to_bytes()).is_ok());
-}
-
-#[test]
-fn v2_files_still_thaw_without_a_disc_model() {
-    // A session that never distilled writes a valid v2 file, and this
-    // build reads it back: no disc model, generation counter at zero.
-    let salts = [61u64, 62];
-    let session = session_for(30, &salts, 2, Scaleout::RowWise);
-    let v2_bytes = snapshot_of(&session)
-        .to_bytes_with_version(2)
-        .expect("no disc model: v2 encodes");
-    let back = Snapshot::from_bytes(&v2_bytes).expect("v2 parses");
-    assert!(back.session.disc.is_none());
-    assert_eq!(back.session.refresh_generation, 0);
-
-    let (corpus, _) = build_corpus(30);
-    let lfs: Vec<BoxedLf> = salts
-        .iter()
-        .enumerate()
-        .map(|(j, &salt)| salted_lf(&format!("lf_{j}"), salt, 2))
-        .collect();
-    let thawed = IncrementalSession::thaw(corpus, session.config().clone(), back.session, lfs)
-        .expect("v2 snapshot thaws");
-    assert!(thawed.disc().is_none());
-}
-
 /// A moment-backend session that has ingested two streamed batches —
-/// the streaming state a v4 `STRM` section must carry. The corpus text
+/// the streaming state the `STRM` section must carry. The corpus text
 /// formula continues seamlessly, so `build_corpus(base + extra)`
 /// rebuilds the exact corpus a thaw needs.
 fn streaming_session(base: usize, extra: usize, salts: &[u64]) -> IncrementalSession {
@@ -562,7 +478,7 @@ fn streaming_session(base: usize, extra: usize, salts: &[u64]) -> IncrementalSes
 }
 
 #[test]
-fn v4_round_trips_streaming_state_and_resumes_steady_state() {
+fn streaming_state_round_trips_and_resumes_steady_state() {
     let salts = [81u64, 82, 83];
     let mut session = streaming_session(80, 32, &salts);
     let stream_before = session.stream().expect("streaming active").clone();
@@ -586,7 +502,7 @@ fn v4_round_trips_streaming_state_and_resumes_steady_state() {
         .map(|(j, &salt)| salted_lf(&format!("lf_{j}"), salt, 2))
         .collect();
     let mut thawed = IncrementalSession::thaw(corpus, session.config().clone(), back.session, lfs)
-        .expect("v4 snapshot thaws");
+        .expect("streaming snapshot thaws");
     {
         let stream = thawed.stream().expect("stream survives the thaw");
         assert_eq!(stream.stats(), stream_before.stats());
@@ -626,35 +542,6 @@ fn v4_round_trips_streaming_state_and_resumes_steady_state() {
         thawed.stream().expect("stream").stats(),
         session.stream().expect("stream").stats()
     );
-}
-
-#[test]
-fn older_versions_cannot_encode_streaming_state() {
-    let salts = [91u64, 92, 93];
-    let session = streaming_session(60, 16, &salts);
-    let snapshot = snapshot_of(&session);
-    for version in [1, 2, 3] {
-        assert!(
-            matches!(
-                snapshot.to_bytes_with_version(version),
-                Err(SnapError::Corrupt { .. })
-            ),
-            "v{version} must refuse streaming state with a typed error"
-        );
-    }
-    assert!(Snapshot::from_bytes(&snapshot.to_bytes()).is_ok());
-
-    // Control: the same session shape minus the stream state still
-    // writes v3 — the refusal is about the STRM payload, not the model.
-    let no_stream = session_with_strategy(
-        60,
-        &salts,
-        2,
-        Scaleout::RowWise,
-        ModelingStrategy::MomentMatching,
-    );
-    assert!(no_stream.stream().is_none());
-    assert!(snapshot_of(&no_stream).to_bytes_with_version(3).is_ok());
 }
 
 #[test]

@@ -33,7 +33,7 @@
 //!   (`docs/PROTOCOL.md` has the normative grammar).
 //!
 //! Freezing: [`FrozenStream`] is the plain-data image persisted in the
-//! snapshot format's v4 `STRM` section (`docs/SNAPSHOT_FORMAT.md`) —
+//! snapshot format's `STRM` section (`docs/SNAPSHOT_FORMAT.md`) —
 //! running moment totals, drift configuration, reference window, and
 //! the lifetime counters — so a kill/resume keeps the online model warm
 //! and the drift baseline intact. The in-memory ring of *recent*

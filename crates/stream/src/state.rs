@@ -1,6 +1,6 @@
 //! Per-session streaming state: the running moment statistics, the
 //! drift detector, and the lifetime counters, plus the frozen image
-//! persisted in snapshot format v4's `STRM` section.
+//! persisted in the snapshot format's `STRM` section.
 
 use crate::drift::{DriftConfig, DriftDetector, WindowStats};
 use snorkel_core::label_model::{MomentStats, MomentStatsParts};

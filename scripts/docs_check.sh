@@ -5,7 +5,8 @@
 # docs/PERFORMANCE.md). This gate fails CI when a protocol verb,
 # snapshot section, metric name, or bench binary exists in source but
 # is missing from its spec — and when a spec names a metric or bench
-# that does not exist — so the docs cannot silently drift from the
+# that does not exist, or a snapshot version other than the one the
+# code writes — so the docs cannot silently drift from the
 # implementation in either direction.
 #
 # Run from the repo root:
@@ -62,6 +63,29 @@ for section in $sections; do
         fail=1
     fi
 done
+
+# --- Snapshot version: the spec's stated current version is the one
+# snap.rs writes and reads, and no doc names the retired version knobs.
+# The constant looks like:   pub const FORMAT_VERSION: u32 = 5;
+# The spec line looks like:  format version (u32 LE; current version: 5)
+code_version="$(grep -oE 'const FORMAT_VERSION: u32 = [0-9]+' crates/serve/src/snap.rs \
+    | grep -oE '[0-9]+$')"
+doc_version="$(grep -oE 'current version: [0-9]+' docs/SNAPSHOT_FORMAT.md \
+    | grep -oE '[0-9]+$' | sort -u)"
+if [[ -z "$code_version" ]]; then
+    echo "docs-check: BUG: found no FORMAT_VERSION in crates/serve/src/snap.rs" >&2
+    exit 1
+fi
+if [[ "$doc_version" != "$code_version" ]]; then
+    echo "docs-check: docs/SNAPSHOT_FORMAT.md states current version" \
+         "'$doc_version' but crates/serve/src/snap.rs has FORMAT_VERSION = $code_version" >&2
+    fail=1
+fi
+if stale="$(grep -nE 'to_bytes_with_version|MIN_READ_VERSION' README.md docs/*.md)"; then
+    echo "docs-check: docs still name a retired snapshot version knob:" >&2
+    echo "$stale" >&2
+    fail=1
+fi
 
 # --- Metrics: two-way check against docs/OBSERVABILITY.md.
 # Registered names are string literals like "snorkel_serve_requests_total"
@@ -123,6 +147,6 @@ if [[ "$fail" -ne 0 ]]; then
 fi
 echo "docs-check OK: $(echo "$verbs" | wc -w | tr -d ' ') verbs," \
      "$(echo "$opcodes" | wc -w | tr -d ' ') opcodes," \
-     "$(echo "$sections" | wc -w | tr -d ' ') snapshot sections," \
+     "$(echo "$sections" | wc -w | tr -d ' ') snapshot sections (format v$code_version)," \
      "$(echo "$registered" | wc -w | tr -d ' ') metrics," \
      "$(echo "$bench_files" | wc -w | tr -d ' ') benches all documented"
