@@ -10,13 +10,13 @@
 //! ```
 //!
 //! then measure with [`allocation_count`] deltas or
-//! [`min_allocations_over`]. Two caveats, learned from
-//! `crates/obs/tests/no_alloc.rs` (the first user of this pattern):
+//! [`min_allocations_over`]. Two things to know:
 //!
-//! * The counter is process-global, so ambient threads (the libtest
-//!   harness, a background worker) pollute any single measurement.
-//!   Take the **minimum over several attempts**: if the measured path
-//!   itself allocated, every attempt would count it.
+//! * The counter is **per thread**: a measurement sees only what the
+//!   measuring thread itself allocated, so other tests running on the
+//!   libtest harness's parallel threads (a proptest in the same binary,
+//!   say) cannot inflate a sample. Work the measured path hands to
+//!   another thread is not counted — measure on the thread that runs it.
 //! * Run release mode for enforcement. Debug builds of generic std
 //!   code can allocate where release builds provably do not, so a
 //!   zero-budget assert is only meaningful under `--release`
@@ -25,12 +25,22 @@
 #![allow(unsafe_code)] // GlobalAlloc is an unsafe trait; this module is the one place we implement it.
 
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    // Const-initialized and without a destructor, so touching it from
+    // inside the allocator never allocates or registers a TLS dtor.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
 
-/// A counting global allocator: forwards to [`System`], incrementing a
-/// process-global counter on every `alloc` and `realloc` (frees are
+/// `try_with`: an allocation during thread teardown, after the slot is
+/// gone, goes uncounted instead of panicking inside the allocator.
+fn count_one() {
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// A counting global allocator: forwards to [`System`], incrementing
+/// the calling thread's counter on every `alloc` and `realloc` (frees are
 /// not counted — the budgets here are about *acquiring* memory on a
 /// hot path, and a free implies a former alloc anyway).
 pub struct CountingAlloc;
@@ -50,7 +60,7 @@ impl Default for CountingAlloc {
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+        count_one();
         System.alloc(layout)
     }
 
@@ -59,21 +69,19 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::SeqCst);
+        count_one();
         System.realloc(ptr, layout, new_size)
     }
 }
 
-/// Heap acquisitions (allocs + reallocs) since process start. Only
-/// meaningful when [`CountingAlloc`] is installed as the global
-/// allocator; returns a frozen 0 otherwise.
+/// Heap acquisitions (allocs + reallocs) made by the calling thread
+/// since it started. Only meaningful when [`CountingAlloc`] is
+/// installed as the global allocator; returns a frozen 0 otherwise.
 pub fn allocation_count() -> u64 {
-    ALLOCATIONS.load(Ordering::SeqCst)
+    ALLOCATIONS.with(Cell::get)
 }
 
 /// Run `f` once and return `(allocations, result)` for the call.
-/// Subject to ambient-thread noise — prefer [`min_allocations_over`]
-/// for assertions.
 pub fn allocations_in<R>(f: impl FnOnce() -> R) -> (u64, R) {
     let before = allocation_count();
     let out = f();
@@ -81,9 +89,9 @@ pub fn allocations_in<R>(f: impl FnOnce() -> R) -> (u64, R) {
 }
 
 /// Run `f` up to `attempts` times and return the **minimum** number of
-/// allocations observed in one run — the noise-robust statistic for
-/// "this path allocates N times": ambient threads can only inflate a
-/// sample, never deflate it. Returns early on a zero sample.
+/// allocations observed in one run — robust to one-off growth (a
+/// buffer still reaching its high-water mark) in early attempts.
+/// Returns early on a zero sample.
 pub fn min_allocations_over(attempts: usize, mut f: impl FnMut()) -> u64 {
     let mut min = u64::MAX;
     for _ in 0..attempts.max(1) {

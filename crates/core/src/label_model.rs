@@ -284,6 +284,42 @@ where
     }
 }
 
+/// Fold every vote signature of `lambda`, with its multiplicity, into
+/// accumulators: one per shard over its unique patterns when a plan is
+/// supplied (returned in shard order — merge left to right), a single
+/// one over the rows otherwise. Counts of whole rows are exact either
+/// way, so statistics gathered through this walk do not depend on the
+/// path taken.
+pub(crate) fn fold_signatures<A, I, S>(
+    lambda: &LabelMatrix,
+    plan: Option<&ShardedMatrix>,
+    init: I,
+    step: S,
+) -> Vec<A>
+where
+    A: Send,
+    I: Fn() -> A + Sync,
+    S: Fn(&mut A, &[u32], &[Vote], usize) + Sync,
+{
+    match plan {
+        Some(plan) => plan.map_shards(|idx| {
+            let mut acc = init();
+            for (_, cols, votes, cnt) in idx.live_patterns() {
+                step(&mut acc, cols, votes, cnt);
+            }
+            acc
+        }),
+        None => {
+            let mut acc = init();
+            for i in 0..lambda.num_points() {
+                let (cols, votes) = lambda.row(i);
+                step(&mut acc, cols, votes, 1);
+            }
+            vec![acc]
+        }
+    }
+}
+
 // ----------------------------------------------------------------------
 // Majority-vote backend
 // ----------------------------------------------------------------------
@@ -368,14 +404,12 @@ impl LabelModel for MajorityVoteModel {
                 out[c] += 1.0;
             }
         }
-        let best = out.iter().copied().fold(0.0f64, f64::max);
-        let winner_count = out.iter().filter(|&&t| t == best).count();
-        if best == 0.0 || winner_count > 1 {
-            out.fill(1.0 / k as f64);
-        } else {
-            let winner = out.iter().position(|&t| t == best).expect("best exists");
-            out.fill(0.0);
-            out[winner] = 1.0;
+        match crate::vote::unique_max(out, 0.0) {
+            Some(winner) => {
+                out.fill(0.0);
+                out[winner] = 1.0;
+            }
+            None => out.fill(1.0 / k as f64),
         }
     }
 
@@ -553,33 +587,17 @@ impl MomentModel {
     ) {
         let scheme = GenerativeModel::scheme(&self.inner);
         let n = GenerativeModel::num_lfs(&self.inner);
-        let m = lambda.num_points();
 
         // ---- The single pass: per-LF and pairwise sufficient stats.
-        let stats = match plan {
-            Some(plan) => {
-                let partials = plan.map_shards(|idx| {
-                    let mut s = MomentStats::new(n, scheme);
-                    for (_, cols, votes, cnt) in idx.live_patterns() {
-                        s.accumulate(cols, votes, cnt as f64);
-                    }
-                    s
-                });
-                let mut total = MomentStats::new(n, scheme);
-                for p in &partials {
-                    total.merge(p);
-                }
-                total
-            }
-            None => {
-                let mut s = MomentStats::new(n, scheme);
-                for i in 0..m {
-                    let (cols, votes) = lambda.row(i);
-                    s.accumulate(cols, votes, 1.0);
-                }
-                s
-            }
-        };
+        let mut stats = MomentStats::new(n, scheme);
+        for partial in fold_signatures(
+            lambda,
+            plan,
+            || MomentStats::new(n, scheme),
+            |s, cols, votes, cnt| s.accumulate(cols, votes, cnt as f64),
+        ) {
+            stats.merge(&partial);
+        }
 
         self.solve_from_stats(&stats, cfg);
     }
@@ -861,36 +879,16 @@ impl MomentStats {
     pub fn accumulate(&mut self, cols: &[u32], votes: &[Vote], w: f64) {
         let scheme = self.scheme;
         self.rows += w;
-        let mut tally = std::mem::take(&mut self.tally);
         let mut classes = std::mem::take(&mut self.classes);
-        tally.iter_mut().for_each(|t| *t = 0);
         classes.clear();
         for (&c, &v) in cols.iter().zip(votes) {
             let j = c as usize;
             self.votes[j] += w;
             if let Some(class) = scheme.class_of_vote(v) {
-                tally[class] += 1;
                 classes.push((j, class));
             }
         }
-        // Plurality class of the row (None on ties / all-abstain).
-        let best = tally.iter().copied().max().unwrap_or(0);
-        let mv = if best == 0 {
-            None
-        } else {
-            let mut winner = None;
-            for (c, &t) in tally.iter().enumerate() {
-                if t == best {
-                    if winner.is_some() {
-                        winner = None;
-                        break;
-                    }
-                    winner = Some(c);
-                }
-            }
-            winner
-        };
-        if let Some(mv) = mv {
+        if let Some(mv) = crate::vote::plurality_class(scheme, votes, &mut self.tally) {
             self.mv_class[mv] += w;
             for &(j, class) in &classes {
                 self.total_mv[j] += w;
@@ -910,7 +908,6 @@ impl MomentStats {
                 }
             }
         }
-        self.tally = tally;
         self.classes = classes;
     }
 

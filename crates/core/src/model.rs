@@ -41,7 +41,8 @@
 use snorkel_linalg::math::{logsumexp, softmax_in_place};
 use snorkel_matrix::{LabelMatrix, ShardedMatrix, Vote};
 
-use crate::label_model::{map_vote, marginals_via};
+use crate::label_model::{fold_signatures, map_vote, marginals_via};
+use crate::vote::plurality_class;
 
 // The correlated (CD/Gibbs) trainer: a child module, so the model's
 // fields stay private to this file and its one extension.
@@ -86,6 +87,7 @@ impl LabelScheme {
     }
 
     /// Dense class index of a non-abstain vote.
+    #[inline]
     pub fn class_of_vote(&self, v: Vote) -> Option<usize> {
         if v == 0 {
             return None;
@@ -820,31 +822,22 @@ impl GenerativeModel {
             }
             ClassBalance::FromMajorityVote => {
                 let mut counts = vec![1usize; k]; // add-one smoothing
-                match plan {
-                    // The MV class is a pure function of the vote
-                    // signature, and these are integer counts — the
-                    // per-pattern tally is *exactly* the row-wise one.
-                    Some(plan) => {
-                        let per_shard = plan.map_shards(|idx| {
-                            let mut c = vec![0usize; k];
-                            let mut tally = vec![0usize; k];
-                            for (_, _, votes, cnt) in idx.live_patterns() {
-                                if let Some(mv) = self.plurality_class(votes, &mut tally) {
-                                    c[mv] += cnt;
-                                }
-                            }
-                            c
-                        });
-                        for c in per_shard {
-                            for (tot, add) in counts.iter_mut().zip(c) {
-                                *tot += add;
-                            }
+                let scheme = self.scheme;
+                // The MV class is a pure function of the vote signature,
+                // and these are integer counts — the per-pattern tally
+                // is *exactly* the row-wise one.
+                for (c, _) in fold_signatures(
+                    lambda,
+                    plan,
+                    || (vec![0usize; k], vec![0usize; k]),
+                    |(c, tally), _, votes, cnt| {
+                        if let Some(mv) = plurality_class(scheme, votes, tally) {
+                            c[mv] += cnt;
                         }
-                    }
-                    None => {
-                        for c in self.majority_classes(lambda).into_iter().flatten() {
-                            counts[c] += 1;
-                        }
+                    },
+                ) {
+                    for (tot, add) in counts.iter_mut().zip(c) {
+                        *tot += add;
                     }
                 }
                 let total: f64 = counts.iter().map(|&c| c as f64).sum();
@@ -853,43 +846,6 @@ impl GenerativeModel {
                 }
             }
         }
-    }
-
-    /// Plurality class of one vote set (`None` on ties and no votes);
-    /// `tally` is a reusable `num_classes`-sized scratch buffer.
-    fn plurality_class(&self, votes: &[Vote], tally: &mut [usize]) -> Option<usize> {
-        tally.iter_mut().for_each(|t| *t = 0);
-        for &v in votes {
-            if let Some(c) = self.scheme.class_of_vote(v) {
-                tally[c] += 1;
-            }
-        }
-        let best = tally.iter().copied().max().unwrap_or(0);
-        if best == 0 {
-            return None;
-        }
-        let mut winner = None;
-        for (c, &t) in tally.iter().enumerate() {
-            if t == best {
-                if winner.is_some() {
-                    return None; // tie
-                }
-                winner = Some(c);
-            }
-        }
-        winner
-    }
-
-    /// Plurality class per row (`None` on ties and empty rows).
-    fn majority_classes(&self, lambda: &LabelMatrix) -> Vec<Option<usize>> {
-        let k = self.scheme.num_classes();
-        let mut out = Vec::with_capacity(lambda.num_points());
-        let mut tally = vec![0usize; k];
-        for i in 0..lambda.num_points() {
-            let (_, votes) = lambda.row(i);
-            out.push(self.plurality_class(votes, &mut tally));
-        }
-        out
     }
 
     /// Initialize the propensity weights so the model's implied coverage
@@ -908,27 +864,15 @@ impl GenerativeModel {
         }
         let k1 = (self.scheme.num_classes() - 1) as f64;
         let mut votes = vec![0usize; self.n];
-        match plan {
-            Some(plan) => {
-                // Per-pattern coverage counts are integer-exact.
-                for c in plan.map_shards(|idx| {
-                    let mut c = vec![0usize; self.n];
-                    for (_, cols, _, cnt) in idx.live_patterns() {
-                        for &j in cols {
-                            c[j as usize] += cnt;
-                        }
-                    }
-                    c
-                }) {
-                    for (tot, add) in votes.iter_mut().zip(c) {
-                        *tot += add;
-                    }
-                }
-            }
-            None => {
-                for (_, j, _) in lambda.iter() {
-                    votes[j] += 1;
-                }
+        // Per-pattern coverage counts are integer-exact.
+        for c in fold_signatures(
+            lambda,
+            plan,
+            || vec![0usize; self.n],
+            |c, cols, _, cnt| cols.iter().for_each(|&j| c[j as usize] += cnt),
+        ) {
+            for (tot, add) in votes.iter_mut().zip(c) {
+                *tot += add;
             }
         }
         for j in 0..self.n {
@@ -951,50 +895,30 @@ impl GenerativeModel {
     ) {
         let mut agree = vec![0usize; self.n];
         let mut total = vec![0usize; self.n];
-        match plan {
-            Some(plan) => {
-                // Agreement with the row's own majority vote is a pure
-                // function of the signature; integer counts are exact.
-                let k = self.scheme.num_classes();
-                for (a, t) in plan.map_shards(|idx| {
-                    let mut a = vec![0usize; self.n];
-                    let mut t = vec![0usize; self.n];
-                    let mut tally = vec![0usize; k];
-                    for (_, cols, votes, cnt) in idx.live_patterns() {
-                        let Some(mv_class) = self.plurality_class(votes, &mut tally) else {
-                            continue;
-                        };
-                        for (&c, &v) in cols.iter().zip(votes) {
-                            if let Some(class) = self.scheme.class_of_vote(v) {
-                                t[c as usize] += cnt;
-                                if class == mv_class {
-                                    a[c as usize] += cnt;
-                                }
-                            }
-                        }
-                    }
-                    (a, t)
-                }) {
-                    for j in 0..self.n {
-                        agree[j] += a[j];
-                        total[j] += t[j];
-                    }
-                }
-            }
-            None => {
-                let mv = self.majority_classes(lambda);
-                for i in 0..lambda.num_points() {
-                    let Some(mv_class) = mv[i] else { continue };
-                    let (cols, votes) = lambda.row(i);
-                    for (&c, &v) in cols.iter().zip(votes) {
-                        if let Some(class) = self.scheme.class_of_vote(v) {
-                            total[c as usize] += 1;
-                            if class == mv_class {
-                                agree[c as usize] += 1;
-                            }
+        let (n, scheme, k) = (self.n, self.scheme, self.scheme.num_classes());
+        // Agreement with the row's own majority vote is a pure function
+        // of the signature; integer counts are exact.
+        for (a, t, _) in fold_signatures(
+            lambda,
+            plan,
+            || (vec![0usize; n], vec![0usize; n], vec![0usize; k]),
+            |(a, t, tally), cols, votes, cnt| {
+                let Some(mv_class) = plurality_class(scheme, votes, tally) else {
+                    return;
+                };
+                for (&c, &v) in cols.iter().zip(votes) {
+                    if let Some(class) = scheme.class_of_vote(v) {
+                        t[c as usize] += cnt;
+                        if class == mv_class {
+                            a[c as usize] += cnt;
                         }
                     }
                 }
+            },
+        ) {
+            for j in 0..n {
+                agree[j] += a[j];
+                total[j] += t[j];
             }
         }
         for j in 0..self.n {

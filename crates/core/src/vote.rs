@@ -10,12 +10,56 @@
 
 use snorkel_matrix::{LabelMatrix, Vote};
 
+use crate::model::LabelScheme;
+
+/// Index of the strict maximum of `tally`, `None` when nothing exceeds
+/// `floor` or the maximum is tied — the argmax under every majority
+/// vote in this crate, weighted or not.
+pub(crate) fn unique_max<T: PartialOrd + Copy>(tally: &[T], floor: T) -> Option<usize> {
+    let (mut best, mut winner) = (floor, None);
+    for (c, &t) in tally.iter().enumerate() {
+        if t > best {
+            (best, winner) = (t, Some(c));
+        } else if t == best {
+            winner = None;
+        }
+    }
+    winner
+}
+
+/// Plurality class of one vote set: the argmax of the per-class vote
+/// counts, `None` on ties and when nothing voted. `tally` is a reusable
+/// `num_classes`-sized scratch buffer. Every unweighted majority vote in
+/// this crate — [`majority_vote`], the generative model's
+/// class-balance and accuracy initializers, the moment statistics — is
+/// this function.
+pub(crate) fn plurality_class(
+    scheme: LabelScheme,
+    votes: &[Vote],
+    tally: &mut [usize],
+) -> Option<usize> {
+    tally.fill(0);
+    for &v in votes {
+        if let Some(c) = scheme.class_of_vote(v) {
+            tally[c] += 1;
+        }
+    }
+    unique_max(tally, 0)
+}
+
 /// Unweighted majority vote per data point.
 ///
 /// Binary scheme: the sign of the vote sum (`0` on ties and empty rows).
 /// Multi-class scheme: the plurality class (`0` on ties and empty rows).
 pub fn majority_vote(lambda: &LabelMatrix) -> Vec<Vote> {
-    weighted_vote(lambda, &vec![1.0; lambda.num_lfs()])
+    let scheme = LabelScheme::from_cardinality(lambda.cardinality());
+    let mut tally = vec![0usize; scheme.num_classes()];
+    (0..lambda.num_points())
+        .map(|i| {
+            plurality_class(scheme, lambda.row(i).1, &mut tally)
+                .map_or(0, |c| scheme.vote_of_class(c))
+        })
+        .collect()
 }
 
 /// Weighted majority vote per data point with per-LF weights.
@@ -52,17 +96,7 @@ pub fn weighted_vote(lambda: &LabelMatrix, weights: &[f64]) -> Vec<Vote> {
             for (&c, &v) in cols.iter().zip(votes) {
                 tally[v as usize] += weights[c as usize];
             }
-            let best = tally[1..].iter().cloned().fold(f64::NEG_INFINITY, f64::max);
-            if best <= 0.0 {
-                out.push(0);
-                continue;
-            }
-            let winners: Vec<usize> = (1..=k).filter(|&cl| tally[cl] == best).collect();
-            out.push(if winners.len() == 1 {
-                winners[0] as Vote
-            } else {
-                0
-            });
+            out.push(unique_max(&tally[1..], 0.0).map_or(0, |c| (c + 1) as Vote));
         }
     }
     out

@@ -41,11 +41,12 @@
 //! The normative spec (opcode table, encodings, limits) lives in
 //! `docs/PROTOCOL.md`; this module implements it.
 
-use std::io::{Read, Write};
+use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpStream};
 
 use snorkel_lf::Vote;
 
+use crate::verbs::Verb;
 use crate::wire::{Reader, Writer};
 
 /// First byte of every binary frame. Chosen outside the ASCII range a
@@ -208,16 +209,7 @@ pub enum BinReply {
 /// The metric label / trace-span name for an opcode (`None` for an
 /// opcode the protocol does not define).
 pub fn opcode_name(opcode: u8) -> Option<&'static str> {
-    match opcode {
-        OP_PING => Some("PING"),
-        OP_MARGINAL => Some("MARGINAL"),
-        OP_PREDICT => Some("PREDICT"),
-        OP_INGEST => Some("INGEST"),
-        OP_LOG_SUBSCRIBE => Some("LOG_SUBSCRIBE"),
-        OP_LOG_RECORD => Some("LOG_RECORD"),
-        OP_LOG_HEARTBEAT => Some("LOG_HEARTBEAT"),
-        _ => None,
-    }
+    Verb::from_opcode(opcode).map(|verb| verb.row().name)
 }
 
 fn finish(kind: u8, tag: u8, payload: Writer) -> Vec<u8> {
@@ -572,12 +564,14 @@ pub fn decode_request(opcode: u8, payload: &[u8]) -> Result<BinRequest, String> 
         OP_LOG_SUBSCRIBE => BinRequest::LogSubscribe {
             from: rd!(r.u64("resume LSN")),
         },
-        OP_LOG_RECORD | OP_LOG_HEARTBEAT => {
-            return Err(format!(
-                "opcode 0x{opcode:02x} is server-push only, not a request"
-            ))
+        other => {
+            return Err(match Verb::from_opcode(other) {
+                Some(verb) if verb.row().push_only => {
+                    format!("opcode 0x{other:02x} is server-push only, not a request")
+                }
+                _ => format!("unknown opcode 0x{other:02x}"),
+            })
         }
-        other => return Err(format!("unknown opcode 0x{other:02x}")),
     };
     if !r.is_exhausted() {
         return Err(format!("{} trailing bytes in frame", r.remaining()));
@@ -654,7 +648,7 @@ pub fn decode_reply(status: u8, payload: &[u8]) -> Result<BinReply, String> {
 
 /// Minimal blocking binary-plane client for tests, benches, and the CI
 /// smoke script — the [`FrameClient`] counterpart of the text
-/// [`Client`](crate::Client). One frame out, one frame back, strictly
+/// [`Client`]. One frame out, one frame back, strictly
 /// in order; [`Self::send_raw`] lets callers pipeline several frames
 /// in one write and drain the replies with [`Self::read_reply`].
 pub struct FrameClient {
@@ -743,6 +737,67 @@ impl From<TcpStream> for FrameClient {
     /// `TcpStream::connect_timeout`).
     fn from(stream: TcpStream) -> FrameClient {
         FrameClient { stream }
+    }
+}
+
+/// Minimal blocking client for tests, examples, and the CI smoke
+/// script: one request line out, one response line back.
+pub struct Client {
+    reader: BufReader<TcpStream>,
+    writer: TcpStream,
+}
+
+impl Client {
+    /// Connect to a running server.
+    pub fn connect(addr: SocketAddr) -> std::io::Result<Client> {
+        let stream = TcpStream::connect(addr)?;
+        stream.set_nodelay(true)?;
+        Ok(Client {
+            reader: BufReader::new(stream.try_clone()?),
+            writer: stream,
+        })
+    }
+
+    /// Send one request line, read one response line (without the
+    /// trailing newline).
+    pub fn request(&mut self, line: &str) -> std::io::Result<String> {
+        self.writer.write_all(line.as_bytes())?;
+        self.writer.write_all(b"\n")?;
+        self.writer.flush()?;
+        let mut response = String::new();
+        let n = self.reader.read_line(&mut response)?;
+        if n == 0 {
+            return Err(std::io::Error::new(
+                std::io::ErrorKind::UnexpectedEof,
+                "server closed the connection",
+            ));
+        }
+        Ok(response.trim_end().to_string())
+    }
+
+    /// Send one request line and read a multi-line reply (`METRICS`,
+    /// `SLOWLOG`): the header's `lines=<k>` field says how many payload
+    /// lines follow. Returns `(header, payload_lines)`; a reply without
+    /// a `lines=` field (e.g. an `ERR`) comes back with no payload.
+    pub fn request_lines(&mut self, line: &str) -> std::io::Result<(String, Vec<String>)> {
+        let header = self.request(line)?;
+        let count = header
+            .split_whitespace()
+            .find_map(|tok| tok.strip_prefix("lines="))
+            .and_then(|v| v.parse::<usize>().ok())
+            .unwrap_or(0);
+        let mut lines = Vec::with_capacity(count);
+        for _ in 0..count {
+            let mut payload = String::new();
+            if self.reader.read_line(&mut payload)? == 0 {
+                return Err(std::io::Error::new(
+                    std::io::ErrorKind::UnexpectedEof,
+                    "server closed the connection mid-reply",
+                ));
+            }
+            lines.push(payload.trim_end().to_string());
+        }
+        Ok((header, lines))
     }
 }
 

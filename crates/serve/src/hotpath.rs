@@ -41,6 +41,7 @@ use snorkel_incr::IncrementalSession;
 use snorkel_lf::Vote;
 use snorkel_linalg::SparseVec;
 
+use crate::core::lock_unpoisoned;
 use crate::frame;
 use crate::wire::Reader;
 
@@ -296,6 +297,15 @@ impl ReadScratch {
         self.rows.push((0, cols.len() as u32));
     }
 
+    /// Reset the posterior buffer to one zeroed `width`-class row for a
+    /// caller that scores a single row itself (text `APPLY`,
+    /// `PREDICT_TEXT`).
+    pub(crate) fn start_probs(&mut self, width: usize) -> &mut [f64] {
+        self.probs.reset();
+        self.probs.resize(width, 0.0);
+        &mut self.probs
+    }
+
     /// The computed posterior rows, flat (row `i` of a width-`w` batch
     /// at `i*w..(i+1)*w`). Valid after a successful compute call.
     pub fn probs(&self) -> &[f64] {
@@ -389,10 +399,6 @@ pub fn decode_predict(payload: &[u8], scratch: &mut ReadScratch) -> Result<usize
         return Err(format!("{} trailing bytes in frame", r.remaining()));
     }
     Ok(n)
-}
-
-fn lock_unpoisoned<T>(m: &Mutex<T>) -> std::sync::MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(|e| e.into_inner())
 }
 
 /// Row `i` of a decoded structure-of-arrays vote batch.

@@ -71,12 +71,15 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
+mod conn;
+mod core;
 pub mod frame;
 pub mod hotpath;
 pub mod protocol;
 pub mod repl;
 pub mod server;
 pub mod snap;
+mod verbs;
 mod wire;
 
 pub use frame::{BinReply, BinRequest, FrameClient, VoteRow};

@@ -47,6 +47,8 @@
 
 use snorkel_lf::{BoxedLf, KeywordBetweenLf, PatternLf, Vote};
 
+use crate::verbs::Verb;
+
 /// A parsed, wire-expressible labeling-function definition. Its
 /// [`content tag`](LfSpec::content_tag) is derived from the canonical
 /// spec text, so re-submitting an identical spec (including reverting an
@@ -272,20 +274,25 @@ impl Request {
     /// The wire verb this request arrived as — the `verb` label of the
     /// serving layer's per-verb metrics.
     pub fn verb(&self) -> &'static str {
+        self.id().row().name
+    }
+
+    /// This request's row in the verb table.
+    pub(crate) fn id(&self) -> Verb {
         match self {
-            Request::Ping => "PING",
-            Request::Marginal { .. } => "MARGINAL",
-            Request::Apply { .. } => "APPLY",
-            Request::Predict { .. } => "PREDICT",
-            Request::PredictText { .. } => "PREDICT_TEXT",
-            Request::Ingest { .. } => "INGEST",
-            Request::Refresh(_) => "REFRESH",
-            Request::Snapshot { .. } => "SNAPSHOT",
-            Request::Stats => "STATS",
-            Request::Metrics => "METRICS",
-            Request::Slowlog { .. } => "SLOWLOG",
-            Request::Promote => "PROMOTE",
-            Request::Shutdown => "SHUTDOWN",
+            Request::Ping => Verb::Ping,
+            Request::Marginal { .. } => Verb::Marginal,
+            Request::Apply { .. } => Verb::Apply,
+            Request::Predict { .. } => Verb::Predict,
+            Request::PredictText { .. } => Verb::PredictText,
+            Request::Ingest { .. } => Verb::Ingest,
+            Request::Refresh(_) => Verb::Refresh,
+            Request::Snapshot { .. } => Verb::Snapshot,
+            Request::Stats => Verb::Stats,
+            Request::Metrics => Verb::Metrics,
+            Request::Slowlog { .. } => Verb::Slowlog,
+            Request::Promote => Verb::Promote,
+            Request::Shutdown => Verb::Shutdown,
         }
     }
 }
@@ -329,9 +336,10 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
         Some((c, r)) => (c, r.trim()),
         None => (line, ""),
     };
-    match cmd {
-        "PING" => Ok(Request::Ping),
-        "MARGINAL" => {
+    // The keyword set is the verb table's text rows.
+    match Verb::from_keyword(cmd) {
+        Some(Verb::Ping) => Ok(Request::Ping),
+        Some(Verb::Marginal) => {
             if rest.is_empty() {
                 return Err("MARGINAL needs a vote list".into());
             }
@@ -350,28 +358,28 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
             }
             Ok(Request::Marginal { cols, votes })
         }
-        "APPLY" => {
-            let (span1, span2, text) = parse_spans_and_text("APPLY", rest)?;
+        Some(Verb::Apply) => {
+            let (span1, span2, text) = parse_spans_and_text(cmd, rest)?;
             Ok(Request::Apply { span1, span2, text })
         }
-        "PREDICT" => {
+        Some(Verb::Predict) => {
             let features: Vec<String> = rest.split_whitespace().map(str::to_string).collect();
             if features.is_empty() {
                 return Err("PREDICT needs at least one feature".into());
             }
             Ok(Request::Predict { features })
         }
-        "PREDICT_TEXT" => {
-            let (span1, span2, text) = parse_spans_and_text("PREDICT_TEXT", rest)?;
+        Some(Verb::PredictText) => {
+            let (span1, span2, text) = parse_spans_and_text(cmd, rest)?;
             Ok(Request::PredictText { span1, span2, text })
         }
-        "INGEST" => {
-            let (span1, span2, text) = parse_spans_and_text("INGEST", rest)?;
+        Some(Verb::Ingest) => {
+            let (span1, span2, text) = parse_spans_and_text(cmd, rest)?;
             Ok(Request::Ingest {
                 rows: vec![(span1, span2, text)],
             })
         }
-        "REFRESH" => {
+        Some(Verb::Refresh) => {
             if rest.is_empty() {
                 return Ok(Request::Refresh(None));
             }
@@ -392,12 +400,12 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
             };
             Ok(Request::Refresh(Some(edit)))
         }
-        "SNAPSHOT" => Ok(Request::Snapshot {
+        Some(Verb::Snapshot) => Ok(Request::Snapshot {
             path: (!rest.is_empty()).then(|| rest.to_string()),
         }),
-        "STATS" => Ok(Request::Stats),
-        "METRICS" => Ok(Request::Metrics),
-        "SLOWLOG" => {
+        Some(Verb::Stats) => Ok(Request::Stats),
+        Some(Verb::Metrics) => Ok(Request::Metrics),
+        Some(Verb::Slowlog) => {
             if rest.is_empty() {
                 return Err("SLOWLOG takes an entry count".into());
             }
@@ -409,9 +417,9 @@ pub fn parse_request(line: &str) -> Result<Request, String> {
             }
             Ok(Request::Slowlog { n })
         }
-        "PROMOTE" => Ok(Request::Promote),
-        "SHUTDOWN" => Ok(Request::Shutdown),
-        other => Err(format!("unknown command {other:?}")),
+        Some(Verb::Promote) => Ok(Request::Promote),
+        Some(Verb::Shutdown) => Ok(Request::Shutdown),
+        _ => Err(format!("unknown command {cmd:?}")),
     }
 }
 

@@ -22,9 +22,10 @@
 
 pub mod follower;
 pub mod leader;
+pub(crate) mod node;
 pub mod wal;
 
-use snorkel_context::Token;
+use snorkel_context::{CandidateId, Corpus, Token};
 use snorkel_incr::{DiscTrainingSet, IncrementalSession, IngestReport, RefreshReport};
 
 use crate::frame::IngestRow;
@@ -61,6 +62,20 @@ impl PreparedIngest {
     pub fn is_empty(&self) -> bool {
         self.rows.is_empty()
     }
+
+    /// Append every row to `corpus` as a two-span candidate in a
+    /// document of its own named `doc`; returns the new candidates.
+    pub(crate) fn append_to(self, corpus: &mut Corpus, doc: &str) -> Vec<CandidateId> {
+        let mut ids = Vec::with_capacity(self.rows.len());
+        for (s1, s2, text, tokens) in self.rows {
+            let doc = corpus.add_document(doc);
+            let sent = corpus.add_sentence(doc, text, tokens);
+            let a = corpus.add_span(sent, s1.0, s1.1, None);
+            let b = corpus.add_span(sent, s2.0, s2.1, None);
+            ids.push(corpus.add_candidate(vec![a, b]));
+        }
+        ids
+    }
 }
 
 /// Tokenize and span-validate an ingest batch. This is the expensive,
@@ -92,15 +107,7 @@ pub fn apply_ingest(
     generation: &mut u64,
     batch: PreparedIngest,
 ) -> IngestReport {
-    let mut ids = Vec::with_capacity(batch.rows.len());
-    for (s1, s2, text, tokens) in batch.rows {
-        let corpus = session.corpus_mut();
-        let doc = corpus.add_document("ingest");
-        let sent = corpus.add_sentence(doc, text, tokens);
-        let a = corpus.add_span(sent, s1.0, s1.1, None);
-        let b = corpus.add_span(sent, s2.0, s2.1, None);
-        ids.push(corpus.add_candidate(vec![a, b]));
-    }
+    let ids = batch.append_to(session.corpus_mut(), "ingest");
     let report = session.ingest_batch(&ids);
     if report.online_fit || report.auto_refit {
         *generation += 1;

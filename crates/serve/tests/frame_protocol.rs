@@ -185,6 +185,62 @@ proptest! {
     }
 }
 
+/// Text `PREDICT` is a batch of one through the same `hotpath` core as
+/// binary `OP_PREDICT`: same generations, value-equal posteriors.
+#[test]
+fn text_predict_matches_binary_predict() {
+    let mut config = gm_config();
+    config.distill = Some(snorkel_core::pipeline::DiscTrainerConfig::with_dim(1 << 10));
+    let corpus = build_corpus(60);
+    let ids: Vec<CandidateId> = corpus.candidate_ids().collect();
+    let mut session = IncrementalSession::new(corpus, config);
+    session.ingest_candidates(&ids);
+    for spec in SPECS {
+        let spec = LfSpec::parse(spec).expect("valid spec");
+        session.add_lf_tagged(spec.build().expect("buildable"), spec.content_tag());
+    }
+    let server = LabelServer::start(session, ServeConfig::default()).expect("bind");
+    let mut text = Client::connect(server.addr()).expect("text connect");
+    let mut bin = FrameClient::connect(server.addr()).expect("frame connect");
+    // The reply arrives once the distilled model is installed.
+    let refreshed = text.request("REFRESH").expect("refresh");
+    assert_eq!(
+        reply_field(&refreshed, "disc="),
+        "retraining",
+        "{refreshed}"
+    );
+
+    let rows: Vec<Vec<String>> = vec![
+        vec!["btw=cause".into(), "u=alpha1".into()],
+        vec!["btw=treat".into()],
+        vec!["héllo".into(), "btw=mention".into(), "u=beta3".into()],
+    ];
+    let reply = bin.predict(&rows).expect("binary round trip");
+    let BinReply::Predict {
+        gen,
+        disc_gen,
+        probs,
+    } = reply
+    else {
+        panic!("unexpected reply {reply:?}");
+    };
+    assert_eq!(probs.len(), rows.len());
+    for (row, bin_probs) in rows.iter().zip(&probs) {
+        let reply = text
+            .request(&format!("PREDICT {}", row.join(" ")))
+            .expect("text round trip");
+        assert!(reply.starts_with("OK "), "{reply}");
+        assert_eq!(text_gen(&reply), gen);
+        assert_eq!(reply_field(&reply, "disc_gen="), disc_gen.to_string());
+        assert_eq!(
+            &text_probs(&reply),
+            bin_probs,
+            "planes disagree for {row:?}"
+        );
+    }
+    server.shutdown().expect("clean shutdown");
+}
+
 /// Text `APPLY` scores the votes it reports through the same `hotpath`
 /// row kernel as both `MARGINAL` planes — with a trained model, and on
 /// a server with none (majority-vote fallback).

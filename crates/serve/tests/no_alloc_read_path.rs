@@ -11,9 +11,9 @@
 //!   of generic std code may allocate where release builds provably do
 //!   not — so CI runs this file with `--release`. A debug run still
 //!   executes everything and reports the counts.
-//! * The counter is process-global, so the measurement takes the
-//!   minimum over several attempts (ambient test-harness threads can
-//!   only inflate a sample, never deflate it).
+//! * The counter is per thread, so the property test below — which
+//!   allocates freely on its own harness thread — cannot leak into a
+//!   budget measurement taken on another.
 //!
 //! Alongside the budget, every test checks the replies themselves:
 //! the arena path's bytes must equal the allocating reference path
@@ -41,7 +41,7 @@ static ALLOC: snorkel_arena::CountingAlloc = snorkel_arena::CountingAlloc::new()
 /// across requests, exactly like a server between refreshes.
 const GEN: u64 = 1;
 
-/// Attempts for the noise-robust minimum.
+/// Attempts for the steady-state minimum.
 const ATTEMPTS: usize = 5;
 
 fn build_corpus(n: usize) -> Corpus {

@@ -4,9 +4,9 @@
 # (docs/PROTOCOL.md, docs/SNAPSHOT_FORMAT.md, docs/OBSERVABILITY.md,
 # docs/PERFORMANCE.md). This gate fails CI when a protocol verb,
 # snapshot section, metric name, or bench binary exists in source but
-# is missing from its spec — and when a spec names a metric or bench
-# that does not exist, or a snapshot version other than the one the
-# code writes — so the docs cannot silently drift from the
+# is missing from its spec — and when a spec names a verb, opcode,
+# metric or bench that does not exist, or a snapshot version other than
+# the one the code writes — so the docs cannot silently drift from the
 # implementation in either direction.
 #
 # Run from the repo root:
@@ -16,34 +16,41 @@ cd "$(dirname "$0")/.."
 
 fail=0
 
-# --- Protocol verbs: every request keyword parse_request matches on.
-# Match arms look like:   "MARGINAL" => ...
-verbs="$(grep -oE '"[A-Z][A-Z_]+" =>' crates/serve/src/protocol.rs \
-    | tr -d '"' | awk '{print $1}' | sort -u)"
-if [[ -z "$verbs" ]]; then
-    echo "docs-check: BUG: found no verbs in crates/serve/src/protocol.rs" >&2
+# --- Protocol verbs and binary opcodes: two-way check of the verb
+# table against docs/PROTOCOL.md. Table rows look like:
+#   VerbRow { verb: Verb::Ping, name: "PING", text: true, opcode: Some(frame::OP_PING), … },
+# Documented verbs are the `### \`VERB …\`` headings of the "## Verbs"
+# section; documented opcodes are the rows of the opcode table
+# (`| \`0x01\` | \`OP_PING\` | …`).
+table="$(grep -E '^ *VerbRow \{ verb: Verb::' crates/serve/src/verbs.rs)"
+verbs="$(grep -E 'text: true' <<<"$table" | sed -E 's/.*name: "([A-Z_]+)".*/\1/' | sort -u)"
+opcodes="$(grep -oE 'OP_[A-Z_]+' <<<"$table" | sort -u)"
+if [[ -z "$verbs" || -z "$opcodes" ]]; then
+    echo "docs-check: BUG: found no verb table rows in crates/serve/src/verbs.rs" >&2
     exit 1
 fi
-for verb in $verbs; do
-    if ! grep -qw "$verb" docs/PROTOCOL.md; then
-        echo "docs-check: verb $verb is implemented in" \
-             "crates/serve/src/protocol.rs but not documented in docs/PROTOCOL.md" >&2
+doc_verbs="$(sed -n '/^## Verbs/,/^## Binary framing/p' docs/PROTOCOL.md \
+    | grep -oE '^### `[A-Z_]+' | grep -oE '[A-Z_]+$' | sort -u)"
+doc_opcodes="$(grep -E '^\| `0x[0-9a-f]{2}` \|' docs/PROTOCOL.md \
+    | grep -oE 'OP_[A-Z_]+' | sort -u)"
+for name in $verbs $opcodes; do
+    if ! grep -qw "$name" docs/PROTOCOL.md; then
+        echo "docs-check: $name is a row of the verb table in" \
+             "crates/serve/src/verbs.rs but not documented in docs/PROTOCOL.md" >&2
         fail=1
     fi
 done
-
-# --- Binary opcodes: every OP_* constant frame.rs defines.
-# Constants look like:   pub const OP_MARGINAL: u8 = 0x02;
-opcodes="$(grep -oE 'const OP_[A-Z_]+: u8' crates/serve/src/frame.rs \
-    | grep -oE 'OP_[A-Z_]+' | sort -u)"
-if [[ -z "$opcodes" ]]; then
-    echo "docs-check: BUG: found no opcodes in crates/serve/src/frame.rs" >&2
-    exit 1
-fi
-for opcode in $opcodes; do
-    if ! grep -qw "$opcode" docs/PROTOCOL.md; then
-        echo "docs-check: binary opcode $opcode is implemented in" \
-             "crates/serve/src/frame.rs but not documented in docs/PROTOCOL.md" >&2
+for verb in $doc_verbs; do
+    if ! grep -q "^$verb$" <<<"$verbs"; then
+        echo "docs-check: docs/PROTOCOL.md has a section for verb $verb but the" \
+             "verb table in crates/serve/src/verbs.rs has no such text verb" >&2
+        fail=1
+    fi
+done
+for opcode in $doc_opcodes; do
+    if ! grep -q "^$opcode$" <<<"$opcodes"; then
+        echo "docs-check: docs/PROTOCOL.md's opcode table lists $opcode but the" \
+             "verb table in crates/serve/src/verbs.rs has no such opcode" >&2
         fail=1
     fi
 done
