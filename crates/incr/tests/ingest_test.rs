@@ -335,3 +335,62 @@ fn drifted_stream_triggers_auto_refit_and_restores_heldout_accuracy() {
         "post-refit held-out accuracy {accuracy} on the drifted tail"
     );
 }
+
+/// The message of the append-only panic, whichever way the session
+/// learned its candidates.
+fn duplicate_ingest_message(session: &mut IncrementalSession, ids: &[CandidateId]) -> String {
+    let before = session.num_candidates();
+    let panic = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+        session.ingest_candidates(ids);
+    }))
+    .expect_err("a duplicate candidate must be rejected");
+    assert_eq!(
+        session.num_candidates(),
+        before,
+        "a rejected batch adds no row"
+    );
+    panic
+        .downcast_ref::<String>()
+        .expect("formatted panic")
+        .clone()
+}
+
+#[test]
+fn duplicate_candidates_are_rejected_however_the_session_was_built() {
+    let corpus = build_corpus(12);
+    let ids: Vec<CandidateId> = corpus.candidate_ids().collect();
+    let want = format!(
+        "candidate {} is already registered (rows are append-only and unique)",
+        ids[3]
+    );
+
+    let mut session =
+        IncrementalSession::over_all_candidates(corpus.clone(), SessionConfig::default());
+    assert_eq!(duplicate_ingest_message(&mut session, &ids[3..4]), want);
+
+    session.add_lf(lf("len_even", |x| {
+        if x.sentence().text().len() % 2 == 0 {
+            1
+        } else {
+            -1
+        }
+    }));
+    session.refresh();
+    let lfs = vec![lf("len_even", |_| 0)];
+    let mut thawed = IncrementalSession::thaw(
+        corpus.clone(),
+        SessionConfig::default(),
+        session.freeze(),
+        lfs,
+    )
+    .expect("thaw");
+    assert_eq!(duplicate_ingest_message(&mut thawed, &ids[3..4]), want);
+
+    // A batch that repeats an id within itself — and the ids before the
+    // repeat stay ingestible afterwards.
+    let mut fresh = IncrementalSession::new(corpus, SessionConfig::default());
+    let batch = [ids[0], ids[3], ids[5], ids[3]];
+    assert_eq!(duplicate_ingest_message(&mut fresh, &batch), want);
+    fresh.ingest_candidates(&batch[..3]);
+    assert_eq!(fresh.num_candidates(), 3);
+}
