@@ -17,6 +17,26 @@ use snorkel_lf::LfExecutor;
 use snorkel_matrix::stats::matrix_stats;
 use snorkel_pattern::Regex;
 
+/// The shape of the default dev loop's traffic (what `select_model`
+/// returns on the 2000-candidate CDR analogue): 33 sparse LFs at about
+/// two votes per row, two hub LFs correlated with every other LF, and a
+/// few low-degree pairs among the rest — 71 pairs in all.
+fn hub_traffic() -> (snorkel_matrix::LabelMatrix, Vec<(usize, usize)>) {
+    let (lambda, _) = independent_matrix(2000, 33, 0.75, 2.0 / 33.0, 5);
+    let mut pairs: Vec<(usize, usize)> = Vec::new();
+    for hub in [26usize, 29] {
+        pairs.extend(
+            (0..33)
+                .filter(|&j| j != hub)
+                .map(|j| (j.min(hub), j.max(hub))),
+        );
+    }
+    pairs.extend((10..19).map(|j| (j, j + 1)));
+    pairs.sort_unstable();
+    pairs.dedup();
+    (lambda, pairs)
+}
+
 fn bench_generative_training(c: &mut Criterion) {
     let mut group = c.benchmark_group("generative_model");
     group.sample_size(10);
@@ -50,6 +70,14 @@ fn bench_generative_training(c: &mut Criterion) {
         ..TrainConfig::default()
     };
     group.bench_function("gibbs_cd_fit_10_epochs_2000x12", |b| {
+        b.iter(|| {
+            let mut gm = GenerativeModel::new(lambda.num_lfs(), LabelScheme::Binary)
+                .with_correlations(&pairs);
+            gm.fit(&lambda, &cfg)
+        })
+    });
+    let (lambda, pairs) = hub_traffic();
+    group.bench_function("gibbs_cd_fit_10_epochs_2000x33_hubs", |b| {
         b.iter(|| {
             let mut gm = GenerativeModel::new(lambda.num_lfs(), LabelScheme::Binary)
                 .with_correlations(&pairs);
@@ -90,6 +118,12 @@ fn bench_structure_learning(c: &mut Criterion) {
             },
         );
     }
+    // The optimizer's default ε grid over the dev loop's matrix shape.
+    let (lambda, _) = hub_traffic();
+    let eps: Vec<f64> = (1..=25).rev().map(|i| i as f64 * 0.02).collect();
+    group.bench_function("structure_sweep_2000x33", |b| {
+        b.iter(|| structure_sweep(&lambda, &eps, &StructureConfig::default()))
+    });
     group.finish();
 }
 

@@ -191,7 +191,7 @@ pub struct TrainConfig {
     /// Gibbs sweeps per contrastive-divergence step (correlated model).
     pub gibbs_steps: usize,
     /// Minibatch size (correlated model; the independent model is
-    /// full-batch).
+    /// full-batch). `0` means all rows: one full-batch step per epoch.
     pub batch_size: usize,
     /// Convergence tolerance for the exact (independent-model) path:
     /// stop once the Aitken-estimated distance to the EM fixed point
