@@ -464,10 +464,6 @@ pub struct IncrementalSession {
     corpus: Corpus,
     config: SessionConfig,
     candidates: Vec<CandidateId>,
-    /// The set of `candidates`, for the append-only duplicate check —
-    /// held so an ingest costs its batch, not the corpus. Derived
-    /// state: rebuilt by [`Self::thaw`], never frozen.
-    registered: std::collections::HashSet<CandidateId>,
     lfs: Vec<SessionLf>,
     versions: std::collections::HashMap<String, u64>,
     cache: LfResultCache,
@@ -522,7 +518,6 @@ impl IncrementalSession {
             corpus,
             config,
             candidates: Vec::new(),
-            registered: std::collections::HashSet::new(),
             lfs: Vec::new(),
             versions: std::collections::HashMap::new(),
             cache,
@@ -808,14 +803,13 @@ impl IncrementalSession {
     /// Register new candidate rows (appended after the existing ones).
     /// Panics on candidates already registered — rows are append-only.
     pub fn ingest_candidates(&mut self, ids: &[CandidateId]) {
-        for (at, id) in ids.iter().enumerate() {
-            if !self.registered.insert(*id) {
-                // Nothing of a rejected batch stays registered.
-                for earlier in &ids[..at] {
-                    self.registered.remove(earlier);
-                }
-                panic!("candidate {id} is already registered (rows are append-only and unique)");
-            }
+        let mut seen: std::collections::HashSet<CandidateId> =
+            self.candidates.iter().copied().collect();
+        for id in ids {
+            assert!(
+                seen.insert(*id),
+                "candidate {id} is already registered (rows are append-only and unique)"
+            );
         }
         self.candidates.extend_from_slice(ids);
     }
@@ -1003,7 +997,7 @@ impl IncrementalSession {
 
         // --- Validate the frozen state against corpus and config.
         let cardinality = config.executor.cardinality;
-        let mut registered = std::collections::HashSet::with_capacity(candidates.len());
+        let mut seen = std::collections::HashSet::new();
         for id in &candidates {
             if id.index() >= corpus.num_candidates() {
                 return Err(ThawError::Inconsistent(format!(
@@ -1012,7 +1006,7 @@ impl IncrementalSession {
                     corpus.num_candidates()
                 )));
             }
-            if !registered.insert(*id) {
+            if !seen.insert(*id) {
                 return Err(ThawError::Inconsistent(format!(
                     "candidate {id} registered twice"
                 )));
@@ -1176,7 +1170,6 @@ impl IncrementalSession {
             corpus,
             config,
             candidates,
-            registered,
             lfs: session_lfs,
             versions: version_map,
             cache,
