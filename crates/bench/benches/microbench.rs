@@ -40,7 +40,10 @@ fn hub_traffic() -> (snorkel_matrix::LabelMatrix, Vec<(usize, usize)>) {
 fn bench_generative_training(c: &mut Criterion) {
     let mut group = c.benchmark_group("generative_model");
     group.sample_size(10);
-    for &(m, n) in &[(1000usize, 10usize), (5000, 20)] {
+    // 200×5 is the small-matrix end of the one-shard plan; 8000×25 is
+    // mostly-unique rows just under the 8 192-row two-shard point, the
+    // one shape where a one-shard plan loses to the old row-wise pass.
+    for &(m, n) in &[(200usize, 5usize), (1000, 10), (5000, 20), (8000, 25)] {
         let (lambda, _) = independent_matrix(m, n, 0.75, 0.3, 1);
         let cfg = TrainConfig {
             epochs: 100,

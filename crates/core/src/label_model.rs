@@ -96,12 +96,11 @@ pub const BACKEND_MOMENT: &str = "moment";
 /// its fitted state through a [`ModelSnapshot`].
 ///
 /// The `plan` argument of [`fit`](Self::fit) /
-/// [`fit_warm`](Self::fit_warm) / [`marginals`](Self::marginals) is the
-/// caller's resolved scale-out decision: `Some` hands the backend a
-/// prebuilt pattern-deduplicated [`ShardedMatrix`] covering exactly
-/// `lambda` (backends exploit it or ignore it); `None` means "walk rows"
-/// — backends must not build plans of their own, so the caller stays in
-/// charge of when the index is (re)built.
+/// [`fit_warm`](Self::fit_warm) / [`marginals`](Self::marginals) is an
+/// optional prebuilt pattern-deduplicated [`ShardedMatrix`] covering
+/// exactly `lambda`; backends exploit it or ignore it. Callers that
+/// keep a plan alive across calls (the incremental session, the
+/// pipeline) pass it so no index is rebuilt.
 ///
 /// See the [module docs](self) for the shipped backends and a usage
 /// example.
@@ -117,7 +116,11 @@ pub trait LabelModel: std::fmt::Debug + Send + Sync {
     /// Number of LF columns the model covers.
     fn num_lfs(&self) -> usize;
 
-    /// Fit to a label matrix from scratch.
+    /// Fit to a label matrix from scratch. With `plan: None` the exact
+    /// generative backend, which only trains on a plan, builds
+    /// `ShardedMatrix::build(lambda, 0)` for the call (one shard, run on
+    /// the caller's thread, below 8 192 rows); the other backends walk
+    /// rows.
     fn fit(
         &mut self,
         lambda: &LabelMatrix,
@@ -462,9 +465,6 @@ impl LabelModel for GenerativeModel {
     ) -> FitReport {
         match plan {
             Some(p) => self.fit_with(lambda, p, cfg),
-            // No plan from the caller: honor cfg.scaleout as before (the
-            // concrete fit resolves it; callers that pinned RowWise get
-            // the row-wise pass).
             None => GenerativeModel::fit(self, lambda, cfg),
         }
     }
@@ -499,12 +499,8 @@ impl LabelModel for GenerativeModel {
     fn marginals(&self, lambda: &LabelMatrix, plan: Option<&ShardedMatrix>) -> Vec<Vec<f64>> {
         match plan {
             Some(p) => self.marginals_with(lambda, p),
-            None => self.marginals_rowwise(lambda),
+            None => GenerativeModel::marginals(self, lambda),
         }
-    }
-
-    fn predicted_labels(&self, lambda: &LabelMatrix) -> Vec<Vote> {
-        GenerativeModel::predicted_labels(self, lambda)
     }
 
     fn remapped(&self, col_map: &[Option<usize>]) -> Box<dyn LabelModel> {

@@ -54,8 +54,7 @@ pub use label_model::{
     LabelModel, MajorityVoteModel, ModelRegistry, ModelSnapshot, MomentModel, UnknownBackend,
 };
 pub use model::{
-    ClassBalance, FitReport, GenerativeModel, LabelScheme, ModelParams, ParamsError, Scaleout,
-    TrainConfig, SCALEOUT_MIN_ROWS,
+    ClassBalance, FitReport, GenerativeModel, LabelScheme, ModelParams, ParamsError, TrainConfig,
 };
 pub use optimizer::{
     choose_strategy, select_model, ModelingStrategy, OptimizerConfig, StrategyDecision,

@@ -123,45 +123,6 @@ impl LabelScheme {
     }
 }
 
-/// Execution strategy for exact inference and the exact-training
-/// sufficient-statistics passes.
-///
-/// The posterior of a data point depends only on its vote signature
-/// `(cols, votes)`, so at deployment scale (millions of rows, a handful
-/// of distinct patterns — the Snorkel DryBell regime) the row-wise walk
-/// recomputes the same posterior millions of times. The sharded path
-/// groups rows by unique pattern ([`snorkel_matrix::PatternIndex`]) per
-/// row-range shard and runs every pass per-pattern, weighted by
-/// multiplicity.
-///
-/// Equivalence contract (pinned by the `proptest_scaleout` harness):
-/// marginals are **bit-identical** to the row-wise path for any shard
-/// count (a pattern's posterior is computed by literally the same
-/// float-op sequence as its rows'), and fits converge to the same
-/// optimum within the [`TrainConfig::tol`] fixed-point guarantee (the
-/// per-pattern statistics differ from the row-wise sums only in
-/// floating-point summation order).
-#[derive(Clone, Copy, Debug, PartialEq, Eq)]
-pub enum Scaleout {
-    /// Always walk rows one by one — the reference path.
-    RowWise,
-    /// Deduplicate per row-range shard; `shards == 0` means one shard
-    /// per available core. Merge order is fixed by shard index, so the
-    /// result is deterministic regardless of worker-thread count.
-    Sharded {
-        /// Number of row-range shards (0 = one per core).
-        shards: usize,
-    },
-    /// Shard (one shard per core) when the matrix has at least
-    /// [`SCALEOUT_MIN_ROWS`] rows; row-wise below that, where the
-    /// index build cost is not worth amortizing.
-    Auto,
-}
-
-/// Row count at which [`Scaleout::Auto`] switches from row-wise to the
-/// pattern-deduplicated sharded path.
-pub const SCALEOUT_MIN_ROWS: usize = 8192;
-
 /// Training hyperparameters.
 ///
 /// The exact (independent-model) path and the Gibbs/contrastive-
@@ -176,10 +137,6 @@ pub struct TrainConfig {
     /// [`Self::tol`] convergence test usually stops it after tens of
     /// iterations).
     pub epochs: usize,
-    /// Step size for first-order paths. Unused by the exact path (its EM
-    /// M-step is closed-form); retained for configs that tune the CD
-    /// path alongside.
-    pub learning_rate: f64,
     /// Per-epoch multiplicative step decay (CD path).
     pub lr_decay: f64,
     /// Passes over the data for the correlated (CD) path.
@@ -226,17 +183,12 @@ pub struct TrainConfig {
     pub class_balance: ClassBalance,
     /// Clamp accuracy weights at ≥ 0 (assume non-adversarial LFs).
     pub clamp_nonadversarial: bool,
-    /// Execution strategy for the exact passes (see [`Scaleout`]). The
-    /// correlated CD path ignores it: Gibbs chains are per-row samples
-    /// and do not deduplicate.
-    pub scaleout: Scaleout,
 }
 
 impl Default for TrainConfig {
     fn default() -> Self {
         TrainConfig {
             epochs: 1000,
-            learning_rate: 0.5,
             lr_decay: 0.998,
             cd_epochs: 60,
             cd_learning_rate: 0.05,
@@ -249,7 +201,6 @@ impl Default for TrainConfig {
             init_from_majority_vote: true,
             class_balance: ClassBalance::FromMajorityVote,
             clamp_nonadversarial: false,
-            scaleout: Scaleout::Auto,
         }
     }
 }
@@ -661,37 +612,19 @@ impl GenerativeModel {
         out
     }
 
-    /// Posterior class distributions for every row.
-    ///
-    /// Large matrices (≥ [`SCALEOUT_MIN_ROWS`] rows) are automatically
-    /// routed through the pattern-deduplicated path — the output is
-    /// bit-identical to [`Self::marginals_rowwise`] either way, because
-    /// a pattern's posterior is computed by the exact float-op sequence
-    /// its rows' posteriors would have used. Callers that already hold a
-    /// [`ShardedMatrix`] plan should use [`Self::marginals_with`] to
-    /// skip the per-call index build; callers that want the row-wise
-    /// walk unconditionally (mostly-unique rows, where dedup loses to
-    /// its own bookkeeping) call [`Self::marginals_rowwise`] directly.
+    /// Posterior class distributions for every row, one posterior per
+    /// row. Callers that hold a [`ShardedMatrix`] plan use
+    /// [`Self::marginals_with`] instead: the same bits, one posterior
+    /// per unique vote pattern.
     pub fn marginals(&self, lambda: &LabelMatrix) -> Vec<Vec<f64>> {
-        if lambda.num_points() >= SCALEOUT_MIN_ROWS {
-            let plan = ShardedMatrix::build(lambda, 0);
-            self.marginals_with(lambda, &plan)
-        } else {
-            self.marginals_rowwise(lambda)
-        }
-    }
-
-    /// Posterior class distributions for every row, one posterior
-    /// computation per row — the reference path the scale-out paths are
-    /// property-tested against (and the benchmark baseline).
-    pub fn marginals_rowwise(&self, lambda: &LabelMatrix) -> Vec<Vec<f64>> {
         marginals_via(lambda, None, |cols, votes| self.posterior(cols, votes))
     }
 
     /// Posterior class distributions for every row, computed once per
     /// unique vote pattern of the prebuilt plan and scattered back to
-    /// rows. Bit-identical to [`Self::marginals_rowwise`] for any shard
-    /// count.
+    /// rows. Bit-identical to [`Self::marginals`] for any shard count,
+    /// because a pattern's posterior is computed by the exact float-op
+    /// sequence its rows' posteriors would have used.
     pub fn marginals_with(&self, lambda: &LabelMatrix, plan: &ShardedMatrix) -> Vec<Vec<f64>> {
         self.assert_plan_matches(lambda, plan);
         marginals_via(lambda, Some(plan), |cols, votes| {
@@ -699,8 +632,8 @@ impl GenerativeModel {
         })
     }
 
-    /// Binary convenience: `p(y = +1 | Λ_i)` per row (auto scale-out,
-    /// like [`Self::marginals`]).
+    /// Binary convenience: `p(y = +1 | Λ_i)` per row (see
+    /// [`Self::marginals`]).
     pub fn prob_positive(&self, lambda: &LabelMatrix) -> Vec<f64> {
         assert_eq!(self.scheme, LabelScheme::Binary, "binary scheme only");
         self.marginals(lambda).into_iter().map(|p| p[0]).collect()
@@ -736,26 +669,22 @@ impl GenerativeModel {
     // Training
     // ------------------------------------------------------------------
 
-    /// The sharded execution plan [`Self::fit`] would build for this
-    /// config, or `None` when the row-wise path applies. Callers that
-    /// run several passes over the same matrix (pipeline, incremental
-    /// session) build the plan once and hand it to [`Self::fit_with`] /
-    /// [`Self::marginals_with`].
-    pub fn plan_for(lambda: &LabelMatrix, cfg: &TrainConfig) -> Option<ShardedMatrix> {
-        match cfg.scaleout {
-            Scaleout::RowWise => None,
-            Scaleout::Sharded { shards } => Some(ShardedMatrix::build(lambda, shards)),
-            Scaleout::Auto => {
-                (lambda.num_points() >= SCALEOUT_MIN_ROWS).then(|| ShardedMatrix::build(lambda, 0))
-            }
-        }
+    /// The plan [`Self::fit`] builds: always
+    /// `Some(ShardedMatrix::build(lambda, 0))`, whatever `cfg` says (the
+    /// partition is sized by rows and cores, not configured). Callers
+    /// that run several passes over the same matrix (pipeline,
+    /// incremental session) build the plan once and hand it to
+    /// [`Self::fit_with`] / [`Self::marginals_with`].
+    pub fn plan_for(lambda: &LabelMatrix, _cfg: &TrainConfig) -> Option<ShardedMatrix> {
+        Some(ShardedMatrix::build(lambda, 0))
     }
 
     /// Fit to a label matrix by maximizing the (smoothed) marginal
-    /// likelihood, resolving [`TrainConfig::scaleout`] internally.
+    /// likelihood, over a plan built for this call
+    /// (`ShardedMatrix::build(lambda, 0)`: one shard, run inline, below
+    /// 8 192 rows).
     pub fn fit(&mut self, lambda: &LabelMatrix, cfg: &TrainConfig) -> FitReport {
-        let plan = Self::plan_for(lambda, cfg);
-        self.fit_exec(lambda, plan.as_ref(), cfg)
+        self.fit_exec(lambda, &ShardedMatrix::build(lambda, 0), cfg)
     }
 
     /// [`Self::fit`] against a prebuilt sharded plan (must cover exactly
@@ -766,7 +695,7 @@ impl GenerativeModel {
         plan: &ShardedMatrix,
         cfg: &TrainConfig,
     ) -> FitReport {
-        self.fit_exec(lambda, Some(plan), cfg)
+        self.fit_exec(lambda, plan, cfg)
     }
 
     /// Build an unfitted model over `col_map.len()` LFs whose per-LF
@@ -820,8 +749,8 @@ impl GenerativeModel {
         prev: &GenerativeModel,
         changed_cols: &[usize],
     ) -> FitReport {
-        let plan = Self::plan_for(lambda, cfg);
-        self.fit_warm_exec(lambda, plan.as_ref(), cfg, prev, changed_cols)
+        let plan = ShardedMatrix::build(lambda, 0);
+        self.fit_warm_exec(lambda, &plan, cfg, prev, changed_cols)
     }
 
     /// [`Self::fit_warm`] against a prebuilt sharded plan (must cover
@@ -834,7 +763,7 @@ impl GenerativeModel {
         prev: &GenerativeModel,
         changed_cols: &[usize],
     ) -> FitReport {
-        self.fit_warm_exec(lambda, Some(plan), cfg, prev, changed_cols)
+        self.fit_warm_exec(lambda, plan, cfg, prev, changed_cols)
     }
 }
 
@@ -943,10 +872,7 @@ mod tests {
             .with_weighted_correlations(&[(0, 2)], &[0.8]);
         gm.fit(&lambda, &TrainConfig::default());
         let back = GenerativeModel::from_params(gm.to_params()).unwrap();
-        assert_eq!(
-            back.marginals_rowwise(&lambda),
-            gm.marginals_rowwise(&lambda)
-        );
+        assert_eq!(back.marginals(&lambda), gm.marginals(&lambda));
         assert_eq!(back.correlations(), gm.correlations());
         assert_eq!(back.correlation_weights(), gm.correlation_weights());
         assert_eq!(back.to_params(), gm.to_params());

@@ -25,7 +25,7 @@ use snorkel_linalg::SparseVec;
 use snorkel_matrix::{LabelMatrix, ShardedMatrix};
 
 use crate::label_model::{LabelModel, ModelRegistry};
-use crate::model::{GenerativeModel, LabelScheme, TrainConfig};
+use crate::model::{LabelScheme, TrainConfig};
 use crate::optimizer::{select_model, ModelingStrategy, OptimizerConfig};
 
 /// Start a span for one pipeline stage. The span's
@@ -302,15 +302,13 @@ impl Pipeline {
             .registry
             .build(&strategy, lambda.num_lfs(), lambda.cardinality())
             .unwrap_or_else(|e| panic!("pipeline misconfigured: {e}"));
-        // Resolve the scale-out plan once and reuse it for both training
-        // and the final marginals pass — unless the backend would not
-        // profit (majority vote: the Algorithm-1 skip-work branch must
-        // not pay an index build it cannot amortize).
-        let plan = if model.benefits_from_plan() {
-            GenerativeModel::plan_for(lambda, &self.config.train)
-        } else {
-            None
-        };
+        // Build the plan once and reuse it for both training and the
+        // final marginals pass — unless the backend would not profit
+        // (majority vote: the Algorithm-1 skip-work branch must not pay
+        // an index build it cannot amortize).
+        let plan = model
+            .benefits_from_plan()
+            .then(|| ShardedMatrix::build(lambda, 0));
         model.fit(lambda, plan.as_ref(), &self.config.train);
         let labels = model.marginals(lambda, plan.as_ref());
         let training_time = training_span.finish();

@@ -120,7 +120,7 @@ proptest! {
         // Concrete (pre-redesign) path.
         let mut concrete = GenerativeModel::new(accs.len(), LabelScheme::Binary);
         concrete.fit(&lambda, &cfg);
-        let reference = concrete.marginals_rowwise(&lambda);
+        let reference = concrete.marginals(&lambda);
 
         // Trait path, row-wise.
         let mut traited: Box<dyn LabelModel> =

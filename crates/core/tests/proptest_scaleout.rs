@@ -1,20 +1,20 @@
 //! Property-test harness locking down the scale-out contract: for
 //! arbitrary matrices, cardinalities, and shard counts (including 1 and
-//! 0 = all cores),
+//! 0 = auto-sized),
 //!
 //! * pattern-deduplicated **marginals** are *bit-identical* to the
-//!   row-wise path — a pattern's posterior is computed by the exact
-//!   float-op sequence its rows' posteriors would have used;
-//! * pattern-deduplicated **fits** land on the same optimum as the
-//!   row-wise fit (≤ 1e-12 on every posterior), for every shard count —
-//!   the per-pattern sufficient statistics differ from the row-wise
-//!   sums only in floating-point summation order, and the tol-driven
-//!   fixed-point iteration erases that;
+//!   row walk of [`GenerativeModel::marginals`] — a pattern's posterior
+//!   is computed by the exact float-op sequence its rows' posteriors
+//!   would have used;
 //! * the plan structures themselves satisfy their invariants
 //!   ([`ShardedMatrix::validate`]).
+//!
+//! Fits have one path (the plan); their equivalence with the row-wise
+//! E-pass it replaced is a unit proptest against the `#[cfg(test)]`
+//! reference in `crates/core/src/exact.rs`.
 
 use proptest::prelude::*;
-use snorkel_core::model::{GenerativeModel, LabelScheme, Scaleout, TrainConfig};
+use snorkel_core::model::{GenerativeModel, LabelScheme, TrainConfig};
 use snorkel_matrix::{LabelMatrix, LabelMatrixBuilder, PatternIndex, ShardedMatrix, Vote};
 
 /// Arbitrary (matrix, cardinality) with duplicate-heavy rows: each row
@@ -56,16 +56,6 @@ fn matrix_strategy() -> impl Strategy<Value = LabelMatrix> {
     })
 }
 
-fn max_marginal_gap(a: &[Vec<f64>], b: &[Vec<f64>]) -> f64 {
-    let mut gap = 0.0f64;
-    for (ra, rb) in a.iter().zip(b) {
-        for (pa, pb) in ra.iter().zip(rb) {
-            gap = gap.max((pa - pb).abs());
-        }
-    }
-    gap
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -87,7 +77,7 @@ proptest! {
     }
 
     /// Deduplicated marginals are bit-identical to row-wise marginals,
-    /// for shard counts 0 (= all cores), 1, and arbitrary.
+    /// for shard counts 0 (= auto-sized), 1, and arbitrary.
     #[test]
     fn marginals_bit_identical_across_paths(
         lambda in matrix_strategy(),
@@ -95,13 +85,11 @@ proptest! {
     ) {
         let scheme = LabelScheme::from_cardinality(lambda.cardinality());
         let mut gm = GenerativeModel::new(lambda.num_lfs(), scheme);
-        // Fit row-wise so every path sees identical weights.
         gm.fit(&lambda, &TrainConfig {
             epochs: 40,
-            scaleout: Scaleout::RowWise,
             ..TrainConfig::default()
         });
-        let reference = gm.marginals_rowwise(&lambda);
+        let reference = gm.marginals(&lambda);
         for s in [shards, 0, 1] {
             let plan = ShardedMatrix::build(&lambda, s);
             let dedup = gm.marginals_with(&lambda, &plan);
@@ -110,72 +98,5 @@ proptest! {
                 "marginals must be bit-identical at shard count {}", s
             );
         }
-        // The auto path agrees too (small inputs: row-wise branch).
-        prop_assert_eq!(&gm.marginals(&lambda), &reference);
-    }
-
-    /// Row-wise and sharded fits land on the same optimum: every
-    /// posterior agrees to ≤ 1e-12, for any shard count including 1 and
-    /// 0 (= all cores).
-    #[test]
-    fn fit_matches_rowwise_for_any_shard_count(
-        lambda in matrix_strategy(),
-        shards in 0usize..6,
-    ) {
-        let scheme = LabelScheme::from_cardinality(lambda.cardinality());
-        let cfg = TrainConfig { scaleout: Scaleout::RowWise, ..TrainConfig::default() };
-        let mut rowwise = GenerativeModel::new(lambda.num_lfs(), scheme);
-        rowwise.fit(&lambda, &cfg);
-        let reference = rowwise.marginals_rowwise(&lambda);
-        for s in [shards, 1, 0] {
-            let cfg = TrainConfig { scaleout: Scaleout::Sharded { shards: s }, ..cfg.clone() };
-            let mut sharded = GenerativeModel::new(lambda.num_lfs(), scheme);
-            sharded.fit(&lambda, &cfg);
-            let gap = max_marginal_gap(&sharded.marginals_rowwise(&lambda), &reference);
-            prop_assert!(
-                gap <= 1e-12,
-                "shard count {}: fit diverged from row-wise by {:e}", s, gap
-            );
-        }
-    }
-
-    /// Warm restarts through the sharded path match row-wise warm
-    /// restarts after a column edit.
-    #[test]
-    fn warm_fit_matches_across_paths(
-        lambda in matrix_strategy(),
-        shards in 1usize..5,
-        col_seed in 0usize..64,
-    ) {
-        let scheme = LabelScheme::from_cardinality(lambda.cardinality());
-        let rw = TrainConfig { scaleout: Scaleout::RowWise, ..TrainConfig::default() };
-        let mut base = GenerativeModel::new(lambda.num_lfs(), scheme);
-        base.fit(&lambda, &rw);
-
-        // Edit one column: drop every second of its entries.
-        let mut edited = lambda.clone();
-        let j = col_seed % lambda.num_lfs();
-        let entries: Vec<(u32, Vote)> = edited
-            .column(j)
-            .into_iter()
-            .enumerate()
-            .filter(|(e, _)| e % 2 == 0)
-            .map(|(_, ent)| ent)
-            .collect();
-        edited.replace_column(j, &entries);
-
-        let mut warm_rw = GenerativeModel::new(lambda.num_lfs(), scheme);
-        warm_rw.fit_warm(&edited, &rw, &base, &[j]);
-        let reference = warm_rw.marginals_rowwise(&edited);
-
-        let plan = ShardedMatrix::build(&edited, shards);
-        let mut warm_sh = GenerativeModel::new(lambda.num_lfs(), scheme);
-        warm_sh.fit_warm_with(&edited, &plan, &rw, &base, &[j]);
-        // Warm restarts inherit the crate-wide warm/cold guarantee
-        // (≤1e-9): starting next to the optimum, the stall backstop can
-        // stop each path a few ulps apart along near-degenerate ridges,
-        // so the cold-fit 1e-12 bound does not transfer verbatim.
-        let gap = max_marginal_gap(&warm_sh.marginals_rowwise(&edited), &reference);
-        prop_assert!(gap <= 1e-9, "warm sharded fit diverged by {:e}", gap);
     }
 }

@@ -7,7 +7,7 @@ use std::time::Duration;
 
 use snorkel_context::{CandidateId, CandidateView, Corpus};
 use snorkel_core::label_model::{LabelModel, ModelRegistry, ModelSnapshot};
-use snorkel_core::model::{LabelScheme, ParamsError, Scaleout, TrainConfig, SCALEOUT_MIN_ROWS};
+use snorkel_core::model::{LabelScheme, ParamsError, TrainConfig};
 use snorkel_core::optimizer::{
     advantage_upper_bound, select_model, ModelingStrategy, OptimizerConfig,
 };
@@ -129,13 +129,6 @@ pub struct SessionConfig {
     pub warm_start: bool,
     /// Maximum cached columns (live suite columns are never evicted).
     pub cache_capacity: usize,
-    /// Scale-out execution for exact inference/training (see
-    /// [`Scaleout`]). When active, the session keeps the sharded pattern
-    /// index alive across refreshes and delta edits update only the
-    /// touched patterns — an appended candidate batch interns just the
-    /// new rows, a one-column edit re-signs just the rows that voted in
-    /// the old or new column.
-    pub scaleout: Scaleout,
     /// Distillation: when set, [`IncrementalSession::distill`] trains a
     /// serving-side [`DistilledModel`] on the label model's marginals
     /// (warm across refreshes). The model carries a *staleness
@@ -159,7 +152,6 @@ impl Default for SessionConfig {
             reuse_structure_on_column_edit: true,
             warm_start: true,
             cache_capacity: 256,
-            scaleout: Scaleout::Auto,
             distill: None,
             drift: DriftConfig::default(),
         }
@@ -228,9 +220,8 @@ pub struct RefreshReport {
     pub warm_started: bool,
     /// Training iterations run (0 for fit-free backends like MV).
     pub fit_epochs: usize,
-    /// Distinct vote patterns in the sharded scale-out plan (`None` when
-    /// the refresh ran row-wise).
-    pub unique_patterns: Option<usize>,
+    /// Distinct vote patterns in the session's sharded plan.
+    pub unique_patterns: usize,
     /// Cumulative cache statistics.
     pub cache: CacheStats,
     /// Stage timings.
@@ -369,7 +360,8 @@ pub struct FrozenSession {
     pub cache: FrozenCache,
     /// The label matrix of the last refresh.
     pub lambda: Option<LabelMatrix>,
-    /// The sharded pattern plan of the last refresh.
+    /// The sharded pattern plan of the last refresh (present exactly
+    /// when `lambda` is).
     pub plan: Option<ShardedMatrixParts>,
     /// The label model of the last refresh, tagged with its backend.
     pub model: Option<ModelSnapshot>,
@@ -469,7 +461,7 @@ pub struct IncrementalSession {
     cache: LfResultCache,
     lambda: Option<LabelMatrix>,
     /// Sharded pattern index over `lambda`, maintained incrementally
-    /// across refreshes (None when scale-out is off or Λ is too small).
+    /// across refreshes (present exactly when `lambda` is).
     plan: Option<ShardedMatrix>,
     /// The label-model backend of the last refresh (whatever the
     /// optimizer selected — majority vote included).
@@ -619,7 +611,7 @@ impl IncrementalSession {
         self.model.as_deref().map(LabelModel::backend_name)
     }
 
-    /// The live sharded pattern plan (after a scale-out refresh).
+    /// The live sharded pattern plan (after the first refresh).
     pub fn pattern_plan(&self) -> Option<&ShardedMatrix> {
         self.plan.as_ref()
     }
@@ -1057,7 +1049,12 @@ impl IncrementalSession {
             ));
         }
         let plan = match (plan, &lambda) {
-            (None, _) => None,
+            (None, None) => None,
+            (None, Some(_)) => {
+                return Err(ThawError::Inconsistent(
+                    "a matrix without its sharded plan".into(),
+                ))
+            }
             (Some(_), None) => {
                 return Err(ThawError::Inconsistent(
                     "a sharded plan without a matrix".into(),
@@ -1327,42 +1324,23 @@ impl IncrementalSession {
         }
         // Keep the sharded pattern plan in sync with Λ. Delta refreshes
         // touch only the affected patterns: an appended batch interns
-        // just the new rows into the tail shard; a column splice
-        // re-signs just the rows that voted in the old or new column.
-        // Structural suite changes (and plan activation) rebuild.
-        let want_plan = match self.config.scaleout {
-            Scaleout::RowWise => false,
-            Scaleout::Sharded { .. } => true,
-            Scaleout::Auto => m >= SCALEOUT_MIN_ROWS,
-        };
-        let shard_count = match self.config.scaleout {
-            Scaleout::Sharded { shards } => shards,
-            _ => 0,
-        };
-        {
-            let lambda = self.lambda.as_ref().expect("Λ assembled above");
-            if !want_plan {
-                self.plan = None;
-            } else {
-                let rebuild = match (&mut self.plan, lambda_update) {
-                    (Some(plan), LambdaUpdate::Patched { .. }) => {
-                        if new_rows > 0 {
-                            plan.append_rows(lambda);
-                        }
-                        for &j in &changed_cols {
-                            plan.refresh_column_with(lambda, j, &mut self.resign_scratch);
-                        }
-                        false
-                    }
-                    (Some(_), LambdaUpdate::Unchanged) => false,
-                    _ => true,
-                };
-                if rebuild {
-                    self.plan = Some(ShardedMatrix::build(lambda, shard_count));
+        // just the new rows into the tail shard (an auto-sized plan gains
+        // shards as it grows past 8 192 rows); a column splice re-signs
+        // just the rows that voted in the old or new column. Structural
+        // suite changes rebuild.
+        let lambda = self.lambda.as_ref().expect("Λ assembled above");
+        match (&mut self.plan, lambda_update) {
+            (Some(plan), LambdaUpdate::Patched { .. }) => {
+                if new_rows > 0 {
+                    plan.append_rows(lambda);
+                }
+                for &j in &changed_cols {
+                    plan.refresh_column_with(lambda, j, &mut self.resign_scratch);
                 }
             }
+            (Some(_), LambdaUpdate::Unchanged) => {}
+            _ => self.plan = Some(ShardedMatrix::build(lambda, 0)),
         }
-        let lambda = self.lambda.as_ref().expect("Λ assembled above");
         let assembly_time = asm_span.finish();
 
         // ------------------------------------------------------------------
@@ -1430,19 +1408,12 @@ impl IncrementalSession {
             .model
             .as_deref()
             .is_some_and(|prev| prev.scheme() == scheme);
-        // The session-level scale-out decision governs training: with a
-        // live plan, train and infer through it; without one, pin the
-        // model to the row-wise path so it does not rebuild a plan of
-        // its own every refresh.
-        let plan = self.plan.as_ref();
-        let train_cfg = if plan.is_some() {
-            self.config.train.clone()
-        } else {
-            TrainConfig {
-                scaleout: Scaleout::RowWise,
-                ..self.config.train.clone()
-            }
-        };
+        // Train and infer through the live plan.
+        let plan = self
+            .plan
+            .as_ref()
+            .expect("a plan is kept whenever Λ exists");
+        let train_cfg = &self.config.train;
         let report = if self.config.warm_start && prev_compatible {
             let prev = self.model.take().expect("prev_compatible checked");
             if structural || prev.num_lfs() != n {
@@ -1454,16 +1425,16 @@ impl IncrementalSession {
                     .collect();
                 let fresh: Vec<usize> = (0..n).filter(|&j| col_map[j].is_none()).collect();
                 let remapped = prev.remapped(&col_map);
-                model.fit_warm(lambda, plan, &train_cfg, remapped.as_ref(), &fresh)
+                model.fit_warm(lambda, Some(plan), train_cfg, remapped.as_ref(), &fresh)
             } else {
-                model.fit_warm(lambda, plan, &train_cfg, prev.as_ref(), &changed_cols)
+                model.fit_warm(lambda, Some(plan), train_cfg, prev.as_ref(), &changed_cols)
             }
         } else {
-            model.fit(lambda, plan, &train_cfg)
+            model.fit(lambda, Some(plan), train_cfg)
         };
         let warm_started = report.warm_started;
         let fit_epochs = report.epochs;
-        let labels = model.marginals(lambda, plan);
+        let labels = model.marginals(lambda, Some(plan));
         let backend = model.backend_name();
         self.model = Some(model);
         let training_time = train_span.finish();
@@ -1510,7 +1481,7 @@ impl IncrementalSession {
         metrics
             .cache_evictions
             .add(stats_after.evictions - stats_before.evictions);
-        let unique_patterns = self.plan.as_ref().map(ShardedMatrix::num_patterns);
+        let unique_patterns = plan.num_patterns();
         self.publish_gauges();
 
         let report = RefreshReport {
@@ -1631,9 +1602,10 @@ impl IncrementalSession {
                 }
             }
             lambda.apply_delta(&MatrixDelta::AppendRows { rows });
-            if let Some(plan) = &mut self.plan {
-                plan.append_rows(lambda);
-            }
+            self.plan
+                .as_mut()
+                .expect("a plan is kept whenever Λ exists")
+                .append_rows(lambda);
         }
 
         // 3. Fold the new rows into the streaming statistics.
@@ -1648,16 +1620,10 @@ impl IncrementalSession {
         // 4. Online refit from the running statistics — the steady-state
         //    fast path the streaming bench gates: O(n³) in the LF count,
         //    independent of the corpus size.
-        let train_cfg = if self.plan.is_some() {
-            self.config.train.clone()
-        } else {
-            TrainConfig {
-                scaleout: Scaleout::RowWise,
-                ..self.config.train.clone()
-            }
-        };
         let online_fit = match self.model.as_deref_mut() {
-            Some(model) => model.fit_online(stream.stats(), &train_cfg).is_some(),
+            Some(model) => model
+                .fit_online(stream.stats(), &self.config.train)
+                .is_some(),
             None => false,
         };
 

@@ -350,14 +350,13 @@ fn acceptance_one_lf_edit_is_5x_faster_than_cold_pipeline() {
     );
 }
 
-/// Scale-out integration: with a forced sharded plan, every refresh
-/// keeps the pattern index consistent with Λ through delta edits
-/// (column edit, candidate ingestion, LF removal), updating only the
-/// touched patterns — and labels still match a cold row-wise pipeline.
+/// Scale-out integration: the session's plan (the host partition,
+/// `ShardedMatrix::build(λ, 0)`) stays consistent with Λ through every
+/// delta edit (column edit, candidate ingestion, LF removal), updating
+/// only the touched patterns — and labels still match a cold pipeline.
 #[test]
 fn sharded_session_keeps_pattern_plan_consistent() {
-    use snorkel_core::model::Scaleout;
-    use snorkel_matrix::PatternIndex;
+    use snorkel_matrix::{PatternIndex, ShardedMatrix};
 
     let (corpus, ids) = build_corpus(400);
     let (cold_corpus, _) = build_corpus(400);
@@ -369,7 +368,6 @@ fn sharded_session_keeps_pattern_plan_consistent() {
         corpus,
         SessionConfig {
             optimizer: optimizer.clone(),
-            scaleout: Scaleout::Sharded { shards: 3 },
             ..SessionConfig::default()
         },
     );
@@ -395,9 +393,12 @@ fn sharded_session_keeps_pattern_plan_consistent() {
 
     let check_plan = |session: &IncrementalSession| {
         let lambda = session.label_matrix().expect("Λ built");
-        let plan = session.pattern_plan().expect("sharded plan forced on");
+        let plan = session.pattern_plan().expect("a plan is kept with Λ");
         plan.validate(lambda).unwrap();
-        assert_eq!(plan.num_shards(), 3);
+        assert_eq!(
+            plan.num_shards(),
+            ShardedMatrix::build(lambda, 0).num_shards()
+        );
         // Same per-shard pattern multiset as a fresh rebuild.
         for shard in plan.shards() {
             let fresh = PatternIndex::build_range(lambda, shard.start_row(), shard.row_range().end);
@@ -406,7 +407,7 @@ fn sharded_session_keeps_pattern_plan_consistent() {
     };
 
     let (_, report) = session.refresh();
-    assert!(report.unique_patterns.is_some());
+    assert!(report.unique_patterns > 0);
     check_plan(&session);
 
     // Column edit → refresh_column path.
@@ -604,6 +605,20 @@ fn thaw_rejects_mismatched_suite_and_corpus() {
     // Tampered state: Λ row count out of sync.
     let mut bad = frozen.clone();
     bad.last_rows += 1;
+    let thawed = IncrementalSession::thaw(
+        corpus.clone(),
+        SessionConfig::default(),
+        bad,
+        vec![counting_lf("lf_a", 2, Arc::clone(&c))],
+    );
+    assert!(matches!(
+        thawed.err(),
+        Some(snorkel_incr::ThawError::Inconsistent(_))
+    ));
+
+    // Tampered state: Λ without the sharded plan a session keeps with it.
+    let mut bad = frozen;
+    bad.plan = None;
     let thawed = IncrementalSession::thaw(
         corpus,
         SessionConfig::default(),

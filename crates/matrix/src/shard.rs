@@ -8,11 +8,31 @@
 //! index order is deterministic regardless of thread count — the same
 //! contract as [`LfExecutor`](../snorkel_lf/struct.LfExecutor.html)'s
 //! chunked LF application. Appended row batches extend the *tail* shard
-//! (rebalancing the partition once the tail outgrows its fair share),
+//! (rebalancing the partition once the tail outgrows the other shards),
 //! and column splices re-sign only the touched patterns of each shard.
+//!
+//! An auto-sized plan (`build(λ, 0)`) takes one shard per 4 096 rows,
+//! at least one and at most one per core: below 8 192 rows it is a
+//! single shard whose passes run inline on the caller's thread, so a
+//! small matrix never pays for thread spawns. Only the shard *count*
+//! depends on the core count; results for a given partition never
+//! depend on the worker count.
 
 use crate::csr::LabelMatrix;
 use crate::pattern::{PatternIndex, PatternIndexParts, ResignScratch};
+
+/// Rows per shard of an auto-sized plan (see [`ShardedMatrix::build`]).
+const ROWS_PER_AUTO_SHARD: usize = 4096;
+
+fn available_cores() -> usize {
+    std::thread::available_parallelism().map_or(1, |c| c.get())
+}
+
+/// Shard count of an auto-sized plan over `m` rows:
+/// `min(cores, max(1, m / ROWS_PER_AUTO_SHARD))`.
+fn auto_shard_count(m: usize, cores: usize) -> usize {
+    cores.min((m / ROWS_PER_AUTO_SHARD).max(1))
+}
 
 /// Owned copy of a [`ShardedMatrix`]'s persistent state — the stable
 /// encoding surface for on-disk snapshots. The worker count is *not*
@@ -36,23 +56,42 @@ pub struct ShardedMatrix {
     n: usize,
     shards: Vec<PatternIndex>,
     workers: usize,
+    /// For an auto-sized plan, the core count read when it was built:
+    /// [`Self::append_rows`] raises the shard count up to it as rows
+    /// arrive (kept so an append never pays the ≈ 20 µs cgroup read of
+    /// `available_parallelism`). `None` for an explicitly sized plan.
+    auto_cores: Option<usize>,
 }
 
 impl ShardedMatrix {
     /// Partition `lambda` into `num_shards` contiguous row ranges and
-    /// index each. `num_shards == 0` means one shard per available core;
-    /// the count is clamped to the row count (min 1). Shards are built
-    /// in parallel; the result is identical for any worker count.
+    /// index each. `num_shards == 0` auto-sizes the plan:
+    /// `min(cores, max(1, m / 4096))` shards, so a matrix under 8 192
+    /// rows is one shard whose passes run on the caller's thread. An
+    /// explicit count is clamped to the row count (min 1). Shards are
+    /// built in parallel; the result is identical for any worker count.
     pub fn build(lambda: &LabelMatrix, num_shards: usize) -> Self {
         let m = lambda.num_points();
-        let avail = std::thread::available_parallelism().map_or(1, |c| c.get());
-        let requested = if num_shards == 0 { avail } else { num_shards };
-        let count = requested.clamp(1, m.max(1));
+        let cores = available_cores();
+        if num_shards == 0 {
+            Self::partition(lambda, auto_shard_count(m, cores), cores, Some(cores))
+        } else {
+            Self::partition(lambda, num_shards.clamp(1, m.max(1)), cores, None)
+        }
+    }
+
+    fn partition(
+        lambda: &LabelMatrix,
+        count: usize,
+        cores: usize,
+        auto_cores: Option<usize>,
+    ) -> Self {
+        let m = lambda.num_points();
         let chunk = m.div_ceil(count);
         let ranges: Vec<(usize, usize)> = (0..count)
             .map(|s| ((s * chunk).min(m), ((s + 1) * chunk).min(m)))
             .collect();
-        let workers = count.min(avail);
+        let workers = count.min(cores);
         let shards = if workers <= 1 {
             ranges
                 .iter()
@@ -81,6 +120,7 @@ impl ShardedMatrix {
             n: lambda.num_lfs(),
             shards,
             workers,
+            auto_cores,
         }
     }
 
@@ -189,10 +229,14 @@ impl ShardedMatrix {
 
     /// Absorb rows appended to the backing matrix: the tail shard
     /// extends to the new row count, interning only the new rows. When
-    /// repeated appends leave the tail holding more than twice its fair
-    /// share of rows — which would bottleneck every `map_shards` pass on
-    /// one worker — the plan rebalances by rebuilding its partition at
-    /// the same shard count.
+    /// repeated appends leave the tail holding more than twice the rows
+    /// of an average other shard — which would bottleneck every
+    /// `map_shards` pass on one worker — the plan rebalances by
+    /// rebuilding its partition at the same shard count (so a growing
+    /// plan rebuilds each time its rows grow by a factor
+    /// `1 + 1/shards`). An auto-sized plan that has grown into more
+    /// shards (see [`Self::build`]) rebuilds at that count instead; no
+    /// plan ever loses shards.
     pub fn append_rows(&mut self, lambda: &LabelMatrix) {
         let covered = self.num_rows();
         let m = lambda.num_points();
@@ -200,11 +244,19 @@ impl ShardedMatrix {
             m >= covered,
             "matrix shrank below the sharded plan ({m} < {covered} rows)"
         );
+        let count = self.shards.len();
+        if let Some(cores) = self.auto_cores {
+            let grown = auto_shard_count(m, cores);
+            if grown > count {
+                *self = Self::partition(lambda, grown, cores, Some(cores));
+                return;
+            }
+        }
         let tail = self.shards.last_mut().expect("plans have ≥1 shard");
         tail.extend_to(lambda, m);
-        let count = self.shards.len();
-        if count > 1 && self.shards[count - 1].num_rows() > 2 * m.div_ceil(count) {
-            *self = Self::build(lambda, count);
+        let tail_rows = tail.num_rows();
+        if count > 1 && tail_rows * (count - 1) > 2 * (m - tail_rows) {
+            *self = Self::partition(lambda, count, self.workers, self.auto_cores);
         }
     }
 
@@ -239,9 +291,11 @@ impl ShardedMatrix {
     }
 
     /// Rebuild a plan from exported parts, re-deriving the worker count
-    /// from this machine's parallelism. Shards must be non-empty in
-    /// count, contiguous, and individually well-formed; consistency with
-    /// a backing matrix is the caller's check ([`Self::validate`]).
+    /// from this machine's parallelism. The restored plan is auto-sized
+    /// (it keeps its shard count and grows like a `build(λ, 0)` plan as
+    /// rows are appended). Shards must be non-empty in count,
+    /// contiguous, and individually well-formed; consistency with a
+    /// backing matrix is the caller's check ([`Self::validate`]).
     pub fn from_parts(parts: ShardedMatrixParts) -> Result<ShardedMatrix, String> {
         if parts.shards.is_empty() {
             return Err("a plan needs at least one shard".into());
@@ -260,11 +314,12 @@ impl ShardedMatrix {
             next = shard.row_range().end;
             shards.push(shard);
         }
-        let avail = std::thread::available_parallelism().map_or(1, |c| c.get());
+        let cores = available_cores();
         Ok(ShardedMatrix {
             n: parts.num_lfs,
-            workers: shards.len().min(avail),
+            workers: shards.len().min(cores),
             shards,
+            auto_cores: Some(cores),
         })
     }
 
@@ -334,9 +389,50 @@ mod tests {
                 assert_eq!(plan.num_shards(), shards);
             }
         }
-        // 0 = all cores.
+        // 0 = auto-sized: one shard at this size.
         let plan = ShardedMatrix::build(&lambda, 0);
         plan.validate(&lambda).unwrap();
+        assert_eq!(plan.num_shards(), 1);
+    }
+
+    #[test]
+    fn small_auto_plans_are_one_shard_run_on_the_callers_thread() {
+        let lambda = sample(8191);
+        let plan = ShardedMatrix::build(&lambda, 0);
+        assert_eq!(plan.num_shards(), 1);
+        let caller = std::thread::current().id();
+        assert_eq!(
+            plan.map_shards(|_| std::thread::current().id()),
+            vec![caller]
+        );
+        let mut slots = vec![None];
+        plan.for_each_shard_with(&mut slots, |_, slot| {
+            *slot = Some(std::thread::current().id())
+        });
+        assert_eq!(slots, vec![Some(caller)]);
+    }
+
+    #[test]
+    fn auto_plans_grow_with_appends_explicit_plans_keep_their_count() {
+        let mut lambda = sample(4000);
+        let mut auto = ShardedMatrix::build(&lambda, 0);
+        let mut fixed = ShardedMatrix::build(&lambda, 1);
+        assert_eq!(auto.num_shards(), 1);
+        while lambda.num_points() < 20_000 {
+            let shards_before = auto.num_shards();
+            let rows: Vec<Vec<(u32, Vote)>> = (0..1000).map(|r| vec![(r % 4, 1)]).collect();
+            lambda.apply_delta(&MatrixDelta::AppendRows { rows });
+            auto.append_rows(&lambda);
+            fixed.append_rows(&lambda);
+            auto.validate(&lambda).unwrap();
+            fixed.validate(&lambda).unwrap();
+            assert!(auto.num_shards() >= shards_before, "a plan lost shards");
+        }
+        assert_eq!(
+            auto.num_shards(),
+            ShardedMatrix::build(&lambda, 0).num_shards()
+        );
+        assert_eq!(fixed.num_shards(), 1);
     }
 
     #[test]
@@ -364,26 +460,24 @@ mod tests {
 
     #[test]
     fn repeated_appends_rebalance_the_tail() {
-        let mut lambda = sample(30);
-        let mut plan = ShardedMatrix::build(&lambda, 3);
-        // Grow 30 → 300 rows in batches; without rebalancing the tail
-        // shard would hold 280 of 300 rows.
-        for _ in 0..9 {
-            let rows: Vec<Vec<(u32, Vote)>> = (0..30).map(|r| vec![(r % 4, 1)]).collect();
-            lambda.apply_delta(&MatrixDelta::AppendRows { rows });
-            plan.append_rows(&lambda);
-            plan.validate(&lambda).unwrap();
-        }
-        assert_eq!(plan.num_rows(), 300);
-        let fair = 300usize.div_ceil(plan.num_shards());
-        for shard in plan.shards() {
-            assert!(
-                shard.num_rows() <= 2 * fair,
-                "shard {}..{} holds {} rows (fair share {fair})",
-                shard.start_row(),
-                shard.row_range().end,
-                shard.num_rows()
-            );
+        for shards in [2, 3] {
+            let mut lambda = sample(30);
+            let mut plan = ShardedMatrix::build(&lambda, shards);
+            // Grow 30 → 300 rows in batches; without rebalancing the
+            // tail shard would hold 270+ of 300 rows.
+            for _ in 0..9 {
+                let rows: Vec<Vec<(u32, Vote)>> = (0..30).map(|r| vec![(r % 4, 1)]).collect();
+                lambda.apply_delta(&MatrixDelta::AppendRows { rows });
+                plan.append_rows(&lambda);
+                plan.validate(&lambda).unwrap();
+                assert_eq!(plan.num_shards(), shards);
+                let tail = plan.shards()[shards - 1].num_rows();
+                let others = lambda.num_points() - tail;
+                assert!(
+                    tail * (shards - 1) <= 2 * others,
+                    "{shards} shards: the tail holds {tail} rows, the others {others}"
+                );
+            }
         }
     }
 

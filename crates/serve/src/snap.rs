@@ -13,7 +13,7 @@
 //! ```text
 //! offset  size  field
 //! 0       8     magic  "SNKLSNAP"
-//! 8       4     format version (u32 LE, currently 5)
+//! 8       4     format version (u32 LE, currently 6)
 //! 12      4     section count (u32 LE)
 //! 16      28×k  section table: tag (u32), offset (u64), len (u64),
 //!               FNV-1a checksum of the section bytes (u64)
@@ -36,7 +36,7 @@
 //! | `CACH` | the LF-result cache, LRU-first                   | always   |
 //! | `TCFG` | the [`TrainConfig`]                              | always   |
 //! | `LMTX` | the label matrix (raw CSR)                       | if built |
-//! | `PLAN` | the sharded pattern index                        | if built |
+//! | `PLAN` | the sharded pattern index                        | with `LMTX` |
 //! | `MODL` | the label model, backend-tagged — weights + structure for the generative/moment backends, shape only for majority vote | if trained |
 //! | `DISC` | the distilled serving model: refresh/disc generation counters, featurizer + distill config, sparse per-class weights | if distilled |
 //! | `STRM` | the streaming plane: running moment sufficient statistics, drift config, frozen reference window, drift scores, lifetime ingest counters | if streaming |
@@ -66,7 +66,7 @@ use std::io::Write as _;
 use std::path::Path;
 
 use snorkel_core::label_model::{ModelSnapshot, MomentStatsParts};
-use snorkel_core::model::{ClassBalance, ModelParams, ParamsError, Scaleout, TrainConfig};
+use snorkel_core::model::{ClassBalance, ModelParams, ParamsError, TrainConfig};
 use snorkel_core::optimizer::ModelingStrategy;
 use snorkel_core::pipeline::DiscTrainerConfig;
 use snorkel_disc::{DiscModelParts, DistillConfig, TextFeaturizer};
@@ -83,7 +83,7 @@ use crate::wire::{fnv1a, Reader, Writer};
 pub const MAGIC: [u8; 8] = *b"SNKLSNAP";
 
 /// The one format version this build writes and reads.
-pub const FORMAT_VERSION: u32 = 5;
+pub const FORMAT_VERSION: u32 = 6;
 
 /// Backend tag bytes of the `MODL` section.
 const MODEL_TAG_GENERATIVE: u8 = 1;
@@ -878,7 +878,6 @@ fn dec_model_params(r: &mut Reader<'_>) -> Result<ModelParams, SnapError> {
 fn enc_train(t: &TrainConfig) -> Vec<u8> {
     let mut w = Writer::new();
     w.put_usize(t.epochs);
-    w.put_f64(t.learning_rate);
     w.put_f64(t.lr_decay);
     w.put_usize(t.cd_epochs);
     w.put_f64(t.cd_learning_rate);
@@ -901,20 +900,11 @@ fn enc_train(t: &TrainConfig) -> Vec<u8> {
         }
     }
     w.put_u8(t.clamp_nonadversarial as u8);
-    match t.scaleout {
-        Scaleout::RowWise => w.put_u8(0),
-        Scaleout::Sharded { shards } => {
-            w.put_u8(1);
-            w.put_usize(shards);
-        }
-        Scaleout::Auto => w.put_u8(2),
-    }
     w.into_bytes()
 }
 
 fn dec_train(r: &mut Reader<'_>) -> Result<TrainConfig, SnapError> {
     let epochs = r.usize("epochs")?;
-    let learning_rate = r.f64("learning_rate")?;
     let lr_decay = r.f64("lr_decay")?;
     let cd_epochs = r.usize("cd_epochs")?;
     let cd_learning_rate = r.f64("cd_learning_rate")?;
@@ -947,20 +937,11 @@ fn dec_train(r: &mut Reader<'_>) -> Result<TrainConfig, SnapError> {
         1 => true,
         v => return Err(corrupt(format!("bad bool {v}"))),
     };
-    let scaleout = match r.u8("scaleout tag")? {
-        0 => Scaleout::RowWise,
-        1 => Scaleout::Sharded {
-            shards: r.usize("shard count")?,
-        },
-        2 => Scaleout::Auto,
-        v => return Err(corrupt(format!("unknown scaleout tag {v}"))),
-    };
     if !r.is_exhausted() {
         return Err(corrupt("trailing bytes in TCFG"));
     }
     Ok(TrainConfig {
         epochs,
-        learning_rate,
         lr_decay,
         cd_epochs,
         cd_learning_rate,
@@ -973,7 +954,6 @@ fn dec_train(r: &mut Reader<'_>) -> Result<TrainConfig, SnapError> {
         init_from_majority_vote,
         class_balance,
         clamp_nonadversarial,
-        scaleout,
     })
 }
 

@@ -619,9 +619,7 @@ fn refresh(core: &Core, edit: Option<SuiteEdit>) -> Result<Reply, VerbError> {
             report.columns_reused,
             report.columns_extended,
             report.warm_started,
-            report
-                .unique_patterns
-                .map_or_else(|| "-".into(), |p| p.to_string()),
+            report.unique_patterns,
             if training_set.is_some() {
                 "retraining"
             } else {

@@ -7,10 +7,11 @@ use proptest::prelude::*;
 
 use snorkel_context::{CandidateId, Corpus};
 use snorkel_core::label_model::ModelSnapshot;
-use snorkel_core::model::{ParamsError, Scaleout};
+use snorkel_core::model::ParamsError;
 use snorkel_core::optimizer::ModelingStrategy;
 use snorkel_incr::{IncrementalSession, SessionConfig};
 use snorkel_lf::{lf, BoxedLf, LfExecutor, Vote};
+use snorkel_matrix::ShardedMatrix;
 use snorkel_nlp::tokenize;
 use snorkel_serve::{SnapError, Snapshot, FORMAT_VERSION};
 
@@ -73,7 +74,6 @@ fn session_with_strategy(
     rows: usize,
     lf_salts: &[u64],
     cardinality: u8,
-    scaleout: Scaleout,
     strategy: ModelingStrategy,
 ) -> IncrementalSession {
     let (corpus, _) = build_corpus(rows);
@@ -83,7 +83,6 @@ fn session_with_strategy(
             ..LfExecutor::default()
         },
         force_strategy: Some(strategy),
-        scaleout,
         ..SessionConfig::default()
     };
     let mut session = IncrementalSession::over_all_candidates(corpus, config);
@@ -94,17 +93,11 @@ fn session_with_strategy(
     session
 }
 
-fn session_for(
-    rows: usize,
-    lf_salts: &[u64],
-    cardinality: u8,
-    scaleout: Scaleout,
-) -> IncrementalSession {
+fn session_for(rows: usize, lf_salts: &[u64], cardinality: u8) -> IncrementalSession {
     session_with_strategy(
         rows,
         lf_salts,
         cardinality,
-        scaleout,
         ModelingStrategy::GenerativeModel {
             epsilon: 0.0,
             correlations: Vec::new(),
@@ -125,19 +118,22 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Freeze → bytes → parse → thaw reproduces the session exactly: a
-    /// bit-identical matrix, model weights, cache, plan, and marginals.
+    /// bit-identical matrix, model weights, cache, plan, and marginals —
+    /// for the session's own (one-shard) plan and for a 3-shard plan
+    /// swapped into the frozen image.
     #[test]
     fn round_trip_is_bit_identical(
         rows in 1usize..120,
         lf_salts in prop::collection::vec(0u64..1_000_000, 1..6),
         cardinality in 2u8..5,
-        sharded in prop_oneof![
-            Just(Scaleout::RowWise),
-            Just(Scaleout::Sharded { shards: 3 }),
-        ],
+        shards in prop_oneof![Just(0usize), Just(3)],
     ) {
-        let session = session_for(rows, &lf_salts, cardinality, sharded);
-        let snapshot = snapshot_of(&session);
+        let session = session_for(rows, &lf_salts, cardinality);
+        let mut snapshot = snapshot_of(&session);
+        if shards > 0 {
+            let lambda = session.label_matrix().expect("Λ built");
+            snapshot.session.plan = Some(ShardedMatrix::build(lambda, shards).to_parts());
+        }
         let bytes = snapshot.to_bytes();
         let back = Snapshot::from_bytes(&bytes).expect("own bytes parse");
 
@@ -171,7 +167,7 @@ proptest! {
     /// Any single-bit flip anywhere in the file is detected.
     #[test]
     fn every_bit_flip_is_detected(case_salt in 0u64..1000) {
-        let session = session_for(17, &[case_salt, case_salt + 1], 2, Scaleout::RowWise);
+        let session = session_for(17, &[case_salt, case_salt + 1], 2);
         let bytes = snapshot_of(&session).to_bytes();
         // Sampled positions (every flip at small sizes is ~8·len decode
         // attempts; sample densely but boundedly).
@@ -191,7 +187,7 @@ proptest! {
     /// Every truncation is detected.
     #[test]
     fn every_truncation_is_detected(case_salt in 0u64..1000) {
-        let session = session_for(13, &[case_salt], 2, Scaleout::RowWise);
+        let session = session_for(13, &[case_salt], 2);
         let bytes = snapshot_of(&session).to_bytes();
         let stride = (bytes.len() / 163).max(1);
         for len in (0..bytes.len()).step_by(stride) {
@@ -251,7 +247,7 @@ fn mv_and_moment_backends_round_trip_through_snapshots() {
         (ModelingStrategy::MomentMatching, "moment"),
     ] {
         let salts = [41u64, 42, 43];
-        let session = session_with_strategy(35, &salts, 2, Scaleout::RowWise, strategy);
+        let session = session_with_strategy(35, &salts, 2, strategy);
         assert_eq!(session.backend_name(), Some(backend));
         let bytes = snapshot_of(&session).to_bytes();
         let back = Snapshot::from_bytes(&bytes).expect("own bytes parse");
@@ -275,7 +271,7 @@ fn mv_and_moment_backends_round_trip_through_snapshots() {
 
 #[test]
 fn unknown_backend_tag_is_a_typed_error() {
-    let session = session_for(20, &[51, 52], 2, Scaleout::RowWise);
+    let session = session_for(20, &[51, 52], 2);
     let mut bytes = snapshot_of(&session).to_bytes();
     // The MODL section opens with the backend tag byte; overwrite it
     // with an unassigned value and re-seal the checksums.
@@ -288,7 +284,7 @@ fn unknown_backend_tag_is_a_typed_error() {
 
 #[test]
 fn corrupt_model_params_are_typed_errors() {
-    let session = session_for(20, &[61, 62], 2, Scaleout::RowWise);
+    let session = session_for(20, &[61, 62], 2);
     let mut snapshot = snapshot_of(&session);
     // Poison a weight in the encoded model; the decoder must refuse
     // with the typed ParamsError, not thaw a NaN model.
@@ -305,7 +301,7 @@ fn corrupt_model_params_are_typed_errors() {
 
 #[test]
 fn every_other_version_is_a_typed_error() {
-    let session = session_for(9, &[3], 2, Scaleout::RowWise);
+    let session = session_for(9, &[3], 2);
     let bytes = snapshot_of(&session).to_bytes();
     let count = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
     let header_end = 16 + 28 * count + 8;
@@ -328,7 +324,7 @@ fn every_other_version_is_a_typed_error() {
 
 #[test]
 fn bad_magic_and_short_files_are_typed_errors() {
-    let session = session_for(9, &[4], 2, Scaleout::RowWise);
+    let session = session_for(9, &[4], 2);
     let mut bytes = snapshot_of(&session).to_bytes();
     bytes[0] ^= 0xFF;
     assert!(matches!(
@@ -347,7 +343,7 @@ fn bad_magic_and_short_files_are_typed_errors() {
 
 #[test]
 fn flipped_payload_reports_checksum_mismatch() {
-    let session = session_for(20, &[5, 6], 2, Scaleout::RowWise);
+    let session = session_for(20, &[5, 6], 2);
     let snapshot = snapshot_of(&session);
     let bytes = snapshot.to_bytes();
     // Flip a byte deep in the payload region (past the header).
@@ -365,7 +361,7 @@ fn file_round_trip_is_atomic_and_loadable() {
     let dir = std::env::temp_dir().join(format!("snorkel-snap-{}", std::process::id()));
     std::fs::create_dir_all(&dir).expect("temp dir");
     let path = dir.join("session.snap");
-    let session = session_for(25, &[7, 8, 9], 2, Scaleout::Sharded { shards: 2 });
+    let session = session_for(25, &[7, 8, 9], 2);
     let snapshot = snapshot_of(&session);
     let written = snapshot.write_file(&path).expect("write");
     assert_eq!(written, std::fs::metadata(&path).expect("stat").len());
@@ -443,13 +439,7 @@ fn disc_model_round_trips_with_staleness() {
 /// formula continues seamlessly, so `build_corpus(base + extra)`
 /// rebuilds the exact corpus a thaw needs.
 fn streaming_session(base: usize, extra: usize, salts: &[u64]) -> IncrementalSession {
-    let mut session = session_with_strategy(
-        base,
-        salts,
-        2,
-        Scaleout::RowWise,
-        ModelingStrategy::MomentMatching,
-    );
+    let mut session = session_with_strategy(base, salts, 2, ModelingStrategy::MomentMatching);
     assert_eq!(session.backend_name(), Some("moment"));
     let half = extra / 2;
     for (start, count) in [(base, half), (base + half, extra - half)] {

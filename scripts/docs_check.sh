@@ -5,9 +5,9 @@
 # docs/PERFORMANCE.md). This gate fails CI when a protocol verb,
 # snapshot section, metric name, or bench binary exists in source but
 # is missing from its spec — and when a spec names a verb, opcode,
-# metric or bench that does not exist, or a snapshot version other than
-# the one the code writes — so the docs cannot silently drift from the
-# implementation in either direction.
+# metric or bench that does not exist, a snapshot version other than
+# the one the code writes, or a retired knob — so the docs cannot
+# silently drift from the implementation in either direction.
 #
 # Run from the repo root:
 #   bash scripts/docs_check.sh
@@ -90,6 +90,15 @@ if [[ "$doc_version" != "$code_version" ]]; then
 fi
 if stale="$(grep -nE 'to_bytes_with_version|MIN_READ_VERSION' README.md docs/*.md)"; then
     echo "docs-check: docs still name a retired snapshot version knob:" >&2
+    echo "$stale" >&2
+    fail=1
+fi
+
+# --- Retired training knobs: the exact trainer has one path over a
+# plan sized by rows, so no doc may name the removed scale-out switch
+# or its row threshold.
+if stale="$(grep -nE 'Scaleout|SCALEOUT_MIN_ROWS' README.md docs/*.md)"; then
+    echo "docs-check: docs still name the retired scale-out knob:" >&2
     echo "$stale" >&2
     fail=1
 fi

@@ -2,7 +2,7 @@
 //! and adversarial inputs — empty matrices, all-abstain suites,
 //! adversarial LFs, single-class corpora, and duplicate-heavy suites.
 
-use snorkel::core::model::{ClassBalance, GenerativeModel, LabelScheme, Scaleout, TrainConfig};
+use snorkel::core::model::{ClassBalance, GenerativeModel, LabelScheme, TrainConfig};
 use snorkel::core::pipeline::{run_pipeline, Pipeline, PipelineConfig};
 use snorkel::core::structure::{learn_structure, StructureConfig};
 use snorkel::core::vote::majority_vote;
@@ -139,38 +139,33 @@ fn class_balance_variants_all_train() {
 }
 
 // ---------------------------------------------------------------------
-// Adversarial pattern shapes: the sharded scale-out path must degrade
-// *identically* to the dense (row-wise) path — same marginals bit for
+// Adversarial pattern shapes: a plan of many shards must degrade
+// *identically* to the dense (one-shard) plan — same marginals bit for
 // bit under fixed weights, same optimum (≤1e-9) after fitting.
 // ---------------------------------------------------------------------
 
-/// Fit the same model through the row-wise and the sharded path and
-/// assert both degrade identically: fitted marginals within `1e-9`, and
-/// the sharded *inference* of the row-wise model bit-identical.
+/// Fit the same model through a one-shard plan and a `shards`-shard
+/// plan and assert both degrade identically: fitted marginals within
+/// `1e-9`, and the sharded *inference* of the dense model bit-identical
+/// to its row walk.
 fn assert_sharded_degrades_identically(lambda: &LabelMatrix, shards: usize) {
     let scheme = LabelScheme::from_cardinality(lambda.cardinality());
     // The convergence test's gradient threshold scales with the row
     // count; on adversarial shapes with near-zero-coverage LFs the
     // default tol leaves those LFs' weights loosely pinned, so drive
     // both paths to the arithmetic noise floor before comparing.
-    let rw_cfg = TrainConfig {
-        scaleout: Scaleout::RowWise,
+    let cfg = TrainConfig {
         tol: 1e-15,
         ..TrainConfig::default()
     };
-    let sh_cfg = TrainConfig {
-        scaleout: Scaleout::Sharded { shards },
-        tol: 1e-15,
-        ..TrainConfig::default()
-    };
+    let plan = ShardedMatrix::build(lambda, shards);
     let mut dense = GenerativeModel::new(lambda.num_lfs(), scheme);
-    dense.fit(lambda, &rw_cfg);
+    dense.fit_with(lambda, &ShardedMatrix::build(lambda, 1), &cfg);
     let mut sharded = GenerativeModel::new(lambda.num_lfs(), scheme);
-    sharded.fit(lambda, &sh_cfg);
+    sharded.fit_with(lambda, &plan, &cfg);
 
     // Inference path: bit-identical under the same weights.
-    let plan = ShardedMatrix::build(lambda, shards);
-    let reference = dense.marginals_rowwise(lambda);
+    let reference = dense.marginals(lambda);
     assert_eq!(
         dense.marginals_with(lambda, &plan),
         reference,
@@ -178,7 +173,7 @@ fn assert_sharded_degrades_identically(lambda: &LabelMatrix, shards: usize) {
     );
 
     // Training path: same optimum, and everything stays finite.
-    let fitted = sharded.marginals_rowwise(lambda);
+    let fitted = sharded.marginals(lambda);
     for (r, (a, b)) in reference.iter().zip(&fitted).enumerate() {
         for (pa, pb) in a.iter().zip(b) {
             assert!(pa.is_finite() && pb.is_finite(), "row {r} not finite");
@@ -254,7 +249,7 @@ fn sharded_duplicate_lf_columns_match_dense() {
     }
     let lambda = b.build();
     assert_sharded_degrades_identically(&lambda, 2);
-    // Shard count 1 and 0 (= all cores) degrade identically too.
+    // Shard count 1 and 0 (= auto-sized) degrade identically too.
     assert_sharded_degrades_identically(&lambda, 1);
     assert_sharded_degrades_identically(&lambda, 0);
 }
