@@ -34,10 +34,9 @@
 //!   at million-row scale, at the price of a small statistical gap from
 //!   the exact MLE that vanishes as `m` grows.
 //!
-//! [`ModelRegistry`] maps backend names to constructors; the
-//! Algorithm-1 optimizer ([`crate::optimizer::select_model`]) picks a
-//! *backend* out of the registry rather than hard-coding the
-//! MV-vs-generative branch.
+//! The Algorithm-1 optimizer ([`crate::optimizer::select_model`])
+//! decides a [`ModelingStrategy`]; [`ModelRegistry::build`] is the one
+//! `match` from that strategy to its backend.
 //!
 //! # Example
 //!
@@ -55,14 +54,13 @@
 //! b.set(2, 1, -1);
 //! let lambda = b.build();
 //!
-//! // Let the optimizer pick a backend over the standard registry,
-//! // build it, fit it, and read probabilistic labels — the same four
-//! // calls work for every backend.
+//! // Let the optimizer pick a strategy, build its backend, fit it, and
+//! // read probabilistic labels — the same four calls work for every
+//! // backend.
 //! let registry = ModelRegistry::standard();
 //! let decision = select_model(&lambda, &OptimizerConfig::default(), &registry);
-//! let mut model: Box<dyn LabelModel> = registry
-//!     .build(&decision.strategy, lambda.num_lfs(), lambda.cardinality())
-//!     .unwrap();
+//! let Ok(mut model) =
+//!     registry.build(&decision.strategy, lambda.num_lfs(), lambda.cardinality());
 //! model.fit(&lambda, None, &TrainConfig::default());
 //! let labels = model.marginals(&lambda, None);
 //! assert_eq!(labels.len(), 4);
@@ -105,9 +103,9 @@ pub const BACKEND_MOMENT: &str = "moment";
 /// See the [module docs](self) for the shipped backends and a usage
 /// example.
 pub trait LabelModel: std::fmt::Debug + Send + Sync {
-    /// Stable backend name — the [`ModelRegistry`] key, the tag reported
-    /// by the serving layer's `STATS`, and the discriminant of the
-    /// snapshot encoding.
+    /// Stable backend name — the [`ModelingStrategy::backend_name`] of
+    /// the strategies that build it, the tag reported by the serving
+    /// layer's `STATS`, and the discriminant of the snapshot encoding.
     fn backend_name(&self) -> &'static str;
 
     /// The label scheme this model scores votes under.
@@ -1184,120 +1182,44 @@ impl ModelSnapshot {
 }
 
 // ----------------------------------------------------------------------
-// Registry
+// Strategy → backend
 // ----------------------------------------------------------------------
 
-/// Constructor signature of a registered backend: shape plus the
-/// optimizer's strategy (which carries the correlation structure for the
-/// generative backend).
-pub type BackendBuilder = fn(usize, LabelScheme, &ModelingStrategy) -> Box<dyn LabelModel>;
-
-/// The set of label-model backends a pipeline or session may build,
-/// keyed by backend name. [`crate::optimizer::select_model`] restricts
-/// the Algorithm-1 decision to registered backends; forced strategies
-/// resolve through the same table, so "force majority vote" and "force
-/// the moment backend" are the same mechanism.
-#[derive(Clone)]
-pub struct ModelRegistry {
-    entries: Vec<(&'static str, BackendBuilder)>,
-}
-
-impl std::fmt::Debug for ModelRegistry {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("ModelRegistry")
-            .field("backends", &self.names().collect::<Vec<_>>())
-            .finish()
-    }
-}
-
-impl Default for ModelRegistry {
-    fn default() -> Self {
-        ModelRegistry::standard()
-    }
-}
-
-/// A strategy named a backend the registry does not hold.
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct UnknownBackend {
-    /// The backend name that failed to resolve.
-    pub backend: &'static str,
-}
-
-impl std::fmt::Display for UnknownBackend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "backend {:?} is not registered", self.backend)
-    }
-}
-
-impl std::error::Error for UnknownBackend {}
+/// Builds the backend a [`ModelingStrategy`] selects. The three backends
+/// are a closed set (the snapshot decoder refuses any other tag), so
+/// this is one `match`, not a table.
+#[derive(Clone, Copy, Debug)]
+pub struct ModelRegistry;
 
 impl ModelRegistry {
-    /// A registry with no backends (build one up with
-    /// [`Self::register`]).
-    pub fn empty() -> Self {
-        ModelRegistry {
-            entries: Vec::new(),
-        }
-    }
-
-    /// The standard three backends: majority vote, the exact generative
-    /// model, and the moment estimator.
+    /// The builder for the three shipped backends.
     pub fn standard() -> Self {
-        let mut r = ModelRegistry::empty();
-        r.register(BACKEND_MAJORITY_VOTE, |n, scheme, _| {
-            Box::new(MajorityVoteModel::new(n, scheme))
-        });
-        r.register(BACKEND_GENERATIVE, |n, scheme, strategy| {
-            let gm = GenerativeModel::new(n, scheme);
-            match strategy {
-                ModelingStrategy::GenerativeModel {
-                    correlations,
-                    strengths,
-                    ..
-                } => Box::new(gm.with_weighted_correlations(correlations, strengths)),
-                _ => Box::new(gm),
-            }
-        });
-        r.register(BACKEND_MOMENT, |n, scheme, _| {
-            Box::new(MomentModel::new(n, scheme))
-        });
-        r
-    }
-
-    /// Register (or replace) a backend under `name`.
-    pub fn register(&mut self, name: &'static str, build: BackendBuilder) {
-        if let Some(slot) = self.entries.iter_mut().find(|(n, _)| *n == name) {
-            slot.1 = build;
-        } else {
-            self.entries.push((name, build));
-        }
-    }
-
-    /// Whether a backend is registered under `name`.
-    pub fn contains(&self, name: &str) -> bool {
-        self.entries.iter().any(|(n, _)| *n == name)
-    }
-
-    /// Registered backend names, in registration order.
-    pub fn names(&self) -> impl Iterator<Item = &'static str> + '_ {
-        self.entries.iter().map(|(n, _)| *n)
+        ModelRegistry
     }
 
     /// Build the (unfitted) backend a strategy selects, over `num_lfs`
-    /// LFs at the given cardinality.
+    /// LFs at the given cardinality; the generative backend carries the
+    /// strategy's correlation structure. Never fails: bind it with
+    /// `let Ok(model) = …`.
     pub fn build(
         &self,
         strategy: &ModelingStrategy,
         num_lfs: usize,
         cardinality: u8,
-    ) -> Result<Box<dyn LabelModel>, UnknownBackend> {
-        let name = strategy.backend_name();
+    ) -> Result<Box<dyn LabelModel>, std::convert::Infallible> {
         let scheme = LabelScheme::from_cardinality(cardinality);
-        self.entries
-            .iter()
-            .find(|(n, _)| *n == name)
-            .map(|(_, build)| build(num_lfs, scheme, strategy))
-            .ok_or(UnknownBackend { backend: name })
+        Ok(match strategy {
+            ModelingStrategy::MajorityVote => Box::new(MajorityVoteModel::new(num_lfs, scheme)),
+            ModelingStrategy::MomentMatching => Box::new(MomentModel::new(num_lfs, scheme)),
+            ModelingStrategy::GenerativeModel {
+                correlations,
+                strengths,
+                ..
+            } => Box::new(
+                GenerativeModel::new(num_lfs, scheme)
+                    .with_weighted_correlations(correlations, strengths),
+            ),
+        })
     }
 }
 
@@ -1599,12 +1521,8 @@ mod tests {
     }
 
     #[test]
-    fn registry_builds_and_reports_unknowns() {
+    fn registry_builds_every_strategy() {
         let registry = ModelRegistry::standard();
-        assert_eq!(
-            registry.names().collect::<Vec<_>>(),
-            vec![BACKEND_MAJORITY_VOTE, BACKEND_GENERATIVE, BACKEND_MOMENT]
-        );
         for strategy in [
             ModelingStrategy::MajorityVote,
             ModelingStrategy::MomentMatching,
@@ -1614,37 +1532,14 @@ mod tests {
                 strengths: vec![1.0],
             },
         ] {
-            let model = registry.build(&strategy, 4, 2).unwrap();
+            let Ok(model) = registry.build(&strategy, 4, 2);
             assert_eq!(model.backend_name(), strategy.backend_name());
             assert_eq!(model.num_lfs(), 4);
-        }
-        // The generative build carries the strategy's correlations.
-        let gm = registry
-            .build(
-                &ModelingStrategy::GenerativeModel {
-                    epsilon: 0.0,
-                    correlations: vec![(0, 2)],
-                    strengths: vec![1.0],
-                },
-                4,
-                2,
-            )
-            .unwrap();
-        let gm = gm.downcast_ref::<GenerativeModel>().unwrap();
-        assert_eq!(gm.correlations(), &[(0, 2)]);
-
-        let mut partial = ModelRegistry::empty();
-        partial.register(BACKEND_MAJORITY_VOTE, |n, scheme, _| {
-            Box::new(MajorityVoteModel::new(n, scheme))
-        });
-        assert_eq!(
-            partial
-                .build(&ModelingStrategy::MomentMatching, 4, 2)
-                .map(|_| ())
-                .unwrap_err(),
-            UnknownBackend {
-                backend: BACKEND_MOMENT
+            // The generative build carries the strategy's correlations.
+            if matches!(strategy, ModelingStrategy::GenerativeModel { .. }) {
+                let gm = model.downcast_ref::<GenerativeModel>().unwrap();
+                assert_eq!(gm.correlations(), &[(0, 2)]);
             }
-        );
+        }
     }
 }

@@ -10,8 +10,8 @@
 //!   [`label_model::LabelModel`] trait every label model implements
 //!   (fit / warm refit / plan-aware marginals / tagged snapshots), the
 //!   zero-cost majority-vote backend, the closed-form method-of-moments
-//!   backend, and the [`label_model::ModelRegistry`] the optimizer
-//!   selects over.
+//!   backend, and [`label_model::ModelRegistry::build`], the one `match`
+//!   from the optimizer's strategy to its backend.
 //! * [`model`] — the exact **generative label model** `p_w(Λ, Y)` of
 //!   §2.2: labeling-propensity, accuracy, and pairwise-correlation
 //!   factors, trained without ground truth by SGD on the negative log
@@ -50,9 +50,7 @@ pub mod pipeline;
 pub mod structure;
 pub mod vote;
 
-pub use label_model::{
-    LabelModel, MajorityVoteModel, ModelRegistry, ModelSnapshot, MomentModel, UnknownBackend,
-};
+pub use label_model::{LabelModel, MajorityVoteModel, ModelRegistry, ModelSnapshot, MomentModel};
 pub use model::{
     ClassBalance, FitReport, GenerativeModel, LabelScheme, ModelParams, ParamsError, TrainConfig,
 };

@@ -1,8 +1,11 @@
 //! The model-selection optimizer (paper §3.1.2–§3.2.2, Algorithm 1),
-//! extended to pick a *backend* out of a
-//! [`ModelRegistry`].
+//! extended to pick one of the three backends.
+//! [`select_model`] is the one decision for every cardinality; the
+//! advantage analysis is binary, so a multi-class Λ always gets the
+//! independent generative model.
 //!
-//! Three decisions are automated, all from the label matrix alone:
+//! For a binary Λ, three decisions are automated from the label matrix
+//! alone:
 //!
 //! 1. **Model accuracies at all, or just take the majority vote?** The
 //!    advantage upper bound `A~*(Λ)` (Proposition 2) estimates the most
@@ -53,7 +56,8 @@ pub enum ModelingStrategy {
 }
 
 impl ModelingStrategy {
-    /// The registry key of the backend this strategy selects.
+    /// The [`LabelModel::backend_name`](crate::label_model::LabelModel::backend_name)
+    /// of the backend this strategy selects.
     pub fn backend_name(&self) -> &'static str {
         match self {
             ModelingStrategy::MajorityVote => BACKEND_MAJORITY_VOTE,
@@ -189,6 +193,15 @@ pub fn elbow_point(sweep: &[(f64, usize)]) -> usize {
     best_idx
 }
 
+/// The exact generative backend with no correlation structure.
+fn independent_generative() -> ModelingStrategy {
+    ModelingStrategy::GenerativeModel {
+        epsilon: 0.0,
+        correlations: Vec::new(),
+        strengths: Vec::new(),
+    }
+}
+
 /// When the accuracy model has no correlation structure, pick between
 /// the exact generative backend and the single-pass moment backend by
 /// scale (see [`OptimizerConfig::moment_min_rows`]).
@@ -196,17 +209,13 @@ fn uncorrelated_backend(lambda: &LabelMatrix, cfg: &OptimizerConfig) -> Modeling
     if lambda.num_points() >= cfg.moment_min_rows {
         ModelingStrategy::MomentMatching
     } else {
-        ModelingStrategy::GenerativeModel {
-            epsilon: 0.0,
-            correlations: Vec::new(),
-            strengths: Vec::new(),
-        }
+        independent_generative()
     }
 }
 
 /// Algorithm 1: choose a modeling strategy (backend + structure) for a
-/// label matrix. Prefer [`select_model`] when a [`ModelRegistry`] is in
-/// play — it degrades the decision to a registered backend.
+/// binary label matrix (panics on a multi-class one, which
+/// [`select_model`] handles).
 pub fn choose_strategy(lambda: &LabelMatrix, cfg: &OptimizerConfig) -> StrategyDecision {
     let predicted = advantage_upper_bound(lambda, cfg);
     if predicted < cfg.gamma {
@@ -251,39 +260,25 @@ pub fn choose_strategy(lambda: &LabelMatrix, cfg: &OptimizerConfig) -> StrategyD
     }
 }
 
-/// Algorithm 1 over a [`ModelRegistry`]: run [`choose_strategy`], then
-/// degrade the decision to a backend the registry actually holds —
-/// moment falls back to generative, generative to moment (independent
-/// model only; with its correlation structure dropped it would be a
-/// different model, so correlated selections degrade to majority vote),
-/// and anything else to majority vote. With the
-/// [`standard`](ModelRegistry::standard) registry no degradation ever
-/// happens.
+/// The strategy decision for any label matrix: a binary Λ goes through
+/// [`choose_strategy`]; a multi-class Λ (the advantage analysis is
+/// binary) always gets the independent generative model, with
+/// `predicted_advantage = NaN`. The pipeline and the incremental session
+/// both decide through here. The registry argument is unused.
 pub fn select_model(
     lambda: &LabelMatrix,
     cfg: &OptimizerConfig,
-    registry: &ModelRegistry,
+    _registry: &ModelRegistry,
 ) -> StrategyDecision {
-    let mut decision = choose_strategy(lambda, cfg);
-    if registry.contains(decision.strategy.backend_name()) {
-        return decision;
+    if lambda.is_binary() {
+        choose_strategy(lambda, cfg)
+    } else {
+        StrategyDecision {
+            strategy: independent_generative(),
+            predicted_advantage: f64::NAN,
+            sweep: Vec::new(),
+        }
     }
-    decision.strategy = match decision.strategy {
-        ModelingStrategy::MomentMatching if registry.contains(BACKEND_GENERATIVE) => {
-            ModelingStrategy::GenerativeModel {
-                epsilon: 0.0,
-                correlations: Vec::new(),
-                strengths: Vec::new(),
-            }
-        }
-        ModelingStrategy::GenerativeModel { correlations, .. }
-            if correlations.is_empty() && registry.contains(BACKEND_MOMENT) =>
-        {
-            ModelingStrategy::MomentMatching
-        }
-        _ => ModelingStrategy::MajorityVote,
-    };
-    decision
 }
 
 #[cfg(test)]
@@ -478,40 +473,25 @@ mod tests {
     }
 
     #[test]
-    fn select_model_degrades_to_registered_backends() {
-        use crate::label_model::{
-            MajorityVoteModel, ModelRegistry, BACKEND_GENERATIVE, BACKEND_MAJORITY_VOTE,
-        };
-        use crate::model::GenerativeModel;
-        let accs = [0.9, 0.85, 0.7, 0.6, 0.55, 0.55];
-        let (lambda, _) = planted(3000, &accs, 0.4, 2);
-        let cfg = OptimizerConfig {
-            skip_structure_search: true,
-            moment_min_rows: 1000,
-            ..OptimizerConfig::default()
-        };
-        // Standard registry: moment goes through untouched.
-        let d = select_model(&lambda, &cfg, &ModelRegistry::standard());
-        assert_eq!(d.strategy, ModelingStrategy::MomentMatching);
-        // Registry without the moment backend: degrade to generative.
-        let mut no_moment = ModelRegistry::empty();
-        no_moment.register(BACKEND_MAJORITY_VOTE, |n, scheme, _| {
-            Box::new(MajorityVoteModel::new(n, scheme))
-        });
-        no_moment.register(BACKEND_GENERATIVE, |n, scheme, _| {
-            Box::new(GenerativeModel::new(n, scheme))
-        });
-        let d = select_model(&lambda, &cfg, &no_moment);
-        assert!(matches!(
-            d.strategy,
-            ModelingStrategy::GenerativeModel { .. }
-        ));
-        // MV-only registry: everything degrades to majority vote.
-        let mut mv_only = ModelRegistry::empty();
-        mv_only.register(BACKEND_MAJORITY_VOTE, |n, scheme, _| {
-            Box::new(MajorityVoteModel::new(n, scheme))
-        });
-        let d = select_model(&lambda, &cfg, &mv_only);
-        assert_eq!(d.strategy, ModelingStrategy::MajorityVote);
+    fn select_model_decides_every_cardinality() {
+        let cfg = OptimizerConfig::default();
+        let registry = ModelRegistry::standard();
+        // Binary: exactly Algorithm 1.
+        let (lambda, _) = planted(2000, &[0.75, 0.75, 0.75], 0.05, 1);
+        let d = select_model(&lambda, &cfg, &registry);
+        let want = choose_strategy(&lambda, &cfg);
+        assert_eq!(d.strategy, want.strategy);
+        assert_eq!(
+            d.predicted_advantage.to_bits(),
+            want.predicted_advantage.to_bits()
+        );
+        // Multi-class: the independent generative model, no bound.
+        let mut b = LabelMatrixBuilder::with_cardinality(50, 3, 3);
+        b.set(0, 0, 1);
+        b.set(0, 1, 3);
+        let d = select_model(&b.build(), &cfg, &registry);
+        assert_eq!(d.strategy, independent_generative());
+        assert!(d.predicted_advantage.is_nan());
+        assert!(d.sweep.is_empty());
     }
 }

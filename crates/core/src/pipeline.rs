@@ -10,10 +10,9 @@
 //! exposes per-stage timings so the bench harness can regenerate those
 //! numbers.
 //!
-//! Labeling itself is delegated to whichever
-//! [`LabelModel`] backend the optimizer
-//! selects out of the configured
-//! [`ModelRegistry`] — majority vote
+//! Labeling itself is delegated to whichever [`LabelModel`] backend the
+//! strategy selects — a forced [`PipelineConfig::force_strategy`], else
+//! [`select_model`] — built by [`ModelRegistry::build`]. Majority vote
 //! is just the cheapest backend, not a special case.
 
 use std::time::Duration;
@@ -128,27 +127,9 @@ impl DiscTrainer {
             );
         }
         let mut model = DistilledModel::new(self.config.train.dim, num_classes);
-        let report = self.train_warm(&mut model, xs, marginals, plan);
-        (model, report)
-    }
-
-    /// Warm-retrain an existing model in place, continuing from its
-    /// current weights — the serving layer's retrain-after-edit path.
-    /// A model whose shape no longer matches the config is replaced by
-    /// a cold one first.
-    pub fn train_warm(
-        &self,
-        model: &mut DistilledModel,
-        xs: &[SparseVec],
-        marginals: &[Vec<f64>],
-        plan: Option<&ShardedMatrix>,
-    ) -> DistillReport {
-        let num_classes = marginals.first().map_or(model.num_classes(), Vec::len);
-        if model.dim() != self.config.train.dim || model.num_classes() != num_classes {
-            *model = DistilledModel::new(self.config.train.dim, num_classes);
-        }
         let ranges = DiscTrainer::ranges_for(plan, xs.len());
-        model.fit(xs, marginals, &ranges, &self.config.train)
+        let report = model.fit(xs, marginals, &ranges, &self.config.train);
+        (model, report)
     }
 }
 
@@ -161,11 +142,8 @@ pub struct PipelineConfig {
     pub train: TrainConfig,
     /// LF executor (parallelism, cardinality).
     pub executor: LfExecutor,
-    /// Force a backend instead of running the optimizer (ablations;
-    /// resolved through the same [`Self::registry`]).
+    /// Force a backend instead of running the optimizer (ablations).
     pub force_strategy: Option<ModelingStrategy>,
-    /// The label-model backends this pipeline may build.
-    pub registry: ModelRegistry,
     /// Distillation stage: when set, [`Pipeline::run`] featurizes the
     /// candidates and trains a [`DistilledModel`] on the marginals
     /// (matrix-only entry points cannot featurize and skip it).
@@ -196,7 +174,7 @@ pub struct PipelineReport {
     pub strategy: ModelingStrategy,
     /// Name of the backend that produced the labels.
     pub backend: &'static str,
-    /// Predicted advantage bound A~* (0 when forced).
+    /// Predicted advantage bound A~* (NaN when forced or multi-class).
     pub predicted_advantage: f64,
     /// Label density of Λ.
     pub label_density: f64,
@@ -275,33 +253,16 @@ impl Pipeline {
         let strategy_span = stage_span("strategy_selection");
 
         let (strategy, predicted) = match &self.config.force_strategy {
-            Some(s) => (s.clone(), 0.0),
+            Some(s) => (s.clone(), f64::NAN),
             None => {
-                if lambda.is_binary() {
-                    let d = select_model(lambda, &self.config.optimizer, &self.config.registry);
-                    (d.strategy, d.predicted_advantage)
-                } else {
-                    // The advantage analysis is binary; multi-class tasks
-                    // (e.g. Crowd) always train the generative model.
-                    (
-                        ModelingStrategy::GenerativeModel {
-                            epsilon: 0.0,
-                            correlations: Vec::new(),
-                            strengths: Vec::new(),
-                        },
-                        f64::NAN,
-                    )
-                }
+                let d = select_model(lambda, &self.config.optimizer, &ModelRegistry);
+                (d.strategy, d.predicted_advantage)
             }
         };
         let strategy_time = strategy_span.finish();
 
         let training_span = stage_span("training");
-        let mut model = self
-            .config
-            .registry
-            .build(&strategy, lambda.num_lfs(), lambda.cardinality())
-            .unwrap_or_else(|e| panic!("pipeline misconfigured: {e}"));
+        let Ok(mut model) = ModelRegistry.build(&strategy, lambda.num_lfs(), lambda.cardinality());
         // Build the plan once and reuse it for both training and the
         // final marginals pass — unless the backend would not profit
         // (majority vote: the Algorithm-1 skip-work branch must not pay
@@ -422,6 +383,7 @@ mod tests {
         };
         let (_, report) = Pipeline::new(cfg).run_from_matrix(&lambda);
         assert_eq!(report.strategy, ModelingStrategy::MajorityVote);
+        assert!(report.predicted_advantage.is_nan(), "no bound when forced");
     }
 
     #[test]

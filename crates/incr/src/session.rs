@@ -114,19 +114,8 @@ pub struct SessionConfig {
     pub train: TrainConfig,
     /// Optimizer settings (Algorithm 1).
     pub optimizer: OptimizerConfig,
-    /// Force a backend instead of running the optimizer (resolved
-    /// through [`Self::registry`]).
+    /// Force a backend instead of running the optimizer.
     pub force_strategy: Option<ModelingStrategy>,
-    /// The label-model backends this session may build.
-    pub registry: ModelRegistry,
-    /// Reuse the previous refresh's structure-sweep outcome when at most
-    /// one column changed and no rows were ingested (the Algorithm-1
-    /// sweep is by far the most expensive part of strategy selection,
-    /// and a one-column edit rarely changes which LF pairs correlate).
-    /// Structural suite changes always re-run the sweep.
-    pub reuse_structure_on_column_edit: bool,
-    /// Warm-start generative training from the previous refresh's model.
-    pub warm_start: bool,
     /// Maximum cached columns (live suite columns are never evicted).
     pub cache_capacity: usize,
     /// Distillation: when set, [`IncrementalSession::distill`] trains a
@@ -148,9 +137,6 @@ impl Default for SessionConfig {
             train: TrainConfig::default(),
             optimizer: OptimizerConfig::default(),
             force_strategy: None,
-            registry: ModelRegistry::standard(),
-            reuse_structure_on_column_edit: true,
-            warm_start: true,
             cache_capacity: 256,
             distill: None,
             drift: DriftConfig::default(),
@@ -1212,41 +1198,7 @@ impl IncrementalSession {
         //    only what it cannot serve.
         // ------------------------------------------------------------------
         let lf_span = stage_span("lf_exec");
-        let mut columns_reused = 0usize;
-        let mut columns_recomputed = 0usize;
-        let mut columns_extended = 0usize;
-        let mut lf_invocations = 0usize;
-        for j in 0..n {
-            let fp = self.lfs[j].fingerprint;
-            let covered = self.cache.rows(fp);
-            if covered >= m {
-                self.cache.note_hit();
-                columns_reused += 1;
-                continue;
-            }
-            // Execute rows covered..m of this column — in parallel across
-            // candidates via the executor (a 1-LF suite).
-            let slice = &self.candidates[covered..];
-            let mini = self.config.executor.apply(
-                std::slice::from_ref(&self.lfs[j].lf),
-                &self.corpus,
-                slice,
-            );
-            let mut entries = mini.column(0);
-            for e in &mut entries {
-                e.0 += covered as u32;
-            }
-            lf_invocations += slice.len();
-            if covered == 0 {
-                columns_recomputed += 1;
-                self.cache.insert(fp, m, entries);
-            } else {
-                columns_extended += 1;
-                self.cache.extend(fp, m, entries);
-            }
-        }
-        let live: Vec<Fingerprint> = self.lfs.iter().map(|s| s.fingerprint).collect();
-        self.cache.evict_to_capacity(&live);
+        let (live, sync) = self.sync_columns();
         let lf_time = lf_span.finish();
 
         // ------------------------------------------------------------------
@@ -1285,16 +1237,12 @@ impl IncrementalSession {
                 // splice — both sourced from the same cached column, so
                 // the result is consistent either way).
                 if new_rows > 0 {
-                    let old_m = self.last_rows;
-                    let mut rows: Vec<Vec<(u32, Vote)>> = vec![Vec::new(); new_rows];
-                    for (j, fp) in live.iter().enumerate() {
-                        let entries = self.cache.entries(*fp).expect("live column cached");
-                        let start = entries.partition_point(|e| (e.0 as usize) < old_m);
-                        for &(row, v) in &entries[start..] {
-                            rows[row as usize - old_m].push((j as u32, v));
-                        }
-                    }
-                    lambda.apply_delta(&MatrixDelta::AppendRows { rows });
+                    lambda.apply_delta(&appended_rows(
+                        &mut self.cache,
+                        &live,
+                        self.last_rows,
+                        new_rows,
+                    ));
                 }
                 for &j in &changed_cols {
                     let entries = self
@@ -1348,26 +1296,19 @@ impl IncrementalSession {
         // ------------------------------------------------------------------
         let strat_span = stage_span("strategy");
         let mut structure_reused = false;
-        let (strategy, predicted) = if let Some(s) = &self.config.force_strategy {
-            (s.clone(), f64::NAN)
-        } else if !lambda.is_binary() {
-            // Mirrors the batch pipeline: the advantage analysis is
-            // binary-only, so multi-class tasks always train the GM.
-            (
-                ModelingStrategy::GenerativeModel {
-                    epsilon: 0.0,
-                    correlations: Vec::new(),
-                    strengths: Vec::new(),
-                },
-                f64::NAN,
-            )
-        } else {
-            let reuse_ok = self.config.reuse_structure_on_column_edit
-                && !structural
-                && new_rows == 0
-                && changed_cols.len() <= 1
-                && self.last_gm_strategy.is_some();
-            if reuse_ok {
+        // The batch pipeline's decision — a forced strategy, else
+        // `select_model` — with one shortcut in between: a binary
+        // one-column edit with no new rows reuses the previous structure
+        // sweep (by far the most expensive part of the selection, and
+        // such an edit rarely changes which LF pairs correlate).
+        let (strategy, predicted) = match (&self.config.force_strategy, &self.last_gm_strategy) {
+            (Some(forced), _) => (forced.clone(), f64::NAN),
+            (None, Some((stored, _)))
+                if lambda.is_binary()
+                    && !structural
+                    && new_rows == 0
+                    && changed_cols.len() <= 1 =>
+            {
                 // The bound is O(nnz) — always recompute it; only the
                 // expensive sweep is reused.
                 let predicted = advantage_upper_bound(lambda, &self.config.optimizer);
@@ -1375,13 +1316,11 @@ impl IncrementalSession {
                     (ModelingStrategy::MajorityVote, predicted)
                 } else {
                     structure_reused = true;
-                    (
-                        self.last_gm_strategy.clone().expect("reuse_ok checked").0,
-                        predicted,
-                    )
+                    (stored.clone(), predicted)
                 }
-            } else {
-                let d = select_model(lambda, &self.config.optimizer, &self.config.registry);
+            }
+            _ => {
+                let d = select_model(lambda, &self.config.optimizer, &ModelRegistry);
                 (d.strategy, d.predicted_advantage)
             }
         };
@@ -1399,23 +1338,14 @@ impl IncrementalSession {
         // ------------------------------------------------------------------
         let train_span = stage_span("fit");
         let scheme = LabelScheme::from_cardinality(lambda.cardinality());
-        let mut model = self
-            .config
-            .registry
-            .build(&strategy, n, lambda.cardinality())
-            .unwrap_or_else(|e| panic!("session misconfigured: {e}"));
-        let prev_compatible = self
-            .model
-            .as_deref()
-            .is_some_and(|prev| prev.scheme() == scheme);
+        let Ok(mut model) = ModelRegistry.build(&strategy, n, lambda.cardinality());
         // Train and infer through the live plan.
         let plan = self
             .plan
             .as_ref()
             .expect("a plan is kept whenever Λ exists");
         let train_cfg = &self.config.train;
-        let report = if self.config.warm_start && prev_compatible {
-            let prev = self.model.take().expect("prev_compatible checked");
+        let report = if let Some(prev) = self.model.take().filter(|p| p.scheme() == scheme) {
             if structural || prev.num_lfs() != n {
                 // Map surviving columns to their previous per-column
                 // state by fingerprint; new/edited columns start fresh.
@@ -1490,10 +1420,10 @@ impl IncrementalSession {
             predicted_advantage: predicted,
             label_density,
             lambda_update,
-            columns_reused,
-            columns_recomputed,
-            columns_extended,
-            lf_invocations,
+            columns_reused: sync.reused,
+            columns_recomputed: sync.recomputed,
+            columns_extended: sync.extended,
+            lf_invocations: sync.lf_invocations,
             structure_reused,
             warm_started,
             fit_epochs,
@@ -1559,49 +1489,14 @@ impl IncrementalSession {
         let m = self.candidates.len();
         let old_m = self.last_rows;
         let new_rows = m - old_m;
-        let n = self.lfs.len();
 
         // 1. Extend every live column onto the new rows.
-        let mut lf_invocations = 0usize;
-        for j in 0..n {
-            let fp = self.lfs[j].fingerprint;
-            let covered = self.cache.rows(fp);
-            if covered >= m {
-                self.cache.note_hit();
-                continue;
-            }
-            let slice = &self.candidates[covered..];
-            let mini = self.config.executor.apply(
-                std::slice::from_ref(&self.lfs[j].lf),
-                &self.corpus,
-                slice,
-            );
-            let mut entries = mini.column(0);
-            for e in &mut entries {
-                e.0 += covered as u32;
-            }
-            lf_invocations += slice.len();
-            if covered == 0 {
-                self.cache.insert(fp, m, entries);
-            } else {
-                self.cache.extend(fp, m, entries);
-            }
-        }
-        let live: Vec<Fingerprint> = self.lfs.iter().map(|s| s.fingerprint).collect();
-        self.cache.evict_to_capacity(&live);
+        let (live, sync) = self.sync_columns();
 
         // 2. Splice the new rows into Λ and the live plan's tail shard.
         let lambda = self.lambda.as_mut().expect("checked above");
         if new_rows > 0 {
-            let mut rows: Vec<Vec<(u32, Vote)>> = vec![Vec::new(); new_rows];
-            for (j, fp) in live.iter().enumerate() {
-                let entries = self.cache.entries(*fp).expect("live column cached");
-                let start = entries.partition_point(|e| (e.0 as usize) < old_m);
-                for &(row, v) in &entries[start..] {
-                    rows[row as usize - old_m].push((j as u32, v));
-                }
-            }
-            lambda.apply_delta(&MatrixDelta::AppendRows { rows });
+            lambda.apply_delta(&appended_rows(&mut self.cache, &live, old_m, new_rows));
             self.plan
                 .as_mut()
                 .expect("a plan is kept whenever Λ exists")
@@ -1655,7 +1550,7 @@ impl IncrementalSession {
         drop(span);
         IngestReport {
             rows: new_rows,
-            lf_invocations,
+            lf_invocations: sync.lf_invocations,
             online_fit,
             drift_score,
             drifted,
@@ -1663,4 +1558,74 @@ impl IncrementalSession {
             generation: self.refresh_generation,
         }
     }
+
+    /// Bring every live column up to date in the cache, executing only
+    /// the rows it cannot serve (in parallel across candidates via the
+    /// executor, as a 1-LF suite), then evict down to capacity. Returns
+    /// the live fingerprints in column order and what was done.
+    fn sync_columns(&mut self) -> (Vec<Fingerprint>, ColumnSync) {
+        let m = self.candidates.len();
+        let mut sync = ColumnSync::default();
+        for slf in &self.lfs {
+            let fp = slf.fingerprint;
+            let covered = self.cache.rows(fp);
+            if covered >= m {
+                self.cache.note_hit();
+                sync.reused += 1;
+                continue;
+            }
+            let slice = &self.candidates[covered..];
+            let mini =
+                self.config
+                    .executor
+                    .apply(std::slice::from_ref(&slf.lf), &self.corpus, slice);
+            let mut entries = mini.column(0);
+            for e in &mut entries {
+                e.0 += covered as u32;
+            }
+            sync.lf_invocations += slice.len();
+            if covered == 0 {
+                sync.recomputed += 1;
+                self.cache.insert(fp, m, entries);
+            } else {
+                sync.extended += 1;
+                self.cache.extend(fp, m, entries);
+            }
+        }
+        let live: Vec<Fingerprint> = self.lfs.iter().map(|s| s.fingerprint).collect();
+        self.cache.evict_to_capacity(&live);
+        (live, sync)
+    }
+}
+
+/// What [`IncrementalSession::sync_columns`] did, column by column.
+#[derive(Default)]
+struct ColumnSync {
+    /// Columns served straight from cache.
+    reused: usize,
+    /// Columns executed from scratch.
+    recomputed: usize,
+    /// Columns extended onto newly registered rows.
+    extended: usize,
+    /// Individual LF invocations (rows executed, over all columns).
+    lf_invocations: usize,
+}
+
+/// The [`MatrixDelta::AppendRows`] that grows Λ from `old_m` rows by
+/// `new_rows`, read out of the live columns' cached entries.
+fn appended_rows(
+    cache: &mut LfResultCache,
+    live: &[Fingerprint],
+    old_m: usize,
+    new_rows: usize,
+) -> MatrixDelta {
+    let mut rows: Vec<Vec<(u32, Vote)>> = vec![Vec::new(); new_rows];
+    for (j, fp) in live.iter().enumerate() {
+        let entries = cache.entries(*fp).expect("live column cached");
+        let start = entries.partition_point(|e| (e.0 as usize) < old_m);
+        for &(row, v) in &entries[start..] {
+            rows[row as usize - old_m].push((j as u32, v));
+        }
+    }
+    MatrixDelta::AppendRows { rows }
 }

@@ -823,3 +823,88 @@ fn distill_after_ingest_without_refresh_trains_on_labeled_rows_only() {
     let report = session.distill().expect("post-refresh distill");
     assert_eq!(report.rows_total, 140);
 }
+
+#[test]
+fn pipeline_and_session_share_one_strategy_decision() {
+    use snorkel_core::optimizer::ModelingStrategy;
+    use snorkel_lf::LfExecutor;
+
+    // The batch pipeline and a session's first refresh over one corpus
+    // and suite take the same decision: a forced strategy wins (no
+    // bound), otherwise `select_model` decides for either cardinality.
+    //
+    // Four LFs vote on a per-LF hash of the sentence bytes: 0 abstains,
+    // then ±1 for the binary executor, classes 1..=3 for the
+    // cardinality-3 one.
+    let suite = |multi: bool| -> Vec<BoxedLf> {
+        (0..4u64)
+            .map(|j| {
+                lf(format!("lf_{j}"), move |x| {
+                    let sum: u64 = x.sentence().text().bytes().map(u64::from).sum();
+                    let k = (sum * (j + 1) + j) % if multi { 4 } else { 3 };
+                    if multi {
+                        k as i8
+                    } else {
+                        [0, 1, -1][k as usize]
+                    }
+                })
+            })
+            .collect()
+    };
+    let cases = [
+        ("unforced binary", None, LfExecutor::default(), false),
+        (
+            "forced",
+            Some(ModelingStrategy::MomentMatching),
+            LfExecutor::default(),
+            false,
+        ),
+        (
+            "multi-class",
+            None,
+            LfExecutor::default().with_cardinality(3),
+            true,
+        ),
+    ];
+    for (case, force_strategy, executor, multi) in cases {
+        let (corpus, ids) = build_corpus(300);
+        let pipeline = Pipeline::new(PipelineConfig {
+            executor,
+            force_strategy: force_strategy.clone(),
+            ..PipelineConfig::default()
+        });
+        let (batch_labels, batch) = pipeline.run(&suite(multi), &corpus, &ids);
+
+        let mut session = IncrementalSession::new(
+            corpus,
+            SessionConfig {
+                executor,
+                force_strategy,
+                ..SessionConfig::default()
+            },
+        );
+        session.ingest_candidates(&ids);
+        for f in suite(multi) {
+            session.add_lf(f);
+        }
+        let (session_labels, refresh) = session.refresh();
+
+        assert_eq!(batch.strategy, refresh.strategy, "{case}: strategy");
+        assert_eq!(batch.backend, refresh.backend, "{case}: backend");
+        let (a, b) = (batch.predicted_advantage, refresh.predicted_advantage);
+        assert!(
+            a.to_bits() == b.to_bits() || (a.is_nan() && b.is_nan()),
+            "{case}: predicted advantage {a} (pipeline) vs {b} (session)"
+        );
+        assert_eq!(batch_labels, session_labels, "{case}: labels");
+        match case {
+            // The suite disagrees enough to reach the structure sweep.
+            "unforced binary" => assert!(
+                a.is_finite() && matches!(batch.strategy, ModelingStrategy::GenerativeModel { .. }),
+                "{case}: {:?} at bound {a}",
+                batch.strategy
+            ),
+            _ => assert!(a.is_nan(), "{case}: no bound"),
+        }
+    }
+}

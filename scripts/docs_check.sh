@@ -6,7 +6,7 @@
 # snapshot section, metric name, or bench binary exists in source but
 # is missing from its spec — and when a spec names a verb, opcode,
 # metric or bench that does not exist, a snapshot version other than
-# the one the code writes, or a retired knob — so the docs cannot
+# the one the code writes, or a retired knob or API — so the docs cannot
 # silently drift from the implementation in either direction.
 #
 # Run from the repo root:
@@ -99,6 +99,17 @@ fi
 # or its row threshold.
 if stale="$(grep -nE 'Scaleout|SCALEOUT_MIN_ROWS' README.md docs/*.md)"; then
     echo "docs-check: docs still name the retired scale-out knob:" >&2
+    echo "$stale" >&2
+    fail=1
+fi
+
+# --- Retired backend plug-ins and session knobs: the three backends are
+# built by one match, and the session always warm-starts and reuses its
+# structure sweep. (Bare `UnknownBackend` stays legal: it names the
+# snapshot decoder's `SnapError::UnknownBackend`.)
+if stale="$(grep -nE 'ModelRegistry::register|BackendBuilder|reuse_structure_on_column_edit|SessionConfig::warm_start' \
+    README.md docs/*.md)"; then
+    echo "docs-check: docs still name a retired backend plug-in or session knob:" >&2
     echo "$stale" >&2
     fail=1
 fi
