@@ -74,7 +74,9 @@ impl ModelingStrategy {
 pub struct OptimizerConfig {
     /// Advantage tolerance γ: predicted advantages below this select MV.
     pub gamma: f64,
-    /// Structure-search resolution η: ε grid spacing.
+    /// Structure-search resolution η: ε grid spacing. A non-finite or
+    /// non-positive η has no grid and skips the search, as
+    /// `skip_structure_search` does.
     pub eta: f64,
     /// Assumed minimum LF accuracy weight.
     pub w_min: f64,
@@ -213,6 +215,18 @@ fn uncorrelated_backend(lambda: &LabelMatrix, cfg: &OptimizerConfig) -> Modeling
     }
 }
 
+/// The ε grid for a structure-search resolution η: `i·η` for
+/// `i = 1 ..= max(1, ⌊1/(2η)⌋)`, descending so the elbow scan sees the
+/// count explode left to right. `None` for a non-finite or non-positive
+/// η, which has no grid: the caller skips the structure search.
+fn epsilon_grid(eta: f64) -> Option<Vec<f64>> {
+    if !(eta.is_finite() && eta > 0.0) {
+        return None;
+    }
+    let steps = ((1.0 / (2.0 * eta)).floor() as usize).max(1);
+    Some((1..=steps).rev().map(|i| i as f64 * eta).collect())
+}
+
 /// Algorithm 1: choose a modeling strategy (backend + structure) for a
 /// binary label matrix (panics on a multi-class one, which
 /// [`select_model`] handles).
@@ -225,19 +239,16 @@ pub fn choose_strategy(lambda: &LabelMatrix, cfg: &OptimizerConfig) -> StrategyD
             sweep: Vec::new(),
         };
     }
-    if cfg.skip_structure_search {
-        return StrategyDecision {
-            strategy: uncorrelated_backend(lambda, cfg),
-            predicted_advantage: predicted,
-            sweep: Vec::new(),
-        };
-    }
-
-    // ε grid: i·η for i = 1 .. 1/(2η), descending so the elbow scan sees
-    // the count explode left to right.
-    let steps = ((1.0 / (2.0 * cfg.eta)).floor() as usize).max(1);
-    let mut epsilons: Vec<f64> = (1..=steps).map(|i| i as f64 * cfg.eta).collect();
-    epsilons.reverse();
+    let epsilons = match epsilon_grid(cfg.eta) {
+        Some(grid) if !cfg.skip_structure_search => grid,
+        _ => {
+            return StrategyDecision {
+                strategy: uncorrelated_backend(lambda, cfg),
+                predicted_advantage: predicted,
+                sweep: Vec::new(),
+            }
+        }
+    };
 
     let sweep_full = structure_sweep(lambda, &epsilons, &cfg.structure);
     let sweep: Vec<(f64, usize)> = sweep_full.iter().map(|(e, c, _)| (*e, *c)).collect();
@@ -372,10 +383,8 @@ mod tests {
         assert_eq!(elbow_point(&[]), 0);
     }
 
-    #[test]
-    fn full_algorithm_with_correlated_suite() {
-        // Duplicated LFs at mid density: expect GM with the duplicate
-        // pair selected at the chosen ε.
+    /// Four LFs at mid density plus a duplicate of LF 0 as LF 4.
+    fn duplicated_suite() -> LabelMatrix {
         let mut rng = StdRng::seed_from_u64(8);
         let mut b = LabelMatrixBuilder::new(1500, 5);
         for i in 0..1500 {
@@ -394,7 +403,14 @@ mod tests {
                 b.set(i, 4, v0); // duplicate of LF 0
             }
         }
-        let lambda = b.build();
+        b.build()
+    }
+
+    #[test]
+    fn full_algorithm_with_correlated_suite() {
+        // Duplicated LFs at mid density: expect GM with the duplicate
+        // pair selected at the chosen ε.
+        let lambda = duplicated_suite();
         let d = choose_strategy(&lambda, &OptimizerConfig::default());
         match &d.strategy {
             ModelingStrategy::GenerativeModel { correlations, .. } => {
@@ -406,6 +422,38 @@ mod tests {
             other => panic!("expected GM, got {other:?}"),
         }
         assert!(!d.sweep.is_empty());
+    }
+
+    #[test]
+    fn epsilon_grid_descends_in_eta_steps() {
+        assert_eq!(
+            epsilon_grid(0.1).unwrap(),
+            vec![0.5, 0.4, 0.30000000000000004, 0.2, 0.1]
+        );
+        // η past 1/2 still gives one grid point.
+        assert_eq!(epsilon_grid(0.8).unwrap(), vec![0.8]);
+    }
+
+    #[test]
+    fn a_bad_eta_skips_the_structure_search() {
+        let lambda = duplicated_suite();
+        let skip = choose_strategy(
+            &lambda,
+            &OptimizerConfig {
+                skip_structure_search: true,
+                ..OptimizerConfig::default()
+            },
+        );
+        for eta in [0.0, -0.1, f64::NAN, f64::INFINITY] {
+            assert!(epsilon_grid(eta).is_none(), "η = {eta} has a grid");
+            let cfg = OptimizerConfig {
+                eta,
+                ..OptimizerConfig::default()
+            };
+            let d = choose_strategy(&lambda, &cfg);
+            assert_eq!(d.strategy, skip.strategy, "η = {eta}");
+            assert!(d.sweep.is_empty(), "η = {eta} ran a sweep");
+        }
     }
 
     #[test]

@@ -1,17 +1,19 @@
-//! The allocation budget of the correlated trainer, enforced: nothing
+//! The allocation budget of the two training kernels, enforced: nothing
 //! allocates inside an epoch. A counting global allocator
 //! ([`snorkel_arena::CountingAlloc`]) observes a correlated CD/Gibbs
-//! fit at two epoch counts; the counts must be equal, i.e. every buffer
-//! is built before the first epoch.
+//! fit and a structure-learning pass at two epoch counts; the counts
+//! must be equal, i.e. every buffer is built before the first epoch.
 //!
 //! As in `crates/serve/tests/no_alloc_read_path.rs`, the budget is
 //! asserted only in release builds (debug builds of generic std code may
 //! allocate where release builds do not) and a debug run reports the
-//! counts. The counter is per thread; the fit runs on the measuring
-//! thread.
+//! counts. The counter is per thread: the fit runs on the measuring
+//! thread, and so does the first run of structure-learning targets (the
+//! calling thread is one of the sweep's workers).
 
 use snorkel_arena::alloc_check::allocations_in;
 use snorkel_core::model::{GenerativeModel, LabelScheme, TrainConfig};
+use snorkel_core::structure::{learn_structure, StructureConfig};
 use snorkel_datasets::synthetic::independent_matrix;
 use snorkel_matrix::LabelMatrix;
 
@@ -48,4 +50,20 @@ fn correlated_fit_allocates_nothing_per_epoch() {
         allocations_in(|| gm.fit(&lambda, &cfg)).0
     };
     assert_same_budget("correlated fit", fit(1), fit(10));
+}
+
+#[test]
+fn structure_sweep_allocates_nothing_per_epoch() {
+    let lambda = matrix();
+    let learn = |epochs: usize| {
+        // ε above every fitted weight: no pair is selected at either
+        // epoch count, so the report's own vectors stay out of the count.
+        let cfg = StructureConfig {
+            epochs,
+            epsilon: 10.0,
+            ..StructureConfig::default()
+        };
+        allocations_in(|| learn_structure(&lambda, &cfg)).0
+    };
+    assert_same_budget("structure sweep", learn(1), learn(20));
 }
