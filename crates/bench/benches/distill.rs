@@ -83,9 +83,9 @@ fn main() {
     let plan = ShardedMatrix::build(&lambda, 0);
 
     // Label model: the moment backend (deployment-scale default).
-    let mut lm = MomentModel::new(n, LabelScheme::Binary);
+    let mut lm = LabelModel::Moment(MomentModel::new(n, LabelScheme::Binary));
     lm.fit(&lambda, Some(&plan), &TrainConfig::default());
-    let marginals = LabelModel::marginals(&lm, &lambda, Some(&plan));
+    let marginals = lm.marginals(&lambda, Some(&plan));
 
     // 1. Distillation cost (the post-REFRESH retrain).
     let trainer = DiscTrainer::new(DiscTrainerConfig::with_dim(DIM));

@@ -67,10 +67,7 @@ fn main() {
     let cfg = TrainConfig::default();
     let scheme = LabelScheme::Binary;
 
-    let mv_fit = median_secs(iters, || {
-        let mut mv = MajorityVoteModel::new(n, scheme);
-        mv.fit(&lambda, Some(&plan), &cfg)
-    });
+    let mv_fit = median_secs(iters, || MajorityVoteModel::new(n, scheme).fit(&lambda));
     let moment_fit = median_secs(iters, || {
         let mut mm = MomentModel::new(n, scheme);
         mm.fit(&lambda, Some(&plan), &cfg)
@@ -81,11 +78,11 @@ fn main() {
     });
 
     // Marginal quality gap between the two trained backends.
-    let mut mm = MomentModel::new(n, scheme);
+    let mut mm = LabelModel::Moment(MomentModel::new(n, scheme));
     mm.fit(&lambda, Some(&plan), &cfg);
     let mut gm = GenerativeModel::new(n, scheme);
     gm.fit_with(&lambda, &plan, &cfg);
-    let approx = LabelModel::marginals(&mm, &lambda, Some(&plan));
+    let approx = mm.marginals(&lambda, Some(&plan));
     let exact = gm.marginals_with(&lambda, &plan);
     let sup_gap = approx
         .iter()

@@ -106,7 +106,7 @@ fn main() {
     // Cold: the statistics pass over all rows the online path skips.
     let cold_fit = median_secs(iters, || {
         let mut mm = MomentModel::new(n, scheme);
-        snorkel_core::label_model::LabelModel::fit(&mut mm, &spliced, None, &cfg);
+        mm.fit(&spliced, None, &cfg);
         mm
     });
 

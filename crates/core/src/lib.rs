@@ -6,12 +6,12 @@
 //! * [`vote`] — unweighted / weighted majority vote, and the **modeling
 //!   advantage** `A_w` of Definition 1 (how much a weighted combination
 //!   improves on majority vote).
-//! * [`label_model`] — the **pluggable backend API**: the
-//!   [`label_model::LabelModel`] trait every label model implements
-//!   (fit / warm refit / plan-aware marginals / tagged snapshots), the
-//!   zero-cost majority-vote backend, the closed-form method-of-moments
-//!   backend, and [`label_model::ModelRegistry::build`], the one `match`
-//!   from the optimizer's strategy to its backend.
+//! * [`label_model`] — the **label-model backends**: the
+//!   [`label_model::LabelModel`] enum over the three of them (fit / warm
+//!   refit / plan-aware marginals, one `match` each), the zero-cost
+//!   majority-vote backend, the closed-form method-of-moments backend,
+//!   and [`label_model::ModelRegistry::build`], the one `match` from the
+//!   optimizer's strategy to its variant.
 //! * [`model`] — the exact **generative label model** `p_w(Λ, Y)` of
 //!   §2.2: labeling-propensity, accuracy, and pairwise-correlation
 //!   factors, trained without ground truth by SGD on the negative log
@@ -50,7 +50,7 @@ pub mod pipeline;
 pub mod structure;
 pub mod vote;
 
-pub use label_model::{LabelModel, MajorityVoteModel, ModelRegistry, ModelSnapshot, MomentModel};
+pub use label_model::{LabelModel, MajorityVoteModel, ModelRegistry, MomentModel};
 pub use model::{
     ClassBalance, FitReport, GenerativeModel, LabelScheme, ModelParams, ParamsError, TrainConfig,
 };

@@ -237,9 +237,10 @@ pub struct FitReport {
 /// Why a [`ModelParams`] value cannot be a fitted model — the typed
 /// decode-validation surface for untrusted parameter blobs (snapshot
 /// files, wire payloads). Every variant names exactly the invariant that
-/// was violated, so callers ([`crate::label_model::ModelSnapshot`],
-/// `snorkel-incr`'s thaw path, `snorkel-serve`'s snapshot reader) can
-/// propagate it without flattening to strings.
+/// was violated, so callers (`snorkel-serve`'s snapshot reader, through
+/// [`GenerativeModel::from_params`] and
+/// [`crate::label_model::MomentModel::from_params`]) can propagate it
+/// without flattening to strings.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ParamsError {
     /// Cardinality below 2 cannot describe a labeling task.

@@ -56,8 +56,9 @@ pub enum ModelingStrategy {
 }
 
 impl ModelingStrategy {
-    /// The [`LabelModel::backend_name`](crate::label_model::LabelModel::backend_name)
-    /// of the backend this strategy selects.
+    /// The [`backend_name`](crate::label_model::LabelModel::backend_name)
+    /// of the [`LabelModel`](crate::label_model::LabelModel) variant this
+    /// strategy selects.
     pub fn backend_name(&self) -> &'static str {
         match self {
             ModelingStrategy::MajorityVote => BACKEND_MAJORITY_VOTE,

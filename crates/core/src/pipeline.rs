@@ -180,10 +180,10 @@ pub struct PipelineReport {
     pub label_density: f64,
     /// Stage timings.
     pub timings: PipelineTimings,
-    /// The fitted label model. Downcast to read backend-specific state,
-    /// e.g. `report.model.downcast_ref::<GenerativeModel>()` for the
+    /// The fitted label model. Match on the variant to read
+    /// backend-specific state, e.g. `LabelModel::Generative(gm)` for the
     /// exact backend's accuracy weights.
-    pub model: Box<dyn LabelModel>,
+    pub model: LabelModel,
     /// The distilled discriminative model, when the
     /// [`PipelineConfig::distill`] stage ran — it answers for
     /// candidates *outside* Λ's coverage.
@@ -338,10 +338,7 @@ mod tests {
             ModelingStrategy::GenerativeModel { .. }
         ));
         assert_eq!(report.backend, "generative");
-        assert!(report
-            .model
-            .downcast_ref::<crate::model::GenerativeModel>()
-            .is_some());
+        assert!(matches!(report.model, LabelModel::Generative(_)));
         assert_eq!(labels.len(), 2000);
         // Probabilistic labels should beat coin-flipping on gold. The
         // Bayes-optimal accuracy for this suite (accs 0.9..0.6 at 50%
@@ -365,10 +362,7 @@ mod tests {
         let (labels, report) = run_pipeline(&lambda);
         assert_eq!(report.strategy, ModelingStrategy::MajorityVote);
         assert_eq!(report.backend, "majority-vote");
-        assert!(report
-            .model
-            .downcast_ref::<crate::label_model::MajorityVoteModel>()
-            .is_some());
+        assert!(matches!(report.model, LabelModel::MajorityVote(_)));
         assert!(report.timings.training < report.timings.total);
         // Uniform rows where nothing voted.
         assert!(labels.iter().any(|l| (l[0] - 0.5).abs() < 1e-12));

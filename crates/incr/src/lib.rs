@@ -19,9 +19,9 @@
 //! * **Delta Λ updates** — the cache feeds
 //!   [`snorkel_matrix::MatrixDelta`] column splices and row appends, so
 //!   Λ is patched in place, bit-identical to a full rebuild.
-//! * **Warm-start training** — the session holds whatever
-//!   [`snorkel_core::label_model::LabelModel`] backend the optimizer
-//!   selected and refits it through the trait's `fit_warm`: the exact
+//! * **Warm-start training** — the session holds whichever
+//!   [`snorkel_core::label_model::LabelModel`] variant the optimizer
+//!   selected and refits it through its `fit_warm`: the exact
 //!   generative backend restarts EM from the previous refresh's
 //!   parameters (edited columns re-enter at their conditional MLE),
 //!   converging to the same optimizer-independent fixed point as a cold

@@ -6,8 +6,8 @@ use std::sync::OnceLock;
 use std::time::Duration;
 
 use snorkel_context::{CandidateId, CandidateView, Corpus};
-use snorkel_core::label_model::{LabelModel, ModelRegistry, ModelSnapshot};
-use snorkel_core::model::{LabelScheme, ParamsError, TrainConfig};
+use snorkel_core::label_model::{LabelModel, ModelRegistry};
+use snorkel_core::model::{LabelScheme, TrainConfig};
 use snorkel_core::optimizer::{
     advantage_upper_bound, select_model, ModelingStrategy, OptimizerConfig,
 };
@@ -349,8 +349,8 @@ pub struct FrozenSession {
     /// The sharded pattern plan of the last refresh (present exactly
     /// when `lambda` is).
     pub plan: Option<ShardedMatrixParts>,
-    /// The label model of the last refresh, tagged with its backend.
-    pub model: Option<ModelSnapshot>,
+    /// The label model of the last refresh.
+    pub model: Option<LabelModel>,
     /// Column-aligned fingerprint layout at the last refresh.
     pub last_fingerprints: Vec<Fingerprint>,
     /// Row count at the last refresh.
@@ -388,9 +388,6 @@ pub enum ThawError {
     /// hand-edited snapshot, or a corpus that does not cover the
     /// registered candidates).
     Inconsistent(String),
-    /// The frozen label model's parameters violate a structural
-    /// invariant (see [`ParamsError`]).
-    Model(ParamsError),
 }
 
 impl std::fmt::Display for ThawError {
@@ -398,25 +395,11 @@ impl std::fmt::Display for ThawError {
         match self {
             ThawError::SuiteMismatch(msg) => write!(f, "LF suite mismatch: {msg}"),
             ThawError::Inconsistent(msg) => write!(f, "inconsistent frozen state: {msg}"),
-            ThawError::Model(e) => write!(f, "invalid frozen model: {e}"),
         }
     }
 }
 
-impl std::error::Error for ThawError {
-    fn source(&self) -> Option<&(dyn std::error::Error + 'static)> {
-        match self {
-            ThawError::Model(e) => Some(e),
-            _ => None,
-        }
-    }
-}
-
-impl From<ParamsError> for ThawError {
-    fn from(e: ParamsError) -> Self {
-        ThawError::Model(e)
-    }
-}
+impl std::error::Error for ThawError {}
 
 /// The incremental labeling engine's façade: an interactive-session
 /// counterpart to the batch [`snorkel_core::pipeline::Pipeline`].
@@ -451,7 +434,7 @@ pub struct IncrementalSession {
     plan: Option<ShardedMatrix>,
     /// The label-model backend of the last refresh (whatever the
     /// optimizer selected — majority vote included).
-    model: Option<Box<dyn LabelModel>>,
+    model: Option<LabelModel>,
     /// Fingerprint layout at the last refresh (column-aligned).
     last_fingerprints: Vec<Fingerprint>,
     /// Row count at the last refresh.
@@ -585,16 +568,16 @@ impl IncrementalSession {
         self.lambda.as_ref()
     }
 
-    /// The label model of the last refresh (any backend; downcast for
-    /// backend-specific state, e.g.
-    /// `session.model()?.downcast_ref::<GenerativeModel>()`).
-    pub fn model(&self) -> Option<&dyn LabelModel> {
-        self.model.as_deref()
+    /// The label model of the last refresh (any backend; match on the
+    /// variant for backend-specific state, e.g.
+    /// `if let Some(LabelModel::Generative(gm)) = session.model()`).
+    pub fn model(&self) -> Option<&LabelModel> {
+        self.model.as_ref()
     }
 
     /// Name of the active label-model backend (after the first refresh).
     pub fn backend_name(&self) -> Option<&'static str> {
-        self.model.as_deref().map(LabelModel::backend_name)
+        self.model.as_ref().map(LabelModel::backend_name)
     }
 
     /// The live sharded pattern plan (after the first refresh).
@@ -687,7 +670,7 @@ impl IncrementalSession {
     pub fn disc_training_set(&mut self) -> Option<DiscTrainingSet> {
         let config = self.distill_config()?;
         let lambda = self.lambda.as_ref()?;
-        let model = self.model.as_deref()?;
+        let model = self.model.as_ref()?;
         // Serve the marginals the refresh just computed; recompute only
         // when none are cached (e.g. a freshly thawed session).
         let marginals = match &self.last_marginals {
@@ -893,7 +876,7 @@ impl IncrementalSession {
             cache: self.cache.export(),
             lambda: self.lambda.clone(),
             plan: self.plan.as_ref().map(ShardedMatrix::to_parts),
-            model: self.model.as_deref().map(LabelModel::to_snapshot),
+            model: self.model.clone(),
             last_fingerprints: self.last_fingerprints.clone(),
             last_rows: self.last_rows,
             last_gm_strategy: self.last_gm_strategy.clone(),
@@ -1052,26 +1035,21 @@ impl IncrementalSession {
                 Some(plan)
             }
         };
-        let model = match model {
-            None => None,
-            Some(snapshot) => {
-                let model = snapshot.restore()?;
-                if model.num_lfs() != last_fingerprints.len() {
-                    return Err(ThawError::Inconsistent(format!(
-                        "{} model covers {} LFs but the last refresh had {}",
-                        model.backend_name(),
-                        model.num_lfs(),
-                        last_fingerprints.len()
-                    )));
-                }
-                if model.scheme() != LabelScheme::from_cardinality(cardinality) {
-                    return Err(ThawError::Inconsistent(
-                        "model scheme != executor cardinality".into(),
-                    ));
-                }
-                Some(model)
+        if let Some(model) = &model {
+            if model.num_lfs() != last_fingerprints.len() {
+                return Err(ThawError::Inconsistent(format!(
+                    "{} model covers {} LFs but the last refresh had {}",
+                    model.backend_name(),
+                    model.num_lfs(),
+                    last_fingerprints.len()
+                )));
             }
-        };
+            if model.scheme() != LabelScheme::from_cardinality(cardinality) {
+                return Err(ThawError::Inconsistent(
+                    "model scheme != executor cardinality".into(),
+                ));
+            }
+        }
         if let Some((
             ModelingStrategy::GenerativeModel {
                 correlations,
@@ -1355,9 +1333,9 @@ impl IncrementalSession {
                     .collect();
                 let fresh: Vec<usize> = (0..n).filter(|&j| col_map[j].is_none()).collect();
                 let remapped = prev.remapped(&col_map);
-                model.fit_warm(lambda, Some(plan), train_cfg, remapped.as_ref(), &fresh)
+                model.fit_warm(lambda, Some(plan), train_cfg, &remapped, &fresh)
             } else {
-                model.fit_warm(lambda, Some(plan), train_cfg, prev.as_ref(), &changed_cols)
+                model.fit_warm(lambda, Some(plan), train_cfg, &prev, &changed_cols)
             }
         } else {
             model.fit(lambda, Some(plan), train_cfg)
@@ -1515,7 +1493,7 @@ impl IncrementalSession {
         // 4. Online refit from the running statistics — the steady-state
         //    fast path the streaming bench gates: O(n³) in the LF count,
         //    independent of the corpus size.
-        let online_fit = match self.model.as_deref_mut() {
+        let online_fit = match self.model.as_mut() {
             Some(model) => model
                 .fit_online(stream.stats(), &self.config.train)
                 .is_some(),

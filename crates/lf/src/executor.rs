@@ -322,24 +322,37 @@ mod tests {
     #[test]
     fn apply_publishes_per_lf_counters() {
         let (c, ids) = corpus(9);
+        // The counters are process-global and the other tests here apply
+        // `suite()` concurrently, so this test's LFs carry names no other
+        // test uses; the exact deltas below are then this test's alone.
+        let lfs: Vec<BoxedLf> = vec![
+            lf("counted_causes", |x| {
+                if x.words_between(0, 1).contains(&"causes") {
+                    1
+                } else {
+                    0
+                }
+            }),
+            lf("counted_abstainer", |_| 0),
+        ];
         let registry = snorkel_obs::global();
-        // The global registry is shared across tests, so assert deltas.
-        let inv = registry.counter("snorkel_lf_invocations_total", &[("lf", "lf_abstainer")]);
-        let abs = registry.counter("snorkel_lf_abstains_total", &[("lf", "lf_abstainer")]);
-        let causes_abs = registry.counter("snorkel_lf_abstains_total", &[("lf", "lf_causes")]);
+        let inv = registry.counter(
+            "snorkel_lf_invocations_total",
+            &[("lf", "counted_abstainer")],
+        );
+        let abs = registry.counter("snorkel_lf_abstains_total", &[("lf", "counted_abstainer")]);
+        let causes_abs = registry.counter("snorkel_lf_abstains_total", &[("lf", "counted_causes")]);
         let (inv0, abs0, causes_abs0) = (inv.get(), abs.get(), causes_abs.get());
-        let _ = LfExecutor::new().apply(&suite(), &c, &ids);
+        let _ = LfExecutor::new().apply(&lfs, &c, &ids);
         assert_eq!(inv.get() - inv0, 9);
-        assert_eq!(abs.get() - abs0, 9, "lf_abstainer always abstains");
+        assert_eq!(abs.get() - abs0, 9, "counted_abstainer always abstains");
         assert_eq!(
             causes_abs.get() - causes_abs0,
             6,
-            "lf_causes votes on every third"
+            "counted_causes votes on every third"
         );
         // Parallel path flushes the same tallies.
-        let _ = LfExecutor::new()
-            .with_parallelism(4)
-            .apply(&suite(), &c, &ids);
+        let _ = LfExecutor::new().with_parallelism(4).apply(&lfs, &c, &ids);
         assert_eq!(inv.get() - inv0, 18);
         assert_eq!(abs.get() - abs0, 18);
     }

@@ -421,7 +421,7 @@ fn row_at<'a>(
 /// `model = None` the posterior is the majority vote over `num_lfs`
 /// columns, mirroring the session's MV labeling path.
 pub fn posterior_row(
-    model: Option<&dyn LabelModel>,
+    model: Option<&LabelModel>,
     num_lfs: usize,
     cardinality: u8,
     cols: &[u32],

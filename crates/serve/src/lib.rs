@@ -10,10 +10,9 @@
 //!
 //! * [`snap`] — a hand-rolled, versioned, checksummed binary snapshot
 //!   format round-tripping the label matrix (CSR), the label model
-//!   (backend-tagged
-//!   [`ModelSnapshot`](snorkel_core::label_model::ModelSnapshot) +
-//!   [`TrainConfig`](snorkel_core::TrainConfig)), the `snorkel-incr`
-//!   LF-result cache, and the sharded
+//!   (a [`LabelModel`](snorkel_core::label_model::LabelModel) under its
+//!   backend tag, + [`TrainConfig`](snorkel_core::TrainConfig)), the
+//!   `snorkel-incr` LF-result cache, and the sharded
 //!   [`PatternIndex`](snorkel_matrix::PatternIndex) — so a restarted
 //!   process warm-starts in milliseconds instead of re-running every LF
 //!   and re-fitting from scratch, on the *same backend* it was running.

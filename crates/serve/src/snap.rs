@@ -65,8 +65,10 @@
 use std::io::Write as _;
 use std::path::Path;
 
-use snorkel_core::label_model::{ModelSnapshot, MomentStatsParts};
-use snorkel_core::model::{ClassBalance, ModelParams, ParamsError, TrainConfig};
+use snorkel_core::label_model::{LabelModel, MajorityVoteModel, MomentModel, MomentStatsParts};
+use snorkel_core::model::{
+    ClassBalance, GenerativeModel, LabelScheme, ModelParams, ParamsError, TrainConfig,
+};
 use snorkel_core::optimizer::ModelingStrategy;
 use snorkel_core::pipeline::DiscTrainerConfig;
 use snorkel_disc::{DiscModelParts, DistillConfig, TextFeaturizer};
@@ -771,24 +773,21 @@ fn dec_plan(r: &mut Reader<'_>) -> Result<ShardedMatrixParts, SnapError> {
 }
 
 /// The model payload: backend tag byte, then the backend's state.
-fn enc_model(m: &ModelSnapshot) -> Vec<u8> {
+fn enc_model(m: &LabelModel) -> Vec<u8> {
     let mut w = Writer::new();
     match m {
-        ModelSnapshot::Generative(p) => {
+        LabelModel::Generative(gm) => {
             w.put_u8(MODEL_TAG_GENERATIVE);
-            enc_model_params(&mut w, p);
+            enc_model_params(&mut w, &gm.to_params());
         }
-        ModelSnapshot::MajorityVote {
-            cardinality,
-            num_lfs,
-        } => {
+        LabelModel::MajorityVote(_) => {
             w.put_u8(MODEL_TAG_MAJORITY_VOTE);
-            w.put_u8(*cardinality);
-            w.put_usize(*num_lfs);
+            w.put_u8(m.scheme().cardinality());
+            w.put_usize(m.num_lfs());
         }
-        ModelSnapshot::MomentMatching(p) => {
+        LabelModel::Moment(mm) => {
             w.put_u8(MODEL_TAG_MOMENT);
-            enc_model_params(&mut w, p);
+            enc_model_params(&mut w, &mm.to_params());
         }
     }
     w.into_bytes()
@@ -815,27 +814,31 @@ fn enc_model_params(w: &mut Writer, m: &ModelParams) {
     put_f64s(w, &m.b_class);
 }
 
-/// Decode and structurally validate the (tagged) model section.
-/// Unknown backend tags and invalid parameters are typed errors.
-fn dec_model(r: &mut Reader<'_>) -> Result<ModelSnapshot, SnapError> {
-    let snapshot = match r.u8("model backend tag")? {
-        MODEL_TAG_GENERATIVE => ModelSnapshot::Generative(dec_model_params(r)?),
+/// Decode the (tagged) model section into the model it encodes,
+/// validating it on the way. Unknown backend tags and invalid
+/// parameters are typed errors.
+fn dec_model(r: &mut Reader<'_>) -> Result<LabelModel, SnapError> {
+    Ok(match r.u8("model backend tag")? {
+        MODEL_TAG_GENERATIVE => {
+            LabelModel::Generative(GenerativeModel::from_params(dec_model_params(r)?)?)
+        }
         MODEL_TAG_MAJORITY_VOTE => {
             let cardinality = r.u8("model cardinality")?;
             let num_lfs = r.usize("model LF count")?;
             if !r.is_exhausted() {
                 return Err(corrupt("trailing bytes in MODL"));
             }
-            ModelSnapshot::MajorityVote {
-                cardinality,
-                num_lfs,
+            if cardinality < 2 {
+                return Err(ParamsError::BadCardinality { found: cardinality }.into());
             }
+            LabelModel::MajorityVote(MajorityVoteModel::new(
+                num_lfs,
+                LabelScheme::from_cardinality(cardinality),
+            ))
         }
-        MODEL_TAG_MOMENT => ModelSnapshot::MomentMatching(dec_model_params(r)?),
+        MODEL_TAG_MOMENT => LabelModel::Moment(MomentModel::from_params(dec_model_params(r)?)?),
         tag => return Err(SnapError::UnknownBackend { tag }),
-    };
-    snapshot.validate()?;
-    Ok(snapshot)
+    })
 }
 
 fn dec_model_params(r: &mut Reader<'_>) -> Result<ModelParams, SnapError> {

@@ -6,10 +6,10 @@
 use proptest::prelude::*;
 
 use snorkel_context::{CandidateId, Corpus};
-use snorkel_core::label_model::ModelSnapshot;
-use snorkel_core::model::ParamsError;
+use snorkel_core::label_model::{LabelModel, MajorityVoteModel, MomentModel};
+use snorkel_core::model::{GenerativeModel, LabelScheme, ModelParams, ParamsError, TrainConfig};
 use snorkel_core::optimizer::ModelingStrategy;
-use snorkel_incr::{IncrementalSession, SessionConfig};
+use snorkel_incr::{FrozenCache, FrozenSession, IncrementalSession, SessionConfig};
 use snorkel_lf::{lf, BoxedLf, LfExecutor, Vote};
 use snorkel_matrix::ShardedMatrix;
 use snorkel_nlp::tokenize;
@@ -217,10 +217,10 @@ fn fnv1a(bytes: &[u8]) -> u64 {
     h
 }
 
-/// Patch one byte inside a section's payload, then re-seal the section
+/// Overwrite bytes inside a section's payload, then re-seal the section
 /// and header checksums so the corruption reaches the semantic decoder
 /// instead of tripping the checksum layer.
-fn patch_section(bytes: &mut [u8], tag: &[u8; 4], offset_in_section: usize, value: u8) {
+fn patch_section(bytes: &mut [u8], tag: &[u8; 4], offset_in_section: usize, value: &[u8]) {
     let count = u32::from_le_bytes(bytes[12..16].try_into().unwrap()) as usize;
     let header_end = 16 + 28 * count + 8;
     for s in 0..count {
@@ -230,7 +230,8 @@ fn patch_section(bytes: &mut [u8], tag: &[u8; 4], offset_in_section: usize, valu
         }
         let off = u64::from_le_bytes(bytes[at + 4..at + 12].try_into().unwrap()) as usize;
         let len = u64::from_le_bytes(bytes[at + 12..at + 20].try_into().unwrap()) as usize;
-        bytes[off + offset_in_section] = value;
+        let at_value = off + offset_in_section;
+        bytes[at_value..at_value + value.len()].copy_from_slice(value);
         let checksum = fnv1a(&bytes[off..off + len]);
         bytes[at + 20..at + 28].copy_from_slice(&checksum.to_le_bytes());
         let header_checksum = fnv1a(&bytes[..header_end - 8]);
@@ -275,7 +276,7 @@ fn unknown_backend_tag_is_a_typed_error() {
     let mut bytes = snapshot_of(&session).to_bytes();
     // The MODL section opens with the backend tag byte; overwrite it
     // with an unassigned value and re-seal the checksums.
-    patch_section(&mut bytes, b"MODL", 0, 200);
+    patch_section(&mut bytes, b"MODL", 0, &[200]);
     match Snapshot::from_bytes(&bytes) {
         Err(SnapError::UnknownBackend { tag: 200 }) => {}
         other => panic!("want UnknownBackend, got {other:?}"),
@@ -284,18 +285,120 @@ fn unknown_backend_tag_is_a_typed_error() {
 
 #[test]
 fn corrupt_model_params_are_typed_errors() {
-    let session = session_for(20, &[61, 62], 2);
-    let mut snapshot = snapshot_of(&session);
     // Poison a weight in the encoded model; the decoder must refuse
-    // with the typed ParamsError, not thaw a NaN model.
-    match &mut snapshot.session.model {
-        Some(ModelSnapshot::Generative(params)) => params.w_acc[0] = f64::NAN,
-        other => panic!("expected a generative model, got {other:?}"),
+    // with the typed ParamsError, not thaw a NaN model. A weighted
+    // MODL section is: tag u8, cardinality u8, LF count u64, w_lab
+    // length u64 and its n f64s, w_acc length u64 — so w_acc[0] starts
+    // at byte 26 + 8n.
+    let generative = ModelingStrategy::GenerativeModel {
+        epsilon: 0.0,
+        correlations: Vec::new(),
+        strengths: Vec::new(),
+    };
+    for strategy in [generative, ModelingStrategy::MomentMatching] {
+        let session = session_with_strategy(20, &[61, 62], 2, strategy);
+        let mut bytes = snapshot_of(&session).to_bytes();
+        let w_acc_0 = 26 + 8 * session.num_lfs();
+        patch_section(&mut bytes, b"MODL", w_acc_0, &f64::NAN.to_le_bytes());
+        match Snapshot::from_bytes(&bytes) {
+            Err(SnapError::Model(ParamsError::NonFiniteWeight { field: "w_acc" })) => {}
+            other => panic!("want Model(NonFiniteWeight), got {other:?}"),
+        }
     }
-    let bytes = snapshot.to_bytes();
+    // A majority-vote section with a cardinality byte below 2.
+    let session = session_with_strategy(20, &[61, 62], 2, ModelingStrategy::MajorityVote);
+    let mut bytes = snapshot_of(&session).to_bytes();
+    patch_section(&mut bytes, b"MODL", 1, &[1]);
     match Snapshot::from_bytes(&bytes) {
-        Err(SnapError::Model(ParamsError::NonFiniteWeight { field: "w_acc" })) => {}
-        other => panic!("want Model(NonFiniteWeight), got {other:?}"),
+        Err(SnapError::Model(ParamsError::BadCardinality { found: 1 })) => {}
+        other => panic!("want Model(BadCardinality), got {other:?}"),
+    }
+}
+
+/// A snapshot of a session that holds one model and nothing else — no
+/// candidates, LFs, matrix or plan — so its bytes depend only on that
+/// model and the default training configuration.
+fn model_only_snapshot(model: LabelModel) -> Snapshot {
+    Snapshot {
+        session: FrozenSession {
+            candidates: Vec::new(),
+            versions: Vec::new(),
+            suite: Vec::new(),
+            cache: FrozenCache {
+                capacity: 1,
+                stats: Default::default(),
+                columns: Vec::new(),
+            },
+            lambda: None,
+            plan: None,
+            model: Some(model),
+            last_fingerprints: Vec::new(),
+            last_rows: 0,
+            last_gm_strategy: None,
+            refresh_generation: 0,
+            disc: None,
+            stream: None,
+        },
+        train: TrainConfig::default(),
+        repl: None,
+    }
+}
+
+/// Hand-written binary weights over four LFs (no training involved).
+fn pinned_params(
+    corr_pairs: Vec<(usize, usize)>,
+    w_corr: Vec<f64>,
+    corr_strength: Vec<f64>,
+) -> ModelParams {
+    ModelParams {
+        cardinality: 2,
+        num_lfs: 4,
+        w_lab: vec![-1.25, -0.5, 0.75, -2.0],
+        w_acc: vec![1.5, 0.25, -0.125, 2.75],
+        corr_pairs,
+        w_corr,
+        corr_strength,
+        b_class: vec![0.375, -0.375],
+    }
+}
+
+/// The encoded bytes of one fixed model per backend are pinned by their
+/// FNV-1a digest: a moved digest means the MODL layout (or another
+/// section's) changed, which takes a `FORMAT_VERSION` bump.
+#[test]
+fn model_section_bytes_are_pinned() {
+    let generative = GenerativeModel::from_params(pinned_params(
+        vec![(0, 1), (2, 3)],
+        vec![0.625, -0.875],
+        vec![1.0, 0.5],
+    ))
+    .expect("valid generative params");
+    let moment = MomentModel::from_params(pinned_params(Vec::new(), Vec::new(), Vec::new()))
+        .expect("valid moment params");
+    for (model, digest, len) in [
+        (
+            LabelModel::MajorityVote(MajorityVoteModel::new(5, LabelScheme::from_cardinality(3))),
+            0x3cd4_b987_c59f_cc31u64,
+            326,
+        ),
+        (
+            LabelModel::Generative(generative),
+            0x773e_39b1_75f0_84ee,
+            518,
+        ),
+        (LabelModel::Moment(moment), 0x9a31_6015_1e52_8052, 454),
+    ] {
+        let backend = model.backend_name();
+        let bytes = model_only_snapshot(model).to_bytes();
+        assert_eq!(bytes.len(), len, "{backend} snapshot length");
+        assert_eq!(fnv1a(&bytes), digest, "{backend} snapshot digest");
+        assert_eq!(
+            Snapshot::from_bytes(&bytes)
+                .expect("pinned bytes parse")
+                .to_bytes(),
+            bytes,
+            "{backend} snapshot re-encodes to the same bytes"
+        );
     }
 }
 
@@ -541,7 +644,7 @@ fn corrupt_strm_section_is_a_typed_error() {
     // Byte 8 of STRM is the statistics' cardinality (after the u64 LF
     // count); zeroing it is semantic corruption the stream crate's own
     // thaw validation must catch, surfaced as a typed snapshot error.
-    patch_section(&mut bytes, b"STRM", 8, 0);
+    patch_section(&mut bytes, b"STRM", 8, &[0]);
     match Snapshot::from_bytes(&bytes) {
         Err(SnapError::Corrupt { context }) => {
             assert!(context.contains("STRM"), "unexpected context {context:?}")
@@ -556,7 +659,7 @@ fn corrupt_disc_section_is_a_typed_error() {
     let mut bytes = snapshot_of(&session).to_bytes();
     // Byte 8 of DISC starts the disc-generation u64 (bytes 0..8); set it
     // beyond the refresh generation: semantic corruption, not checksum.
-    patch_section(&mut bytes, b"DISC", 0, 0xFF);
+    patch_section(&mut bytes, b"DISC", 0, &[0xFF]);
     match Snapshot::from_bytes(&bytes) {
         Err(SnapError::Corrupt { context }) => {
             assert!(context.contains("disc"), "unexpected context {context:?}")

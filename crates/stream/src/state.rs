@@ -80,7 +80,8 @@ impl StreamState {
     }
 
     /// The running sufficient statistics (feed to
-    /// `MomentModel::fit_from_stats` / `LabelModel::fit_online`).
+    /// `MomentModel::fit_from_stats`, or `fit_online` on the
+    /// `LabelModel` enum).
     pub fn stats(&self) -> &MomentStats {
         &self.stats
     }

@@ -13,7 +13,7 @@
 use proptest::prelude::*;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use snorkel_core::label_model::{LabelModel, MomentModel, MomentStats};
+use snorkel_core::label_model::{MomentModel, MomentStats};
 use snorkel_core::model::{LabelScheme, TrainConfig};
 use snorkel_matrix::{LabelMatrixBuilder, Vote};
 use snorkel_stream::{DriftConfig, StreamState};

@@ -114,6 +114,15 @@ if stale="$(grep -nE 'ModelRegistry::register|BackendBuilder|reuse_structure_on_
     fail=1
 fi
 
+# --- Retired label-model trait: `LabelModel` is one closed enum, so no
+# doc may name the trait object, its downcast, or the separate snapshot
+# type it used to export.
+if stale="$(grep -nE 'ModelSnapshot|dyn LabelModel|downcast_ref|to_snapshot' README.md docs/*.md)"; then
+    echo "docs-check: docs still name the retired LabelModel trait API:" >&2
+    echo "$stale" >&2
+    fail=1
+fi
+
 # --- Metrics: two-way check against docs/OBSERVABILITY.md.
 # Registered names are string literals like "snorkel_serve_requests_total"
 # in the instrumented crates; documented names are the same tokens in the

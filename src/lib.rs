@@ -17,9 +17,9 @@
 //! * [`lf`] — the labeling-function interface: the [`lf::LabelingFunction`]
 //!   trait, declarative operators, generators, and the parallel executor.
 //! * [`matrix`] — the sparse label matrix `Λ` and labeling diagnostics.
-//! * [`core`] — the data-programming core: the pluggable
-//!   [`core::label_model::LabelModel`] backend API (majority vote,
-//!   closed-form moment estimator, exact generative model),
+//! * [`core`] — the data-programming core: the
+//!   [`core::label_model::LabelModel`] enum over the three backends
+//!   (majority vote, closed-form moment estimator, exact generative model),
 //!   dependency-structure learning, the Algorithm-1 model-selection
 //!   optimizer, and the end-to-end [`core::pipeline`].
 //! * [`incr`] — the incremental labeling engine for the interactive dev

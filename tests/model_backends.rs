@@ -40,11 +40,11 @@ fn moment_marginals_within_5e2_of_exact() {
 
     let mut exact = GenerativeModel::new(SUITE.len(), LabelScheme::Binary);
     exact.fit(&lambda, &cfg);
-    let mut moment = MomentModel::new(SUITE.len(), LabelScheme::Binary);
+    let mut moment = LabelModel::Moment(MomentModel::new(SUITE.len(), LabelScheme::Binary));
     moment.fit(&lambda, None, &cfg);
 
     let reference = exact.marginals(&lambda);
-    let approx = LabelModel::marginals(&moment, &lambda, None);
+    let approx = moment.marginals(&lambda, None);
     let mut sup = 0.0f64;
     let mut mean = 0.0f64;
     for (a, b) in approx.iter().zip(&reference) {
