@@ -322,10 +322,18 @@ impl DiscTrainingSet {
 ///   tolerance set) marginals within 1e-9 of a cold
 ///   [`snorkel_core::pipeline::Pipeline::run`] — asserted by this
 ///   crate's property tests.
+/// * **Ingest costs its batch.** Beside the registered rows the session
+///   keeps the *set* of registered candidates, so the append-only check
+///   of [`Self::ingest_candidates`] is O(batch), not O(corpus). The set
+///   is derived state: built as rows register, rebuilt by
+///   [`Self::thaw`], and never part of a [`FrozenSession`].
 pub struct IncrementalSession {
     corpus: Corpus,
     config: SessionConfig,
     candidates: Vec<CandidateId>,
+    /// The set of `candidates`, for the append-only duplicate check.
+    /// Derived state: rebuilt by [`Self::thaw`], never frozen.
+    registered: std::collections::HashSet<CandidateId>,
     lfs: Vec<SessionLf>,
     versions: std::collections::HashMap<String, u64>,
     cache: LfResultCache,
@@ -380,6 +388,7 @@ impl IncrementalSession {
             corpus,
             config,
             candidates: Vec::new(),
+            registered: std::collections::HashSet::new(),
             lfs: Vec::new(),
             versions: std::collections::HashMap::new(),
             cache,

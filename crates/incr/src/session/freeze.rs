@@ -183,7 +183,7 @@ impl IncrementalSession {
 
         // --- Validate the frozen state against corpus and config.
         let cardinality = config.executor.cardinality;
-        let mut seen = std::collections::HashSet::new();
+        let mut registered = std::collections::HashSet::with_capacity(candidates.len());
         for id in &candidates {
             if id.index() >= corpus.num_candidates() {
                 return Err(ThawError::Inconsistent(format!(
@@ -192,7 +192,7 @@ impl IncrementalSession {
                     corpus.num_candidates()
                 )));
             }
-            if !seen.insert(*id) {
+            if !registered.insert(*id) {
                 return Err(ThawError::Inconsistent(format!(
                     "candidate {id} registered twice"
                 )));
@@ -356,6 +356,7 @@ impl IncrementalSession {
             corpus,
             config,
             candidates,
+            registered,
             lfs: session_lfs,
             versions: version_map,
             cache,

@@ -31,13 +31,14 @@ impl IncrementalSession {
     /// Register new candidate rows (appended after the existing ones).
     /// Panics on candidates already registered — rows are append-only.
     pub fn ingest_candidates(&mut self, ids: &[CandidateId]) {
-        let mut seen: std::collections::HashSet<CandidateId> =
-            self.candidates.iter().copied().collect();
-        for id in ids {
-            assert!(
-                seen.insert(*id),
-                "candidate {id} is already registered (rows are append-only and unique)"
-            );
+        for (at, id) in ids.iter().enumerate() {
+            if !self.registered.insert(*id) {
+                // Nothing of a rejected batch stays registered.
+                for earlier in &ids[..at] {
+                    self.registered.remove(earlier);
+                }
+                panic!("candidate {id} is already registered (rows are append-only and unique)");
+            }
         }
         self.candidates.extend_from_slice(ids);
     }
@@ -66,7 +67,9 @@ impl IncrementalSession {
     ///
     /// When the steady-state preconditions do not hold (no refresh yet,
     /// or suite edits pending), the batch falls back to registering the
-    /// candidates and running a full [`Self::refresh`].
+    /// candidates and running a full [`Self::refresh`]. Otherwise an
+    /// empty batch is a no-op: a zero-row report at the current
+    /// generation.
     pub fn ingest_batch(&mut self, ids: &[CandidateId]) -> IngestReport {
         let span = ingest_span();
         if self.lambda.is_none() || !self.suite_matches_last_refresh() {
@@ -85,6 +88,20 @@ impl IncrementalSession {
             };
             drop(span);
             return report;
+        }
+        if ids.is_empty() {
+            // No rows, no refit: bumping the generation would only
+            // invalidate every generation-keyed memo for nothing.
+            let stream = self.stream.as_ref();
+            return IngestReport {
+                rows: 0,
+                lf_invocations: 0,
+                online_fit: false,
+                drift_score: stream.map_or(0.0, StreamState::drift_score),
+                drifted: stream.is_some_and(StreamState::drifted),
+                auto_refit: false,
+                generation: self.refresh_generation,
+            };
         }
         self.enable_streaming();
         self.ingest_candidates(ids);

@@ -5,7 +5,7 @@
 //! not hold, and the acceptance scenario — a drifted stream (one
 //! flipped LF) trips the windowed detector, triggers an automatic warm
 //! refit, and the refit model restores held-out accuracy on the
-//! post-drift regime.
+//! post-drift regime. An empty steady-state batch changes nothing.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
@@ -197,6 +197,38 @@ fn ingest_falls_back_to_a_full_refresh_outside_steady_state() {
     let report = session.ingest_batch(&ids);
     assert!(report.online_fit);
     assert_eq!(report.lf_invocations, 20 * 4);
+}
+
+#[test]
+fn empty_steady_state_batch_is_a_no_op() {
+    let mut session =
+        IncrementalSession::over_all_candidates(build_corpus(200), moment_config(512));
+    let counter = Arc::new(AtomicUsize::new(0));
+    for j in 0..4 {
+        session.add_lf(counting_lf(&format!("lf_{j}"), 2 + j, Arc::clone(&counter)));
+    }
+    session.refresh();
+    let ids = grow_corpus(&mut session, 200, 20);
+    assert!(session.ingest_batch(&ids).online_fit);
+
+    let generation = session.refresh_generation();
+    let invocations = counter.load(Ordering::Relaxed);
+    let report = session.ingest_batch(&[]);
+    assert_eq!(report.rows, 0);
+    assert_eq!(report.lf_invocations, 0);
+    assert!(!report.online_fit, "no rows, no refit");
+    assert!(!report.auto_refit);
+    assert_eq!(report.generation, generation);
+    assert_eq!(
+        session.refresh_generation(),
+        generation,
+        "generation-keyed memos stay valid"
+    );
+    assert_eq!(counter.load(Ordering::Relaxed), invocations);
+    assert_eq!(session.num_candidates(), 220);
+    let stream = session.stream().expect("streaming active");
+    assert_eq!(stream.batches(), 1, "an empty batch is not counted");
+    assert_eq!(stream.rows(), 20);
 }
 
 // --- The drift acceptance scenario -----------------------------------
