@@ -68,10 +68,11 @@ impl DiscTrainerConfig {
 /// The distillation stage (paper §2.3/§2.4): train a discriminative
 /// model on the label model's probabilistic labels with the noise-aware
 /// expected loss, so predictions generalize **beyond the labeling
-/// functions' coverage**. Training is minibatched and data-parallel
-/// over the scale-out plan's [`ShardedMatrix`] row ranges;
-/// abstain-marginal (near-uniform) rows are down-weighted by their
-/// confidence and dropped at the floor.
+/// functions' coverage**. Training is minibatched: each step takes one
+/// minibatch from each of the scale-out plan's [`ShardedMatrix`] row
+/// ranges and sums their gradients in one sequential pass, in range
+/// order; abstain-marginal (near-uniform) rows are down-weighted by
+/// their confidence and dropped at the floor.
 #[derive(Clone, Debug, Default)]
 pub struct DiscTrainer {
     /// Stage configuration.
@@ -84,9 +85,9 @@ impl DiscTrainer {
         DiscTrainer { config }
     }
 
-    /// The contiguous row ranges training parallelizes over: the plan's
-    /// shard ranges when one is live, else one range covering all
-    /// `rows`.
+    /// The contiguous row ranges training draws its minibatches from:
+    /// the plan's shard ranges when one is live, else one range
+    /// covering all `rows`.
     pub fn ranges_for(plan: Option<&ShardedMatrix>, rows: usize) -> Vec<(usize, usize)> {
         match plan {
             Some(plan) if plan.num_rows() == rows => plan
@@ -208,8 +209,8 @@ impl Pipeline {
 
     /// Run from raw candidates: apply LFs, model, and — when
     /// [`PipelineConfig::distill`] is set — featurize the candidates and
-    /// distill a discriminative model from the marginals (parallel over
-    /// the scale-out plan's shard ranges). Returns per-class
+    /// distill a discriminative model from the marginals (minibatches
+    /// drawn from the scale-out plan's shard ranges). Returns per-class
     /// probabilistic labels (`labels[i][class]`) and the report.
     pub fn run(
         &self,

@@ -64,6 +64,11 @@ fn default_strategy_marginals_are_pinned() {
     }
 }
 
+/// The digests fix the distillation step's gradient summation order
+/// (range, then minibatch row, then feature). Reordering it moves them
+/// in the last bits only; `snorkel-disc`'s
+/// `sequential_step_matches_the_sort_merge_reference` holds such a
+/// move to 1e-12.
 #[test]
 fn distilled_model_is_pinned() {
     let pipeline = Pipeline::new(PipelineConfig {
@@ -71,9 +76,9 @@ fn distilled_model_is_pinned() {
         ..PipelineConfig::default()
     });
     for (seed, want) in [
-        (1, 0xe9b0_ea24_0b14_5b75),
-        (3, 0x781c_9791_241f_8053),
-        (11, 0x31c2_e350_d136_1082),
+        (1, 0xa508_a7d2_9a55_34c4),
+        (3, 0x43b7_6927_6a4e_e962),
+        (11, 0x09b1_cd06_44a4_a1c7),
     ] {
         let t = task(seed);
         let (_, report) = pipeline.run(&t.lfs, &t.corpus, &t.candidates);

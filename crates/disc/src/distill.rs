@@ -1,5 +1,5 @@
-//! Distillation: shard-parallel noise-aware training of a serving model
-//! on the label model's marginals.
+//! Distillation: noise-aware training of a serving model on the label
+//! model's marginals.
 //!
 //! The label model can only score candidates that appear in Λ. The
 //! *distilled* model is the discriminative half of the paper (§2.4): it
@@ -18,16 +18,19 @@
 //!   row's gradient is scaled by its *confidence*
 //!   `(max_c p̃_c − 1/K) · K/(K−1) ∈ [0, 1]` and rows below
 //!   [`DistillConfig::min_confidence`] are dropped outright.
-//! * **Shard-parallel minibatches.** Training is data-parallel over the
-//!   caller's row ranges — in production the ranges of the live
-//!   `ShardedMatrix` plan, so distillation reuses the partition built
-//!   for generative scale-out. Each step takes one minibatch *per
-//!   shard* concurrently, merges the partial gradients **in shard
-//!   order** (deterministic for any thread count), and applies a single
-//!   Adam update.
-//! * **Warm starts.** `fit` continues from the model's current weights,
-//!   so the serving layer's retrain-after-edit converges in a fraction
-//!   of the cold epochs.
+//! * **One minibatch per range and step.** Each of the caller's row
+//!   ranges — in production the ranges of the live `ShardedMatrix`
+//!   plan — keeps its own shuffle stream, and every step takes one
+//!   minibatch from each of them (effective batch = `batch_size × live
+//!   ranges`). The step is one sequential pass on the calling thread:
+//!   every row's gradient is scatter-added into a dense per-fit buffer
+//!   in one canonical order — range order, then minibatch row order,
+//!   then the row's feature order — and the touched buckets get a
+//!   single Adam update. No thread is spawned and nothing is allocated
+//!   inside the epoch loop.
+//! * **Warm starts.** `fit` continues from the model's current weights
+//!   (and runs the full `epochs`), so the serving layer's
+//!   retrain-after-edit starts from the previous model, not from zero.
 
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
@@ -352,10 +355,11 @@ impl DistilledModel {
     /// Noise-aware fit on label-model marginals, warm-continuing from
     /// the current weights (a fresh model starts cold).
     ///
-    /// `ranges` are the contiguous row ranges to parallelize over —
-    /// normally the live `ShardedMatrix` plan's shard ranges; empty
-    /// means one range covering every row. Results are deterministic
-    /// for a given `(ranges, cfg)` regardless of how many threads run.
+    /// `ranges` are contiguous row ranges, each with its own shuffle
+    /// stream and one minibatch per step — normally the live
+    /// `ShardedMatrix` plan's shard ranges; empty means one range
+    /// covering every row. The result is a pure function of
+    /// `(self, xs, marginals, ranges, cfg)`.
     ///
     /// # Panics
     /// If `xs` and `marginals` lengths differ, a range is out of
@@ -386,12 +390,289 @@ impl DistilledModel {
         // Per-shard trainable rows and their confidence weights.
         let mut rows_total = 0usize;
         let mut weight_sum = 0.0f64;
+        let mut max_nnz = 0usize;
         let mut shard_rows: Vec<Vec<(usize, f64)>> = Vec::with_capacity(ranges.len());
         for &(lo, hi) in ranges {
             assert!(
                 lo <= hi && hi <= xs.len(),
                 "fit: range {lo}..{hi} out of bounds"
             );
+            rows_total += hi - lo;
+            let mut kept = Vec::new();
+            for (i, row) in marginals.iter().enumerate().take(hi).skip(lo) {
+                assert_eq!(row.len(), k, "fit: marginal row {i} has wrong class count");
+                let w = marginal_confidence(row);
+                if w > cfg.min_confidence {
+                    weight_sum += w;
+                    max_nnz = max_nnz.max(xs[i].nnz());
+                    kept.push((i, w));
+                }
+            }
+            shard_rows.push(kept);
+        }
+        let rows_trained: usize = shard_rows.iter().map(Vec::len).sum();
+        let mut report = DistillReport {
+            rows_total,
+            rows_trained,
+            rows_dropped: rows_total - rows_trained,
+            mean_confidence: if rows_trained == 0 {
+                0.0
+            } else {
+                weight_sum / rows_trained as f64
+            },
+            epochs: cfg.epochs,
+            steps: 0,
+            final_loss: 0.0,
+        };
+        if rows_trained == 0 {
+            return report;
+        }
+
+        let groups = self.num_groups();
+        let mut adams: Vec<Adam> = (0..groups)
+            .map(|_| Adam::new(cfg.dim as usize, cfg.learning_rate))
+            .collect();
+        let mut bias_adam = Adam::new(groups, cfg.learning_rate);
+        let batch = cfg.batch_size.max(1);
+        // A step takes at most `batch` rows per shard, so the touched
+        // list never outgrows this and the epoch loop never allocates.
+        let max_touched = (cfg.dim as usize).min(shard_rows.len() * batch * max_nnz);
+        let mut scratch = StepScratch::new(groups, k, cfg.dim, max_touched);
+
+        for epoch in 0..cfg.epochs {
+            // Per-shard shuffle streams: deterministic per (seed, shard,
+            // epoch) and independent of every other shard.
+            for (s, rows) in shard_rows.iter_mut().enumerate() {
+                let mut rng = StdRng::seed_from_u64(
+                    cfg.seed
+                        ^ (s as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
+                        ^ (epoch as u64) << 32,
+                );
+                rows.shuffle(&mut rng);
+            }
+            let steps = shard_rows
+                .iter()
+                .map(|r| r.len().div_ceil(batch))
+                .max()
+                .unwrap_or(0);
+            let mut epoch_loss = 0.0f64;
+            let mut epoch_weight = 0.0f64;
+            for step in 0..steps {
+                for rows in &shard_rows {
+                    let lo = (step * batch).min(rows.len());
+                    let hi = ((step + 1) * batch).min(rows.len());
+                    self.accumulate(xs, marginals, &rows[lo..hi], &mut scratch);
+                }
+                if scratch.weight > 0.0 {
+                    epoch_loss += scratch.loss;
+                    epoch_weight += scratch.weight;
+                    self.apply_step(&mut scratch, &mut adams, &mut bias_adam, cfg);
+                    report.steps += 1;
+                }
+                scratch.reset();
+            }
+            if epoch_weight > 0.0 {
+                report.final_loss = epoch_loss / epoch_weight;
+            }
+        }
+        report
+    }
+
+    /// Add one shard's minibatch `(row, weight)` slice to the step:
+    /// every row's gradient is scatter-added into `s.grad` in slice
+    /// order, and the slice's loss, weight and bias-gradient partials
+    /// are summed on their own and then added to the step totals — the
+    /// per-shard-then-shard-order merge the scalars have always had.
+    fn accumulate(
+        &self,
+        xs: &[SparseVec],
+        marginals: &[Vec<f64>],
+        slice: &[(usize, f64)],
+        s: &mut StepScratch,
+    ) {
+        let (mut loss, mut weight) = (0.0f64, 0.0f64);
+        s.shard_bias.fill(0.0);
+        for &(i, w) in slice {
+            let x = &xs[i];
+            s.touch(x);
+            match self {
+                DistilledModel::Binary(m) => {
+                    let score = m.score(x);
+                    let p = sigmoid(score);
+                    let target = marginals[i][0];
+                    let err = w * (p - target);
+                    loss -= w
+                        * (target * p.max(1e-12).ln()
+                            + (1.0 - target) * sigmoid(-score).max(1e-12).ln());
+                    s.scatter(0, x, err);
+                    s.shard_bias[0] += err;
+                }
+                DistilledModel::Multi(m) => {
+                    m.predict_proba_into(x, &mut s.probs);
+                    for (c, &target) in marginals[i].iter().enumerate() {
+                        let p = s.probs[c];
+                        let err = w * (p - target);
+                        loss -= w * target * p.max(1e-12).ln();
+                        s.shard_bias[c] += err;
+                        s.scatter(c, x, err);
+                    }
+                }
+            }
+            weight += w;
+        }
+        s.loss += loss;
+        s.weight += weight;
+        for (total, &part) in s.grad_bias.iter_mut().zip(&s.shard_bias) {
+            *total += part;
+        }
+    }
+
+    /// One Adam update per group over the step's touched buckets
+    /// (weighted-mean gradient + L2 on those coordinates). A bucket
+    /// whose gradient summed to exactly zero is left out.
+    fn apply_step(
+        &mut self,
+        s: &mut StepScratch,
+        adams: &mut [Adam],
+        bias_adam: &mut Adam,
+        cfg: &DistillConfig,
+    ) {
+        let wf = s.weight;
+        for (c, adam) in adams.iter_mut().enumerate() {
+            s.grad_bias[c] /= wf;
+            let weights: &mut [f64] = match self {
+                DistilledModel::Binary(m) => m.raw_mut().0,
+                DistilledModel::Multi(m) => &mut m.raw_mut().0[c],
+            };
+            s.idx.clear();
+            s.vals.clear();
+            for &b in &s.touched {
+                let sum = s.grad[c][b as usize];
+                if sum != 0.0 {
+                    s.idx.push(b);
+                    s.vals.push(sum / wf + cfg.l2 * weights[b as usize]);
+                }
+            }
+            adam.step_sparse(weights, &s.idx, &s.vals);
+        }
+        match self {
+            DistilledModel::Binary(m) => {
+                let (_, bias) = m.raw_mut();
+                let mut slot = [*bias];
+                bias_adam.step(&mut slot, &s.grad_bias);
+                *bias = slot[0];
+            }
+            DistilledModel::Multi(m) => {
+                let (_, bias) = m.raw_mut();
+                bias_adam.step(bias, &s.grad_bias);
+            }
+        }
+    }
+}
+
+/// Every buffer of [`DistilledModel::fit`]'s minibatch step, built once
+/// per fit. Between steps (after [`Self::reset`]) every gradient slot
+/// and `seen` flag is clear, so a bucket's first contribution in a step
+/// lands on an exact zero — the same sum as seeding the slot with it.
+struct StepScratch {
+    /// Gradient sums, one dense `dim`-long buffer per parameter group.
+    grad: Vec<Vec<f64>>,
+    /// Per bucket: touched this step (and listed in `touched`).
+    seen: Vec<bool>,
+    /// This step's touched buckets, in first-touch order.
+    touched: Vec<u32>,
+    /// One group's nonzero buckets and gradients, handed to Adam.
+    idx: Vec<u32>,
+    vals: Vec<f64>,
+    /// Multi-class posterior of the current row.
+    probs: Vec<f64>,
+    /// The current shard's bias-gradient partials.
+    shard_bias: Vec<f64>,
+    /// Step totals, merged from the shard partials in shard order.
+    grad_bias: Vec<f64>,
+    loss: f64,
+    weight: f64,
+}
+
+impl StepScratch {
+    fn new(groups: usize, classes: usize, dim: u32, max_touched: usize) -> Self {
+        StepScratch {
+            grad: vec![vec![0.0; dim as usize]; groups],
+            seen: vec![false; dim as usize],
+            touched: Vec::with_capacity(max_touched),
+            idx: Vec::with_capacity(max_touched),
+            vals: Vec::with_capacity(max_touched),
+            probs: vec![0.0; classes],
+            shard_bias: vec![0.0; groups],
+            grad_bias: vec![0.0; groups],
+            loss: 0.0,
+            weight: 0.0,
+        }
+    }
+
+    /// List `x`'s buckets not yet touched this step.
+    fn touch(&mut self, x: &SparseVec) {
+        for &b in x.indices() {
+            let seen = &mut self.seen[b as usize];
+            if !*seen {
+                *seen = true;
+                self.touched.push(b);
+            }
+        }
+    }
+
+    /// Add `err · x` to group `c`'s gradient, in `x`'s feature order.
+    fn scatter(&mut self, c: usize, x: &SparseVec, err: f64) {
+        let grad = &mut self.grad[c];
+        for (b, v) in x.iter() {
+            grad[b as usize] += err * v;
+        }
+    }
+
+    /// Clear the step: zero the touched slots and the totals.
+    fn reset(&mut self) {
+        for &b in &self.touched {
+            self.seen[b as usize] = false;
+            for grad in &mut self.grad {
+                grad[b as usize] = 0.0;
+            }
+        }
+        self.touched.clear();
+        self.grad_bias.fill(0.0);
+        self.loss = 0.0;
+        self.weight = 0.0;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use proptest::prelude::*;
+    use rand::Rng;
+
+    /// The fit the scatter-add step replaced, body verbatim less the
+    /// argument checks and with the shards accumulating one after
+    /// another where it spawned a thread per shard (it merged in shard
+    /// order, so the bits are the same): per-shard `(bucket, gradient)`
+    /// pair lists, merged by cloning and sorting them into a
+    /// `SparseVec`. The definition the sequential step must match in all
+    /// but the last bits.
+    fn reference_fit(
+        model: &mut DistilledModel,
+        xs: &[SparseVec],
+        marginals: &[Vec<f64>],
+        ranges: &[(usize, usize)],
+        cfg: &DistillConfig,
+    ) -> DistillReport {
+        let k = model.num_classes();
+        let whole = [(0usize, xs.len())];
+        let ranges: &[(usize, usize)] = if ranges.is_empty() { &whole } else { ranges };
+
+        // Per-shard trainable rows and their confidence weights.
+        let mut rows_total = 0usize;
+        let mut weight_sum = 0.0f64;
+        let mut shard_rows: Vec<Vec<(usize, f64)>> = Vec::with_capacity(ranges.len());
+        for &(lo, hi) in ranges {
             rows_total += hi - lo;
             let mut kept = Vec::new();
             for (i, row) in marginals.iter().enumerate().take(hi).skip(lo) {
@@ -422,7 +703,7 @@ impl DistilledModel {
             return report;
         }
 
-        let groups = self.num_groups();
+        let groups = model.num_groups();
         let mut adams: Vec<Adam> = (0..groups)
             .map(|_| Adam::new(cfg.dim as usize, cfg.learning_rate))
             .collect();
@@ -430,8 +711,6 @@ impl DistilledModel {
         let batch = cfg.batch_size.max(1);
 
         for epoch in 0..cfg.epochs {
-            // Per-shard shuffle streams: deterministic per (seed, shard,
-            // epoch) and independent of every other shard.
             for (s, rows) in shard_rows.iter_mut().enumerate() {
                 let mut rng = StdRng::seed_from_u64(
                     cfg.seed
@@ -456,30 +735,10 @@ impl DistilledModel {
                         &rows[lo..hi]
                     })
                     .collect();
-                // Accumulate partial gradients per shard — concurrently
-                // when more than one shard has rows this step — and merge
-                // in shard order.
-                let live = slices.iter().filter(|s| !s.is_empty()).count();
-                let partials: Vec<StepAccum> = if live <= 1 {
-                    slices
-                        .iter()
-                        .map(|slice| self.accumulate(xs, marginals, slice))
-                        .collect()
-                } else {
-                    std::thread::scope(|scope| {
-                        let handles: Vec<_> = slices
-                            .iter()
-                            .map(|slice| {
-                                let model = &*self;
-                                scope.spawn(move || model.accumulate(xs, marginals, slice))
-                            })
-                            .collect();
-                        handles
-                            .into_iter()
-                            .map(|h| h.join().expect("distill shard worker panicked"))
-                            .collect()
-                    })
-                };
+                let partials: Vec<StepAccum> = slices
+                    .iter()
+                    .map(|slice| reference_accumulate(model, xs, marginals, slice))
+                    .collect();
                 let mut merged = StepAccum::new(groups);
                 for p in partials {
                     merged.merge(p);
@@ -489,7 +748,7 @@ impl DistilledModel {
                 }
                 epoch_loss += merged.loss;
                 epoch_weight += merged.weight;
-                self.apply_step(&merged, &mut adams, &mut bias_adam, cfg);
+                reference_apply_step(model, &merged, &mut adams, &mut bias_adam, cfg);
                 report.steps += 1;
             }
             if epoch_weight > 0.0 {
@@ -499,20 +758,17 @@ impl DistilledModel {
         report
     }
 
-    /// Partial weighted gradient/loss over one slice of `(row, weight)`
-    /// pairs. Purely sequential — the parallel structure lives in
-    /// [`Self::fit`].
-    fn accumulate(
-        &self,
+    fn reference_accumulate(
+        model: &DistilledModel,
         xs: &[SparseVec],
         marginals: &[Vec<f64>],
         slice: &[(usize, f64)],
     ) -> StepAccum {
-        let k = self.num_classes();
-        let mut acc = StepAccum::new(self.num_groups());
+        let k = model.num_classes();
+        let mut acc = StepAccum::new(model.num_groups());
         for &(i, w) in slice {
             let x = &xs[i];
-            match self {
+            match model {
                 DistilledModel::Binary(m) => {
                     let s = m.score(x);
                     let p = sigmoid(s);
@@ -543,22 +799,20 @@ impl DistilledModel {
         acc
     }
 
-    /// One merged Adam update (weighted-mean gradient + L2 on touched
-    /// coordinates).
-    fn apply_step(
-        &mut self,
+    fn reference_apply_step(
+        model: &mut DistilledModel,
         merged: &StepAccum,
         adams: &mut [Adam],
         bias_adam: &mut Adam,
         cfg: &DistillConfig,
     ) {
         let wf = merged.weight;
-        let groups = self.num_groups();
+        let groups = model.num_groups();
         let mut bias_grad = vec![0.0; groups];
         for c in 0..groups {
             bias_grad[c] = merged.grad_bias[c] / wf;
             let grad = SparseVec::from_pairs(merged.grad[c].clone());
-            let weights: &mut [f64] = match self {
+            let weights: &mut [f64] = match model {
                 DistilledModel::Binary(m) => m.raw_mut().0,
                 DistilledModel::Multi(m) => &mut m.raw_mut().0[c],
             };
@@ -568,7 +822,7 @@ impl DistilledModel {
             }
             adams[c].step_sparse(weights, grad.indices(), &g);
         }
-        match self {
+        match model {
             DistilledModel::Binary(m) => {
                 let (_, bias) = m.raw_mut();
                 let mut slot = [*bias];
@@ -581,42 +835,121 @@ impl DistilledModel {
             }
         }
     }
-}
 
-/// Per-step gradient accumulator (one slot per class).
-struct StepAccum {
-    grad: Vec<Vec<(u32, f64)>>,
-    grad_bias: Vec<f64>,
-    loss: f64,
-    weight: f64,
-}
+    /// Per-step gradient accumulator of the reference (one slot per
+    /// class).
+    struct StepAccum {
+        grad: Vec<Vec<(u32, f64)>>,
+        grad_bias: Vec<f64>,
+        loss: f64,
+        weight: f64,
+    }
 
-impl StepAccum {
-    fn new(k: usize) -> Self {
-        StepAccum {
-            grad: vec![Vec::new(); k],
-            grad_bias: vec![0.0; k],
-            loss: 0.0,
-            weight: 0.0,
+    impl StepAccum {
+        fn new(k: usize) -> Self {
+            StepAccum {
+                grad: vec![Vec::new(); k],
+                grad_bias: vec![0.0; k],
+                loss: 0.0,
+                weight: 0.0,
+            }
+        }
+
+        fn merge(&mut self, other: StepAccum) {
+            for (mine, theirs) in self.grad.iter_mut().zip(other.grad) {
+                mine.extend(theirs);
+            }
+            for (mine, theirs) in self.grad_bias.iter_mut().zip(other.grad_bias) {
+                *mine += theirs;
+            }
+            self.loss += other.loss;
+            self.weight += other.weight;
         }
     }
 
-    fn merge(&mut self, other: StepAccum) {
-        for (mine, theirs) in self.grad.iter_mut().zip(other.grad) {
-            mine.extend(theirs);
+    /// Planted `k`-class data over 64 buckets: bucket `c` marks class
+    /// `c`, plus three distractors with random values. A tenth of the
+    /// rows get the uniform (dropped) marginal; the rest put a random
+    /// confidence on their class.
+    fn planted_k(n: usize, k: usize, seed: u64) -> (Vec<SparseVec>, Vec<Vec<f64>>) {
+        let mut rng = StdRng::seed_from_u64(seed);
+        let (mut xs, mut ms) = (Vec::new(), Vec::new());
+        for _ in 0..n {
+            let c = rng.gen_range(0..k);
+            let mut pairs = vec![(c as u32, 1.0)];
+            for _ in 0..3 {
+                pairs.push((rng.gen_range(k as u32..64), rng.gen_range(0.2..1.5)));
+            }
+            let mut v = SparseVec::from_pairs(pairs);
+            v.l2_normalize();
+            xs.push(v);
+            let mut m = vec![1.0 / k as f64; k];
+            if rng.gen::<f64>() >= 0.1 {
+                let conf = rng.gen_range(0.6..0.98);
+                m.fill((1.0 - conf) / (k - 1) as f64);
+                m[c] = conf;
+            }
+            ms.push(m);
         }
-        for (mine, theirs) in self.grad_bias.iter_mut().zip(other.grad_bias) {
-            *mine += theirs;
-        }
-        self.loss += other.loss;
-        self.weight += other.weight;
+        (xs, ms)
     }
-}
 
-#[cfg(test)]
-mod tests {
-    use super::*;
-    use rand::Rng;
+    /// `parts` contiguous ranges tiling `0..n`.
+    fn split(n: usize, parts: usize) -> Vec<(usize, usize)> {
+        (0..parts)
+            .map(|p| (p * n / parts, (p + 1) * n / parts))
+            .collect()
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn sequential_step_matches_the_sort_merge_reference(
+            n in 1usize..160,
+            k in 2usize..4,
+            parts in 1usize..4,
+            warm in 0u8..2,
+            batch_size in 1usize..24,
+            seed in 0u64..1_000_000,
+        ) {
+            let (xs, ms) = planted_k(n, k, seed);
+            let ranges = split(n, parts);
+            let cfg = DistillConfig { dim: 64, epochs: 3, batch_size, seed, ..DistillConfig::default() };
+            let mut start = DistilledModel::new(64, k);
+            if warm == 1 {
+                start.fit(&xs, &ms, &[], &DistillConfig { seed: seed ^ 1, ..cfg.clone() });
+            }
+            let (mut got, mut want) = (start.clone(), start);
+            let a = got.fit(&xs, &ms, &ranges, &cfg);
+            let b = reference_fit(&mut want, &xs, &ms, &ranges, &cfg);
+            prop_assert_eq!(
+                (a.rows_trained, a.rows_dropped, a.steps),
+                (b.rows_trained, b.rows_dropped, b.steps)
+            );
+            let close = |x: f64, y: f64| (x - y).abs() <= 1e-12;
+            let (pg, pw) = (got.to_parts(), want.to_parts());
+            for (wg, ww) in pg.class_weights.iter().zip(&pw.class_weights) {
+                let (dg, dw) = (dense(wg), dense(ww));
+                prop_assert!(dg.iter().zip(&dw).all(|(&x, &y)| close(x, y)), "weights moved");
+            }
+            prop_assert!(pg.bias.iter().zip(&pw.bias).all(|(&x, &y)| close(x, y)), "bias moved");
+            for x in &xs {
+                let (p, q) = (got.predict_proba(x), want.predict_proba(x));
+                prop_assert!(p.iter().zip(&q).all(|(&x, &y)| close(x, y)), "{:?} vs {:?}", p, q);
+            }
+        }
+    }
+
+    /// A sparse weight vector over 64 buckets, densified (the two fits
+    /// may differ in which buckets are exactly zero).
+    fn dense(w: &[(u32, f64)]) -> Vec<f64> {
+        let mut out = vec![0.0; 64];
+        for &(b, v) in w {
+            out[b as usize] = v;
+        }
+        out
+    }
 
     /// Planted binary data over 64 buckets: bucket 0 ⇒ +1, bucket 1 ⇒ −1,
     /// plus distractors; marginals encode per-row confidence.
@@ -694,6 +1027,33 @@ mod tests {
         assert_eq!(report.rows_trained, 0);
         assert_eq!(report.steps, 0);
         assert_eq!(m.predict_proba(&xs[0]), vec![0.5, 0.5]);
+    }
+
+    #[test]
+    fn exactly_cancelling_gradient_is_not_stepped() {
+        // Score 0.3 − 0.3 = 0 on both rows, so their errors are ±0.125
+        // and bucket 3's gradient sums to exactly zero. Stepping it
+        // anyway would move the weight by its L2 term.
+        let parts = DiscModelParts {
+            dim: 8,
+            class_weights: vec![vec![(3, 0.3)]],
+            bias: vec![-0.3],
+        };
+        let mut m = DistilledModel::from_parts(&parts).unwrap();
+        let x = SparseVec::from_pairs(vec![(3, 1.0)]);
+        let cfg = DistillConfig {
+            dim: 8,
+            batch_size: 2,
+            ..DistillConfig::default()
+        };
+        let report = m.fit(
+            &[x.clone(), x],
+            &[vec![0.75, 0.25], vec![0.25, 0.75]],
+            &[],
+            &cfg,
+        );
+        assert_eq!(report.steps, cfg.epochs);
+        assert_eq!(m.to_parts(), parts);
     }
 
     #[test]

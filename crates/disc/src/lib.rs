@@ -27,10 +27,10 @@
 //! fit on hard labels — and are deterministic under a fixed seed.
 //!
 //! [`DistilledModel`] wraps the linear models behind the serving-side
-//! distillation surface: shard-parallel noise-aware
-//! training on label-model marginals (abstain-marginal rows
-//! down-weighted), warm refits, and a stable [`DiscModelParts`]
-//! encoding that `snorkel-serve` snapshots.
+//! distillation surface: noise-aware minibatch training on label-model
+//! marginals, one sequential canonical-order gradient pass per step
+//! (abstain-marginal rows down-weighted), warm refits, and a stable
+//! [`DiscModelParts`] encoding that `snorkel-serve` snapshots.
 //!
 //! [`metrics`] implements precision/recall/F1 (with the appendix A.5
 //! convention that an abstaining/zero prediction counts as a negative),
