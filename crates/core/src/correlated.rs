@@ -638,9 +638,9 @@ mod tests {
             prop_assert_eq!(bits(&cold.to_params()), bits(&want));
 
             let mut warm = unfitted.clone();
-            warm.fit_warm(&edited, &cfg, &cold, &[n - 2]);
+            warm.fit_warm(&edited, None, &cfg, &cold, &[n - 2]);
             let want = reference_after(
-                |gm, c| { gm.fit_warm(&edited, c, &cold, &[n - 2]); },
+                |gm, c| { gm.fit_warm(&edited, None, c, &cold, &[n - 2]); },
                 &unfitted,
                 &edited,
                 &cfg,

@@ -997,7 +997,7 @@ mod tests {
             for shards in [1, 2, 5] {
                 let plan = ShardedMatrix::build(&edited, shards);
                 let mut gm = GenerativeModel::new(lambda.num_lfs(), scheme);
-                gm.fit_warm_with(&edited, &plan, &cfg, &base, &[j]);
+                gm.fit_warm(&edited, Some(&plan), &cfg, &base, &[j]);
                 let gap = params_gap(&gm.to_params(), &reference.to_params());
                 prop_assert!(gap <= PARAMS_TOL, "{} shards: params off by {:e}", shards, gap);
                 let gap = marginals_gap(&gm, &reference, &edited);

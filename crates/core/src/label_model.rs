@@ -34,16 +34,18 @@
 //!   at million-row scale, at the price of a small statistical gap from
 //!   the exact MLE that vanishes as `m` grows.
 //!
-//! The Algorithm-1 optimizer ([`crate::optimizer::select_model`])
-//! decides a [`ModelingStrategy`]; [`ModelRegistry::build`] is the one
-//! `match` from that strategy to its variant.
+//! The Algorithm-1 optimizer ([`crate::optimizer::decide`]) decides a
+//! [`ModelingStrategy`]; [`ModelRegistry::build`] is the one `match`
+//! from that strategy to its variant, called by
+//! [`crate::pipeline::fit_and_label`].
 //!
 //! # Example
 //!
 //! ```
-//! use snorkel_core::label_model::{LabelModel, ModelRegistry};
+//! use snorkel_core::label_model::LabelModel;
 //! use snorkel_core::model::TrainConfig;
-//! use snorkel_core::optimizer::{select_model, OptimizerConfig};
+//! use snorkel_core::optimizer::{decide, OptimizerConfig};
+//! use snorkel_core::pipeline::fit_and_label;
 //! use snorkel_matrix::LabelMatrixBuilder;
 //!
 //! // A tiny binary Λ: two LFs voting +1/−1 on four points.
@@ -54,15 +56,10 @@
 //! b.set(2, 1, -1);
 //! let lambda = b.build();
 //!
-//! // Let the optimizer pick a strategy, build its backend, fit it, and
-//! // read probabilistic labels — the same four calls work for every
-//! // backend.
-//! let registry = ModelRegistry::standard();
-//! let decision = select_model(&lambda, &OptimizerConfig::default(), &registry);
-//! let Ok(mut model) =
-//!     registry.build(&decision.strategy, lambda.num_lfs(), lambda.cardinality());
-//! model.fit(&lambda, None, &TrainConfig::default());
-//! let labels = model.marginals(&lambda, None);
+//! // Let the optimizer pick a strategy, then build, fit and label with
+//! // its backend — the same two calls work for every backend.
+//! let (strategy, _, _) = decide(&lambda, &OptimizerConfig::default(), None, None);
+//! let (model, _, labels) = fit_and_label(&strategy, &lambda, None, &TrainConfig::default(), None);
 //! assert_eq!(labels.len(), 4);
 //! assert!(labels.iter().all(|p| (p.iter().sum::<f64>() - 1.0).abs() < 1e-9));
 //!
@@ -181,10 +178,7 @@ impl LabelModel {
             (LabelModel::Generative(gm), LabelModel::Generative(p))
                 if p.num_lfs() == gm.num_lfs() && p.scheme() == gm.scheme() =>
             {
-                match plan {
-                    Some(pl) => gm.fit_warm_with(lambda, pl, cfg, p, changed_cols),
-                    None => gm.fit_warm(lambda, cfg, p, changed_cols),
-                }
+                gm.fit_warm(lambda, plan, cfg, p, changed_cols)
             }
             // Majority vote has nothing to fit and the moment closed form
             // nothing to iterate; a `prev` of another backend or shape
@@ -209,12 +203,11 @@ impl LabelModel {
     }
 
     /// Whether this backend profits from a pattern-deduplicated plan at
-    /// all. One-shot callers (the batch pipeline) skip the plan build
-    /// entirely when it returns `false` — the majority-vote backend's
-    /// whole labeling pass is one `O(nnz)` walk, so an index build would
-    /// cost more than it saves. Callers that maintain a plan anyway
-    /// (the incremental session keeps it alive across refreshes) may
-    /// still pass one; every backend accepts it.
+    /// all. One-shot callers skip the plan build when it is `false` (the
+    /// batch pipeline does for the majority-vote strategy) — the MV
+    /// backend's whole labeling pass is one `O(nnz)` walk, so an index
+    /// build would cost more than it saves. Callers that keep a plan
+    /// anyway (the incremental session) may still pass one.
     pub fn benefits_from_plan(&self) -> bool {
         !matches!(self, LabelModel::MajorityVote(_))
     }

@@ -742,29 +742,24 @@ impl GenerativeModel {
     ///
     /// `prev` must have the same LF count and scheme; `changed_cols`
     /// lists the columns whose LF was edited (an empty slice means only
-    /// the data changed, e.g. a new candidate batch was ingested).
+    /// the data changed, e.g. a new candidate batch was ingested). A
+    /// prebuilt `plan` must cover exactly this matrix; without one the
+    /// call builds `ShardedMatrix::build(lambda, 0)`.
     pub fn fit_warm(
         &mut self,
         lambda: &LabelMatrix,
+        plan: Option<&ShardedMatrix>,
         cfg: &TrainConfig,
         prev: &GenerativeModel,
         changed_cols: &[usize],
     ) -> FitReport {
-        let plan = ShardedMatrix::build(lambda, 0);
-        self.fit_warm_exec(lambda, &plan, cfg, prev, changed_cols)
-    }
-
-    /// [`Self::fit_warm`] against a prebuilt sharded plan (must cover
-    /// exactly this matrix) — the incremental session's training path.
-    pub fn fit_warm_with(
-        &mut self,
-        lambda: &LabelMatrix,
-        plan: &ShardedMatrix,
-        cfg: &TrainConfig,
-        prev: &GenerativeModel,
-        changed_cols: &[usize],
-    ) -> FitReport {
-        self.fit_warm_exec(lambda, plan, cfg, prev, changed_cols)
+        match plan {
+            Some(plan) => self.fit_warm_exec(lambda, plan, cfg, prev, changed_cols),
+            None => {
+                let plan = ShardedMatrix::build(lambda, 0);
+                self.fit_warm_exec(lambda, &plan, cfg, prev, changed_cols)
+            }
+        }
     }
 }
 
@@ -1114,7 +1109,7 @@ mod tests {
         let cold_report = cold.fit(&edited, &cfg);
 
         let mut warm = GenerativeModel::new(SUITE.len(), LabelScheme::Binary);
-        let warm_report = warm.fit_warm(&edited, &cfg, &base, &[4]);
+        let warm_report = warm.fit_warm(&edited, None, &cfg, &base, &[4]);
         assert!(warm_report.warm_started);
 
         // Same optimum: marginals within 1e-9 of the cold path.
@@ -1158,7 +1153,7 @@ mod tests {
         let mut cold = GenerativeModel::new(SUITE.len(), LabelScheme::Binary);
         cold.fit(&grown, &cfg);
         let mut warm = GenerativeModel::new(SUITE.len(), LabelScheme::Binary);
-        warm.fit_warm(&grown, &cfg, &base, &[]);
+        warm.fit_warm(&grown, None, &cfg, &base, &[]);
         for (c, w) in cold.accuracy_weights().iter().zip(warm.accuracy_weights()) {
             assert!((c - w).abs() < 1e-8, "acc weight gap {c} vs {w}");
         }
@@ -1170,7 +1165,7 @@ mod tests {
         let (lambda, _) = planted(100, &[0.8, 0.8], 0.5, 1);
         let prev = GenerativeModel::new(3, LabelScheme::Binary);
         let mut gm = GenerativeModel::new(2, LabelScheme::Binary);
-        gm.fit_warm(&lambda, &TrainConfig::default(), &prev, &[]);
+        gm.fit_warm(&lambda, None, &TrainConfig::default(), &prev, &[]);
     }
 
     #[test]

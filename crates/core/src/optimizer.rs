@@ -2,7 +2,7 @@
 //! extended to pick one of the three backends.
 //! [`select_model`] is the one decision for every cardinality; the
 //! advantage analysis is binary, so a multi-class Λ always gets the
-//! independent generative model.
+//! independent generative model; [`decide`] is the refit's entry point.
 //!
 //! For a binary Λ, three decisions are automated from the label matrix
 //! alone:
@@ -275,8 +275,7 @@ pub fn choose_strategy(lambda: &LabelMatrix, cfg: &OptimizerConfig) -> StrategyD
 /// The strategy decision for any label matrix: a binary Λ goes through
 /// [`choose_strategy`]; a multi-class Λ (the advantage analysis is
 /// binary) always gets the independent generative model, with
-/// `predicted_advantage = NaN`. The pipeline and the incremental session
-/// both decide through here. The registry argument is unused.
+/// `predicted_advantage = NaN`. The registry argument is unused.
 pub fn select_model(
     lambda: &LabelMatrix,
     cfg: &OptimizerConfig,
@@ -291,6 +290,33 @@ pub fn select_model(
             sweep: Vec::new(),
         }
     }
+}
+
+/// The refit decision of the pipeline and the incremental session:
+/// `(strategy, predicted_advantage, structure_reused)`. A `forced`
+/// strategy wins (NaN advantage). A `reusable` one (a previous sweep the
+/// caller judged still valid for this binary Λ) costs only the O(nnz)
+/// advantage bound: majority vote below γ, else the stored strategy,
+/// reused. Otherwise [`select_model`] decides.
+pub fn decide(
+    lambda: &LabelMatrix,
+    cfg: &OptimizerConfig,
+    forced: Option<&ModelingStrategy>,
+    reusable: Option<&ModelingStrategy>,
+) -> (ModelingStrategy, f64, bool) {
+    if let Some(forced) = forced {
+        return (forced.clone(), f64::NAN, false);
+    }
+    if let Some(stored) = reusable {
+        let predicted = advantage_upper_bound(lambda, cfg);
+        return if predicted < cfg.gamma {
+            (ModelingStrategy::MajorityVote, predicted, false)
+        } else {
+            (stored.clone(), predicted, true)
+        };
+    }
+    let d = select_model(lambda, cfg, &ModelRegistry);
+    (d.strategy, d.predicted_advantage, false)
 }
 
 #[cfg(test)]

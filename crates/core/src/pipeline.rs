@@ -10,10 +10,11 @@
 //! exposes per-stage timings so the bench harness can regenerate those
 //! numbers.
 //!
-//! Labeling itself is delegated to whichever [`LabelModel`] backend the
-//! strategy selects — a forced [`PipelineConfig::force_strategy`], else
-//! [`select_model`] — built by [`ModelRegistry::build`]. Majority vote
-//! is just the cheapest backend, not a special case.
+//! Each refit step has one implementation, which the incremental
+//! session (`snorkel-incr`) calls too: [`decide`] picks the strategy,
+//! [`fit_and_label`] builds, fits and labels its [`LabelModel`] backend,
+//! [`DiscTrainer::fit`] distills. Majority vote is just the cheapest
+//! backend.
 
 use std::time::Duration;
 
@@ -24,18 +25,13 @@ use snorkel_linalg::SparseVec;
 use snorkel_matrix::{LabelMatrix, ShardedMatrix};
 
 use crate::label_model::{LabelModel, ModelRegistry};
-use crate::model::{LabelScheme, TrainConfig};
-use crate::optimizer::{select_model, ModelingStrategy, OptimizerConfig};
+use crate::model::{FitReport, LabelScheme, TrainConfig};
+use crate::optimizer::{decide, ModelingStrategy, OptimizerConfig};
 
-/// Start a span for one pipeline stage. The span's
-/// [`finish`](snorkel_obs::Span::finish) both records into
-/// `snorkel_core_pipeline_stage_seconds{stage="…"}` and hands the
-/// duration back — the [`PipelineReport`] timings and the live metrics
-/// are the same measurement, not two clocks that can disagree.
+/// The span of one pipeline stage: the [`PipelineReport`] timings are
+/// its durations in `snorkel_core_pipeline_stage_seconds`.
 fn stage_span(stage: &'static str) -> snorkel_obs::Span {
-    let hist =
-        snorkel_obs::global().histogram("snorkel_core_pipeline_stage_seconds", &[("stage", stage)]);
-    snorkel_obs::Span::start(stage, hist, snorkel_obs::TraceLevel::Debug)
+    snorkel_obs::stage_span("snorkel_core_pipeline_stage_seconds", stage)
 }
 
 /// Configuration of the optional distillation stage: how candidates are
@@ -107,17 +103,29 @@ impl DiscTrainer {
         self.config.featurizer.featurize_all(corpus, candidates)
     }
 
-    /// Cold-train a fresh distilled model on the label model's
-    /// marginals. `num_classes` must match the marginal rows' width
-    /// (it exists so an empty training set still builds a model of the
-    /// right shape); a mismatch panics instead of silently training a
-    /// different class count.
+    /// [`Self::fit`] from a fresh model over `plan`'s shard ranges.
     pub fn train(
         &self,
         xs: &[SparseVec],
         marginals: &[Vec<f64>],
         num_classes: usize,
         plan: Option<&ShardedMatrix>,
+    ) -> (DistilledModel, DistillReport) {
+        let ranges = DiscTrainer::ranges_for(plan, xs.len());
+        self.fit(xs, marginals, num_classes, &ranges, None)
+    }
+
+    /// The distillation fit over the row `ranges`: warm from `warm` when
+    /// its shape matches, from a fresh model otherwise. `num_classes`
+    /// must match the marginal rows' width (it shapes the model of an
+    /// empty training set); a mismatch panics.
+    pub fn fit(
+        &self,
+        xs: &[SparseVec],
+        marginals: &[Vec<f64>],
+        num_classes: usize,
+        ranges: &[(usize, usize)],
+        warm: Option<DistilledModel>,
     ) -> (DistilledModel, DistillReport) {
         if let Some(row) = marginals.first() {
             assert_eq!(
@@ -127,11 +135,32 @@ impl DiscTrainer {
                 row.len()
             );
         }
-        let mut model = DistilledModel::new(self.config.train.dim, num_classes);
-        let ranges = DiscTrainer::ranges_for(plan, xs.len());
-        let report = model.fit(xs, marginals, &ranges, &self.config.train);
+        let dim = self.config.train.dim;
+        let mut model = warm
+            .filter(|m| m.dim() == dim && m.num_classes() == num_classes)
+            .unwrap_or_else(|| DistilledModel::new(dim, num_classes));
+        let report = model.fit(xs, marginals, ranges, &self.config.train);
         (model, report)
     }
+}
+
+/// Build the backend `strategy` selects, fit it through the optional
+/// `plan` — warm from `warm = (prev, changed_cols)` when given (see
+/// [`LabelModel::fit_warm`]), cold otherwise — and label Λ.
+pub fn fit_and_label(
+    strategy: &ModelingStrategy,
+    lambda: &LabelMatrix,
+    plan: Option<&ShardedMatrix>,
+    cfg: &TrainConfig,
+    warm: Option<(LabelModel, Vec<usize>)>,
+) -> (LabelModel, FitReport, Vec<Vec<f64>>) {
+    let Ok(mut model) = ModelRegistry.build(strategy, lambda.num_lfs(), lambda.cardinality());
+    let report = match warm {
+        Some((prev, changed_cols)) => model.fit_warm(lambda, plan, cfg, &prev, &changed_cols),
+        None => model.fit(lambda, plan, cfg),
+    };
+    let labels = model.marginals(lambda, plan);
+    (model, report, labels)
 }
 
 /// Pipeline configuration.
@@ -252,27 +281,19 @@ impl Pipeline {
         lambda: &LabelMatrix,
     ) -> (Vec<Vec<f64>>, PipelineReport, Option<ShardedMatrix>) {
         let strategy_span = stage_span("strategy_selection");
-
-        let (strategy, predicted) = match &self.config.force_strategy {
-            Some(s) => (s.clone(), f64::NAN),
-            None => {
-                let d = select_model(lambda, &self.config.optimizer, &ModelRegistry);
-                (d.strategy, d.predicted_advantage)
-            }
-        };
+        let forced = self.config.force_strategy.as_ref();
+        let (strategy, predicted, _) = decide(lambda, &self.config.optimizer, forced, None);
         let strategy_time = strategy_span.finish();
 
         let training_span = stage_span("training");
-        let Ok(mut model) = ModelRegistry.build(&strategy, lambda.num_lfs(), lambda.cardinality());
         // Build the plan once and reuse it for both training and the
-        // final marginals pass — unless the backend would not profit
-        // (majority vote: the Algorithm-1 skip-work branch must not pay
-        // an index build it cannot amortize).
-        let plan = model
-            .benefits_from_plan()
-            .then(|| ShardedMatrix::build(lambda, 0));
-        model.fit(lambda, plan.as_ref(), &self.config.train);
-        let labels = model.marginals(lambda, plan.as_ref());
+        // final marginals pass — unless the backend is majority vote:
+        // the Algorithm-1 skip-work branch must not pay an index build
+        // it cannot amortize.
+        let plan =
+            (strategy != ModelingStrategy::MajorityVote).then(|| ShardedMatrix::build(lambda, 0));
+        let (model, _, labels) =
+            fit_and_label(&strategy, lambda, plan.as_ref(), &self.config.train, None);
         let training_time = training_span.finish();
 
         let report = PipelineReport {
@@ -281,11 +302,10 @@ impl Pipeline {
             predicted_advantage: predicted,
             label_density: lambda.label_density(),
             timings: PipelineTimings {
-                lf_application: Duration::ZERO,
                 strategy_selection: strategy_time,
                 training: training_time,
-                distillation: Duration::ZERO,
                 total: strategy_time + training_time,
+                ..PipelineTimings::default()
             },
             model,
             disc: None,

@@ -1,17 +1,19 @@
 //! The interactive dev-loop session: add/edit/remove labeling functions,
 //! ingest candidate batches, and [`IncrementalSession::refresh`] — which
 //! recomputes *only* what the edits touched.
+//!
+//! The refit is the pipeline's ([`decide`], [`fit_and_label`],
+//! [`DiscTrainer::fit`]); the session adds the Λ/plan splice, the
+//! fingerprint → column remap and which stored structure to reuse.
 
 use std::sync::OnceLock;
 use std::time::Duration;
 
 use snorkel_context::{CandidateId, CandidateView, Corpus};
-use snorkel_core::label_model::{LabelModel, ModelRegistry};
+use snorkel_core::label_model::LabelModel;
 use snorkel_core::model::{LabelScheme, TrainConfig};
-use snorkel_core::optimizer::{
-    advantage_upper_bound, select_model, ModelingStrategy, OptimizerConfig,
-};
-use snorkel_core::pipeline::{DiscTrainer, DiscTrainerConfig};
+use snorkel_core::optimizer::{decide, ModelingStrategy, OptimizerConfig};
+use snorkel_core::pipeline::{fit_and_label, DiscTrainer, DiscTrainerConfig};
 use snorkel_disc::{DiscModelParts, DistillReport, DistilledModel, TextFeaturizer};
 use snorkel_lf::{BoxedLf, LfExecutor};
 use snorkel_linalg::SparseVec;
@@ -68,15 +70,10 @@ fn incr_metrics() -> &'static IncrMetrics {
     })
 }
 
-/// Start a span for one refresh stage, recording into
-/// `snorkel_incr_refresh_stage_seconds{stage="…"}`. As in the batch
-/// pipeline, [`finish`](snorkel_obs::Span::finish) hands back the
-/// duration the [`RefreshTimings`] report, so the live metric and the
-/// report are the same measurement.
+/// The span of one refresh stage: the [`RefreshTimings`] are its
+/// durations in `snorkel_incr_refresh_stage_seconds`.
 fn stage_span(stage: &'static str) -> snorkel_obs::Span {
-    let hist =
-        snorkel_obs::global().histogram("snorkel_incr_refresh_stage_seconds", &[("stage", stage)]);
-    snorkel_obs::Span::start(stage, hist, snorkel_obs::TraceLevel::Debug)
+    snorkel_obs::stage_span("snorkel_incr_refresh_stage_seconds", stage)
 }
 
 /// Session configuration. The defaults mirror
@@ -275,25 +272,23 @@ impl DiscTrainingSet {
     /// Distill (warm when [`Self::warm`] is set). Pure function of the
     /// set — safe to run outside any session lock.
     pub fn train(self) -> (DiscState, DistillReport) {
-        let mut model = self
-            .warm
-            .filter(|m| m.dim() == self.config.train.dim && m.num_classes() == self.num_classes)
-            .unwrap_or_else(|| DistilledModel::new(self.config.train.dim, self.num_classes));
+        let trainer = DiscTrainer::new(self.config);
         // Candidates ingested after the last refresh have features but
         // no marginal row yet; they join training after the next
         // refresh labels them.
         let rows = self.marginals.len();
         let retrain_span = stage_span("disc_retrain");
-        let report = model.fit(
+        let (model, report) = trainer.fit(
             &self.features[..rows],
             &self.marginals,
+            self.num_classes,
             &self.ranges,
-            &self.config.train,
+            self.warm,
         );
         drop(retrain_span);
         (
             DiscState {
-                config: self.config,
+                config: trainer.config,
                 model,
                 generation: self.generation,
             },

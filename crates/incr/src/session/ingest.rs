@@ -67,7 +67,8 @@ impl IncrementalSession {
     ///
     /// When the steady-state preconditions do not hold (no refresh yet,
     /// or suite edits pending), the batch falls back to registering the
-    /// candidates and running a full [`Self::refresh`]. Otherwise an
+    /// candidates and running a full [`Self::refresh`], which advances
+    /// the generation too (with neither refit flag set). Otherwise an
     /// empty batch is a no-op: a zero-row report at the current
     /// generation.
     pub fn ingest_batch(&mut self, ids: &[CandidateId]) -> IngestReport {
@@ -76,32 +77,12 @@ impl IncrementalSession {
             self.ingest_candidates(ids);
             let (_, refresh) = self.refresh();
             self.enable_streaming();
-            let stream = self.stream.as_ref().expect("enabled above");
-            let report = IngestReport {
-                rows: ids.len(),
-                lf_invocations: refresh.lf_invocations,
-                online_fit: false,
-                drift_score: stream.drift_score(),
-                drifted: stream.drifted(),
-                auto_refit: false,
-                generation: self.refresh_generation,
-            };
-            drop(span);
-            return report;
+            return self.report_without_refit(ids.len(), refresh.lf_invocations);
         }
         if ids.is_empty() {
             // No rows, no refit: bumping the generation would only
             // invalidate every generation-keyed memo for nothing.
-            let stream = self.stream.as_ref();
-            return IngestReport {
-                rows: 0,
-                lf_invocations: 0,
-                online_fit: false,
-                drift_score: stream.map_or(0.0, StreamState::drift_score),
-                drifted: stream.is_some_and(StreamState::drifted),
-                auto_refit: false,
-                generation: self.refresh_generation,
-            };
+            return self.report_without_refit(0, 0);
         }
         self.enable_streaming();
         self.ingest_candidates(ids);
@@ -174,6 +155,21 @@ impl IncrementalSession {
             drift_score,
             drifted,
             auto_refit,
+            generation: self.refresh_generation,
+        }
+    }
+
+    /// The report of a batch that took neither the online nor the drift
+    /// refit, at the current generation and drift state.
+    fn report_without_refit(&self, rows: usize, lf_invocations: usize) -> IngestReport {
+        let stream = self.stream.as_ref();
+        IngestReport {
+            rows,
+            lf_invocations,
+            online_fit: false,
+            drift_score: stream.map_or(0.0, StreamState::drift_score),
+            drifted: stream.is_some_and(StreamState::drifted),
+            auto_refit: false,
             generation: self.refresh_generation,
         }
     }

@@ -118,37 +118,19 @@ impl IncrementalSession {
         // 3. Strategy selection (Algorithm 1, with sweep reuse).
         // ------------------------------------------------------------------
         let strat_span = stage_span("strategy");
-        let mut structure_reused = false;
-        // The batch pipeline's decision — a forced strategy, else
-        // `select_model` — with one shortcut in between: a binary
-        // one-column edit with no new rows reuses the previous structure
-        // sweep (by far the most expensive part of the selection, and
-        // such an edit rarely changes which LF pairs correlate).
-        let (strategy, predicted) = match (&self.config.force_strategy, &self.last_gm_strategy) {
-            (Some(forced), _) => (forced.clone(), f64::NAN),
-            (None, Some((stored, _)))
-                if lambda.is_binary()
-                    && !structural
-                    && new_rows == 0
-                    && changed_cols.len() <= 1 =>
-            {
-                // The bound is O(nnz) — always recompute it; only the
-                // expensive sweep is reused.
-                let predicted = advantage_upper_bound(lambda, &self.config.optimizer);
-                if predicted < self.config.optimizer.gamma {
-                    (ModelingStrategy::MajorityVote, predicted)
-                } else {
-                    structure_reused = true;
-                    (stored.clone(), predicted)
-                }
-            }
-            _ => {
-                let d = select_model(lambda, &self.config.optimizer, &ModelRegistry);
-                (d.strategy, d.predicted_advantage)
-            }
+        // Offer the previous structure sweep (by far the most expensive
+        // part) for reuse on a binary one-column edit with no new rows:
+        // such an edit rarely changes which LF pairs correlate.
+        let reuse = lambda.is_binary() && !structural && new_rows == 0 && changed_cols.len() <= 1;
+        let reusable = match &self.last_gm_strategy {
+            Some((stored, _)) if reuse => Some(stored),
+            _ => None,
         };
+        let forced = self.config.force_strategy.as_ref();
+        let (strategy, predicted, structure_reused) =
+            decide(lambda, &self.config.optimizer, forced, reusable);
         if matches!(strategy, ModelingStrategy::GenerativeModel { .. })
-            && self.config.force_strategy.is_none()
+            && forced.is_none()
             && lambda.is_binary()
         {
             self.last_gm_strategy = Some((strategy.clone(), layout));
@@ -160,15 +142,11 @@ impl IncrementalSession {
         //    from the previous refresh's model when possible.
         // ------------------------------------------------------------------
         let train_span = stage_span("fit");
-        let scheme = LabelScheme::from_cardinality(lambda.cardinality());
-        let Ok(mut model) = ModelRegistry.build(&strategy, n, lambda.cardinality());
-        // Train and infer through the live plan.
         let plan = self
             .plan
             .as_ref()
             .expect("a plan is kept whenever Λ exists");
-        let train_cfg = &self.config.train;
-        let report = if let Some(prev) = self.model.take().filter(|p| p.scheme() == scheme) {
+        let warm = self.model.take().map(|prev| {
             if structural || prev.num_lfs() != n {
                 // Map surviving columns to their previous per-column
                 // state by fingerprint; new/edited columns start fresh.
@@ -177,17 +155,13 @@ impl IncrementalSession {
                     .map(|fp| self.last_fingerprints.iter().position(|p| p == fp))
                     .collect();
                 let fresh: Vec<usize> = (0..n).filter(|&j| col_map[j].is_none()).collect();
-                let remapped = prev.remapped(&col_map);
-                model.fit_warm(lambda, Some(plan), train_cfg, &remapped, &fresh)
+                (prev.remapped(&col_map), fresh)
             } else {
-                model.fit_warm(lambda, Some(plan), train_cfg, &prev, &changed_cols)
+                (prev, changed_cols)
             }
-        } else {
-            model.fit(lambda, Some(plan), train_cfg)
-        };
-        let warm_started = report.warm_started;
-        let fit_epochs = report.epochs;
-        let labels = model.marginals(lambda, Some(plan));
+        });
+        let (model, fit, labels) =
+            fit_and_label(&strategy, lambda, Some(plan), &self.config.train, warm);
         let backend = model.backend_name();
         self.model = Some(model);
         let training_time = train_span.finish();
@@ -248,8 +222,8 @@ impl IncrementalSession {
             columns_extended: sync.extended,
             lf_invocations: sync.lf_invocations,
             structure_reused,
-            warm_started,
-            fit_epochs,
+            warm_started: fit.warm_started,
+            fit_epochs: fit.epochs,
             unique_patterns,
             cache: stats_after,
             timings: RefreshTimings {

@@ -57,7 +57,7 @@ mod text;
 
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, BUCKET_COUNT};
 pub use registry::{Registry, Series};
-pub use span::{span, span_at, trace_level, Span, TraceEntry, TraceLevel, TraceRing};
+pub use span::{span, span_at, stage_span, trace_level, Span, TraceEntry, TraceLevel, TraceRing};
 pub use text::{validate_exposition, ExpositionSummary};
 
 use std::sync::OnceLock;

@@ -218,6 +218,15 @@ pub fn span_at(name: &'static str, level: TraceLevel) -> Span {
     }
 }
 
+/// Start a [`Debug`](TraceLevel::Debug)-level span for one stage of a
+/// staged operation, timing into `family{stage="<stage>"}` of the global
+/// registry. [`Span::finish`] hands back the duration, so a caller's
+/// per-stage report and the live metric are the same measurement.
+pub fn stage_span(family: &str, stage: &'static str) -> Span {
+    let hist = crate::global().histogram(family, &[("stage", stage)]);
+    Span::start(stage, hist, TraceLevel::Debug)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

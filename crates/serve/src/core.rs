@@ -114,9 +114,9 @@ impl ServeObs {
 pub(crate) struct ServeState {
     pub(crate) session: IncrementalSession,
     /// Bumped under the write lock on every successful `REFRESH`, and
-    /// on every `INGEST` whose online solve or auto-refit changed the
-    /// model (the posterior memo is keyed by this counter, so any
-    /// weight change must advance it).
+    /// on every `INGEST` that changed the model — an online solve, an
+    /// auto-refit, or a fallback full refresh (the posterior memo is
+    /// keyed by this counter, so any weight change must advance it).
     pub(crate) generation: u64,
     /// LSN of the last op-log record applied to this state (0 until the
     /// first mutation; always 0 on a non-replicated server). Advances
@@ -254,10 +254,13 @@ impl Core {
     /// path — gauges describe state, so refreshing them at observation
     /// time is enough.
     pub(crate) fn publish_gauges(&self, state: &ServeState) {
-        let lag = state
-            .session
-            .disc()
-            .map_or(0, |d| state.generation.saturating_sub(d.generation));
+        // Both sides on the session's refresh scale, the counter
+        // `disc_is_stale` compares (the server generation restarts at 0
+        // in every process).
+        let session = &state.session;
+        let lag = session.disc().map_or(0, |d| {
+            session.refresh_generation().saturating_sub(d.generation)
+        });
         self.obs.disc_gen_lag.set(lag.min(i64::MAX as u64) as i64);
         let memo = lock_unpoisoned(&self.memo);
         self.obs.memo_size.set(memo.len() as i64);

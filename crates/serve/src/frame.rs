@@ -113,15 +113,14 @@ pub type VoteRow = (Vec<u32>, Vec<Vote>);
 /// binary counterpart of the text `INGEST` grammar.
 pub type IngestRow = ((usize, usize), (usize, usize), String);
 
-/// A decoded binary request.
+/// A binary request decoded by [`decode_request`]. The batched read
+/// verbs are not here: [`OP_MARGINAL`] and [`OP_PREDICT`] decode
+/// zero-copy through [`crate::hotpath::decode_marginal`] and
+/// [`crate::hotpath::decode_predict`].
 #[derive(Clone, Debug, PartialEq)]
 pub enum BinRequest {
     /// [`OP_PING`].
     Ping,
-    /// [`OP_MARGINAL`]: one batch of vote rows.
-    Marginal(Vec<VoteRow>),
-    /// [`OP_PREDICT`]: one batch of feature vectors.
-    Predict(Vec<Vec<String>>),
     /// [`OP_INGEST`]: one batch of candidates to stream in.
     Ingest(Vec<IngestRow>),
     /// [`OP_LOG_SUBSCRIBE`]: tail the replication log starting at this
@@ -160,8 +159,9 @@ pub enum BinReply {
     },
     /// OK reply to [`OP_INGEST`]: one summary for the whole batch.
     Ingest {
-        /// Server generation after the ingest (bumped when the online
-        /// moment solve or an auto-refit ran).
+        /// Server generation after the ingest (bumped when the ingest
+        /// changed the model: an online moment solve, an auto-refit, or
+        /// a fallback full refresh).
         gen: u64,
         /// Rows ingested by this frame.
         rows: u64,
@@ -455,8 +455,8 @@ macro_rules! rd {
 
 /// A `Reader` error in wire-message form — the function behind the
 /// `rd!` macro, shared with the zero-copy decoders in
-/// [`crate::hotpath`] so both decode paths reject a malformed frame
-/// with the identical message.
+/// [`crate::hotpath`] so every request decoder words a malformed frame
+/// the same way.
 pub(crate) fn wire_err(e: crate::snap::SnapError) -> String {
     format!("bad frame: {e}")
 }
@@ -494,57 +494,15 @@ pub(crate) fn u32_len(
     Ok(n)
 }
 
-/// Decode a request frame's payload. Rejects unknown opcodes, torn or
-/// trailing bytes, empty batches, unsorted columns, and abstain votes
-/// — everything the text parser would reject, so the two planes admit
-/// the same request space.
+/// Decode a request frame's payload into a [`BinRequest`] (the batched
+/// read opcodes decode through [`crate::hotpath`] instead). Rejects
+/// unknown opcodes, torn or trailing bytes, empty batches and blank
+/// ingest text — everything the text parser would reject, so the two
+/// planes admit the same request space.
 pub fn decode_request(opcode: u8, payload: &[u8]) -> Result<BinRequest, String> {
     let mut r = Reader::new(payload);
     let req = match opcode {
         OP_PING => BinRequest::Ping,
-        OP_MARGINAL => {
-            // A row is at least 4 bytes (its count); an entry 5.
-            let n = batch_len(&mut r, 4, "vote rows")?;
-            let mut rows = Vec::with_capacity(n);
-            for _ in 0..n {
-                let k = u32_len(&mut r, 5, "vote-row length")?;
-                if k == 0 {
-                    return Err("empty vote row".into());
-                }
-                let mut cols = Vec::with_capacity(k);
-                let mut votes = Vec::with_capacity(k);
-                for _ in 0..k {
-                    let col = rd!(r.u32("vote column"));
-                    let vote = rd!(r.i8("vote"));
-                    if cols.last().is_some_and(|&prev| prev >= col) {
-                        return Err("columns must be strictly increasing".into());
-                    }
-                    if vote == 0 {
-                        return Err("votes in requests must be non-abstain".into());
-                    }
-                    cols.push(col);
-                    votes.push(vote);
-                }
-                rows.push((cols, votes));
-            }
-            BinRequest::Marginal(rows)
-        }
-        OP_PREDICT => {
-            let n = batch_len(&mut r, 4, "feature vectors")?;
-            let mut rows = Vec::with_capacity(n);
-            for _ in 0..n {
-                let k = u32_len(&mut r, 8, "feature-vector length")?;
-                if k == 0 {
-                    return Err("PREDICT needs at least one feature".into());
-                }
-                let mut feats = Vec::with_capacity(k);
-                for _ in 0..k {
-                    feats.push(rd!(r.str("feature name")));
-                }
-                rows.push(feats);
-            }
-            BinRequest::Predict(rows)
-        }
         OP_INGEST => {
             // A row is at least four 8-byte span bounds plus an 8-byte
             // string length prefix.
@@ -816,24 +774,10 @@ mod tests {
         (frame[1], &frame[FRAME_HEADER_BYTES..])
     }
 
+    /// `OP_MARGINAL`/`OP_PREDICT` round-trip through the zero-copy
+    /// decoders: `hotpath::tests`.
     #[test]
     fn requests_round_trip() {
-        let rows: Vec<VoteRow> = vec![(vec![0, 3], vec![1, -1]), (vec![2], vec![1])];
-        let frame = encode_marginal(&rows);
-        let (op, body) = payload(&frame);
-        assert_eq!(
-            decode_request(op, body).unwrap(),
-            BinRequest::Marginal(rows)
-        );
-
-        let feats = vec![vec!["btw=cause".to_string(), "u=x".to_string()]];
-        let frame = encode_predict(&feats);
-        let (op, body) = payload(&frame);
-        assert_eq!(
-            decode_request(op, body).unwrap(),
-            BinRequest::Predict(feats)
-        );
-
         let frame = encode_ping();
         let (op, body) = payload(&frame);
         assert_eq!(decode_request(op, body).unwrap(), BinRequest::Ping);
@@ -964,34 +908,17 @@ mod tests {
         }
     }
 
+    /// The batched read verbs' rejections: `hotpath::tests`.
     #[test]
     fn invalid_requests_are_rejected() {
         // Unknown opcode.
         assert!(decode_request(0x7E, &[]).is_err());
-        // Empty batch.
-        let frame = encode_marginal(&[]);
-        let (op, body) = payload(&frame);
-        assert!(decode_request(op, body)
-            .unwrap_err()
-            .contains("empty batch"));
-        // Unsorted columns.
-        let frame = encode_marginal(&[(vec![3, 0], vec![1, 1])]);
-        let (op, body) = payload(&frame);
-        assert!(decode_request(op, body)
-            .unwrap_err()
-            .contains("strictly increasing"));
-        // Abstain vote.
-        let frame = encode_marginal(&[(vec![0], vec![0])]);
-        let (op, body) = payload(&frame);
-        assert!(decode_request(op, body)
-            .unwrap_err()
-            .contains("non-abstain"));
         // A count field larger than the bytes behind it is rejected
         // before allocation (the Reader::len-style validation).
         let mut w = Writer::new();
         w.put_u32(1_000_000);
         let body = w.into_bytes();
-        assert!(decode_request(OP_MARGINAL, &body)
+        assert!(decode_request(OP_INGEST, &body)
             .unwrap_err()
             .contains("exceeds the bytes remaining"));
         // Trailing garbage after a complete request.

@@ -16,10 +16,10 @@
 //!   open-addressing probe table, so a steady-state lookup borrows
 //!   `&[f64]` straight out of the arena with zero allocations and zero
 //!   hashing-related clones.
-//! * [`decode_marginal`] / [`decode_predict`] — zero-copy decoders
-//!   that validate exactly what [`crate::frame::decode_request`]
-//!   validates (same error strings, property-tested) but write into
-//!   the scratch arenas instead of fresh `Vec`s.
+//! * [`decode_marginal`] / [`decode_predict`] — the one decoder of each
+//!   batched read opcode: zero-copy, validating into the scratch arenas
+//!   instead of fresh `Vec`s, with the error wording the rest of
+//!   [`crate::frame`] uses.
 //! * [`compute_marginal`] / [`compute_predict`] — the batch cores both
 //!   wire planes route through, on the `*_into` kernels (the only
 //!   implementation of each posterior; the allocating forms wrap
@@ -335,10 +335,10 @@ pub struct PredictOutcome {
 }
 
 /// Decode an `OP_MARGINAL` payload into the scratch arenas, enforcing
-/// exactly what [`frame::decode_request`] enforces (same error
-/// strings): non-empty batch, non-empty rows, strictly increasing
-/// columns, non-abstain votes, no trailing bytes. Returns the row
-/// count.
+/// what the text `MARGINAL` parser enforces: non-empty batch, non-empty
+/// rows, strictly increasing columns, non-abstain votes — plus no
+/// trailing bytes and counts within the bytes remaining. Returns the
+/// row count.
 pub fn decode_marginal(payload: &[u8], scratch: &mut ReadScratch) -> Result<usize, String> {
     let mut r = Reader::new(payload);
     scratch.cols.reset();
@@ -375,8 +375,8 @@ pub fn decode_marginal(payload: &[u8], scratch: &mut ReadScratch) -> Result<usiz
 /// Decode an `OP_PREDICT` payload into the scratch arenas: feature
 /// names are UTF-8-validated in place and recorded as byte ranges into
 /// `payload` (no copies — [`compute_predict`] reads them back out of
-/// the same payload slice). Same validation and error strings as
-/// [`frame::decode_request`]. Returns the row count.
+/// the same payload slice). Rejects an empty batch, an empty feature
+/// vector, torn names and trailing bytes. Returns the row count.
 pub fn decode_predict(payload: &[u8], scratch: &mut ReadScratch) -> Result<usize, String> {
     let mut r = Reader::new(payload);
     scratch.feats.reset();
@@ -633,18 +633,49 @@ mod tests {
         assert_eq!(memo.len(), MEMO_CAP);
     }
 
+    fn body_of(frame_bytes: &[u8]) -> Vec<u8> {
+        frame_bytes[frame::FRAME_HEADER_BYTES..].to_vec()
+    }
+
     #[test]
-    fn zero_copy_decoders_reject_what_decode_request_rejects() {
+    fn batched_read_requests_round_trip() {
         let mut scratch = ReadScratch::new();
-        // Mirror frame::tests::invalid_requests_are_rejected through
-        // the scratch decoders: identical error strings.
-        let body_of = |frame_bytes: &[u8]| -> Vec<u8> {
-            frame_bytes[crate::frame::FRAME_HEADER_BYTES..].to_vec()
-        };
+        let rows: Vec<frame::VoteRow> = vec![(vec![0, 3], vec![1, -1]), (vec![2], vec![1])];
+        let body = body_of(&frame::encode_marginal(&rows));
+        assert_eq!(decode_marginal(&body, &mut scratch), Ok(2));
+        let decoded: Vec<frame::VoteRow> = (0..2)
+            .map(|i| {
+                let (cols, votes) = row_at(&scratch.rows, &scratch.cols, &scratch.votes, i);
+                (cols.to_vec(), votes.to_vec())
+            })
+            .collect();
+        assert_eq!(decoded, rows);
+
+        let feats = vec![vec!["btw=cause".to_string(), "u=x".to_string()]];
+        let body = body_of(&frame::encode_predict(&feats));
+        assert_eq!(decode_predict(&body, &mut scratch), Ok(1));
+        let names: Vec<&str> = scratch
+            .feats
+            .iter()
+            .map(|&(off, len)| std::str::from_utf8(&body[off as usize..(off + len) as usize]))
+            .collect::<Result<_, _>>()
+            .unwrap();
+        assert_eq!(scratch.feat_rows.as_slice(), &[(0, 2)]);
+        assert_eq!(names, feats[0]);
+    }
+
+    #[test]
+    fn zero_copy_decoders_reject_malformed_batches() {
+        let mut scratch = ReadScratch::new();
         let body = body_of(&frame::encode_marginal(&[]));
         assert!(decode_marginal(&body, &mut scratch)
             .unwrap_err()
             .contains("empty batch"));
+        // A count field larger than the bytes behind it is rejected
+        // before allocation (the Reader::len-style validation).
+        assert!(decode_marginal(&1_000_000u32.to_le_bytes(), &mut scratch)
+            .unwrap_err()
+            .contains("exceeds the bytes remaining"));
         let body = body_of(&frame::encode_marginal(&[(vec![3, 0], vec![1, 1])]));
         assert_eq!(
             decode_marginal(&body, &mut scratch).unwrap_err(),

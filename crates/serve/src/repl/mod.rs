@@ -100,16 +100,19 @@ pub fn prepare_ingest(rows: &[IngestRow]) -> Result<PreparedIngest, String> {
 
 /// Append a prepared batch to the corpus and absorb it through the
 /// streaming plane — the write-lock half of an ingest. Bumps
-/// `generation` exactly when the streaming plane refit (online or
-/// warm), mirroring the leader's visible generation semantics.
+/// `generation` exactly when the session's refresh generation advanced,
+/// i.e. the model changed: an online solve, a drift auto-refit, or the
+/// full refresh an ingest falls back to before the first refresh or
+/// with suite edits pending.
 pub fn apply_ingest(
     session: &mut IncrementalSession,
     generation: &mut u64,
     batch: PreparedIngest,
 ) -> IngestReport {
+    let before = session.refresh_generation();
     let ids = batch.append_to(session.corpus_mut(), "ingest");
     let report = session.ingest_batch(&ids);
-    if report.online_fit || report.auto_refit {
+    if session.refresh_generation() != before {
         *generation += 1;
     }
     report

@@ -117,8 +117,9 @@ impl Verb {
 }
 
 /// A parsed request. Text verbs arrive as the text parser typed them;
-/// frames as the owned codec decoded them, except the two batched read
-/// verbs, whose rows decode zero-copy into the worker's [`ReadScratch`].
+/// frames as [`frame::decode_request`] decoded them, except the two
+/// batched read verbs, whose rows decode zero-copy into the worker's
+/// [`ReadScratch`].
 enum Req<'a> {
     Text(Request),
     /// `OP_PING`, `OP_INGEST` or `OP_LOG_SUBSCRIBE`.
@@ -428,9 +429,6 @@ fn handle(
             }
             let (next, tip, gen) = node::subscribe_grant(core, from)?;
             Ok(Reply::SubAck { next, tip, gen })
-        }
-        Req::Frame(BinRequest::Marginal(_) | BinRequest::Predict(_)) => {
-            unreachable!("the batched read verbs decode zero-copy")
         }
     }
 }

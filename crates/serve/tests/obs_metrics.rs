@@ -8,6 +8,8 @@
 //!   exist in a live exposition.
 //! * **SLOWLOG** — returns the slowest buffered spans, slowest first,
 //!   named by wire verb.
+//! * **disc lag** — `snorkel_serve_disc_gen_lag` agrees with `STATS`'s
+//!   stale `disc_gen=` on a server started over a lagging session.
 //! * **kill/resume** — gauges are reconstructed from the thawed session
 //!   even after being clobbered (the in-process stand-in for a process
 //!   restart; the cross-process counter-reset half lives in
@@ -15,6 +17,7 @@
 
 use snorkel_context::{CandidateId, Corpus};
 use snorkel_core::optimizer::ModelingStrategy;
+use snorkel_core::pipeline::DiscTrainerConfig;
 use snorkel_incr::{IncrementalSession, SessionConfig};
 use snorkel_nlp::tokenize;
 use snorkel_serve::{Client, LabelServer, LfSpec, ServeConfig, Snapshot};
@@ -55,9 +58,13 @@ const SPECS: [&str; 2] = [
 ];
 
 fn primed_session(rows: usize) -> IncrementalSession {
+    primed_session_with(rows, gm_config())
+}
+
+fn primed_session_with(rows: usize, config: SessionConfig) -> IncrementalSession {
     let corpus = build_corpus(rows);
     let ids: Vec<CandidateId> = corpus.candidate_ids().collect();
-    let mut session = IncrementalSession::new(corpus, gm_config());
+    let mut session = IncrementalSession::new(corpus, config);
     session.ingest_candidates(&ids);
     for spec in SPECS {
         let spec = LfSpec::parse(spec).expect("valid spec");
@@ -258,6 +265,38 @@ fn stats_reports_cache_and_memo_occupancy() {
     assert!(memo_size >= 1, "repeat MARGINAL memoized: {stats}");
     let memo_gen: u64 = field(&stats, "memo_gen").parse().expect("number");
     assert_eq!(memo_gen, 0, "no refresh yet: {stats}");
+
+    server.shutdown().expect("clean shutdown");
+}
+
+#[test]
+fn disc_gen_lag_counts_refreshes_since_the_distillation() {
+    // Refreshed, distilled, refreshed again: the disc model lags by one
+    // refresh before the server has bumped its own generation once.
+    let mut session = primed_session_with(
+        60,
+        SessionConfig {
+            distill: Some(DiscTrainerConfig::with_dim(1 << 10)),
+            ..gm_config()
+        },
+    );
+    session.distill().expect("distillation is configured");
+    session.refresh();
+    let server = LabelServer::start(session, ServeConfig::default()).expect("bind");
+    let mut client = Client::connect(server.addr()).expect("connect");
+
+    let stats = client.request("STATS").expect("stats");
+    assert_eq!(field(&stats, "disc_gen"), "1(stale)", "{stats}");
+    // The gauge is process-global and this binary's other servers
+    // publish it too, so read until one scrape carries this server's
+    // value (it is the only one here with a disc model).
+    let lag = (0..20)
+        .map(|_| {
+            let (_, lines) = client.request_lines("METRICS").expect("metrics");
+            gauge_value(&lines, "snorkel_serve_disc_gen_lag")
+        })
+        .find(|lag| *lag != Some(0.0));
+    assert_eq!(lag, Some(Some(1.0)));
 
     server.shutdown().expect("clean shutdown");
 }

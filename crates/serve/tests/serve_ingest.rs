@@ -10,6 +10,9 @@
 //!   same summary fields as the text verb.
 //! * **validation** — a bad span refuses the whole batch before
 //!   anything grows.
+//! * **fallback refresh** — an ingest into a never-refreshed session
+//!   runs a full refresh, advances the generation, and stops the memo
+//!   serving the pre-refresh posterior.
 //! * **backpressure** — a zero-capacity gate (drain mode) refuses both
 //!   planes with a typed `backpressure` error and the connection
 //!   survives.
@@ -26,6 +29,7 @@ use snorkel_core::optimizer::OptimizerConfig;
 use snorkel_incr::{IncrementalSession, SessionConfig};
 use snorkel_lf::{lf, BoxedLf};
 use snorkel_nlp::tokenize;
+use snorkel_serve::repl::{apply_ingest, prepare_ingest};
 use snorkel_serve::{BinReply, Client, FrameClient, LabelServer, ServeConfig};
 
 fn build_corpus(n: usize) -> Corpus {
@@ -68,11 +72,17 @@ fn mod_lf(name: &str, vote_mod: u64) -> BoxedLf {
     })
 }
 
-fn moment_session(rows: usize) -> IncrementalSession {
+/// A session with four LFs and no refresh yet.
+fn unrefreshed_session(rows: usize) -> IncrementalSession {
     let mut session = IncrementalSession::over_all_candidates(build_corpus(rows), moment_config());
     for j in 0..4u64 {
         session.add_lf(mod_lf(&format!("lf_{j}"), 2 + j));
     }
+    session
+}
+
+fn moment_session(rows: usize) -> IncrementalSession {
+    let mut session = unrefreshed_session(rows);
     let (_, report) = session.refresh();
     assert_eq!(report.backend, "moment");
     session
@@ -239,6 +249,51 @@ fn concurrent_ingest_and_refresh_serialize_without_torn_generations() {
     let drift: f64 = field(&stats, "drift_score").parse().expect("numeric score");
     assert!((0.0..=1.0).contains(&drift));
 
+    server.shutdown().expect("clean shutdown");
+}
+
+#[test]
+fn an_ingest_that_falls_back_to_a_full_refresh_invalidates_the_memo() {
+    const TEXT: &str = "alpha1 causes beta2";
+    const SIG: &str = "MARGINAL 0:1";
+    let rows = 60;
+
+    // With no refresh yet the server answers from the majority vote, and
+    // memoizes that answer.
+    let server =
+        LabelServer::start(unrefreshed_session(rows), ServeConfig::default()).expect("bind");
+    let mut client = Client::connect(server.addr()).expect("connect");
+    let before = client.request(SIG).expect("marginal");
+    assert_eq!(field(&before, "p"), "1,0", "{before}");
+
+    // The ingest falls back to a full refresh: the model changes, so the
+    // generation must move and the memo must not answer.
+    let reply = client
+        .request(&format!("INGEST 0 1 2 3 {TEXT}"))
+        .expect("ingest");
+    assert!(reply.starts_with("OK "), "{reply}");
+    assert_eq!(field(&reply, "online"), "0", "{reply}");
+    let after = client.request(SIG).expect("marginal");
+    let gen = |reply: &str| field(reply, "gen").parse::<u64>().expect("number");
+    assert!(gen(&after) > gen(&before), "{before} then {after}");
+
+    // A fresh server over a session in the same state has no memo.
+    let mut twin = unrefreshed_session(rows);
+    let batch = prepare_ingest(&[((0, 1), (2, 3), TEXT.to_string())]);
+    apply_ingest(&mut twin, &mut 0, batch.expect("valid row"));
+    let fresh = LabelServer::start(twin, ServeConfig::default()).expect("bind");
+    let expected = Client::connect(fresh.addr())
+        .expect("connect")
+        .request(SIG)
+        .expect("marginal");
+    assert_ne!(
+        field(&expected, "p"),
+        "1,0",
+        "the refresh must move the posterior"
+    );
+    assert_eq!(field(&after, "p"), field(&expected, "p"));
+
+    fresh.shutdown().expect("clean shutdown");
     server.shutdown().expect("clean shutdown");
 }
 
