@@ -45,6 +45,7 @@
 pub mod bounds;
 pub mod label_model;
 pub mod model;
+mod moment;
 pub mod optimizer;
 pub mod pipeline;
 pub mod structure;

@@ -64,6 +64,34 @@ fn default_strategy_marginals_are_pinned() {
     }
 }
 
+/// The moment backend's closed-form weights, pinned through its
+/// marginals. The online-vs-batch properties compare the solve with
+/// itself, so only this test notices a change to the solve's arithmetic.
+#[test]
+fn moment_marginals_are_pinned() {
+    let registry = ModelRegistry::standard();
+    for (seed, want) in [
+        (1, 0x0d97_216e_fa62_d17d),
+        (3, 0x5f2d_3511_4f27_a021),
+        (11, 0xd213_e118_4d0f_ccd0),
+    ] {
+        let t = task(seed);
+        let lambda = LfExecutor::default().apply(&t.lfs, &t.corpus, &t.candidates);
+        let Ok(mut model) = registry.build(
+            &ModelingStrategy::MomentMatching,
+            lambda.num_lfs(),
+            lambda.cardinality(),
+        );
+        model.fit(&lambda, None, &TrainConfig::default());
+        let marginals = model.marginals(&lambda, None);
+        let got = fnv1a(marginals.iter().flatten().map(|p| p.to_bits()));
+        assert_eq!(
+            got, want,
+            "moment marginals digest at seed {seed}: {got:016x}"
+        );
+    }
+}
+
 /// The digests fix the distillation step's gradient summation order
 /// (range, then minibatch row, then feature). Reordering it moves them
 /// in the last bits only; `snorkel-disc`'s

@@ -494,7 +494,6 @@ impl DistilledModel {
         s.shard_bias.fill(0.0);
         for &(i, w) in slice {
             let x = &xs[i];
-            s.touch(x);
             match self {
                 DistilledModel::Binary(m) => {
                     let score = m.score(x);
@@ -610,21 +609,16 @@ impl StepScratch {
         }
     }
 
-    /// List `x`'s buckets not yet touched this step.
-    fn touch(&mut self, x: &SparseVec) {
-        for &b in x.indices() {
+    /// Add `err · x` to group `c`'s gradient, in `x`'s feature order,
+    /// listing the buckets not yet touched this step as it goes.
+    fn scatter(&mut self, c: usize, x: &SparseVec, err: f64) {
+        let grad = &mut self.grad[c];
+        for (b, v) in x.iter() {
             let seen = &mut self.seen[b as usize];
             if !*seen {
                 *seen = true;
                 self.touched.push(b);
             }
-        }
-    }
-
-    /// Add `err · x` to group `c`'s gradient, in `x`'s feature order.
-    fn scatter(&mut self, c: usize, x: &SparseVec, err: f64) {
-        let grad = &mut self.grad[c];
-        for (b, v) in x.iter() {
             grad[b as usize] += err * v;
         }
     }

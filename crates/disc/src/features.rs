@@ -17,7 +17,7 @@
 //! * span texts, entity types, argument order, and a bucketed token
 //!   distance.
 
-use snorkel_context::CandidateView;
+use snorkel_context::{CandidateView, Token};
 use snorkel_linalg::SparseVec;
 
 /// FNV-1a hash of a feature string into `[0, buckets)`.
@@ -29,14 +29,63 @@ use snorkel_linalg::SparseVec;
 /// assert!(a < (1 << 18));
 /// ```
 pub fn hash_feature(name: &str, buckets: u32) -> u32 {
-    const FNV_OFFSET: u64 = 0xcbf29ce484222325;
-    const FNV_PRIME: u64 = 0x100000001b3;
-    let mut h = FNV_OFFSET;
-    for b in name.as_bytes() {
-        h ^= *b as u64;
-        h = h.wrapping_mul(FNV_PRIME);
+    FeatureHash::new().str(name).bucket(buckets)
+}
+
+/// FNV-1a streamed over the pieces of one feature name. FNV-1a folds
+/// one byte at a time, so hashing the pieces in sequence gives the same
+/// value as hashing their concatenation: the featurizer hashes
+/// `"left" + k + "=" + lemma` without ever building that string.
+#[derive(Clone, Copy)]
+struct FeatureHash(u64);
+
+impl FeatureHash {
+    const OFFSET: u64 = 0xcbf29ce484222325;
+    const PRIME: u64 = 0x100000001b3;
+
+    fn new() -> Self {
+        FeatureHash(Self::OFFSET)
     }
-    (h % buckets as u64) as u32
+
+    #[inline]
+    fn byte(self, b: u8) -> Self {
+        FeatureHash((self.0 ^ b as u64).wrapping_mul(Self::PRIME))
+    }
+
+    #[inline]
+    fn str(self, s: &str) -> Self {
+        s.bytes().fold(self, Self::byte)
+    }
+
+    /// Hash `s.to_lowercase()`. ASCII text is lowered byte by byte;
+    /// anything else goes through `str::to_lowercase`, whose final-sigma
+    /// rule looks at the whole string.
+    fn lower(self, s: &str) -> Self {
+        if s.is_ascii() {
+            s.bytes().fold(self, |h, b| h.byte(b.to_ascii_lowercase()))
+        } else {
+            self.str(&s.to_lowercase())
+        }
+    }
+
+    /// Hash the decimal digits of `k` (what `format!("{k}")` prints).
+    fn num(self, mut k: usize) -> Self {
+        let mut digits = [0u8; 20];
+        let mut at = digits.len();
+        loop {
+            at -= 1;
+            digits[at] = b'0' + (k % 10) as u8;
+            k /= 10;
+            if k == 0 {
+                break;
+            }
+        }
+        digits[at..].iter().fold(self, |h, &b| h.byte(b))
+    }
+
+    fn bucket(self, buckets: u32) -> u32 {
+        (self.0 % buckets as u64) as u32
+    }
 }
 
 /// Stateless hashed featurizer for candidates.
@@ -71,38 +120,62 @@ impl TextFeaturizer {
 
     /// Extract the L2-normalized hashed feature vector of a candidate.
     pub fn featurize(&self, x: &CandidateView<'_>) -> SparseVec {
-        let mut pairs: Vec<(u32, f64)> = Vec::with_capacity(64);
-        let mut emit = |name: String| pairs.push((hash_feature(&name, self.buckets), 1.0));
+        let mut out = SparseVec::new();
+        self.featurize_into(x, &mut Vec::with_capacity(64), &mut out);
+        out
+    }
 
-        let sent = x.sentence();
-        let lemmas: Vec<&str> = (0..sent.num_tokens()).map(|i| sent.lemma(i)).collect();
+    /// [`Self::featurize`] into `out`, hashing into the caller's `pairs`
+    /// scratch: the one featurization kernel. Feature names are hashed
+    /// piece by piece, never built, so once `pairs` and `out` have
+    /// reached their high-water marks a call allocates nothing (unless a
+    /// span's text is non-ASCII, which is lowercased through a `String`).
+    pub fn featurize_into(
+        &self,
+        x: &CandidateView<'_>,
+        pairs: &mut Vec<(u32, f64)>,
+        out: &mut SparseVec,
+    ) {
+        pairs.clear();
+        let mut emit = |h: FeatureHash| pairs.push((h.bucket(self.buckets), 1.0));
+        let f = FeatureHash::new;
+        let bigram = |tag: &str, pair: &[Token]| {
+            f().str(tag)
+                .str(&pair[0].lemma)
+                .str("_")
+                .str(&pair[1].lemma)
+        };
+
+        let tokens = x.sentence().tokens();
 
         // Sentence unigrams / bigrams.
-        for w in &lemmas {
-            emit(format!("u={w}"));
+        for t in tokens {
+            emit(f().str("u=").str(&t.lemma));
         }
         if self.bigrams {
-            for pair in lemmas.windows(2) {
-                emit(format!("b={}_{}", pair[0], pair[1]));
+            for pair in tokens.windows(2) {
+                emit(bigram("b=", pair));
             }
         }
 
         // Span-level features.
         for k in 0..x.arity() {
             let span = x.span(k);
-            emit(format!("span{k}={}", span.text().to_lowercase()));
+            // `"{name}{k}="`, the prefix of every per-span feature.
+            let slot = |name: &str| f().str(name).num(k).str("=");
+            emit(slot("span").lower(span.text()));
             if let Some(ty) = span.entity_type() {
-                emit(format!("type{k}={ty}"));
+                emit(slot("type").str(ty));
             }
             // Window around the span.
             let (s, e) = span.word_range();
             let lo = s.saturating_sub(self.window);
-            let hi = (e + self.window).min(lemmas.len());
-            for w in &lemmas[lo..s] {
-                emit(format!("left{k}={w}"));
+            let hi = (e + self.window).min(tokens.len());
+            for t in &tokens[lo..s] {
+                emit(slot("left").str(&t.lemma));
             }
-            for w in &lemmas[e..hi] {
-                emit(format!("right{k}={w}"));
+            for t in &tokens[e..hi] {
+                emit(slot("right").str(&t.lemma));
             }
         }
 
@@ -111,38 +184,52 @@ impl TextFeaturizer {
             // The argument-pair conjunction: lets the model carry what it
             // learned about a pair from cue-rich mentions over to
             // cue-free mentions of the same pair (Example 2.5).
-            emit(format!(
-                "pair={}|{}",
-                x.span(0).text().to_lowercase(),
-                x.span(1).text().to_lowercase()
-            ));
-            for w in x.lemmas_between(0, 1) {
-                emit(format!("btw={w}"));
+            emit(
+                f().str("pair=")
+                    .lower(x.span(0).text())
+                    .str("|")
+                    .lower(x.span(1).text()),
+            );
+            let between = x.tokens_between(0, 1);
+            for t in between {
+                emit(f().str("btw=").str(&t.lemma));
             }
             if self.bigrams {
-                let between = x.lemmas_between(0, 1);
                 for pair in between.windows(2) {
-                    emit(format!("btwb={}_{}", pair[0], pair[1]));
+                    emit(bigram("btwb=", pair));
                 }
             }
-            emit(format!("order={}", x.span_precedes(0, 1)));
-            emit(format!("dist={}", distance_bucket(x.token_distance(0, 1))));
+            let order = if x.span_precedes(0, 1) {
+                "true"
+            } else {
+                "false"
+            };
+            emit(f().str("order=").str(order));
+            emit(
+                f().str("dist=")
+                    .str(distance_bucket(x.token_distance(0, 1))),
+            );
         }
 
-        let mut v = SparseVec::from_pairs(pairs);
-        v.l2_normalize();
-        v
+        out.assign_from_pairs(pairs);
+        out.l2_normalize();
     }
 
-    /// Featurize a batch of candidates.
+    /// Featurize a batch of candidates through one reused scratch, so
+    /// each row allocates only its output vector.
     pub fn featurize_all<'a>(
         &self,
         corpus: &snorkel_context::Corpus,
         candidates: impl IntoIterator<Item = &'a snorkel_context::CandidateId>,
     ) -> Vec<SparseVec> {
+        let mut pairs = Vec::with_capacity(64);
+        let mut row = SparseVec::new();
         candidates
             .into_iter()
-            .map(|&id| self.featurize(&corpus.candidate(id)))
+            .map(|&id| {
+                self.featurize_into(&corpus.candidate(id), &mut pairs, &mut row);
+                row.clone()
+            })
             .collect()
     }
 }
@@ -163,8 +250,149 @@ fn distance_bucket(d: usize) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use snorkel_context::Corpus;
     use snorkel_nlp::tokenize;
+
+    /// The featurizer the streamed-hash kernel replaced, body verbatim:
+    /// one `format!` string per feature, `to_lowercase` on the span
+    /// texts, collected lemma vectors and `SparseVec::from_pairs`. The
+    /// definition `featurize` must equal exactly.
+    fn reference_featurize(f: &TextFeaturizer, x: &CandidateView<'_>) -> SparseVec {
+        let mut pairs: Vec<(u32, f64)> = Vec::with_capacity(64);
+        let mut emit = |name: String| pairs.push((hash_feature(&name, f.buckets), 1.0));
+
+        let sent = x.sentence();
+        let lemmas: Vec<&str> = (0..sent.num_tokens()).map(|i| sent.lemma(i)).collect();
+
+        for w in &lemmas {
+            emit(format!("u={w}"));
+        }
+        if f.bigrams {
+            for pair in lemmas.windows(2) {
+                emit(format!("b={}_{}", pair[0], pair[1]));
+            }
+        }
+
+        for k in 0..x.arity() {
+            let span = x.span(k);
+            emit(format!("span{k}={}", span.text().to_lowercase()));
+            if let Some(ty) = span.entity_type() {
+                emit(format!("type{k}={ty}"));
+            }
+            let (s, e) = span.word_range();
+            let lo = s.saturating_sub(f.window);
+            let hi = (e + f.window).min(lemmas.len());
+            for w in &lemmas[lo..s] {
+                emit(format!("left{k}={w}"));
+            }
+            for w in &lemmas[e..hi] {
+                emit(format!("right{k}={w}"));
+            }
+        }
+
+        if x.arity() >= 2 {
+            emit(format!(
+                "pair={}|{}",
+                x.span(0).text().to_lowercase(),
+                x.span(1).text().to_lowercase()
+            ));
+            for w in x.lemmas_between(0, 1) {
+                emit(format!("btw={w}"));
+            }
+            if f.bigrams {
+                let between = x.lemmas_between(0, 1);
+                for pair in between.windows(2) {
+                    emit(format!("btwb={}_{}", pair[0], pair[1]));
+                }
+            }
+            emit(format!("order={}", x.span_precedes(0, 1)));
+            emit(format!("dist={}", distance_bucket(x.token_distance(0, 1))));
+        }
+
+        let mut v = SparseVec::from_pairs(pairs);
+        v.l2_normalize();
+        v
+    }
+
+    /// Words the exactness property draws sentences from: lower, upper
+    /// and mixed-case ASCII, Greek with a word-final capital sigma (which
+    /// lowercases to `ς`, not `σ`), a dotted capital I (which lowercases
+    /// to two chars) and other non-ASCII text.
+    const WORDS: &[&str] = &[
+        "magnesium",
+        "Causes",
+        "SEVERE",
+        "weakness",
+        "of",
+        "the",
+        "aspirin",
+        "Treats",
+        "ΟΔΟΣ",
+        "ΣΙΣΥΦΟΣ",
+        "İstanbul",
+        "İ",
+        "Straße",
+        "café",
+        "naïve",
+        "ΑΒΓ",
+        "x1",
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        #[test]
+        fn featurize_equals_the_format_reference(
+            words in prop::collection::vec(0..WORDS.len(), 1..12),
+            starts in (0usize..64, 0usize..64),
+            lens in (1usize..4, 1usize..4),
+            types in (0u8..2, 0u8..2),
+            binary in 0u8..2,
+            window in 0usize..4,
+            bigrams in 0u8..2,
+            small in 0u8..2,
+        ) {
+            let text = words.iter().map(|&w| WORDS[w]).collect::<Vec<_>>().join(" ");
+            let tokens = tokenize(&text);
+            let n = tokens.len();
+            let mut c = Corpus::new();
+            let d = c.add_document("d");
+            let s = c.add_sentence(d, text.as_str(), tokens);
+            let span = |c: &mut Corpus, start: usize, len: usize, typed: bool, ty: &str| {
+                let lo = start % n;
+                c.add_span(s, lo, (lo + len).min(n), typed.then_some(ty))
+            };
+            let mut spans = vec![span(&mut c, starts.0, lens.0, types.0 == 1, "Chemical")];
+            if binary == 1 {
+                spans.push(span(&mut c, starts.1, lens.1, types.1 == 1, "Disease"));
+            }
+            let id = c.add_candidate(spans);
+            // 16 buckets force collisions, which merge into values of 2.0+.
+            let f = TextFeaturizer {
+                buckets: if small == 1 { 16 } else { 1 << 18 },
+                window,
+                bigrams: bigrams == 1,
+            };
+            let x = c.candidate(id);
+            let want = reference_featurize(&f, &x);
+            prop_assert_eq!(f.featurize(&x), want.clone());
+            prop_assert_eq!(f.featurize_all(&c, &[id]), vec![want]);
+        }
+    }
+
+    #[test]
+    fn streamed_hash_equals_the_hash_of_the_concatenation() {
+        for k in [0usize, 7, 10, 12345, usize::MAX] {
+            let name = format!("left{k}=Σx");
+            let streamed = FeatureHash::new().str("left").num(k).str("=").str("Σx");
+            assert_eq!(streamed.bucket(u32::MAX), hash_feature(&name, u32::MAX));
+        }
+        for s in ["MiXeD", "ΟΔΟΣ ΑΒ", "İ", ""] {
+            let lowered = FeatureHash::new().lower(s).bucket(1 << 20);
+            assert_eq!(lowered, hash_feature(&s.to_lowercase(), 1 << 20), "{s:?}");
+        }
+    }
 
     fn corpus() -> (
         Corpus,

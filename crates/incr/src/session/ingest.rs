@@ -176,7 +176,7 @@ impl IncrementalSession {
 
     /// Bring every live column up to date in the cache, executing only
     /// the rows it cannot serve (in parallel across candidates via the
-    /// executor, as a 1-LF suite), then evict down to capacity. Returns
+    /// executor's per-column kernel), then evict down to capacity. Returns
     /// the live fingerprints in column order and what was done.
     pub(super) fn sync_columns(&mut self) -> (Vec<Fingerprint>, ColumnSync) {
         let m = self.candidates.len();
@@ -190,14 +190,10 @@ impl IncrementalSession {
                 continue;
             }
             let slice = &self.candidates[covered..];
-            let mini =
-                self.config
-                    .executor
-                    .apply(std::slice::from_ref(&slf.lf), &self.corpus, slice);
-            let mut entries = mini.column(0);
-            for e in &mut entries {
-                e.0 += covered as u32;
-            }
+            let entries = self
+                .config
+                .executor
+                .apply_column(&slf.lf, &self.corpus, slice, covered);
             sync.lf_invocations += slice.len();
             if covered == 0 {
                 sync.recomputed += 1;

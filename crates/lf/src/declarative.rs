@@ -104,6 +104,19 @@ impl KeywordBetweenLf {
         self.use_lemmas = true;
         self
     }
+
+    /// Whether `w.to_lowercase()` is one of the (lowercased) keywords.
+    /// An ASCII token is compared case-insensitively in place: its
+    /// lowercase is ASCII, so only an all-ASCII keyword can equal it, and
+    /// a lowercased keyword holds no ASCII capitals. Other tokens are
+    /// lowercased through a `String`.
+    fn matches(&self, w: &str) -> bool {
+        if w.is_ascii() {
+            self.keywords.iter().any(|k| k.eq_ignore_ascii_case(w))
+        } else {
+            self.keywords.contains(&w.to_lowercase())
+        }
+    }
 }
 
 impl LabelingFunction for KeywordBetweenLf {
@@ -116,12 +129,8 @@ impl LabelingFunction for KeywordBetweenLf {
             return ABSTAIN;
         }
         let hit = x.tokens_between(0, 1).iter().any(|t| {
-            let w = if self.use_lemmas {
-                t.lemma.to_lowercase()
-            } else {
-                t.text.to_lowercase()
-            };
-            self.keywords.contains(&w)
+            let w = if self.use_lemmas { &t.lemma } else { &t.text };
+            self.matches(w)
         });
         if !hit {
             return ABSTAIN;
@@ -198,7 +207,7 @@ impl LabelingFunction for ThresholdLf {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use snorkel_context::{CandidateId, Corpus};
+    use snorkel_context::{CandidateId, Corpus, Token};
     use snorkel_nlp::tokenize;
 
     /// "magnesium causes weakness" forward candidate and a reversed one.
@@ -258,6 +267,69 @@ mod tests {
         let (c, fwd, _) = corpus();
         let k = KeywordBetweenLf::new("lf_treats", &["treats"], 1, -1);
         assert_eq!(k.label(&c.candidate(fwd)), 0);
+    }
+
+    /// The keyword test `matches` replaced: lowercase every token.
+    fn reference_matches(k: &KeywordBetweenLf, w: &str) -> bool {
+        k.keywords.contains(&w.to_lowercase())
+    }
+
+    #[test]
+    fn keyword_matching_keeps_to_lowercase_semantics() {
+        // (keywords, token between the spans). The Kelvin sign `K`
+        // lowercases to ASCII `k`; `İ` to `i̇` (two chars); a word-final
+        // capital sigma to `ς`.
+        let table: &[(&[&str], &str)] = &[
+            (&["causes"], "causes"),
+            (&["causes"], "CAUSES"),
+            (&["causes"], "CaUsEs"),
+            (&["CAUSES"], "causes"),
+            (&["causes"], "caused"),
+            (&["causes"], "cause"),
+            (&["\u{212A}eep"], "keep"),
+            (&["\u{212A}eep"], "KEEP"),
+            (&["\u{212A}eep"], "\u{212A}EEP"),
+            (&["keep"], "\u{212A}eep"),
+            (&["i\u{307}stanbul"], "İSTANBUL"),
+            (&["İstanbul"], "istanbul"),
+            (&["İstanbul"], "i\u{307}stanbul"),
+            (&["ΟΔΟΣ"], "οδος"),
+            (&["ΟΔΟΣ"], "ΟΔΟΣ"),
+            (&["οδοσ"], "ΟΔΟΣ"),
+            (&["straße"], "STRAßE"),
+            (&["strasse"], "STRAßE"),
+            (&["café", "naïve"], "NAÏVE"),
+            (&["café"], "CAFE"),
+            (&[], "causes"),
+        ];
+        for &(keywords, word) in table {
+            let text = format!("alpha {word} beta");
+            let tokens = vec![
+                Token::new("alpha", 0, 5),
+                Token::new(word, 6, 6 + word.len()),
+                Token::new("beta", 7 + word.len(), text.len()),
+            ];
+            let mut c = Corpus::new();
+            let d = c.add_document("d");
+            let s = c.add_sentence(d, text.as_str(), tokens);
+            let a = c.add_span(s, 0, 1, None);
+            let b = c.add_span(s, 2, 3, None);
+            let id = c.add_candidate(vec![a, b]);
+            // The token's lemma is its lowercased text.
+            let lemma = word.to_lowercase();
+            for (k, w) in [
+                (KeywordBetweenLf::new("kw", keywords, 1, -1), word),
+                (
+                    KeywordBetweenLf::new("kw", keywords, 1, -1).on_lemmas(),
+                    &lemma,
+                ),
+            ] {
+                let want = reference_matches(&k, w);
+                assert_eq!(k.matches(w), want, "{keywords:?} vs {w:?}");
+                let got = k.label(&c.candidate(id));
+                assert_eq!(got, if want { 1 } else { 0 }, "{keywords:?} vs {w:?}");
+            }
+        }
     }
 
     #[test]

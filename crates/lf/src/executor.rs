@@ -6,8 +6,12 @@
 //! threads, and merges the per-chunk triplets into one [`LabelMatrix`].
 //! The output is bit-for-bit identical regardless of thread count.
 
+use std::sync::OnceLock;
+
 use snorkel_context::{CandidateId, Corpus};
-use snorkel_matrix::{is_legal_vote, LabelMatrix, LabelMatrixBuilder, Vote, ABSTAIN};
+use snorkel_matrix::{
+    assert_legal_vote, is_legal_vote, LabelMatrix, LabelMatrixBuilder, Vote, ABSTAIN,
+};
 
 use crate::traits::BoxedLf;
 
@@ -125,10 +129,12 @@ impl LfExecutor {
     }
 
     /// The worker count [`Self::apply`] will actually use: `parallelism`,
-    /// with `0` resolved to the number of available cores.
+    /// with `0` resolved to the number of available cores (read once per
+    /// process — the lookup reads cgroup files).
     pub fn effective_parallelism(&self) -> usize {
+        static CORES: OnceLock<usize> = OnceLock::new();
         if self.parallelism == 0 {
-            std::thread::available_parallelism().map_or(1, |n| n.get())
+            *CORES.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
         } else {
             self.parallelism
         }
@@ -141,10 +147,48 @@ impl LfExecutor {
         corpus: &Corpus,
         candidates: &[CandidateId],
     ) -> LabelMatrix {
+        let mut builder =
+            LabelMatrixBuilder::with_cardinality(candidates.len(), lfs.len(), self.cardinality);
+        self.label(lfs, corpus, candidates, |row, col, v| {
+            builder.set(row, col, v)
+        });
+        builder.build()
+    }
+
+    /// Apply one LF over `candidates` and return its column directly:
+    /// the `(first_row + i, vote)` entries of its non-abstain votes, in
+    /// row order — what `apply(&[lf], ..).column(0)` returns, shifted by
+    /// `first_row`, without building a matrix. Votes are validated and
+    /// tallied exactly as [`Self::apply`] does.
+    pub fn apply_column(
+        &self,
+        lf: &BoxedLf,
+        corpus: &Corpus,
+        candidates: &[CandidateId],
+        first_row: usize,
+    ) -> Vec<(u32, Vote)> {
+        let mut entries = Vec::new();
+        self.label(std::slice::from_ref(lf), corpus, candidates, |row, _, v| {
+            assert_legal_vote(self.cardinality, v);
+            entries.push(((first_row + row) as u32, v));
+        });
+        entries
+    }
+
+    /// Label every candidate with every LF, tallying each vote, and hand
+    /// each non-abstain `(row, col, vote)` to `sink` in row-major order.
+    /// Serially `sink` sees a vote right after its LF ran; in parallel,
+    /// once every worker has finished, chunk by chunk, each chunk's votes
+    /// right after its tallies are merged.
+    fn label(
+        &self,
+        lfs: &[BoxedLf],
+        corpus: &Corpus,
+        candidates: &[CandidateId],
+        mut sink: impl FnMut(usize, usize, Vote),
+    ) {
         let m = candidates.len();
         let n = lfs.len();
-        let mut builder = LabelMatrixBuilder::with_cardinality(m, n, self.cardinality);
-
         let mut guard = TallyGuard::new(lfs);
         let parallelism = self.effective_parallelism();
         if parallelism <= 1 || m < 2 {
@@ -153,10 +197,12 @@ impl LfExecutor {
                 for (col, lf) in lfs.iter().enumerate() {
                     let v = lf.label(&view);
                     guard.tallies[col].observe(self.cardinality, v);
-                    builder.set(row, col, v);
+                    if v != ABSTAIN {
+                        sink(row, col, v);
+                    }
                 }
             }
-            return builder.build();
+            return;
         }
 
         // One worker's output: its (row, col, vote) triplets plus the
@@ -177,7 +223,7 @@ impl LfExecutor {
                         for (col, lf) in lfs.iter().enumerate() {
                             let v = lf.label(&view);
                             local[col].observe(self.cardinality, v);
-                            if v != 0 {
+                            if v != ABSTAIN {
                                 triplets.push((base + off, col, v));
                             }
                         }
@@ -195,10 +241,9 @@ impl LfExecutor {
                 guard.tallies[col].merge(tally);
             }
             for (i, j, v) in triplets {
-                builder.set(i, j, v);
+                sink(i, j, v);
             }
         }
-        builder.build()
     }
 
     /// Apply over *all* candidates of the corpus, in id order.
@@ -370,6 +415,55 @@ mod tests {
         // first one); the guard flushes what it saw during unwinding.
         assert!(result.is_err(), "illegal votes are rejected downstream");
         assert_eq!(errs.get() - before, 1);
+    }
+
+    #[test]
+    fn apply_column_matches_the_matrix_column() {
+        let (c, ids) = corpus(37);
+        let lfs = suite();
+        for threads in [1, 3] {
+            let exec = LfExecutor::new().with_parallelism(threads);
+            let lambda = exec.apply(&lfs, &c, &ids);
+            for (j, lf) in lfs.iter().enumerate() {
+                let shifted: Vec<(u32, Vote)> = lambda
+                    .column(j)
+                    .into_iter()
+                    .map(|(i, v)| (i + 100, v))
+                    .collect();
+                assert_eq!(exec.apply_column(lf, &c, &ids, 100), shifted);
+            }
+        }
+    }
+
+    #[test]
+    fn apply_column_counts_and_rejects_illegal_votes_like_apply() {
+        let (c, ids) = corpus(3);
+        let bad: Vec<BoxedLf> = vec![lf("lf_bad_column", |_| 99)];
+        let errs =
+            snorkel_obs::global().counter("snorkel_lf_errors_total", &[("lf", "lf_bad_column")]);
+        // The panic message and the error-counter delta of one run.
+        let run = |f: &dyn Fn()| {
+            let before = errs.get();
+            let e = std::panic::catch_unwind(std::panic::AssertUnwindSafe(f))
+                .expect_err("illegal votes are rejected");
+            let message = e.downcast_ref::<String>().cloned().unwrap_or_default();
+            (message, errs.get() - before)
+        };
+        for (exec, want) in [
+            (
+                LfExecutor::new(),
+                "binary scheme requires votes in {-1, +1}, got 99",
+            ),
+            (
+                LfExecutor::new().with_cardinality(3).with_parallelism(2),
+                "3-class scheme requires votes in 1..=3, got 99",
+            ),
+        ] {
+            let by_matrix = run(&|| drop(exec.apply(&bad, &c, &ids)));
+            let by_column = run(&|| drop(exec.apply_column(&bad[0], &c, &ids, 0)));
+            assert_eq!(by_matrix.0, want);
+            assert_eq!(by_column, by_matrix);
+        }
     }
 
     #[test]

@@ -205,6 +205,23 @@ pub fn is_legal_vote(cardinality: u8, v: Vote) -> bool {
     }
 }
 
+/// Panic unless `vote` is a legal non-abstain vote for a
+/// `cardinality`-class scheme ([`is_legal_vote`]) — the rejection every
+/// producer of LF output applies, with one message per scheme.
+pub fn assert_legal_vote(cardinality: u8, vote: Vote) {
+    if cardinality == 2 {
+        assert!(
+            vote == 1 || vote == -1,
+            "binary scheme requires votes in {{-1, +1}}, got {vote}"
+        );
+    } else {
+        assert!(
+            vote >= 1 && (vote as u8) <= cardinality,
+            "{cardinality}-class scheme requires votes in 1..={cardinality}, got {vote}"
+        );
+    }
+}
+
 /// Borrowed view of a [`LabelMatrix`]'s raw CSR arrays — the stable
 /// encoding surface for on-disk snapshots (`snorkel-serve`). The three
 /// slices are exactly the matrix's internal storage; serializing them
@@ -337,19 +354,7 @@ impl LabelMatrixBuilder {
         }
         assert!(i < self.m, "row {i} out of range ({} points)", self.m);
         assert!(j < self.n, "col {j} out of range ({} LFs)", self.n);
-        if self.cardinality == 2 {
-            assert!(
-                vote == 1 || vote == -1,
-                "binary scheme requires votes in {{-1, +1}}, got {vote}"
-            );
-        } else {
-            assert!(
-                vote >= 1 && (vote as u8) <= self.cardinality,
-                "{}-class scheme requires votes in 1..={}, got {vote}",
-                self.cardinality,
-                self.cardinality
-            );
-        }
+        assert_legal_vote(self.cardinality, vote);
         self.triplets.push((i as u32, j as u32, vote));
     }
 

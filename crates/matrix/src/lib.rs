@@ -48,7 +48,8 @@ mod shard;
 pub mod stats;
 
 pub use csr::{
-    is_legal_vote, CsrParts, LabelMatrix, LabelMatrixBuilder, SelectError, Vote, ABSTAIN,
+    assert_legal_vote, is_legal_vote, CsrParts, LabelMatrix, LabelMatrixBuilder, SelectError, Vote,
+    ABSTAIN,
 };
 pub use delta::MatrixDelta;
 pub use pattern::{PatternIndex, PatternIndexParts, ResignScratch};
