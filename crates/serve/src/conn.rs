@@ -5,12 +5,23 @@
 //! sockets and each connection's input/output buffers, and hands the
 //! buffers to the connection's [`Proto`] state machine — which decides
 //! what they mean and when the connection is done.
+//!
+//! Both loops are readiness-driven: when there is nothing to do they
+//! block in a [`Poller`] wait, never spin or nap. A worker's poller
+//! watches its sockets (read while a connection still expects bytes,
+//! write only while it holds unflushed output); its waker is rung by
+//! the accept thread when a socket is dealt to it, by a commit to the
+//! op log when it holds a tail (see [`Core::wake_tails`]), and on
+//! shutdown.
 
 use std::io::{Read, Write};
 use std::net::{TcpListener, TcpStream};
+use std::os::fd::AsRawFd;
 use std::sync::atomic::Ordering;
 use std::sync::Mutex;
 use std::time::{Duration, Instant};
+
+use snorkel_poll::{Interest, Poller};
 
 use crate::core::{lock_unpoisoned, Core, Proto};
 use crate::hotpath::ReadScratch;
@@ -19,11 +30,22 @@ use crate::hotpath::ReadScratch;
 /// round-robin and each worker adopts its inbox every pass.
 pub(crate) type Inboxes = Vec<Mutex<Vec<TcpStream>>>;
 
+/// The listener's token on the accept thread's poller.
+pub(crate) const LISTENER: u64 = 0;
+
+/// How long the accept thread leaves the listener disarmed after an
+/// accept error that does not drain the backlog (out of descriptors or
+/// memory) — the listener stays readable, so waiting on it would spin.
+const ACCEPT_ERROR_BACKOFF: Duration = Duration::from_millis(10);
+
 /// Nonblocking accept loop: enforce the connection cap, configure the
-/// socket, deal it to a worker. Runs until the shutdown flag is set.
+/// socket, deal it to a worker and wake that worker. Blocks on
+/// `poller` (which watches `listener` under [`LISTENER`]) while the
+/// backlog is empty; runs until the shutdown flag is set.
 pub(crate) fn accept_loop(
     core: &Core,
     listener: &TcpListener,
+    mut poller: Poller,
     inboxes: &Inboxes,
     max_conns: usize,
 ) {
@@ -51,20 +73,24 @@ pub(crate) fn accept_loop(
                 let idx = next_worker % inboxes.len();
                 next_worker = next_worker.wrapping_add(1);
                 lock_unpoisoned(&inboxes[idx]).push(stream);
+                core.wake_worker(idx);
             }
-            Err(_) => std::thread::sleep(Duration::from_millis(1)),
+            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                let _ = poller.wait(None);
+            }
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    std::io::ErrorKind::Interrupted | std::io::ErrorKind::ConnectionAborted
+                ) => {}
+            Err(_) => {
+                let _ = poller.modify(listener, LISTENER, Interest::NONE);
+                let _ = poller.wait(Some(ACCEPT_ERROR_BACKOFF));
+                let _ = poller.modify(listener, LISTENER, Interest::READ);
+            }
         }
     }
 }
-
-/// Consecutive empty passes a worker spins (yielding) before switching
-/// to sleeping between passes.
-const IDLE_SPINS: u32 = 16;
-
-/// How long an idle worker sleeps between passes once past
-/// [`IDLE_SPINS`] — the ceiling on added latency for a request arriving
-/// at an idle server.
-const IDLE_SLEEP: Duration = Duration::from_micros(200);
 
 /// Worker-label values for the `snorkel_serve_scratch_bytes` gauge
 /// (static strings — gauge resolution wants `'static` label values).
@@ -74,17 +100,24 @@ const WORKER_LABELS: [&str; 16] = [
     "0", "1", "2", "3", "4", "5", "6", "7", "8", "9", "10", "11", "12", "13", "14", "15",
 ];
 
-/// One worker: adopt inbox sockets, pump every connection, back off
-/// when nothing moved. Exits when the shutdown flag is set, after a
-/// best-effort flush of pending replies (so the client that sent
-/// `SHUTDOWN` sees its `OK bye`).
+/// One worker: adopt inbox sockets, pump every connection, and block
+/// in `poller` when a pass moved nothing — until a socket is ready, the
+/// waker rings, or the earliest heartbeat one of its op-log tails owes
+/// falls due (no timeout without a tail). Exits when the shutdown flag
+/// is set, after a best-effort flush of pending replies (so the client
+/// that sent `SHUTDOWN` sees its `OK bye`).
 ///
 /// The worker owns its [`ReadScratch`] arena: every request it
 /// services decodes into and computes out of these buffers, which grow
 /// to the worker's traffic high-water mark and are then reused
 /// allocation-free. The high water is published on the per-worker
 /// `snorkel_serve_scratch_bytes` gauge whenever it moves.
-pub(crate) fn worker_loop(core: &Core, inbox: &Mutex<Vec<TcpStream>>, idx: usize) {
+pub(crate) fn worker_loop(
+    core: &Core,
+    inbox: &Mutex<Vec<TcpStream>>,
+    idx: usize,
+    mut poller: Poller,
+) {
     let mut conns: Vec<Conn> = Vec::new();
     let mut scratch = ReadScratch::new();
     let scratch_gauge = snorkel_obs::global().gauge(
@@ -92,9 +125,15 @@ pub(crate) fn worker_loop(core: &Core, inbox: &Mutex<Vec<TcpStream>>, idx: usize
         &[("worker", WORKER_LABELS[idx.min(WORKER_LABELS.len() - 1)])],
     );
     let mut scratch_bytes = 0u64;
-    let mut idle = 0u32;
+    let mut holds_tail = false;
     loop {
-        conns.extend(lock_unpoisoned(inbox).drain(..).map(Conn::new));
+        let adopted = std::mem::take(&mut *lock_unpoisoned(inbox));
+        for stream in adopted {
+            match Conn::register(stream, &poller) {
+                Some(conn) => conns.push(conn),
+                None => core.conns_changed(-1),
+            }
+        }
         if core.is_shutdown() {
             for conn in &mut conns {
                 conn.final_flush();
@@ -107,14 +146,20 @@ pub(crate) fn worker_loop(core: &Core, inbox: &Mutex<Vec<TcpStream>>, idx: usize
         conns.retain_mut(|conn| {
             let pump = conn.pump(core, &mut scratch);
             progressed |= pump.progressed;
-            if !pump.keep {
+            if pump.keep {
+                conn.rearm(&poller);
+            } else {
                 core.conns_changed(-1);
                 conn.proto.release(core);
             }
             pump.keep
         });
+        let heartbeat_due = conns.iter().filter_map(|c| c.proto.heartbeat_due()).min();
+        if heartbeat_due.is_some() != holds_tail {
+            holds_tail = heartbeat_due.is_some();
+            core.set_holds_tail(idx, holds_tail);
+        }
         if progressed {
-            idle = 0;
             let bytes = scratch.bytes() as u64;
             if bytes != scratch_bytes {
                 scratch_bytes = bytes;
@@ -122,12 +167,8 @@ pub(crate) fn worker_loop(core: &Core, inbox: &Mutex<Vec<TcpStream>>, idx: usize
                 core.scratch_high.fetch_max(bytes, Ordering::Relaxed);
             }
         } else {
-            idle = idle.saturating_add(1);
-            if idle < IDLE_SPINS {
-                std::thread::yield_now();
-            } else {
-                std::thread::sleep(IDLE_SLEEP);
-            }
+            let timeout = heartbeat_due.map(|due| due.saturating_duration_since(Instant::now()));
+            let _ = poller.wait(timeout);
         }
     }
 }
@@ -143,8 +184,9 @@ struct PumpResult {
 }
 
 /// One multiplexed connection: the socket, unread request bytes,
-/// unwritten reply bytes, whether the peer has half-closed, and the
-/// protocol state that interprets them.
+/// unwritten reply bytes, whether the peer has half-closed, the
+/// protocol state that interprets them, and the readiness its worker's
+/// poller currently watches it for.
 struct Conn {
     stream: TcpStream,
     inbuf: Vec<u8>,
@@ -152,17 +194,48 @@ struct Conn {
     outpos: usize,
     saw_eof: bool,
     proto: Proto,
+    armed: Interest,
 }
 
 impl Conn {
-    fn new(stream: TcpStream) -> Conn {
-        Conn {
+    /// Adopt `stream`, watching it for reads. `None` (the socket is
+    /// dropped) when the poller refuses it.
+    fn register(stream: TcpStream, poller: &Poller) -> Option<Conn> {
+        poller
+            .add(&stream, Self::token(&stream), Interest::READ)
+            .ok()?;
+        Some(Conn {
             stream,
             inbuf: Vec::new(),
             outbuf: Vec::new(),
             outpos: 0,
             saw_eof: false,
             proto: Proto::default(),
+            armed: Interest::READ,
+        })
+    }
+
+    /// A connection's poller token: its fd. The worker pumps every
+    /// connection after any wake, so no token is ever looked up.
+    fn token(stream: &TcpStream) -> u64 {
+        stream.as_raw_fd() as u64
+    }
+
+    /// Match the poller's interest to what this connection waits for:
+    /// reads until the peer's EOF (a half-closed socket stays readable
+    /// forever) or until it is closing, writes only while output is
+    /// unflushed — including a tail held back by its pending cap.
+    fn rearm(&mut self, poller: &Poller) {
+        let want = Interest {
+            read: !self.saw_eof && !self.proto.close_after_flush,
+            write: !self.fully_flushed(),
+        };
+        if want != self.armed
+            && poller
+                .modify(&self.stream, Self::token(&self.stream), want)
+                .is_ok()
+        {
+            self.armed = want;
         }
     }
 
@@ -208,8 +281,8 @@ impl Conn {
 
     /// One scheduling quantum for this connection: flush, read, let the
     /// protocol service what arrived, flush. Returns whether to keep
-    /// the connection and whether any bytes moved (the worker's idle
-    /// detector).
+    /// the connection and whether any bytes moved (a worker waits for
+    /// readiness only after a pass in which none did).
     fn pump(&mut self, core: &Core, scratch: &mut ReadScratch) -> PumpResult {
         let closed = |progressed| PumpResult {
             keep: false,

@@ -10,7 +10,7 @@
 //! in [`crate::verbs`].
 
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicI64, AtomicU64, Ordering};
+use std::sync::atomic::{fence, AtomicBool, AtomicI64, AtomicU64, Ordering};
 use std::sync::{
     Arc, Condvar, LockResult, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard,
     TryLockError, TryLockResult,
@@ -19,6 +19,7 @@ use std::time::{Duration, Instant};
 
 use snorkel_incr::{DiscTrainingSet, IncrementalSession};
 use snorkel_obs::{Counter, Gauge, Histogram};
+use snorkel_poll::Waker;
 use snorkel_stream::IngestGate;
 
 use crate::frame::{self, FRAME_HEADER_BYTES, FRAME_MAGIC, MAX_FRAME_BYTES};
@@ -153,6 +154,19 @@ pub(crate) struct Core {
     /// Signaled on shutdown so the auto-snapshotter exits promptly.
     tick: Mutex<()>,
     tick_cv: Condvar,
+    /// One per worker, indexed like the workers: how other threads end
+    /// a worker's readiness wait.
+    workers: Vec<WorkerWake>,
+    /// Ends the accept thread's wait on shutdown.
+    accept_waker: Option<Waker>,
+}
+
+/// A parked worker's wake-up line: its poller's waker, and whether it
+/// holds an `OP_LOG_SUBSCRIBE` tail — a new op-log record wakes only
+/// the workers that have a subscriber to push it to.
+struct WorkerWake {
+    waker: Waker,
+    holds_tail: AtomicBool,
 }
 
 /// Recover a lock even if a previous holder panicked — the server keeps
@@ -189,6 +203,8 @@ impl Core {
         mark: ReplMark,
         repl: Option<Repl>,
         config: &ServeConfig,
+        workers: Vec<Waker>,
+        accept_waker: Option<Waker>,
     ) -> Core {
         Core {
             state: RwLock::new(ServeState {
@@ -210,6 +226,14 @@ impl Core {
             repl,
             tick: Mutex::new(()),
             tick_cv: Condvar::new(),
+            workers: workers
+                .into_iter()
+                .map(|waker| WorkerWake {
+                    waker,
+                    holds_tail: AtomicBool::new(false),
+                })
+                .collect(),
+            accept_waker,
         }
     }
 
@@ -231,11 +255,46 @@ impl Core {
         self.shutdown.load(Ordering::SeqCst)
     }
 
-    /// Set the shutdown flag; the nonblocking accept and worker loops
-    /// poll it and exit within one backoff interval.
+    /// Set the shutdown flag and wake every thread that waits on it:
+    /// the accept thread, each worker and the auto-snapshotter.
     pub(crate) fn trigger_shutdown(&self) {
         self.shutdown.store(true, Ordering::SeqCst);
         self.tick_cv.notify_all();
+        for worker in &self.workers {
+            worker.waker.wake();
+        }
+        if let Some(waker) = &self.accept_waker {
+            waker.wake();
+        }
+    }
+
+    /// End worker `idx`'s readiness wait (a socket was dealt to it).
+    pub(crate) fn wake_worker(&self, idx: usize) {
+        if let Some(worker) = self.workers.get(idx) {
+            worker.waker.wake();
+        }
+    }
+
+    /// Record whether worker `idx` holds an op-log tail. The worker
+    /// calls this between passes; the fence pairs with the one in
+    /// [`Self::wake_tails`], so a record appended concurrently is
+    /// either seen by the worker's next pass or wakes it.
+    pub(crate) fn set_holds_tail(&self, idx: usize, holds: bool) {
+        if let Some(worker) = self.workers.get(idx) {
+            worker.holds_tail.store(holds, Ordering::SeqCst);
+            fence(Ordering::SeqCst);
+        }
+    }
+
+    /// A record just entered the op log: wake every worker holding a
+    /// tail, so the push goes out now rather than at its next pass.
+    pub(crate) fn wake_tails(&self) {
+        fence(Ordering::SeqCst);
+        for worker in &self.workers {
+            if worker.holds_tail.load(Ordering::SeqCst) {
+                worker.waker.wake();
+            }
+        }
     }
 
     /// Park the auto-snapshotter for one interval (or until shutdown is
@@ -344,6 +403,10 @@ pub(crate) struct Proto {
     /// [`Self::pump_tail`] pushes any new op-log records (and idle
     /// heartbeats) to this subscriber.
     tail: Option<Tail>,
+    /// How many bytes of the unterminated text line at the front of
+    /// the input are known to hold no newline, so the next call scans
+    /// only what arrived since. Zero whenever no partial line is held.
+    scanned: usize,
 }
 
 impl Proto {
@@ -402,8 +465,10 @@ impl Proto {
                 }
                 pos += total;
             } else {
-                let line = match rest.iter().position(|&b| b == b'\n') {
-                    Some(newline) => {
+                let from = std::mem::take(&mut self.scanned).min(rest.len());
+                let line = match rest[from..].iter().position(|&b| b == b'\n') {
+                    Some(at) => {
+                        let newline = from + at;
                         pos += newline + 1;
                         &rest[..newline]
                     }
@@ -425,7 +490,11 @@ impl Proto {
                         self.close_after_flush = true;
                         rest
                     }
-                    None => break, // partial line, more bytes coming
+                    None => {
+                        // Partial line, more bytes coming.
+                        self.scanned = rest.len();
+                        break;
+                    }
                 };
                 if let Some(Reply::Bye) = verbs::dispatch(core, None, line, None, scratch, out) {
                     self.close_after_flush = true;
@@ -479,6 +548,14 @@ impl Proto {
         pushed
     }
 
+    /// When this connection's op-log tail owes its next heartbeat;
+    /// `None` without a tail. Bounds how long its worker may wait.
+    pub(crate) fn heartbeat_due(&self) -> Option<Instant> {
+        self.tail
+            .as_ref()
+            .map(|tail| tail.last_send + HEARTBEAT_EVERY)
+    }
+
     /// The connection is going away: drop its subscriber registration,
     /// if it held one.
     pub(crate) fn release(&self, core: &Core) {
@@ -527,7 +604,7 @@ mod tests {
             ..ServeConfig::default()
         };
         let (repl, mark) = Repl::boot(&mut session, &config).expect("fresh WAL");
-        Core::new(session, mark, repl, &config)
+        Core::new(session, mark, repl, &config, Vec::new(), None)
     }
 
     fn test_wal_path() -> PathBuf {
@@ -621,6 +698,40 @@ mod tests {
         let (out, proto, rest) = drive(&core, &[&long[1..]], false);
         assert!(out.is_empty() && !proto.discard_input);
         assert_eq!(rest.len(), MAX_LINE_BYTES - 1);
+    }
+
+    #[test]
+    fn a_trickled_line_is_scanned_once_not_once_per_byte() {
+        let core = test_core(false);
+        let (mut proto, mut input, mut out) = (Proto::default(), Vec::new(), Vec::new());
+        let mut scratch = ReadScratch::new();
+        let line = vec![b'A'; 64 * 1024];
+        for (i, &byte) in line.iter().enumerate() {
+            input.push(byte);
+            proto.service(
+                &core,
+                &mut input,
+                false,
+                &mut out,
+                Instant::now(),
+                &mut scratch,
+            );
+            assert_eq!(proto.scanned, i + 1, "each call scans only its new byte");
+        }
+        assert!(out.is_empty() && input.len() == line.len());
+        input.extend_from_slice(b"\nPING\n");
+        proto.service(
+            &core,
+            &mut input,
+            false,
+            &mut out,
+            Instant::now(),
+            &mut scratch,
+        );
+        let text = String::from_utf8_lossy(&out);
+        assert!(text.starts_with("ERR unknown command") && text.ends_with("\nOK pong\n"));
+        assert_eq!(proto.scanned, 0, "a consumed line resets the offset");
+        assert!(input.is_empty());
     }
 
     #[test]

@@ -238,14 +238,15 @@ pub(crate) fn log_op(core: &Core, state: &mut ServeState, op: &wal::Op) {
     let Some(repl) = &core.repl else { return };
     let lsn = state.applied_lsn + 1;
     let body = wal::encode_body(lsn, state.generation, op);
-    commit_record(repl, state, lsn, body);
+    commit_record(core, repl, state, lsn, body);
 }
 
 /// Durably record one encoded record body at `lsn`: WAL append (when
 /// configured), in-memory op-log append, and the applied-LSN advance —
 /// all inside the caller's write-lock critical section, so a reply is
-/// never sent for a mutation the log does not carry.
-fn commit_record(repl: &Repl, state: &mut ServeState, lsn: u64, body: Vec<u8>) {
+/// never sent for a mutation the log does not carry. Then wake the
+/// workers holding a tail, so subscribers get the record now.
+fn commit_record(core: &Core, repl: &Repl, state: &mut ServeState, lsn: u64, body: Vec<u8>) {
     if let Some(wal) = &repl.wal {
         let mut wal = lock_unpoisoned(wal);
         match wal.append_body(lsn, &body) {
@@ -266,6 +267,7 @@ fn commit_record(repl: &Repl, state: &mut ServeState, lsn: u64, body: Vec<u8>) {
     repl.oplog.append(body.into());
     state.applied_lsn = lsn;
     repl.obs.applied_lsn.set(lsn.min(i64::MAX as u64) as i64);
+    core.wake_tails();
 }
 
 /// Validate an `OP_LOG_SUBSCRIBE` resume point and return
@@ -427,7 +429,7 @@ fn apply_replicated(core: &Core, repl: &Repl, body: &[u8]) -> Result<bool, Strin
     if matches!(rec.op, wal::Op::Refresh(_)) {
         core.refreshes.fetch_add(1, Ordering::Relaxed);
     }
-    commit_record(repl, st, rec.lsn, body.to_vec());
+    commit_record(core, repl, st, rec.lsn, body.to_vec());
     repl.obs.ops_replayed.inc();
     drop(state);
     // Disc retrain outside the lock, then a short write lock to

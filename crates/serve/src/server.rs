@@ -17,14 +17,18 @@
 //! ## Connection model
 //!
 //! A fixed pool of worker threads multiplexes all client sockets: the
-//! accept thread sets each accepted socket nonblocking and deals it
-//! round-robin to a worker's inbox, and each worker repeatedly *pumps*
-//! its connections — flush pending output, read whatever bytes are
-//! available, service every complete request in the buffer, flush again.
-//! Nothing blocks on any one socket, so thousands of idle connections
-//! cost two threads' worth of polling, not thousands of stacks, and a
-//! cap ([`ServeConfig::max_connections`]) refuses excess connections
-//! with `ERR busy` instead of queueing without bound. The pump services
+//! accept thread sets each accepted socket nonblocking, deals it
+//! round-robin to a worker's inbox and wakes that worker, and each
+//! worker *pumps* its connections — flush pending output, read whatever
+//! bytes are available, service every complete request in the buffer,
+//! flush again. Nothing blocks on any one socket. A pass that moved
+//! nothing parks the worker in `epoll_wait` on its sockets and a waker
+//! (the accept thread blocks the same way on the listener), so
+//! thousands of idle connections cost a few parked threads — no CPU,
+//! no stacks per connection — and a request that lands on an idle
+//! connection is served at once. A cap
+//! ([`ServeConfig::max_connections`]) refuses excess connections with
+//! `ERR busy` instead of queueing without bound. The pump services
 //! every complete request it finds, so N requests pipelined in one TCP
 //! segment yield N in-order replies in as little as one segment back.
 //! One consequence to know about: a verb that runs long (`REFRESH`,
@@ -69,8 +73,9 @@ use std::thread::JoinHandle;
 use std::time::Duration;
 
 use snorkel_incr::IncrementalSession;
+use snorkel_poll::{Interest, Poller};
 
-use crate::conn::{accept_loop, worker_loop, Inboxes};
+use crate::conn::{accept_loop, worker_loop, Inboxes, LISTENER};
 use crate::core::Core;
 pub use crate::frame::Client;
 use crate::repl::node::{follower_loop, Repl};
@@ -175,20 +180,36 @@ impl LabelServer {
             config.workers
         };
         let (repl, mark) = Repl::boot(&mut session, &config)?;
-        let core = Arc::new(Core::new(session, mark, repl, &config));
+        let accept_poller = Poller::new()?;
+        accept_poller.add(&listener, LISTENER, Interest::READ)?;
+        let worker_pollers = (0..worker_count)
+            .map(|_| Poller::new())
+            .collect::<std::io::Result<Vec<_>>>()?;
+        let core = Arc::new(Core::new(
+            session,
+            mark,
+            repl,
+            &config,
+            worker_pollers.iter().map(Poller::waker).collect(),
+            Some(accept_poller.waker()),
+        ));
         let inboxes: Arc<Inboxes> =
             Arc::new((0..worker_count).map(|_| Mutex::new(Vec::new())).collect());
 
         let accept = {
             let (core, inboxes) = (Arc::clone(&core), Arc::clone(&inboxes));
             let max_conns = config.max_connections.max(1);
-            std::thread::spawn(move || accept_loop(&core, &listener, &inboxes, max_conns))
+            std::thread::spawn(move || {
+                accept_loop(&core, &listener, accept_poller, &inboxes, max_conns)
+            })
         };
 
-        let workers = (0..worker_count)
-            .map(|idx| {
+        let workers = worker_pollers
+            .into_iter()
+            .enumerate()
+            .map(|(idx, poller)| {
                 let (core, inboxes) = (Arc::clone(&core), Arc::clone(&inboxes));
-                std::thread::spawn(move || worker_loop(&core, &inboxes[idx], idx))
+                std::thread::spawn(move || worker_loop(&core, &inboxes[idx], idx, poller))
             })
             .collect();
 

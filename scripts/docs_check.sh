@@ -7,7 +7,8 @@
 # is missing from its spec — and when a spec names a verb, opcode,
 # metric or bench that does not exist, a snapshot version other than
 # the one the code writes, or a retired knob or API — so the docs cannot
-# silently drift from the implementation in either direction.
+# silently drift from the implementation in either direction. It also
+# fails when `unsafe` code appears outside its two allow-listed modules.
 #
 # Run from the repo root:
 #   bash scripts/docs_check.sh
@@ -173,6 +174,19 @@ for bench in $bench_documented; do
     if ! grep -q "^$bench$" <<<"$bench_files"; then
         echo "docs-check: docs/PERFORMANCE.md documents benches/$bench but" \
              "crates/bench/benches/$bench does not exist" >&2
+        fail=1
+    fi
+done
+
+# --- Unsafe allow-list: `unsafe` code (a block, fn, impl or trait)
+# lives only in the two modules built for it — the poller's raw
+# syscall bindings and the counting allocator. Every other crate
+# forbids it; this catches a crate that loosens its lint.
+unsafe_allowed="crates/poll/src/sys.rs crates/arena/src/alloc_check.rs"
+for file in $(grep -rlE '\bunsafe[[:space:]]*(\{|fn\b|impl\b|trait\b|extern\b)' crates/*/src || true); do
+    if ! grep -qwF "$file" <<<"$unsafe_allowed"; then
+        echo "docs-check: $file contains unsafe code; only $unsafe_allowed may" >&2
+        grep -nE '\bunsafe[[:space:]]*(\{|fn\b|impl\b|trait\b|extern\b)' "$file" >&2
         fail=1
     fi
 done
