@@ -47,7 +47,7 @@ use std::net::{SocketAddr, TcpStream};
 use snorkel_lf::Vote;
 
 use crate::verbs::Verb;
-use crate::wire::{Reader, Writer};
+use crate::wire::{Field, Reader, Writer};
 
 /// First byte of every binary frame. Chosen outside the ASCII range a
 /// text request can start with (verbs start `A`–`Z`), so one peek at a
@@ -239,12 +239,12 @@ pub fn encode_ping() -> Vec<u8> {
 /// Encode an [`OP_MARGINAL`] request frame over a batch of vote rows.
 pub fn encode_marginal(rows: &[VoteRow]) -> Vec<u8> {
     let mut w = Writer::new();
-    w.put_u32(rows.len() as u32);
+    w.put(&(rows.len() as u32));
     for (cols, votes) in rows {
-        w.put_u32(cols.len() as u32);
-        for (&c, &v) in cols.iter().zip(votes) {
-            w.put_u32(c);
-            w.put_i8(v);
+        w.put(&(cols.len() as u32));
+        for (c, v) in cols.iter().zip(votes) {
+            w.put(c);
+            w.put(v);
         }
     }
     request_frame(OP_MARGINAL, w)
@@ -254,12 +254,9 @@ pub fn encode_marginal(rows: &[VoteRow]) -> Vec<u8> {
 /// vectors.
 pub fn encode_predict(rows: &[Vec<String>]) -> Vec<u8> {
     let mut w = Writer::new();
-    w.put_u32(rows.len() as u32);
+    w.put(&(rows.len() as u32));
     for feats in rows {
-        w.put_u32(feats.len() as u32);
-        for f in feats {
-            w.put_str(f);
-        }
+        w.put_batch(feats);
     }
     request_frame(OP_PREDICT, w)
 }
@@ -268,31 +265,24 @@ pub fn encode_predict(rows: &[Vec<String>]) -> Vec<u8> {
 /// rows.
 pub fn encode_ingest(rows: &[IngestRow]) -> Vec<u8> {
     let mut w = Writer::new();
-    w.put_u32(rows.len() as u32);
-    for (span1, span2, text) in rows {
-        w.put_usize(span1.0);
-        w.put_usize(span1.1);
-        w.put_usize(span2.0);
-        w.put_usize(span2.1);
-        w.put_str(text);
-    }
+    w.put_batch(rows);
     request_frame(OP_INGEST, w)
 }
 
 /// Encode an [`OP_LOG_SUBSCRIBE`] request frame.
 pub fn encode_log_subscribe(from: u64) -> Vec<u8> {
     let mut w = Writer::new();
-    w.put_u64(from);
+    w.put(&from);
     request_frame(OP_LOG_SUBSCRIBE, w)
 }
 
 /// Encode the OK reply to [`OP_LOG_SUBSCRIBE`].
 pub fn encode_sub_ack(next: u64, tip: u64, gen: u64) -> Vec<u8> {
     let mut w = Writer::new();
-    w.put_u8(OP_LOG_SUBSCRIBE);
-    w.put_u64(next);
-    w.put_u64(tip);
-    w.put_u64(gen);
+    w.put(&OP_LOG_SUBSCRIBE);
+    w.put(&next);
+    w.put(&tip);
+    w.put(&gen);
     reply_frame(STATUS_OK, w)
 }
 
@@ -324,26 +314,23 @@ pub fn encode_err(message: &str) -> Vec<u8> {
 /// Encode the OK reply to [`OP_PING`].
 pub fn encode_pong(gen: u64) -> Vec<u8> {
     let mut w = Writer::new();
-    w.put_u8(OP_PING);
-    w.put_u64(gen);
+    w.put(&OP_PING);
+    w.put(&gen);
     reply_frame(STATUS_OK, w)
 }
 
 fn put_prob_rows(w: &mut Writer, probs: &[Vec<f64>]) {
-    w.put_u32(probs.len() as u32);
+    w.put(&(probs.len() as u32));
     for row in probs {
-        w.put_u32(row.len() as u32);
-        for &p in row {
-            w.put_f64(p);
-        }
+        w.put_batch(row);
     }
 }
 
 /// Encode the OK reply to [`OP_MARGINAL`].
 pub fn encode_marginal_reply(gen: u64, probs: &[Vec<f64>]) -> Vec<u8> {
     let mut w = Writer::new();
-    w.put_u8(OP_MARGINAL);
-    w.put_u64(gen);
+    w.put(&OP_MARGINAL);
+    w.put(&gen);
     put_prob_rows(&mut w, probs);
     reply_frame(STATUS_OK, w)
 }
@@ -351,9 +338,9 @@ pub fn encode_marginal_reply(gen: u64, probs: &[Vec<f64>]) -> Vec<u8> {
 /// Encode the OK reply to [`OP_PREDICT`].
 pub fn encode_predict_reply(gen: u64, disc_gen: u64, probs: &[Vec<f64>]) -> Vec<u8> {
     let mut w = Writer::new();
-    w.put_u8(OP_PREDICT);
-    w.put_u64(gen);
-    w.put_u64(disc_gen);
+    w.put(&OP_PREDICT);
+    w.put(&gen);
+    w.put(&disc_gen);
     put_prob_rows(&mut w, probs);
     reply_frame(STATUS_OK, w)
 }
@@ -368,13 +355,13 @@ pub fn encode_ingest_reply(
     auto_refit: bool,
 ) -> Vec<u8> {
     let mut w = Writer::new();
-    w.put_u8(OP_INGEST);
-    w.put_u64(gen);
-    w.put_u64(rows);
-    w.put_u64(total);
-    w.put_u8(u8::from(online));
-    w.put_f64(drift_score);
-    w.put_u8(u8::from(auto_refit));
+    w.put(&OP_INGEST);
+    w.put(&gen);
+    w.put(&rows);
+    w.put(&total);
+    w.put(&online);
+    w.put(&drift_score);
+    w.put(&auto_refit);
     reply_frame(STATUS_OK, w)
 }
 
@@ -445,11 +432,11 @@ pub fn encode_predict_reply_flat_into(
 }
 
 /// `Reader` errors become wire error messages (the reader's
-/// length-vs-remaining validation is what rejects corrupt counts
-/// before any allocation).
+/// count-vs-remaining validation is what rejects corrupt counts before
+/// any allocation).
 macro_rules! rd {
     ($e:expr) => {
-        $e.map_err(|e| format!("bad frame: {e}"))?
+        $e.map_err(wire_err)?
     };
 }
 
@@ -458,38 +445,21 @@ macro_rules! rd {
 /// [`crate::hotpath`] so every request decoder words a malformed frame
 /// the same way.
 pub(crate) fn wire_err(e: crate::snap::SnapError) -> String {
-    format!("bad frame: {e}")
+    format!("bad frame: {}", e.into_detail())
 }
 
-/// Read a batch count, rejecting empty batches (a zero-row batch is a
-/// protocol error, mirroring the text plane's "needs a vote list" /
-/// "needs at least one feature").
+/// Read a `u32` batch count, validated at `min_elem_bytes` per element,
+/// rejecting empty batches (a zero-row batch is a protocol error,
+/// mirroring the text plane's "needs a vote list" / "needs at least one
+/// feature").
 pub(crate) fn batch_len(
     r: &mut Reader,
     min_elem_bytes: usize,
     what: &str,
 ) -> Result<usize, String> {
-    let n = u32_len(r, min_elem_bytes, "batch count")?;
+    let n = rd!(r.count::<u32>(min_elem_bytes, "batch count"));
     if n == 0 {
         return Err(format!("empty batch of {what}"));
-    }
-    Ok(n)
-}
-
-/// Read a `u32` count and validate it against the bytes remaining,
-/// like `Reader::len` does for `u64` prefixes.
-pub(crate) fn u32_len(
-    r: &mut Reader,
-    min_elem_bytes: usize,
-    context: &'static str,
-) -> Result<usize, String> {
-    let n = rd!(r.u32(context)) as usize;
-    if n.checked_mul(min_elem_bytes.max(1))
-        .is_none_or(|bytes| bytes > r.remaining())
-    {
-        return Err(format!(
-            "bad frame: {context} {n} exceeds the bytes remaining"
-        ));
     }
     Ok(n)
 }
@@ -504,23 +474,17 @@ pub fn decode_request(opcode: u8, payload: &[u8]) -> Result<BinRequest, String> 
     let req = match opcode {
         OP_PING => BinRequest::Ping,
         OP_INGEST => {
-            // A row is at least four 8-byte span bounds plus an 8-byte
-            // string length prefix.
-            let n = batch_len(&mut r, 40, "ingest rows")?;
-            let mut rows = Vec::with_capacity(n);
-            for _ in 0..n {
-                let span1 = (rd!(r.usize("span1 start")), rd!(r.usize("span1 end")));
-                let span2 = (rd!(r.usize("span2 start")), rd!(r.usize("span2 end")));
-                let text = rd!(r.str("sentence text"));
-                if text.trim().is_empty() {
-                    return Err("INGEST missing sentence text".into());
-                }
-                rows.push((span1, span2, text));
+            let rows: Vec<IngestRow> = rd!(r.batch("batch count"));
+            if rows.is_empty() {
+                return Err("empty batch of ingest rows".into());
+            }
+            if rows.iter().any(|(_, _, text)| text.trim().is_empty()) {
+                return Err("INGEST missing sentence text".into());
             }
             BinRequest::Ingest(rows)
         }
         OP_LOG_SUBSCRIBE => BinRequest::LogSubscribe {
-            from: rd!(r.u64("resume LSN")),
+            from: rd!(r.get("resume LSN")),
         },
         other => {
             return Err(match Verb::from_opcode(other) {
@@ -531,24 +495,15 @@ pub fn decode_request(opcode: u8, payload: &[u8]) -> Result<BinRequest, String> 
             })
         }
     };
-    if !r.is_exhausted() {
-        return Err(format!("{} trailing bytes in frame", r.remaining()));
-    }
+    r.end("frame")?;
     Ok(req)
 }
 
 fn prob_rows(r: &mut Reader) -> Result<Vec<Vec<f64>>, String> {
-    let n = u32_len(r, 4, "posterior batch count")?;
-    let mut probs = Vec::with_capacity(n);
-    for _ in 0..n {
-        let k = u32_len(r, 8, "posterior row length")?;
-        let mut row = Vec::with_capacity(k);
-        for _ in 0..k {
-            row.push(rd!(r.f64("posterior")));
-        }
-        probs.push(row);
-    }
-    Ok(probs)
+    let n = rd!(r.count::<u32>(u32::MIN_BYTES, "posterior batch count"));
+    (0..n)
+        .map(|_| r.batch("posterior row length").map_err(wire_err))
+        .collect()
 }
 
 /// Decode a reply frame's payload given its status byte.
@@ -556,51 +511,49 @@ pub fn decode_reply(status: u8, payload: &[u8]) -> Result<BinReply, String> {
     let mut r = Reader::new(payload);
     let reply = match status {
         STATUS_ERR => BinReply::Err {
-            message: rd!(r.str("error message")),
+            message: rd!(r.get("error message")),
         },
         STATUS_OK => {
-            let opcode = rd!(r.u8("opcode echo"));
+            let opcode: u8 = rd!(r.get("opcode echo"));
             match opcode {
                 OP_PING => BinReply::Pong {
-                    gen: rd!(r.u64("generation")),
+                    gen: rd!(r.get("generation")),
                 },
                 OP_MARGINAL => BinReply::Marginal {
-                    gen: rd!(r.u64("generation")),
+                    gen: rd!(r.get("generation")),
                     probs: prob_rows(&mut r)?,
                 },
                 OP_PREDICT => BinReply::Predict {
-                    gen: rd!(r.u64("generation")),
-                    disc_gen: rd!(r.u64("disc generation")),
+                    gen: rd!(r.get("generation")),
+                    disc_gen: rd!(r.get("disc generation")),
                     probs: prob_rows(&mut r)?,
                 },
                 OP_INGEST => BinReply::Ingest {
-                    gen: rd!(r.u64("generation")),
-                    rows: rd!(r.u64("ingested rows")),
-                    total: rd!(r.u64("total rows")),
-                    online: rd!(r.u8("online flag")) != 0,
-                    drift_score: rd!(r.f64("drift score")),
-                    auto_refit: rd!(r.u8("auto-refit flag")) != 0,
+                    gen: rd!(r.get("generation")),
+                    rows: rd!(r.get("ingested rows")),
+                    total: rd!(r.get("total rows")),
+                    online: rd!(r.get("online flag")),
+                    drift_score: rd!(r.get("drift score")),
+                    auto_refit: rd!(r.get("auto-refit flag")),
                 },
                 OP_LOG_SUBSCRIBE => BinReply::SubAck {
-                    next: rd!(r.u64("next LSN")),
-                    tip: rd!(r.u64("log tip")),
-                    gen: rd!(r.u64("generation")),
+                    next: rd!(r.get("next LSN")),
+                    tip: rd!(r.get("log tip")),
+                    gen: rd!(r.get("generation")),
                 },
                 OP_LOG_RECORD => BinReply::LogRecord {
                     body: rd!(r.bytes("record body")).to_vec(),
                 },
                 OP_LOG_HEARTBEAT => BinReply::Heartbeat {
-                    tip: rd!(r.u64("log tip")),
-                    gen: rd!(r.u64("generation")),
+                    tip: rd!(r.get("log tip")),
+                    gen: rd!(r.get("generation")),
                 },
                 other => return Err(format!("unknown opcode echo 0x{other:02x}")),
             }
         }
         other => return Err(format!("unknown status byte 0x{other:02x}")),
     };
-    if !r.is_exhausted() {
-        return Err(format!("{} trailing bytes in reply", r.remaining()));
-    }
+    r.end("reply")?;
     Ok(reply)
 }
 
@@ -914,9 +867,9 @@ mod tests {
         // Unknown opcode.
         assert!(decode_request(0x7E, &[]).is_err());
         // A count field larger than the bytes behind it is rejected
-        // before allocation (the Reader::len-style validation).
+        // before allocation (the Reader::count validation).
         let mut w = Writer::new();
-        w.put_u32(1_000_000);
+        w.put(&1_000_000u32);
         let body = w.into_bytes();
         assert!(decode_request(OP_INGEST, &body)
             .unwrap_err()

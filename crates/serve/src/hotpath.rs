@@ -43,7 +43,7 @@ use snorkel_linalg::SparseVec;
 
 use crate::core::lock_unpoisoned;
 use crate::frame;
-use crate::wire::Reader;
+use crate::wire::{Field, Reader};
 
 /// Cap on memoized signatures — deployment traffic has few distinct
 /// patterns; a cap this size only matters under adversarial query
@@ -344,17 +344,19 @@ pub fn decode_marginal(payload: &[u8], scratch: &mut ReadScratch) -> Result<usiz
     scratch.cols.reset();
     scratch.votes.reset();
     scratch.rows.reset();
-    // A row is at least 4 bytes (its count); an entry 5.
-    let n = frame::batch_len(&mut r, 4, "vote rows")?;
+    // A row is at least its count; an entry is a column and a vote.
+    let n = frame::batch_len(&mut r, u32::MIN_BYTES, "vote rows")?;
     for _ in 0..n {
-        let k = frame::u32_len(&mut r, 5, "vote-row length")?;
+        let k = r
+            .count::<u32>(<(u32, Vote)>::MIN_BYTES, "vote-row length")
+            .map_err(frame::wire_err)?;
         if k == 0 {
             return Err("empty vote row".into());
         }
         let start = scratch.cols.len() as u32;
         for j in 0..k {
-            let col = r.u32("vote column").map_err(frame::wire_err)?;
-            let vote = r.i8("vote").map_err(frame::wire_err)?;
+            let col: u32 = r.get("vote column").map_err(frame::wire_err)?;
+            let vote: Vote = r.get("vote").map_err(frame::wire_err)?;
             if j > 0 && scratch.cols.last().is_some_and(|&prev| prev >= col) {
                 return Err("columns must be strictly increasing".into());
             }
@@ -366,9 +368,7 @@ pub fn decode_marginal(payload: &[u8], scratch: &mut ReadScratch) -> Result<usiz
         }
         scratch.rows.push((start, k as u32));
     }
-    if !r.is_exhausted() {
-        return Err(format!("{} trailing bytes in frame", r.remaining()));
-    }
+    r.end("frame")?;
     Ok(n)
 }
 
@@ -381,9 +381,11 @@ pub fn decode_predict(payload: &[u8], scratch: &mut ReadScratch) -> Result<usize
     let mut r = Reader::new(payload);
     scratch.feats.reset();
     scratch.feat_rows.reset();
-    let n = frame::batch_len(&mut r, 4, "feature vectors")?;
+    let n = frame::batch_len(&mut r, u32::MIN_BYTES, "feature vectors")?;
     for _ in 0..n {
-        let k = frame::u32_len(&mut r, 8, "feature-vector length")?;
+        let k = r
+            .count::<u32>(String::MIN_BYTES, "feature-vector length")
+            .map_err(frame::wire_err)?;
         if k == 0 {
             return Err("PREDICT needs at least one feature".into());
         }
@@ -395,9 +397,7 @@ pub fn decode_predict(payload: &[u8], scratch: &mut ReadScratch) -> Result<usize
         }
         scratch.feat_rows.push((start, k as u32));
     }
-    if !r.is_exhausted() {
-        return Err(format!("{} trailing bytes in frame", r.remaining()));
-    }
+    r.end("frame")?;
     Ok(n)
 }
 
@@ -672,7 +672,7 @@ mod tests {
             .unwrap_err()
             .contains("empty batch"));
         // A count field larger than the bytes behind it is rejected
-        // before allocation (the Reader::len-style validation).
+        // before allocation (the Reader::count validation).
         assert!(decode_marginal(&1_000_000u32.to_le_bytes(), &mut scratch)
             .unwrap_err()
             .contains("exceeds the bytes remaining"));

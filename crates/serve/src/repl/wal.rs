@@ -123,7 +123,7 @@ fn corrupt(context: impl Into<String>) -> WalError {
 }
 
 fn from_snap(e: SnapError) -> WalError {
-    corrupt(e.to_string())
+    corrupt(e.into_detail())
 }
 
 /// One mutating operation, exactly as the leader applied it. Replaying
@@ -158,39 +158,33 @@ pub struct Record {
 /// checksum covers and the unit shipped over `OP_LOG_SUBSCRIBE`.
 pub fn encode_body(lsn: u64, gen_after: u64, op: &Op) -> Vec<u8> {
     let mut w = Writer::new();
-    w.put_u64(lsn);
-    w.put_u64(gen_after);
+    w.put(&lsn);
+    w.put(&gen_after);
     match op {
         Op::Refresh(edit) => {
-            w.put_u8(OP_TAG_REFRESH);
+            w.put(&OP_TAG_REFRESH);
             match edit {
-                None => w.put_u8(EDIT_TAG_NONE),
+                None => w.put(&EDIT_TAG_NONE),
                 Some(SuiteEdit::Add(spec)) => {
-                    w.put_u8(EDIT_TAG_ADD);
+                    w.put(&EDIT_TAG_ADD);
                     w.put_str(&spec.canonical());
                 }
                 Some(SuiteEdit::Edit(spec)) => {
-                    w.put_u8(EDIT_TAG_EDIT);
+                    w.put(&EDIT_TAG_EDIT);
                     w.put_str(&spec.canonical());
                 }
                 Some(SuiteEdit::Remove(name)) => {
-                    w.put_u8(EDIT_TAG_REMOVE);
+                    w.put(&EDIT_TAG_REMOVE);
                     w.put_str(name);
                 }
             }
         }
+        // The same `u32`-counted rows an `OP_INGEST` frame carries.
         Op::Ingest(rows) => {
-            w.put_u8(OP_TAG_INGEST);
-            w.put_u32(u32::try_from(rows.len()).unwrap_or(u32::MAX));
-            for ((s1, e1), (s2, e2), text) in rows {
-                w.put_usize(*s1);
-                w.put_usize(*e1);
-                w.put_usize(*s2);
-                w.put_usize(*e2);
-                w.put_str(text);
-            }
+            w.put(&OP_TAG_INGEST);
+            w.put_batch(rows);
         }
-        Op::Seal => w.put_u8(OP_TAG_SEAL),
+        Op::Seal => w.put(&OP_TAG_SEAL),
     }
     w.into_bytes()
 }
@@ -213,55 +207,32 @@ impl Record {
     /// Every structural failure is a typed [`WalError::Corrupt`].
     pub fn decode_body(body: &[u8]) -> Result<Record, WalError> {
         let mut r = Reader::new(body);
-        let lsn = r.u64("record lsn").map_err(from_snap)?;
-        let gen_after = r.u64("record generation").map_err(from_snap)?;
-        let op = match r.u8("op tag").map_err(from_snap)? {
+        let lsn = r.get("record lsn").map_err(from_snap)?;
+        let gen_after = r.get("record generation").map_err(from_snap)?;
+        let op = match r.get::<u8>("op tag").map_err(from_snap)? {
             OP_TAG_REFRESH => {
-                let edit = match r.u8("edit tag").map_err(from_snap)? {
+                let edit = match r.get::<u8>("edit tag").map_err(from_snap)? {
                     EDIT_TAG_NONE => None,
                     EDIT_TAG_ADD => Some(SuiteEdit::Add(decode_spec(&mut r)?)),
                     EDIT_TAG_EDIT => Some(SuiteEdit::Edit(decode_spec(&mut r)?)),
                     EDIT_TAG_REMOVE => {
-                        Some(SuiteEdit::Remove(r.str("LF name").map_err(from_snap)?))
+                        Some(SuiteEdit::Remove(r.get("LF name").map_err(from_snap)?))
                     }
                     other => return Err(corrupt(format!("unknown edit tag {other}"))),
                 };
                 Op::Refresh(edit)
             }
-            OP_TAG_INGEST => {
-                let n = r.u32("ingest row count").map_err(from_snap)? as usize;
-                // Four spans + one length prefix per row, 8 bytes each.
-                if n.checked_mul(40).is_none_or(|bytes| bytes > r.remaining()) {
-                    return Err(corrupt(format!(
-                        "ingest row count {n} exceeds the bytes remaining"
-                    )));
-                }
-                let mut rows = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let s1 = r.usize("span1 start").map_err(from_snap)?;
-                    let e1 = r.usize("span1 end").map_err(from_snap)?;
-                    let s2 = r.usize("span2 start").map_err(from_snap)?;
-                    let e2 = r.usize("span2 end").map_err(from_snap)?;
-                    let text = r.str("sentence text").map_err(from_snap)?;
-                    rows.push(((s1, e1), (s2, e2), text));
-                }
-                Op::Ingest(rows)
-            }
+            OP_TAG_INGEST => Op::Ingest(r.batch("ingest row count").map_err(from_snap)?),
             OP_TAG_SEAL => Op::Seal,
             other => return Err(corrupt(format!("unknown op tag {other}"))),
         };
-        if !r.is_exhausted() {
-            return Err(corrupt(format!(
-                "{} trailing bytes in record body",
-                r.remaining()
-            )));
-        }
+        r.end("record body").map_err(corrupt)?;
         Ok(Record { lsn, gen_after, op })
     }
 }
 
 fn decode_spec(r: &mut Reader<'_>) -> Result<LfSpec, WalError> {
-    let canonical = r.str("LF spec").map_err(from_snap)?;
+    let canonical: String = r.get("LF spec").map_err(from_snap)?;
     LfSpec::parse(&canonical).map_err(|e| corrupt(format!("bad LF spec in record: {e}")))
 }
 
