@@ -17,7 +17,7 @@
 pub mod experiments;
 pub mod report;
 
-use snorkel_core::model::{ClassBalance, GenerativeModel, LabelScheme, TrainConfig};
+use snorkel_core::model::{ClassBalance, TrainConfig};
 use snorkel_core::optimizer::OptimizerConfig;
 use snorkel_core::pipeline::{Pipeline, PipelineConfig};
 use snorkel_datasets::RelationTask;
@@ -99,24 +99,6 @@ pub fn unweighted_soft_labels(lambda: &LabelMatrix) -> Vec<f64> {
         .collect()
 }
 
-/// Class balance estimated from labeled dev gold (add-one smoothed) —
-/// the balance Snorkel users pass to the label model in practice.
-pub fn dev_class_balance(gold_dev: &[Vote], classes: usize) -> ClassBalance {
-    let mut counts = vec![1.0f64; classes];
-    let scheme = if classes == 2 {
-        LabelScheme::Binary
-    } else {
-        LabelScheme::MultiClass(classes as u8)
-    };
-    for &g in gold_dev {
-        if let Some(c) = scheme.class_of_vote(g) {
-            counts[c] += 1.0;
-        }
-    }
-    let total: f64 = counts.iter().sum();
-    ClassBalance::Fixed(counts.into_iter().map(|c| c / total).collect())
-}
-
 /// Pick the decision threshold maximizing F1 on dev scores — the
 /// paper's protocol ("hyperparameters selected … using a small labeled
 /// development set"); on imbalanced tasks the F1-optimal threshold sits
@@ -143,18 +125,6 @@ pub fn predict_at(scores: &[f64], thr: f64) -> Vec<Vote> {
         .iter()
         .map(|&s| if s > thr { 1 } else { -1 })
         .collect()
-}
-
-/// Fit the generative model for a label matrix with the given
-/// correlation structure and default training settings.
-pub fn fit_generative(lambda: &LabelMatrix, correlations: &[(usize, usize)]) -> GenerativeModel {
-    let mut gm = GenerativeModel::new(
-        lambda.num_lfs(),
-        LabelScheme::from_cardinality(lambda.cardinality()),
-    )
-    .with_correlations(correlations);
-    gm.fit(lambda, &TrainConfig::default());
-    gm
 }
 
 /// Run the full four-arm evaluation of one relation-extraction task.

@@ -1,14 +1,9 @@
-//! Bench-result artifacts and regression floors.
+//! Bench-result artifacts.
 //!
-//! CI runs the smoke benches on every push; these helpers make the
-//! numbers durable and enforceable:
-//!
-//! * [`emit`] writes `BENCH_<name>.json` into `$SNORKEL_BENCH_JSON_DIR`
-//!   (no-op when unset) — the artifact CI uploads, starting the bench
-//!   trajectory record.
-//! * [`enforce_floor`] reads a floor from an env var and exits non-zero
-//!   when a measured speedup regresses below it — the gate that keeps
-//!   "incremental beats cold" and "dedup beats row-wise" true claims.
+//! CI runs the smoke benches on every push; [`emit`] makes their
+//! numbers durable: it writes `BENCH_<name>.json` into
+//! `$SNORKEL_BENCH_JSON_DIR` (no-op when unset) — the artifact CI
+//! uploads, starting the bench trajectory record.
 
 use std::io::Write;
 
@@ -60,21 +55,4 @@ fn json_escape(s: &str) -> String {
         }
     }
     out
-}
-
-/// If `env` is set, parse it as an `f64` floor and exit(1) when
-/// `value < floor`. Prints the verdict either way so CI logs show the
-/// margin.
-pub fn enforce_floor(env: &str, what: &str, value: f64) {
-    let Ok(raw) = std::env::var(env) else {
-        return;
-    };
-    let floor: f64 = raw
-        .parse()
-        .unwrap_or_else(|_| panic!("{env}={raw:?} is not a number"));
-    if value < floor {
-        eprintln!("FAIL: {what} speedup {value:.2}× is below the {floor:.2}× floor ({env})");
-        std::process::exit(1);
-    }
-    println!("{what} speedup {value:.2}× ≥ {floor:.2}× floor ({env}) — ok");
 }

@@ -214,8 +214,8 @@ fn duplicate_candidates_rejected() {
 #[test]
 fn acceptance_one_lf_edit_is_5x_faster_than_cold_pipeline() {
     // Tier-1 runs tests unoptimized; keep the corpus big enough to be
-    // meaningful but debug-friendly. The release-mode criterion bench
-    // (`crates/bench/benches/incremental.rs`) measures the full 10k.
+    // meaningful but debug-friendly. A release-mode run measures the
+    // full 10k.
     let num_candidates = if cfg!(debug_assertions) {
         2_500
     } else {

@@ -1,9 +1,7 @@
 //! Label-model backend acceptance: the closed-form moment backend must
 //! track the exact generative backend's marginals closely on synthetic
 //! data, and its fit must be ≥10× faster than the exact Newton fit at
-//! 100k×25. The wall-clock comparison at full precision lives in
-//! `crates/bench/benches/model_backends.rs`
-//! (`BENCH_model_backends.json`).
+//! 100k×25.
 
 use std::time::Instant;
 
