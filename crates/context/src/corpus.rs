@@ -193,11 +193,6 @@ impl Corpus {
     pub fn candidate_ids(&self) -> impl Iterator<Item = CandidateId> + '_ {
         (0..self.candidates.len()).map(CandidateId::from_index)
     }
-
-    /// Iterate all document ids in creation order.
-    pub fn document_ids(&self) -> impl Iterator<Item = DocId> + '_ {
-        (0..self.documents.len()).map(DocId::from_index)
-    }
 }
 
 // ----------------------------------------------------------------------
@@ -225,11 +220,6 @@ impl<'a> DocumentView<'a> {
     /// Metadata value for `key`, if set.
     pub fn meta(&self, key: &str) -> Option<&'a str> {
         self.doc.meta.get(key).map(String::as_str)
-    }
-
-    /// All metadata pairs in key order.
-    pub fn meta_pairs(&self) -> impl Iterator<Item = (&'a str, &'a str)> {
-        self.doc.meta.iter().map(|(k, v)| (k.as_str(), v.as_str()))
     }
 
     /// Number of sentences.

@@ -495,12 +495,6 @@ impl GenerativeModel {
         &self.w_lab
     }
 
-    /// Learned class-balance weights (log-prior scale); softmax of these
-    /// is the model's implied class distribution.
-    pub fn class_balance_weights(&self) -> &[f64] {
-        &self.b_class
-    }
-
     /// The model's implied class prior `softmax(b)`.
     pub fn implied_class_prior(&self) -> Vec<f64> {
         let mut p = self.b_class.clone();

@@ -383,11 +383,6 @@ impl MomentStats {
         self.rows
     }
 
-    /// Per-LF weighted vote counts (coverage numerators).
-    pub fn vote_counts(&self) -> &[f64] {
-        &self.votes
-    }
-
     /// Accumulate every row of `lambda` (the batch recompute the online
     /// path is property-tested against).
     pub fn accumulate_matrix(&mut self, lambda: &LabelMatrix) {

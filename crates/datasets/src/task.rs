@@ -53,20 +53,6 @@ impl TaskConfig {
             seed: 0,
         }
     }
-
-    /// Explicit scale.
-    pub fn with_candidates(n: usize) -> Self {
-        TaskConfig {
-            num_candidates: n,
-            seed: 0,
-        }
-    }
-
-    /// Change the seed (different corpus realization).
-    pub fn with_seed(mut self, seed: u64) -> Self {
-        self.seed = seed;
-        self
-    }
 }
 
 impl Default for TaskConfig {

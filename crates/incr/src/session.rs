@@ -450,11 +450,6 @@ impl IncrementalSession {
         self.lfs.iter().map(|s| s.lf.name()).collect()
     }
 
-    /// Fingerprints of the live suite, in column order.
-    pub fn live_fingerprints(&self) -> Vec<Fingerprint> {
-        self.lfs.iter().map(|s| s.fingerprint).collect()
-    }
-
     /// Whether the live suite is exactly the layout the last refresh's
     /// Λ/model were built for (same fingerprints, same column order) —
     /// i.e. whether [`Self::model`]'s columns can score votes indexed

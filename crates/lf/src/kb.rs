@@ -62,11 +62,6 @@ impl KnowledgeBase {
             .is_some_and(|s| s.contains(&(a.to_lowercase(), b.to_lowercase())))
     }
 
-    /// Names of all subsets, sorted.
-    pub fn subset_names(&self) -> Vec<&str> {
-        self.subsets.keys().map(String::as_str).collect()
-    }
-
     /// Number of pairs in a subset (0 if absent).
     pub fn subset_len(&self, subset: &str) -> usize {
         self.subsets.get(subset).map_or(0, HashSet::len)

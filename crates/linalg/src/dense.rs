@@ -94,12 +94,6 @@ impl Mat {
         &self.data
     }
 
-    /// Mutable flat buffer (for optimizer updates over all parameters).
-    #[inline]
-    pub fn as_mut_slice(&mut self) -> &mut [f64] {
-        &mut self.data
-    }
-
     /// `out ← self · x` where `x` has length `cols` and `out` length `rows`.
     pub fn matvec(&self, x: &[f64], out: &mut [f64]) {
         assert_eq!(x.len(), self.cols, "matvec: x length mismatch");

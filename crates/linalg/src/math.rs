@@ -103,13 +103,6 @@ pub fn logit(p: f64) -> f64 {
     (p / (1.0 - p)).ln()
 }
 
-/// Clamp a probability into the open interval `(eps, 1-eps)`; guards log
-/// losses against `ln 0`.
-#[inline]
-pub fn clamp_prob(p: f64, eps: f64) -> f64 {
-    p.clamp(eps, 1.0 - eps)
-}
-
 /// Dot product of two equal-length slices.
 ///
 /// Panics if lengths differ.

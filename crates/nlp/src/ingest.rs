@@ -28,11 +28,6 @@ impl DocumentIngester {
         DocumentIngester { tagger }
     }
 
-    /// Access the underlying tagger (e.g. to extend the dictionary).
-    pub fn tagger_mut(&mut self) -> &mut DictionaryTagger {
-        &mut self.tagger
-    }
-
     /// Ingest one document: split, tokenize, tag, store. Returns the new
     /// document id.
     pub fn ingest(&self, corpus: &mut Corpus, name: &str, text: &str) -> DocId {

@@ -75,11 +75,6 @@ impl Regex {
         &self.pattern
     }
 
-    /// Number of compiled NFA instructions (diagnostics / benches).
-    pub fn num_insts(&self) -> usize {
-        self.program.insts.len()
-    }
-
     fn fold(&self, c: char) -> char {
         if self.program.case_insensitive {
             c.to_ascii_lowercase()

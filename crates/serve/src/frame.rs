@@ -19,8 +19,8 @@
 //! `status` is [`STATUS_OK`] or [`STATUS_ERR`]. An OK payload begins
 //! with the request's opcode echoed back (so a pipelining client can
 //! cross-check), an ERR payload is a length-prefixed UTF-8 message.
-//! Payloads are encoded with the snapshot format's little-endian
-//! `Writer`/`Reader` primitives: floats travel as raw IEEE-754
+//! Payloads are encoded with the little-endian codec snapshots and the
+//! WAL use too (`wire::Field`): floats travel as raw IEEE-754
 //! bits (replies are bit-identical to what the server computed — the
 //! text plane's shortest-round-trip formatting guarantees the same,
 //! so the two planes agree to the bit), and every sequence length is
