@@ -334,6 +334,10 @@ impl Core {
     pub(crate) fn write_snapshot(&self, path: &Path) -> Result<u64, SnapError> {
         let snapshot = {
             let state = self.read_state();
+            // Sync a follower's pending burst first, so the snapshot's
+            // mark never runs past the WAL's durable end: a restart
+            // from this snapshot must find its mark inside the log.
+            crate::repl::node::flush(self);
             Snapshot {
                 session: state.session.freeze(),
                 train: state.session.config().train.clone(),
@@ -534,14 +538,11 @@ impl Proto {
             pushed = true;
         }
         if !pushed && now.duration_since(tail.last_send) >= HEARTBEAT_EVERY {
-            // Consistent (tip, generation) pair: both under one read
-            // lock, so a heartbeat never advertises a tip from a
-            // different generation than it reports.
-            let (tip, gen) = {
-                let state = core.read_state();
-                (state.applied_lsn, state.generation)
-            };
-            frame::encode_heartbeat_into(tip, gen, out);
+            // The op log's tip — what this node can serve, which on a
+            // follower may trail its applied LSN by an unsynced burst —
+            // and the generation after it, read as one pair.
+            let tip = repl.oplog.tip();
+            frame::encode_heartbeat_into(tip.applied_lsn, tip.generation, out);
             tail.last_send = now;
             pushed = true;
         }
@@ -800,7 +801,7 @@ mod tests {
         // output reaches the cap; the rest follow when it has drained.
         out.clear();
         for _ in 0..6 {
-            repl.oplog.append(vec![7u8; 64 * 1024].into());
+            repl.oplog.append(vec![7u8; 64 * 1024].into(), 0);
         }
         assert!(proto.pump_tail(&core, &mut out, 0, t1));
         assert_eq!(frames(&out).len(), 4);

@@ -562,8 +562,10 @@ pub fn decode_reply(status: u8, payload: &[u8]) -> Result<BinReply, String> {
 /// [`Client`]. One frame out, one frame back, strictly
 /// in order; [`Self::send_raw`] lets callers pipeline several frames
 /// in one write and drain the replies with [`Self::read_reply`].
+/// Replies are read through a buffer, so a burst of pushed frames
+/// costs one read syscall, not two per frame.
 pub struct FrameClient {
-    stream: TcpStream,
+    stream: BufReader<TcpStream>,
 }
 
 fn invalid(msg: String) -> std::io::Error {
@@ -575,14 +577,21 @@ impl FrameClient {
     pub fn connect(addr: SocketAddr) -> std::io::Result<FrameClient> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
-        Ok(FrameClient { stream })
+        Ok(FrameClient::from(stream))
     }
 
     /// Write pre-encoded frame bytes (one frame or several,
     /// back-to-back) without reading anything.
     pub fn send_raw(&mut self, frames: &[u8]) -> std::io::Result<()> {
-        self.stream.write_all(frames)?;
-        self.stream.flush()
+        let stream = self.stream.get_mut();
+        stream.write_all(frames)?;
+        stream.flush()
+    }
+
+    /// Whether reply bytes are already buffered, so the next
+    /// [`Self::read_reply`] starts without a read syscall.
+    pub fn has_buffered(&self) -> bool {
+        !self.stream.buffer().is_empty()
     }
 
     /// Read exactly one reply frame (blocking).
@@ -639,7 +648,7 @@ impl FrameClient {
     /// tailing follower uses this to notice a silent leader inside one
     /// heartbeat interval or two instead of blocking forever.
     pub fn set_read_timeout(&self, timeout: Option<std::time::Duration>) -> std::io::Result<()> {
-        self.stream.set_read_timeout(timeout)
+        self.stream.get_ref().set_read_timeout(timeout)
     }
 }
 
@@ -647,7 +656,9 @@ impl From<TcpStream> for FrameClient {
     /// Wrap an already-connected stream (e.g. one opened with
     /// `TcpStream::connect_timeout`).
     fn from(stream: TcpStream) -> FrameClient {
-        FrameClient { stream }
+        FrameClient {
+            stream: BufReader::new(stream),
+        }
     }
 }
 

@@ -116,6 +116,13 @@ impl TailConn {
             )),
         }
     }
+
+    /// Whether bytes of a further frame are already read and buffered —
+    /// `false` means the burst the leader sent is drained. A buffer
+    /// check, not a syscall.
+    pub fn has_buffered(&self) -> bool {
+        self.client.has_buffered()
+    }
 }
 
 /// Exponential reconnect backoff: 100 ms doubling to a 2 s ceiling,

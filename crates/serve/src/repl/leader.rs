@@ -1,13 +1,15 @@
 //! The leader's in-memory op log — the buffer `OP_LOG_SUBSCRIBE`
 //! streams tail from.
 //!
-//! Bodies are appended under the server's write lock (which serializes
-//! mutations and so LSN assignment); readers only need the lock held
-//! long enough to clone one `Arc`, so tail pumping never contends with
-//! request handling for more than an index lookup.
+//! Bodies are appended in LSN order, each once the WAL sync that covers
+//! it has returned (appends are serialized by the node's journal lock);
+//! readers only need the log's own lock held long enough to clone one
+//! `Arc`, so tail pumping never contends with request handling for more
+//! than an index lookup.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
+
+use super::ReplMark;
 
 /// An append-only, in-memory sequence of encoded record bodies,
 /// addressed by LSN.
@@ -19,18 +21,32 @@ use std::sync::{Arc, Mutex};
 #[derive(Debug)]
 pub struct OpLog {
     base_lsn: u64,
-    tip: AtomicU64,
-    records: Mutex<Vec<Arc<[u8]>>>,
+    inner: Mutex<Inner>,
+}
+
+#[derive(Debug)]
+struct Inner {
+    records: Vec<Arc<[u8]>>,
+    /// The server generation after the newest record (the base
+    /// mark's generation while empty).
+    tip_generation: u64,
 }
 
 impl OpLog {
-    /// An empty log whose first record will carry `base_lsn + 1`.
-    pub fn new(base_lsn: u64) -> OpLog {
+    /// An empty log at `base`: its first record will carry
+    /// `base.applied_lsn + 1`.
+    pub fn new(base: ReplMark) -> OpLog {
         OpLog {
-            base_lsn,
-            tip: AtomicU64::new(base_lsn),
-            records: Mutex::new(Vec::new()),
+            base_lsn: base.applied_lsn,
+            inner: Mutex::new(Inner {
+                records: Vec::new(),
+                tip_generation: base.generation,
+            }),
         }
+    }
+
+    fn lock(&self) -> std::sync::MutexGuard<'_, Inner> {
+        self.inner.lock().unwrap_or_else(|p| p.into_inner())
     }
 
     /// The LSN before the first record this log can serve.
@@ -43,21 +59,27 @@ impl OpLog {
         self.base_lsn + 1
     }
 
-    /// The newest LSN in the log (equal to [`Self::base_lsn`] while
-    /// empty).
-    pub fn tip(&self) -> u64 {
-        self.tip.load(Ordering::Acquire)
+    /// The newest LSN in the log and the server generation after it —
+    /// one consistent pair (the base mark while empty). This is what
+    /// the node can serve, so it is what a subscription ack or a
+    /// heartbeat advertises.
+    pub fn tip(&self) -> ReplMark {
+        let inner = self.lock();
+        ReplMark {
+            applied_lsn: self.base_lsn + inner.records.len() as u64,
+            generation: inner.tip_generation,
+        }
     }
 
-    /// Append one encoded body, returning the LSN it was assigned.
-    /// Callers serialize appends (the server's write lock); the log
-    /// itself only guarantees readers see a consistent tip.
-    pub fn append(&self, body: Arc<[u8]>) -> u64 {
-        let mut records = self.records.lock().unwrap_or_else(|p| p.into_inner());
-        records.push(body);
-        let lsn = self.base_lsn + records.len() as u64;
-        self.tip.store(lsn, Ordering::Release);
-        lsn
+    /// Append one encoded body whose record left the server at
+    /// `gen_after`, returning the LSN it was assigned. Callers
+    /// serialize appends; the log itself only guarantees readers see a
+    /// consistent tip.
+    pub fn append(&self, body: Arc<[u8]>, gen_after: u64) -> u64 {
+        let mut inner = self.lock();
+        inner.records.push(body);
+        inner.tip_generation = gen_after;
+        self.base_lsn + inner.records.len() as u64
     }
 
     /// The body at `lsn`, or `None` when it is outside
@@ -66,8 +88,10 @@ impl OpLog {
         if lsn <= self.base_lsn {
             return None;
         }
-        let records = self.records.lock().unwrap_or_else(|p| p.into_inner());
-        records.get((lsn - self.base_lsn - 1) as usize).cloned()
+        self.lock()
+            .records
+            .get((lsn - self.base_lsn - 1) as usize)
+            .cloned()
     }
 }
 
@@ -77,14 +101,18 @@ mod tests {
 
     #[test]
     fn lsn_addressing() {
-        let log = OpLog::new(10);
-        assert_eq!(log.tip(), 10);
+        let mark = |applied_lsn, generation| ReplMark {
+            applied_lsn,
+            generation,
+        };
+        let log = OpLog::new(mark(10, 3));
+        assert_eq!(log.tip(), mark(10, 3));
         assert_eq!(log.first_lsn(), 11);
         assert!(log.get(10).is_none());
         assert!(log.get(11).is_none());
-        assert_eq!(log.append(Arc::from(&b"a"[..])), 11);
-        assert_eq!(log.append(Arc::from(&b"b"[..])), 12);
-        assert_eq!(log.tip(), 12);
+        assert_eq!(log.append(Arc::from(&b"a"[..]), 3), 11);
+        assert_eq!(log.append(Arc::from(&b"b"[..]), 4), 12);
+        assert_eq!(log.tip(), mark(12, 4));
         assert_eq!(log.get(11).unwrap().as_ref(), b"a");
         assert_eq!(log.get(12).unwrap().as_ref(), b"b");
         assert!(log.get(13).is_none());

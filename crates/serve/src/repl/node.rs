@@ -1,6 +1,7 @@
 //! The replication plane of one running server: the on-disk WAL and
 //! in-memory op log, boot recovery, op logging under the write lock,
-//! subscription grants, `PROMOTE`, and the follower's tail thread.
+//! group commit, subscription grants, `PROMOTE`, and the follower's
+//! tail thread.
 //!
 //! [`apply_record`] is the one way a logged record reaches a session —
 //! boot recovery and the live tail both go through it, so they agree on
@@ -28,8 +29,8 @@ pub(crate) struct ReplObs {
     wal_records: Arc<Counter>,
     /// Framed bytes appended to the on-disk WAL.
     wal_bytes: Arc<Counter>,
-    /// WAL appends that failed (serving continues on the in-memory log;
-    /// durability is degraded until the next snapshot).
+    /// WAL appends and syncs that failed (serving continues on the
+    /// in-memory log; durability is degraded until the next snapshot).
     wal_append_errors: Arc<Counter>,
     /// Ops a follower replayed from its leader's live tail.
     ops_replayed: Arc<Counter>,
@@ -67,6 +68,17 @@ impl ReplObs {
     }
 }
 
+/// The node's journal. One lock covers the WAL file and the records
+/// appended to it since the last sync, so records reach the op log in
+/// LSN order and never ahead of the sync that makes them durable.
+struct Journal {
+    /// On-disk WAL, when configured.
+    wal: Option<WalFile>,
+    /// `(lsn, gen_after, body)` of every record appended since the last
+    /// [`flush`].
+    unsynced: Vec<(u64, u64, Arc<[u8]>)>,
+}
+
 /// `Repl::role` values.
 const ROLE_LEADER: u8 = 0;
 const ROLE_FOLLOWER: u8 = 1;
@@ -76,10 +88,12 @@ const ROLE_FOLLOWER: u8 = 1;
 /// `ServeConfig::follow`).
 pub(crate) struct Repl {
     /// In-memory op log since the boot snapshot — what subscribers tail.
+    /// A record enters it only once a WAL sync covers it ([`flush`]).
     pub(crate) oplog: OpLog,
-    /// On-disk WAL, when configured. Appends happen under the state
-    /// write lock, which also serializes LSN assignment.
-    wal: Option<Mutex<WalFile>>,
+    /// The WAL and the records it holds that no sync covers yet.
+    /// Appends happen under the state write lock, which also serializes
+    /// LSN assignment.
+    journal: Mutex<Journal>,
     /// Leader address this server tails, when started as a follower.
     pub(crate) follow: Option<String>,
     /// [`ROLE_LEADER`] or [`ROLE_FOLLOWER`]; flipped (once) by
@@ -108,9 +122,9 @@ impl Repl {
         let (wal, oplog, at) = match &config.wal_path {
             Some(path) => {
                 let (wal, oplog, at) = recover_wal(session, path, mark)?;
-                (Some(Mutex::new(wal)), oplog, at)
+                (Some(wal), oplog, at)
             }
-            None => (None, OpLog::new(mark.applied_lsn), mark),
+            None => (None, OpLog::new(mark), mark),
         };
         let obs = ReplObs::resolve();
         obs.applied_lsn
@@ -122,7 +136,10 @@ impl Repl {
         };
         let repl = Repl {
             oplog,
-            wal,
+            journal: Mutex::new(Journal {
+                wal,
+                unsynced: Vec::new(),
+            }),
             follow: config.follow.clone(),
             role: AtomicU8::new(role),
             tail_stop: AtomicBool::new(false),
@@ -202,7 +219,12 @@ fn recover_wal(
         }
         _ => {}
     }
-    let oplog = OpLog::new(scan.base_lsn);
+    // With no records the base is the mark (checked above); otherwise
+    // the last record sets the tip's generation.
+    let oplog = OpLog::new(ReplMark {
+        applied_lsn: scan.base_lsn,
+        generation: mark.generation,
+    });
     let mut at = mark;
     for rec in &scan.records {
         // Re-encode rather than re-frame the file bytes: the scan
@@ -220,7 +242,7 @@ fn recover_wal(
             }
             at.applied_lsn = rec.lsn;
         }
-        oplog.append(body.into());
+        oplog.append(body.into(), rec.gen_after);
     }
     Ok((wal_file, oplog, at))
 }
@@ -233,25 +255,26 @@ pub(crate) fn is_follower(core: &Core) -> bool {
 }
 
 /// Append one already-applied op to the log(s), under the same write
-/// lock that applied it. No-op on a non-replicated server.
+/// lock that applied it, and sync before that lock drops, so a reply
+/// is never sent for a mutation the log does not carry durably. No-op
+/// on a non-replicated server.
 pub(crate) fn log_op(core: &Core, state: &mut ServeState, op: &wal::Op) {
     let Some(repl) = &core.repl else { return };
     let lsn = state.applied_lsn + 1;
     let body = wal::encode_body(lsn, state.generation, op);
-    commit_record(core, repl, state, lsn, body);
+    commit_record(repl, state, lsn, body);
+    flush(core);
 }
 
-/// Durably record one encoded record body at `lsn`: WAL append (when
-/// configured), in-memory op-log append, and the applied-LSN advance —
-/// all inside the caller's write-lock critical section, so a reply is
-/// never sent for a mutation the log does not carry. Then wake the
-/// workers holding a tail, so subscribers get the record now.
-fn commit_record(core: &Core, repl: &Repl, state: &mut ServeState, lsn: u64, body: Vec<u8>) {
-    if let Some(wal) = &repl.wal {
-        let mut wal = lock_unpoisoned(wal);
+/// Journal one encoded record body at `lsn` and advance the applied
+/// LSN, inside the caller's write-lock critical section: the body goes
+/// to the WAL (when configured) unsynced and waits in the journal until
+/// [`flush`] makes it durable and publishes it.
+fn commit_record(repl: &Repl, state: &mut ServeState, lsn: u64, body: Vec<u8>) {
+    let mut journal = lock_unpoisoned(&repl.journal);
+    if let Some(wal) = &mut journal.wal {
         match wal.append_body(lsn, &body) {
             Ok(bytes) => {
-                let _ = wal.sync();
                 repl.obs.wal_records.inc();
                 repl.obs.wal_bytes.add(bytes);
             }
@@ -264,9 +287,35 @@ fn commit_record(core: &Core, repl: &Repl, state: &mut ServeState, lsn: u64, bod
             }
         }
     }
-    repl.oplog.append(body.into());
+    journal.unsynced.push((lsn, state.generation, body.into()));
     state.applied_lsn = lsn;
     repl.obs.applied_lsn.set(lsn.min(i64::MAX as u64) as i64);
+}
+
+/// Group commit: make every journaled record durable with one WAL sync,
+/// then append them to the op log in LSN order and wake the workers
+/// holding a tail, so subscribers get them now. A no-op when nothing
+/// is pending or the server is not replicated. It takes only the
+/// journal lock: the leader calls it under the state write lock (via
+/// [`log_op`]), a follower's tail thread outside it, once per drained
+/// burst.
+pub(crate) fn flush(core: &Core) {
+    let Some(repl) = &core.repl else { return };
+    let mut guard = lock_unpoisoned(&repl.journal);
+    let journal = &mut *guard;
+    let Some(&(last, ..)) = journal.unsynced.last() else {
+        return;
+    };
+    if let Some(wal) = &mut journal.wal {
+        if let Err(e) = wal.sync() {
+            repl.obs.wal_append_errors.inc();
+            eprintln!("snorkel-serve: WAL sync failed at lsn {last}: {e}");
+        }
+    }
+    for (_, gen_after, body) in journal.unsynced.drain(..) {
+        repl.oplog.append(body, gen_after);
+    }
+    drop(guard);
     core.wake_tails();
 }
 
@@ -278,11 +327,13 @@ pub(crate) fn subscribe_grant(core: &Core, from: u64) -> Result<(u64, u64, u64),
     let Some(repl) = &core.repl else {
         return Err("not replicated (no WAL or follow address configured)".into());
     };
-    // Read lock: the tip cannot advance mid-grant, so `(tip, gen)` is a
-    // consistent pair and no record between `from` and `tip` can be
-    // missed before the connection's tail cursor is installed.
-    let state = core.read_state();
-    let tip = repl.oplog.tip();
+    // The op log's tip and the generation after it are one consistent
+    // pair; the cursor reads the log by LSN, so no record past `tip` can
+    // be missed.
+    let ReplMark {
+        applied_lsn: tip,
+        generation,
+    } = repl.oplog.tip();
     let first = repl.oplog.first_lsn();
     if from < first {
         return Err(format!(
@@ -294,7 +345,7 @@ pub(crate) fn subscribe_grant(core: &Core, from: u64) -> Result<(u64, u64, u64),
         return Err(format!("lsn {from} is beyond the log tip {tip}"));
     }
     repl.obs.subscribers.add(1);
-    Ok((from, tip, state.generation))
+    Ok((from, tip, generation))
 }
 
 /// `PROMOTE`: stop tailing, seal the log, and start accepting writes.
@@ -308,7 +359,8 @@ pub(crate) fn promote(core: &Core) -> Result<u64, String> {
     }
     // Order matters: set the stop flag, then take the write lock. Any
     // in-flight replay either committed before we got the lock (its LSN
-    // precedes the seal) or sees the flag under the lock and aborts.
+    // precedes the seal, and the seal's sync publishes it first) or
+    // sees the flag under the lock and aborts.
     repl.tail_stop.store(true, Ordering::SeqCst);
     let mut state = core.write_state();
     repl.role.store(ROLE_LEADER, Ordering::SeqCst);
@@ -338,6 +390,10 @@ fn sleep_interruptible(core: &Core, repl: &Repl, total: Duration) {
     }
 }
 
+/// A follower syncs its WAL at least once per this many replayed
+/// records, even while its leader keeps the tail's read buffer full.
+const FLUSH_EVERY: usize = 64;
+
 /// The follower's tail thread: subscribe to the leader at the next
 /// unapplied LSN, replay every pushed record, reconnect with backoff on
 /// transient failures. A *rejected* subscription or a replay failure
@@ -350,7 +406,7 @@ pub(crate) fn follower_loop(core: &Core) {
         return;
     };
     let mut backoff = Backoff::new();
-    'resubscribe: loop {
+    loop {
         if tail_must_stop(core, repl) {
             return;
         }
@@ -365,45 +421,69 @@ pub(crate) fn follower_loop(core: &Core) {
                 }
                 Err(ConnectError::Io(_)) => {
                     sleep_interruptible(core, repl, backoff.step());
-                    continue 'resubscribe;
+                    continue;
                 }
             };
         repl.obs.reconnects.inc();
         backoff.reset();
-        loop {
-            if tail_must_stop(core, repl) {
-                return;
-            }
-            match conn.next_event() {
-                Ok(TailEvent::Record(body)) => match apply_replicated(core, repl, &body) {
-                    Ok(true) => {}
-                    Ok(false) => return,
-                    Err(e) => {
-                        repl.obs.replay_errors.inc();
-                        eprintln!("snorkel-serve: follower tail halted: {e}");
-                        return;
-                    }
-                },
-                Ok(TailEvent::Heartbeat { tip, .. }) => {
-                    repl.obs.heartbeats.inc();
-                    let applied = core.read_state().applied_lsn;
-                    repl.obs
-                        .lag_records
-                        .set(tip.saturating_sub(applied).min(i64::MAX as u64) as i64);
-                }
-                // Timeout or disconnect: resubscribe from the last
-                // applied LSN.
-                Err(_) => continue 'resubscribe,
-            }
+        let resubscribe = tail(core, repl, &mut conn);
+        // However the stream ended (stop, halt or reconnect), every
+        // record it applied is synced and published.
+        flush(core);
+        if !resubscribe {
+            return;
         }
     }
 }
 
-/// Replay one record pushed over the live tail. `Ok(false)` means the
-/// tail must stop (shutdown or promote won the race); `Err` is a
-/// permanent halt (corrupt record, LSN gap, divergence).
-fn apply_replicated(core: &Core, repl: &Repl, body: &[u8]) -> Result<bool, String> {
-    let rec = wal::Record::decode_body(body).map_err(|e| format!("bad pushed record: {e}"))?;
+/// Replay one live stream until it ends. Returns `true` to resubscribe
+/// from the last applied LSN (timeout or disconnect), `false` to stop
+/// (shutdown, promote or a replay failure).
+fn tail(core: &Core, repl: &Repl, conn: &mut TailConn) -> bool {
+    let mut unsynced = 0;
+    loop {
+        if tail_must_stop(core, repl) {
+            return false;
+        }
+        match conn.next_event() {
+            Ok(TailEvent::Record(body)) => match apply_replicated(core, repl, body) {
+                Ok(true) => {
+                    // Group commit: sync once the burst the leader sent
+                    // is drained from the read buffer (a buffer check,
+                    // not a syscall), or every FLUSH_EVERY records.
+                    unsynced += 1;
+                    if unsynced >= FLUSH_EVERY || !conn.has_buffered() {
+                        flush(core);
+                        unsynced = 0;
+                    }
+                }
+                Ok(false) => return false,
+                Err(e) => {
+                    repl.obs.replay_errors.inc();
+                    eprintln!("snorkel-serve: follower tail halted: {e}");
+                    return false;
+                }
+            },
+            Ok(TailEvent::Heartbeat { tip, .. }) => {
+                repl.obs.heartbeats.inc();
+                let applied = core.read_state().applied_lsn;
+                repl.obs
+                    .lag_records
+                    .set(tip.saturating_sub(applied).min(i64::MAX as u64) as i64);
+            }
+            Err(_) => return true,
+        }
+    }
+}
+
+/// Replay one record pushed over the live tail: apply it, journal it
+/// unsynced and advance the applied LSN, all under the write lock; the
+/// tail thread's [`flush`] makes it durable and publishes it.
+/// `Ok(false)` means the tail must stop (shutdown or promote won the
+/// race); `Err` is a permanent halt (corrupt record, LSN gap,
+/// divergence).
+fn apply_replicated(core: &Core, repl: &Repl, body: Vec<u8>) -> Result<bool, String> {
+    let rec = wal::Record::decode_body(&body).map_err(|e| format!("bad pushed record: {e}"))?;
     // Tokenize outside the lock, exactly like the leader's ingest path.
     let prepared = match &rec.op {
         wal::Op::Ingest(rows) => Some(prepare_ingest(rows)?),
@@ -429,13 +509,92 @@ fn apply_replicated(core: &Core, repl: &Repl, body: &[u8]) -> Result<bool, Strin
     if matches!(rec.op, wal::Op::Refresh(_)) {
         core.refreshes.fetch_add(1, Ordering::Relaxed);
     }
-    commit_record(core, repl, st, rec.lsn, body.to_vec());
+    commit_record(repl, st, rec.lsn, body);
     repl.obs.ops_replayed.inc();
     drop(state);
     // Disc retrain outside the lock, then a short write lock to
-    // install — the same phasing as the leader's REFRESH.
+    // install — the same phasing as the leader's REFRESH. The refresh
+    // and the burst before it are synced and published first, so
+    // subscribers do not wait out the distillation.
     if let Some(set) = training {
+        flush(core);
         core.train_and_install(set);
     }
     Ok(true)
+}
+
+#[cfg(test)]
+mod tests {
+    use std::path::PathBuf;
+
+    use snorkel_context::Corpus;
+    use snorkel_incr::SessionConfig;
+
+    use super::*;
+    use crate::snap::Snapshot;
+
+    fn temp_path(name: &str) -> PathBuf {
+        std::env::temp_dir().join(format!("snorkel-node-test-{}-{name}", std::process::id()))
+    }
+
+    /// A follower core journaling to a fresh WAL. No server runs it, so
+    /// there is no tail thread: the test replays records itself.
+    fn follower_core(wal_path: &Path) -> Core {
+        let _ = std::fs::remove_file(wal_path);
+        let config = ServeConfig {
+            follow: Some("127.0.0.1:9".into()),
+            wal_path: Some(wal_path.to_path_buf()),
+            ..ServeConfig::default()
+        };
+        let mut session = IncrementalSession::new(Corpus::new(), SessionConfig::default());
+        let (repl, mark) = Repl::boot(&mut session, &config).expect("fresh WAL");
+        Core::new(session, mark, repl, &config, Vec::new(), None)
+    }
+
+    fn replay_seal(core: &Core, lsn: u64) {
+        let repl = core.repl.as_ref().expect("replicated");
+        let body = wal::encode_body(lsn, 0, &wal::Op::Seal);
+        assert_eq!(apply_replicated(core, repl, body), Ok(true));
+    }
+
+    #[test]
+    fn replayed_records_are_published_only_after_the_sync_that_covers_them() {
+        let (wal_path, snap_path) = (temp_path("gc.wal"), temp_path("gc.snap"));
+        let core = follower_core(&wal_path);
+        let repl = core.repl.as_ref().expect("replicated");
+        // What a subscription ack or a heartbeat advertises.
+        let published = || repl.oplog.tip().applied_lsn;
+
+        // Applied and journaled, but no sync yet: nothing is served.
+        replay_seal(&core, 1);
+        replay_seal(&core, 2);
+        assert_eq!(core.read_state().applied_lsn, 2);
+        assert_eq!(published(), 0);
+        flush(&core);
+        assert_eq!(published(), 2);
+
+        // A snapshot syncs the pending burst before it reads its mark.
+        replay_seal(&core, 3);
+        core.write_snapshot(&snap_path).expect("snapshot");
+        let mark = Snapshot::read_file(&snap_path)
+            .expect("read snapshot")
+            .repl
+            .expect("mark");
+        assert_eq!((mark.applied_lsn, published()), (3, 3));
+
+        // The seal follows every applied record, in the WAL and the op
+        // log alike.
+        replay_seal(&core, 4);
+        assert_eq!(promote(&core), Ok(5));
+        assert_eq!(published(), 5);
+        let scan = wal::scan(&std::fs::read(&wal_path).expect("WAL")).expect("WAL scans");
+        let lsns: Vec<u64> = scan.records.iter().map(|r| r.lsn).collect();
+        assert_eq!(lsns, [1, 2, 3, 4, 5]);
+        for rec in &scan.records {
+            let body = repl.oplog.get(rec.lsn).expect("published");
+            assert_eq!(wal::Record::decode_body(&body).expect("body").lsn, rec.lsn);
+        }
+        let _ = std::fs::remove_file(&wal_path);
+        let _ = std::fs::remove_file(&snap_path);
+    }
 }
