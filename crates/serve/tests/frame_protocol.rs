@@ -12,7 +12,8 @@
 //!   UTF-8 gets `ERR invalid utf-8` without killing the connection,
 //!   a connection over the cap is refused with `ERR busy`, and
 //!   malformed frames (unknown opcode, lying length fields, oversized
-//!   payloads) get error frames.
+//!   payloads, feature names that are not UTF-8 or are torn) get error
+//!   frames.
 
 mod common;
 
@@ -27,7 +28,9 @@ use snorkel_context::{CandidateId, Corpus};
 use snorkel_core::optimizer::ModelingStrategy;
 use snorkel_incr::{IncrementalSession, SessionConfig};
 use snorkel_nlp::tokenize;
-use snorkel_serve::frame::{self, FRAME_HEADER_BYTES, FRAME_MAGIC, MAX_FRAME_BYTES, OP_MARGINAL};
+use snorkel_serve::frame::{
+    self, FRAME_HEADER_BYTES, FRAME_MAGIC, MAX_FRAME_BYTES, OP_MARGINAL, OP_PREDICT,
+};
 use snorkel_serve::{BinReply, Client, FrameClient, LabelServer, LfSpec, ServeConfig, VoteRow};
 
 fn build_corpus(n: usize) -> Corpus {
@@ -393,6 +396,85 @@ fn invalid_utf8_is_rejected_but_connection_survives() {
     line.clear();
     reader.read_line(&mut line).expect("second reply");
     assert_eq!(line.trim_end(), "OK pong", "connection must stay usable");
+}
+
+/// One `OP_PREDICT` frame of a single row whose names are given as raw
+/// wire entries (`u64` length, then bytes), so a test can send a name
+/// that is not UTF-8 or whose length runs past the frame.
+fn raw_predict_frame(entries: &[(u64, &[u8])]) -> Vec<u8> {
+    let mut payload = 1u32.to_le_bytes().to_vec();
+    payload.extend_from_slice(&(entries.len() as u32).to_le_bytes());
+    for &(len, bytes) in entries {
+        payload.extend_from_slice(&len.to_le_bytes());
+        payload.extend_from_slice(bytes);
+    }
+    let mut frame = vec![FRAME_MAGIC, OP_PREDICT];
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(&payload);
+    frame
+}
+
+/// Malformed feature names get the decoder's error on both planes, and
+/// the connection keeps serving. A name that is not UTF-8 ahead of a
+/// torn one reports the UTF-8 error: the decoder reports the first
+/// defect in wire order.
+#[test]
+fn malformed_predict_names_get_errors_and_the_connection_survives() {
+    let addr = shared_server();
+    let mut client = FrameClient::connect(addr).expect("connect");
+    let cases: [(&str, Vec<u8>, &str); 3] = [
+        (
+            "name not UTF-8",
+            raw_predict_frame(&[(3, b"ab\xff")]),
+            "bad frame: feature name: invalid UTF-8",
+        ),
+        (
+            "torn name",
+            raw_predict_frame(&[(10, b"abc")]),
+            "bad frame: feature name 10 exceeds the bytes remaining",
+        ),
+        (
+            "bad UTF-8 before a torn name",
+            raw_predict_frame(&[(1, b"\xff"), (10, b"ab")]),
+            "bad frame: feature name: invalid UTF-8",
+        ),
+    ];
+    for (what, frame, want) in cases {
+        client.send_raw(&frame).expect("send");
+        match client.read_reply().expect("error frame") {
+            BinReply::Err { message } => assert_eq!(message, want, "{what}"),
+            other => panic!("{what}: unexpected reply {other:?}"),
+        }
+        assert!(
+            matches!(client.ping().expect("still serving"), BinReply::Pong { .. }),
+            "{what}: connection must stay usable"
+        );
+    }
+
+    // The text plane refuses a line that is not UTF-8 before parsing
+    // it, whether the bad name is malformed, torn mid-character, or
+    // followed by a torn one.
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream.set_nodelay(true).expect("nodelay");
+    stream
+        .set_read_timeout(Some(Duration::from_secs(30)))
+        .expect("timeout");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let lines: [&[u8]; 3] = [
+        b"PREDICT u=ab\xff btw=cause\n",
+        b"PREDICT btw=cause u=caf\xc3\n",
+        b"PREDICT u=\xff u=caf\xc3\n",
+    ];
+    for line in lines {
+        stream.write_all(line).expect("bad PREDICT");
+        stream.write_all(b"PING\n").expect("PING");
+        let mut reply = String::new();
+        reader.read_line(&mut reply).expect("reply");
+        assert_eq!(reply.trim_end(), "ERR invalid utf-8", "{line:?}");
+        reply.clear();
+        reader.read_line(&mut reply).expect("second reply");
+        assert_eq!(reply.trim_end(), "OK pong", "connection must stay usable");
+    }
 }
 
 #[test]
