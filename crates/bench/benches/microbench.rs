@@ -1,21 +1,33 @@
 //! Criterion microbenchmarks for the hot paths of every subsystem:
 //! generative-model training (exact and Gibbs/CD), structure learning,
 //! LF application (serial vs parallel), label-matrix diagnostics, the
-//! pattern engine, and one discriminative training epoch.
+//! pattern engine, one discriminative training epoch, and the serving
+//! read path's two hashing kernels (`OP_PREDICT` decode + compute, and
+//! memo probes that miss).
 //!
 //! Run with `cargo bench --workspace`.
 
-use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use std::hint::black_box;
 
+use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
+use snorkel_context::{CandidateId, Corpus};
 use snorkel_core::model::{GenerativeModel, LabelScheme, TrainConfig};
+use snorkel_core::pipeline::DiscTrainerConfig;
 use snorkel_core::structure::{learn_structure, structure_sweep, StructureConfig};
 use snorkel_core::vote::majority_vote;
 use snorkel_datasets::synthetic::{correlated_matrix, independent_matrix, Cluster};
 use snorkel_datasets::{cdr, TaskConfig};
 use snorkel_disc::{LogRegConfig, LogisticRegression, TextFeaturizer};
-use snorkel_lf::LfExecutor;
+use snorkel_incr::{IncrementalSession, SessionConfig};
+use snorkel_lf::{LfExecutor, Vote};
 use snorkel_matrix::stats::matrix_stats;
+use snorkel_nlp::tokenize;
 use snorkel_pattern::Regex;
+use snorkel_serve::frame;
+use snorkel_serve::hotpath::{self, ReadScratch, SigMemo, MEMO_CAP};
+use snorkel_serve::LfSpec;
 
 /// The shape of the default dev loop's traffic (what `select_model`
 /// returns on the 2000-candidate CDR analogue): 33 sparse LFs at about
@@ -204,6 +216,104 @@ fn bench_discriminative(c: &mut Criterion) {
     group.finish();
 }
 
+/// A refreshed and distilled serving session: 200 candidates, two
+/// keyword LFs, the default 2^18 hash buckets.
+fn distilled_session() -> IncrementalSession {
+    let mut corpus = Corpus::new();
+    let doc = corpus.add_document("d");
+    for i in 0..200 {
+        let verb = ["causes", "treats", "mentions"][i % 3];
+        let text = format!("alpha{} {verb} beta{}", i % 7, i % 5);
+        let s = corpus.add_sentence(doc, &text, tokenize(&text));
+        let a = corpus.add_span(s, 0, 1, Some("A"));
+        let b = corpus.add_span(s, 2, 3, Some("B"));
+        corpus.add_candidate(vec![a, b]);
+    }
+    let ids: Vec<CandidateId> = corpus.candidate_ids().collect();
+    let config = SessionConfig {
+        distill: Some(DiscTrainerConfig::default()),
+        ..SessionConfig::default()
+    };
+    let mut session = IncrementalSession::new(corpus, config);
+    session.ingest_candidates(&ids);
+    for spec in [
+        "lf_causes KEYWORD 1 1 causes",
+        "lf_treats KEYWORD -1 -1 treats",
+    ] {
+        let spec = LfSpec::parse(spec).expect("valid spec");
+        session.add_lf_tagged(spec.build().expect("buildable"), spec.content_tag());
+    }
+    session.refresh();
+    session.distill().expect("distills");
+    session
+}
+
+fn bench_read_path_hashing(c: &mut Criterion) {
+    let mut group = c.benchmark_group("read_path");
+    let mut rng = StdRng::seed_from_u64(36);
+
+    // 32 rows of 17 names of about 8 bytes, the shape of `read_cold`'s
+    // OP_PREDICT traffic.
+    let session = distilled_session();
+    let rows: Vec<Vec<String>> = (0..32)
+        .map(|_| {
+            (0..17)
+                .map(|k| {
+                    let word = rng.gen_range(0..5000);
+                    if k < 9 {
+                        format!("u=w{word}")
+                    } else {
+                        format!("btw=w{word}")
+                    }
+                })
+                .collect()
+        })
+        .collect();
+    let request = frame::encode_predict(&rows);
+    let payload = &request[frame::FRAME_HEADER_BYTES..];
+    let mut scratch = ReadScratch::new();
+    group.bench_function("predict_batch_32_rows", |b| {
+        b.iter(|| {
+            hotpath::decode_predict(payload, &mut scratch).expect("valid payload");
+            hotpath::compute_predict(&session, payload, &mut scratch).expect("distilled");
+            black_box(scratch.probs()[0])
+        })
+    });
+
+    // 32 lookups of fresh signatures over 20 LFs against a full memo.
+    let signature = |rng: &mut StdRng| {
+        let (mut cols, mut votes) = (Vec::new(), Vec::<Vote>::new());
+        for j in 0..20u32 {
+            if rng.gen_bool(0.4) {
+                cols.push(j);
+                votes.push(if rng.gen_bool(0.5) { 1 } else { -1 });
+            }
+        }
+        (cols, votes)
+    };
+    let mut memo = SigMemo::new();
+    while memo.len() < MEMO_CAP {
+        let (cols, votes) = signature(&mut rng);
+        memo.insert(&cols, &votes, &[0.5, 0.5]);
+    }
+    let misses: Vec<(Vec<u32>, Vec<Vote>)> = std::iter::repeat_with(|| signature(&mut rng))
+        .filter(|(cols, votes)| memo.lookup(cols, votes).is_none())
+        .take(32)
+        .collect();
+    group.bench_function("memo_miss_32_rows", |b| {
+        b.iter(|| {
+            misses
+                .iter()
+                .filter(|(cols, votes)| {
+                    let hash = SigMemo::hash(cols, votes);
+                    memo.lookup_hashed(hash, cols, votes).is_none()
+                })
+                .count()
+        })
+    });
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_generative_training,
@@ -211,6 +321,7 @@ criterion_group!(
     bench_lf_application,
     bench_matrix_ops,
     bench_pattern_engine,
-    bench_discriminative
+    bench_discriminative,
+    bench_read_path_hashing
 );
 criterion_main!(benches);

@@ -63,23 +63,19 @@ pub fn hash_features<'a>(names: impl IntoIterator<Item = &'a str>, buckets: u32)
 }
 
 /// The hashing kernel behind [`hash_features`], into caller-owned
-/// scratch: `pairs` is the hash staging buffer, `out` receives the
-/// L2-normalized vector. Both keep their capacity across calls, so a
-/// warm serving worker hashes every request without touching the
-/// allocator.
+/// scratch: `out` receives the L2-normalized vector, its buckets
+/// counted in `out`'s own buffers, so a warm serving worker hashes
+/// every request without touching the allocator. `pairs` is unused; the
+/// signature is kept for existing callers.
 pub fn hash_features_into<'a>(
     names: impl IntoIterator<Item = &'a str>,
     buckets: u32,
-    pairs: &mut Vec<(u32, f64)>,
+    _pairs: &mut Vec<(u32, f64)>,
     out: &mut SparseVec,
 ) {
-    pairs.clear();
-    pairs.extend(
-        names
-            .into_iter()
-            .map(|name| (hash_feature(name, buckets), 1.0)),
-    );
-    out.assign_from_pairs(pairs);
+    out.assign_bucket_counts(|row| {
+        row.extend(names.into_iter().map(|name| hash_feature(name, buckets)))
+    });
     out.l2_normalize();
 }
 

@@ -32,6 +32,43 @@ pub fn hash_feature(name: &str, buckets: u32) -> u32 {
     FeatureHash::new().str(name).bucket(buckets)
 }
 
+/// The bucket of a 64-bit feature hash: `hash % buckets`, taken with a
+/// mask when `buckets` is a power of two (the same value, without the
+/// division).
+#[inline]
+pub fn feature_bucket(hash: u64, buckets: u32) -> u32 {
+    if buckets.is_power_of_two() {
+        (hash & (buckets as u64 - 1)) as u32
+    } else {
+        (hash % buckets as u64) as u32
+    }
+}
+
+/// The 64-bit FNV-1a of four feature names at once, in four independent
+/// lanes (one hash chain per name, so the multiplies of different names
+/// overlap instead of waiting on each other), plus the OR of every byte
+/// hashed: a caller that must validate UTF-8 learns from bit 7 in the
+/// same pass whether any of the four left ASCII. Hash `i` reduced by
+/// [`feature_bucket`] is [`hash_feature`] of name `i`; an empty name
+/// pads a short group.
+pub fn feature_hashes_x4(names: [&[u8]; 4]) -> ([u64; 4], u8) {
+    let common = names.iter().map(|n| n.len()).min().unwrap_or(0);
+    let [a, b, c, d] = names.map(|n| &n[..common]);
+    let mut h = [FeatureHash::new(); 4];
+    let mut seen = 0u8;
+    for (((&a, &b), &c), &d) in a.iter().zip(b).zip(c).zip(d) {
+        seen |= a | b | c | d;
+        h = [h[0].byte(a), h[1].byte(b), h[2].byte(c), h[3].byte(d)];
+    }
+    for (lane, name) in h.iter_mut().zip(names) {
+        for &byte in &name[common..] {
+            seen |= byte;
+            *lane = lane.byte(byte);
+        }
+    }
+    (h.map(|lane| lane.0), seen)
+}
+
 /// FNV-1a streamed over the pieces of one feature name. FNV-1a folds
 /// one byte at a time, so hashing the pieces in sequence gives the same
 /// value as hashing their concatenation: the featurizer hashes
@@ -84,7 +121,7 @@ impl FeatureHash {
     }
 
     fn bucket(self, buckets: u32) -> u32 {
-        (self.0 % buckets as u64) as u32
+        feature_bucket(self.0, buckets)
     }
 }
 
@@ -121,23 +158,23 @@ impl TextFeaturizer {
     /// Extract the L2-normalized hashed feature vector of a candidate.
     pub fn featurize(&self, x: &CandidateView<'_>) -> SparseVec {
         let mut out = SparseVec::new();
-        self.featurize_into(x, &mut Vec::with_capacity(64), &mut out);
+        self.featurize_into(x, &mut out);
         out
     }
 
-    /// [`Self::featurize`] into `out`, hashing into the caller's `pairs`
-    /// scratch: the one featurization kernel. Feature names are hashed
-    /// piece by piece, never built, so once `pairs` and `out` have
-    /// reached their high-water marks a call allocates nothing (unless a
+    /// [`Self::featurize`] into `out`: the one featurization kernel.
+    /// Feature names are hashed piece by piece, never built, and their
+    /// buckets go straight into `out`'s own buffers, so once `out` has
+    /// reached its high-water mark a call allocates nothing (unless a
     /// span's text is non-ASCII, which is lowercased through a `String`).
-    pub fn featurize_into(
-        &self,
-        x: &CandidateView<'_>,
-        pairs: &mut Vec<(u32, f64)>,
-        out: &mut SparseVec,
-    ) {
-        pairs.clear();
-        let mut emit = |h: FeatureHash| pairs.push((h.bucket(self.buckets), 1.0));
+    pub fn featurize_into(&self, x: &CandidateView<'_>, out: &mut SparseVec) {
+        out.assign_bucket_counts(|buckets| self.emit_buckets(x, buckets));
+        out.l2_normalize();
+    }
+
+    /// Push the bucket of every feature of `x`, in extraction order.
+    fn emit_buckets(&self, x: &CandidateView<'_>, buckets: &mut Vec<u32>) {
+        let mut emit = |h: FeatureHash| buckets.push(h.bucket(self.buckets));
         let f = FeatureHash::new;
         let bigram = |tag: &str, pair: &[Token]| {
             f().str(tag)
@@ -210,9 +247,6 @@ impl TextFeaturizer {
                     .str(distance_bucket(x.token_distance(0, 1))),
             );
         }
-
-        out.assign_from_pairs(pairs);
-        out.l2_normalize();
     }
 
     /// Featurize a batch of candidates through one reused scratch, so
@@ -222,12 +256,11 @@ impl TextFeaturizer {
         corpus: &snorkel_context::Corpus,
         candidates: impl IntoIterator<Item = &'a snorkel_context::CandidateId>,
     ) -> Vec<SparseVec> {
-        let mut pairs = Vec::with_capacity(64);
         let mut row = SparseVec::new();
         candidates
             .into_iter()
             .map(|&id| {
-                self.featurize_into(&corpus.candidate(id), &mut pairs, &mut row);
+                self.featurize_into(&corpus.candidate(id), &mut row);
                 row.clone()
             })
             .collect()

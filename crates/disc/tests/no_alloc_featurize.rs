@@ -48,15 +48,14 @@ fn corpus() -> (Corpus, Vec<CandidateId>) {
 fn warm_featurize_into_allocates_nothing() {
     let (c, ids) = corpus();
     let f = TextFeaturizer::default();
-    let mut pairs = Vec::new();
     let mut out = SparseVec::new();
-    // Warm both buffers up to their high-water marks.
+    // Warm the output buffers up to their high-water marks.
     for &id in &ids {
-        f.featurize_into(&c.candidate(id), &mut pairs, &mut out);
+        f.featurize_into(&c.candidate(id), &mut out);
     }
     let allocations = min_allocations_over(5, || {
         for &id in &ids {
-            f.featurize_into(&c.candidate(id), &mut pairs, &mut out);
+            f.featurize_into(&c.candidate(id), &mut out);
         }
     });
     println!("warm featurize_into over {ROWS} rows: {allocations} allocations");
@@ -72,7 +71,7 @@ fn featurize_all_allocates_only_its_outputs() {
     let (allocations, xs) = allocations_in(|| f.featurize_all(&c, &ids));
     assert_eq!(xs.len(), ROWS);
     // Per row: the output's index and value buffers. Constant: the
-    // result vector and the scratch pairs/row (which may grow a few
+    // result vector and the scratch row (whose buffers may grow a few
     // times while reaching their high-water marks).
     let budget = 2 * ROWS as u64 + 16;
     println!("featurize_all over {ROWS} rows: {allocations} allocations (budget {budget})");

@@ -50,39 +50,31 @@ impl SparseVec {
         }
     }
 
-    /// [`Self::from_pairs`] into `self`, reusing both internal buffers:
-    /// the reset-and-reuse form for hot paths that hash features per
-    /// request. `pairs` is the caller's scratch (sorted in place); after
-    /// the warm-up request neither side touches the allocator.
+    /// Rebuild `self` as the bag of bucket counts `fill` pushes: each
+    /// distinct bucket once, in increasing order, valued by how many
+    /// times it was pushed. `fill` receives the cleared index buffer, so
+    /// the buckets need no staging of their own; both buffers keep their
+    /// capacity, and once warm a rebuild never touches the allocator.
     ///
-    /// The result is identical to `from_pairs` on the same pairs — same
-    /// sort, same duplicate-merge order (so the same bits when values
-    /// are summed), same exact-zero drop.
-    pub fn assign_from_pairs(&mut self, pairs: &mut [(u32, f64)]) {
-        pairs.sort_unstable_by_key(|&(i, _)| i);
+    /// The result equals [`Self::from_pairs`] over `(bucket, 1.0)` pairs
+    /// bit for bit: a count `n` is the exact sum of `n` ones.
+    pub fn assign_bucket_counts(&mut self, fill: impl FnOnce(&mut Vec<u32>)) {
         self.idx.clear();
         self.val.clear();
-        for &(i, v) in pairs.iter() {
-            if let Some(&last) = self.idx.last() {
-                if last == i {
-                    *self.val.last_mut().expect("val tracks idx") += v;
-                    continue;
-                }
-            }
-            self.idx.push(i);
-            self.val.push(v);
-        }
-        // Compact away entries that merged to exactly zero.
+        fill(&mut self.idx);
+        self.idx.sort_unstable();
         let mut w = 0usize;
         for r in 0..self.idx.len() {
-            if self.val[r] != 0.0 {
-                self.idx[w] = self.idx[r];
-                self.val[w] = self.val[r];
+            let i = self.idx[r];
+            if w > 0 && self.idx[w - 1] == i {
+                self.val[w - 1] += 1.0;
+            } else {
+                self.idx[w] = i;
+                self.val.push(1.0);
                 w += 1;
             }
         }
         self.idx.truncate(w);
-        self.val.truncate(w);
     }
 
     /// Number of stored (non-zero) entries.
@@ -93,7 +85,7 @@ impl SparseVec {
 
     /// Heap footprint of the index/value buffers (capacity, not
     /// length). Capacity is monotone under the reuse methods
-    /// ([`Self::assign_from_pairs`]), so for a scratch vector this is
+    /// ([`Self::assign_bucket_counts`]), so for a scratch vector this is
     /// its high-water mark — what the serving layer's scratch-bytes
     /// gauges report.
     #[inline]
@@ -212,17 +204,22 @@ mod tests {
     }
 
     #[test]
-    fn assign_from_pairs_matches_from_pairs_and_reuses_buffers() {
-        let pairs = vec![(5, 1.0), (2, 2.0), (5, 3.0), (9, 0.5), (7, 1.0), (7, -1.0)];
-        let reference = SparseVec::from_pairs(pairs.clone());
+    fn assign_bucket_counts_matches_from_pairs_and_reuses_buffers() {
+        let buckets = [5u32, 2, 5, 9, 7, 7, 7, 0];
+        let reference = SparseVec::from_pairs(buckets.iter().map(|&b| (b, 1.0)).collect());
         let mut v = SparseVec::new();
-        let mut scratch = pairs;
-        v.assign_from_pairs(&mut scratch);
+        v.assign_bucket_counts(|out| out.extend_from_slice(&buckets));
         assert_eq!(v, reference);
-        // Refill with a smaller vector: same result as a fresh build.
-        let mut scratch2 = vec![(3, 1.5), (1, 0.25)];
-        v.assign_from_pairs(&mut scratch2);
-        assert_eq!(v, SparseVec::from_pairs(vec![(3, 1.5), (1, 0.25)]));
+        assert_eq!(v.indices(), &[0, 2, 5, 7, 9]);
+        assert_eq!(v.values(), &[1.0, 1.0, 2.0, 3.0, 1.0]);
+        // Refill with a smaller bag: same result as a fresh build, same
+        // buffers.
+        let bytes = v.capacity_bytes();
+        v.assign_bucket_counts(|out| out.extend([3, 1, 3]));
+        assert_eq!(v, SparseVec::from_pairs(vec![(1, 1.0), (3, 2.0)]));
+        assert_eq!(v.capacity_bytes(), bytes);
+        v.assign_bucket_counts(|_| {});
+        assert!(v.is_empty());
     }
 
     #[test]

@@ -13,13 +13,15 @@
 //!   mark and reset (not freed) per request.
 //! * [`SigMemo`] — the per-generation posterior memo in
 //!   structure-of-arrays form: flat signature/posterior arenas plus an
-//!   open-addressing probe table, so a steady-state lookup borrows
-//!   `&[f64]` straight out of the arena with zero allocations and zero
-//!   hashing-related clones.
+//!   open-addressing probe table of hash-tagged entries, so a
+//!   steady-state lookup borrows `&[f64]` straight out of the arena
+//!   with zero allocations, and a probe reads the key arena only when
+//!   its tag matches.
 //! * [`decode_marginal`] / [`decode_predict`] — the one decoder of each
 //!   batched read opcode: zero-copy, validating into the scratch arenas
 //!   instead of fresh `Vec`s, with the error wording the rest of
-//!   [`crate::frame`] uses.
+//!   [`crate::frame`] uses. Feature names are hashed here, once, in
+//!   the same pass that validates their UTF-8.
 //! * [`compute_marginal`] / [`compute_predict`] — the batch cores both
 //!   wire planes route through, on the `*_into` kernels (the only
 //!   implementation of each posterior; the allocating forms wrap
@@ -37,13 +39,14 @@ use std::sync::Mutex;
 use snorkel_arena::ScratchVec;
 use snorkel_core::label_model::{LabelModel, MajorityVoteModel};
 use snorkel_core::model::LabelScheme;
+use snorkel_disc::{feature_bucket, feature_hashes_x4, DistilledModel};
 use snorkel_incr::IncrementalSession;
 use snorkel_lf::Vote;
 use snorkel_linalg::SparseVec;
 
 use crate::core::lock_unpoisoned;
 use crate::frame;
-use crate::wire::{Field, Reader};
+use crate::wire::{self, Field, Reader};
 
 /// Cap on memoized signatures — deployment traffic has few distinct
 /// patterns; a cap this size only matters under adversarial query
@@ -59,9 +62,14 @@ const INITIAL_TABLE: usize = 1024;
 /// Keys (vote signatures) and values (posterior rows) live in flat
 /// arenas addressed by per-entry bounds, exactly the layout the
 /// training-side `PatternIndex` uses for the same data. An
-/// open-addressing table of entry indices (linear probing, power-of-two
-/// capacity) makes lookup a hash + slice compare: no key clone to
-/// probe, no `Vec` clone to return — a hit borrows the arena.
+/// open-addressing table of tagged entry indices (linear probing,
+/// power-of-two capacity) makes lookup a tag compare, and a slice
+/// compare only when the tag matches: no key clone to probe, no `Vec`
+/// clone to return — a hit borrows the arena. The read path hashes a
+/// signature once with [`Self::hash`], outside the memo's lock, and
+/// passes the hash to [`Self::lookup_hashed`] and
+/// [`Self::insert_hashed`]; [`Self::lookup`] and [`Self::insert`] hash
+/// for the caller.
 ///
 /// A generation bump ([`Self::begin_generation`]) resets the arenas
 /// and zeroes the table without freeing either, so the memo re-warms
@@ -76,8 +84,11 @@ pub struct SigMemo {
     /// Flat posterior arena, addressed by `val_bounds`.
     vals: Vec<f64>,
     val_bounds: Vec<(u32, u32)>,
-    /// Probe table: entry index + 1, `0` = empty.
-    table: Vec<u32>,
+    /// Probe table: the entry's signature hash in the high 32 bits,
+    /// entry index + 1 in the low 32; `0` = empty. A slot's home is
+    /// its hash masked to the table size, so growth rehashes from the
+    /// table alone.
+    table: Vec<u64>,
 }
 
 impl Default for SigMemo {
@@ -123,7 +134,7 @@ impl SigMemo {
             + self.key_bounds.capacity() * std::mem::size_of::<(u32, u32)>()
             + self.vals.capacity() * std::mem::size_of::<f64>()
             + self.val_bounds.capacity() * std::mem::size_of::<(u32, u32)>()
-            + self.table.capacity() * std::mem::size_of::<u32>()
+            + self.table.capacity() * std::mem::size_of::<u64>()
     }
 
     /// Invalidate everything and adopt `gen`: arenas reset, table
@@ -138,21 +149,24 @@ impl SigMemo {
         self.table.iter_mut().for_each(|slot| *slot = 0);
     }
 
-    /// FNV-1a over the signature bytes, with the length folded in so a
-    /// prefix signature does not collide with its extension trivially.
-    fn hash(cols: &[u32], votes: &[Vote]) -> u64 {
-        let mut h = 0xcbf2_9ce4_8422_2325u64;
-        let mut mix = |b: u8| {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01B3);
-        };
+    /// The 32-bit hash the `*_hashed` methods take: one
+    /// multiply-rotate step per `(column, vote)` word, seeded with the
+    /// length so a prefix signature does not collide with its extension
+    /// trivially, then the `fmix64` finalizer so every input bit reaches
+    /// the low bits that pick the home slot. Never persisted or sent, so
+    /// it is free to change.
+    pub fn hash(cols: &[u32], votes: &[Vote]) -> u32 {
+        let mut h = cols.len() as u64;
         for (&c, &v) in cols.iter().zip(votes) {
-            for b in c.to_le_bytes() {
-                mix(b);
-            }
-            mix(v as u8);
+            let word = u64::from(c) | u64::from(v as u8) << 32;
+            h = (h.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
         }
-        h ^ cols.len() as u64
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
+        h ^= h >> 33;
+        h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+        h ^= h >> 33;
+        h as u32
     }
 
     fn key_at(&self, e: usize) -> (&[u32], &[Vote]) {
@@ -167,21 +181,28 @@ impl SigMemo {
     /// The memoized posterior for a signature, if present. Borrows the
     /// value arena — nothing is cloned or allocated on a hit or a miss.
     pub fn lookup(&self, cols: &[u32], votes: &[Vote]) -> Option<&[f64]> {
+        self.lookup_hashed(Self::hash(cols, votes), cols, votes)
+    }
+
+    /// [`Self::lookup`] for a signature whose [`Self::hash`] is `hash`.
+    pub fn lookup_hashed(&self, hash: u32, cols: &[u32], votes: &[Vote]) -> Option<&[f64]> {
         if self.table.is_empty() {
             return None;
         }
         let mask = self.table.len() - 1;
-        let mut i = (Self::hash(cols, votes) as usize) & mask;
+        let mut i = hash as usize & mask;
         loop {
             let slot = self.table[i];
             if slot == 0 {
                 return None;
             }
-            let e = (slot - 1) as usize;
-            let (kc, kv) = self.key_at(e);
-            if kc == cols && kv == votes {
-                let (off, len) = self.val_bounds[e];
-                return Some(&self.vals[off as usize..(off + len) as usize]);
+            if (slot >> 32) as u32 == hash {
+                let e = (slot as u32 - 1) as usize;
+                let (kc, kv) = self.key_at(e);
+                if kc == cols && kv == votes {
+                    let (off, len) = self.val_bounds[e];
+                    return Some(&self.vals[off as usize..(off + len) as usize]);
+                }
             }
             i = (i + 1) & mask;
         }
@@ -194,7 +215,12 @@ impl SigMemo {
     /// is still being discovered, never in the steady state of repeated
     /// lookups.
     pub fn insert(&mut self, cols: &[u32], votes: &[Vote], probs: &[f64]) {
-        if self.len() >= MEMO_CAP || self.lookup(cols, votes).is_some() {
+        self.insert_hashed(Self::hash(cols, votes), cols, votes, probs);
+    }
+
+    /// [`Self::insert`] for a signature whose [`Self::hash`] is `hash`.
+    pub fn insert_hashed(&mut self, hash: u32, cols: &[u32], votes: &[Vote], probs: &[f64]) {
+        if self.len() >= MEMO_CAP || self.lookup_hashed(hash, cols, votes).is_some() {
             return;
         }
         self.grow_table_if_loaded();
@@ -206,12 +232,17 @@ impl SigMemo {
         self.val_bounds
             .push((self.vals.len() as u32, probs.len() as u32));
         self.vals.extend_from_slice(probs);
-        let mask = self.table.len() - 1;
-        let mut i = (Self::hash(cols, votes) as usize) & mask;
-        while self.table[i] != 0 {
+        Self::place(&mut self.table, u64::from(hash) << 32 | (e + 1) as u64);
+    }
+
+    /// Put `slot` at the first free position from its home.
+    fn place(table: &mut [u64], slot: u64) {
+        let mask = table.len() - 1;
+        let mut i = (slot >> 32) as usize & mask;
+        while table[i] != 0 {
             i = (i + 1) & mask;
         }
-        self.table[i] = (e + 1) as u32;
+        table[i] = slot;
     }
 
     /// Keep the probe table under ~70% load (doubling + rehash).
@@ -223,16 +254,9 @@ impl SigMemo {
         if (self.len() + 1) * 10 < self.table.len() * 7 {
             return;
         }
-        let new_len = self.table.len() * 2;
-        let mut table = vec![0u32; new_len];
-        let mask = new_len - 1;
-        for e in 0..self.key_bounds.len() {
-            let (kc, kv) = self.key_at(e);
-            let mut i = (Self::hash(kc, kv) as usize) & mask;
-            while table[i] != 0 {
-                i = (i + 1) & mask;
-            }
-            table[i] = (e + 1) as u32;
+        let mut table = vec![0u64; self.table.len() * 2];
+        for &slot in self.table.iter().filter(|&&slot| slot != 0) {
+            Self::place(&mut table, slot);
         }
         self.table = table;
     }
@@ -251,17 +275,21 @@ pub struct ReadScratch {
     cols: ScratchVec<u32>,
     votes: ScratchVec<Vote>,
     rows: ScratchVec<(u32, u32)>,
+    /// Per-row [`SigMemo::hash`] of the vote batch, taken before the
+    /// memo lock.
+    sigs: ScratchVec<u32>,
     /// Decoded `OP_PREDICT` batch: per-feature `(offset, len)` byte
     /// ranges into the request payload (zero-copy — the names stay in
-    /// the connection's input buffer) plus per-row ranges into it.
+    /// the connection's input buffer), each name's 64-bit FNV-1a
+    /// (parallel to the ranges), and per-row ranges into both.
     feats: ScratchVec<(u32, u32)>,
+    hashes: ScratchVec<u64>,
     feat_rows: ScratchVec<(u32, u32)>,
     /// Computed posterior rows, flat: row `i` at `i*width..(i+1)*width`.
     probs: ScratchVec<f64>,
     /// Row indices that missed the memo (marginal pass bookkeeping).
     pending: ScratchVec<u32>,
-    /// Feature-hash staging and the reusable hashed feature vector.
-    pairs: ScratchVec<(u32, f64)>,
+    /// The reusable hashed feature vector.
     x: SparseVec,
 }
 
@@ -276,11 +304,12 @@ impl ReadScratch {
         self.cols.bytes()
             + self.votes.bytes()
             + self.rows.bytes()
+            + self.sigs.bytes()
             + self.feats.bytes()
+            + self.hashes.bytes()
             + self.feat_rows.bytes()
             + self.probs.bytes()
             + self.pending.bytes()
-            + self.pairs.bytes()
             + self.x.capacity_bytes()
     }
 
@@ -298,12 +327,20 @@ impl ReadScratch {
     }
 
     /// Reset the posterior buffer to one zeroed `width`-class row for a
-    /// caller that scores a single row itself (text `APPLY`,
-    /// `PREDICT_TEXT`).
+    /// caller that scores a single row itself (text `APPLY`).
     pub(crate) fn start_probs(&mut self, width: usize) -> &mut [f64] {
         self.probs.reset();
         self.probs.resize(width, 0.0);
         &mut self.probs
+    }
+
+    /// [`Self::start_probs`] plus the reusable feature vector, for a
+    /// caller that featurizes and scores a single row itself
+    /// (`PREDICT_TEXT`).
+    pub(crate) fn start_feature_row(&mut self, width: usize) -> (&mut SparseVec, &mut [f64]) {
+        self.probs.reset();
+        self.probs.resize(width, 0.0);
+        (&mut self.x, &mut self.probs)
     }
 
     /// The computed posterior rows, flat (row `i` of a width-`w` batch
@@ -373,11 +410,23 @@ pub fn decode_marginal(payload: &[u8], scratch: &mut ReadScratch) -> Result<usiz
 }
 
 /// Decode an `OP_PREDICT` payload into the scratch arenas: feature
-/// names are UTF-8-validated in place and recorded as byte ranges into
-/// `payload` (no copies — [`compute_predict`] reads them back out of
-/// the same payload slice). Rejects an empty batch, an empty feature
-/// vector, torn names and trailing bytes. Returns the row count.
+/// names are recorded as byte ranges into `payload` (no copies), then
+/// hashed once, UTF-8-validated in the same pass, into the scratch's
+/// hash buffer that [`compute_predict`] reduces to buckets. Rejects an
+/// empty batch, an empty feature vector, names that are not UTF-8, torn
+/// names and trailing bytes, reporting the first defect in wire order.
+/// Returns the row count.
 pub fn decode_predict(payload: &[u8], scratch: &mut ReadScratch) -> Result<usize, String> {
+    let parsed = parse_predict(payload, scratch);
+    // Every name parsed lies before whatever defect stopped the parse,
+    // so a name that is not UTF-8 is the first defect in wire order.
+    hash_names(payload, &scratch.feats, &mut scratch.hashes)?;
+    parsed
+}
+
+/// The byte ranges of an `OP_PREDICT` payload's names and rows, up to
+/// the first structural defect.
+fn parse_predict(payload: &[u8], scratch: &mut ReadScratch) -> Result<usize, String> {
     let mut r = Reader::new(payload);
     scratch.feats.reset();
     scratch.feat_rows.reset();
@@ -391,7 +440,7 @@ pub fn decode_predict(payload: &[u8], scratch: &mut ReadScratch) -> Result<usize
         }
         let start = scratch.feats.len() as u32;
         for _ in 0..k {
-            let name = r.str_bytes("feature name").map_err(frame::wire_err)?;
+            let name = r.bytes("feature name").map_err(frame::wire_err)?;
             let off = (r.position() - name.len()) as u32;
             scratch.feats.push((off, name.len() as u32));
         }
@@ -399,6 +448,32 @@ pub fn decode_predict(payload: &[u8], scratch: &mut ReadScratch) -> Result<usize
     }
     r.end("frame")?;
     Ok(n)
+}
+
+/// The 64-bit FNV-1a of every name in `feats` into `hashes`, four
+/// names per step in [`feature_hashes_x4`]'s lanes. The lanes also
+/// report whether any byte left ASCII; only such a group is run
+/// through the full UTF-8 check.
+fn hash_names(
+    payload: &[u8],
+    feats: &[(u32, u32)],
+    hashes: &mut ScratchVec<u64>,
+) -> Result<(), String> {
+    hashes.reset();
+    for group in feats.chunks(4) {
+        let mut names: [&[u8]; 4] = [&[]; 4];
+        for (name, &(off, len)) in names.iter_mut().zip(group) {
+            *name = &payload[off as usize..(off + len) as usize];
+        }
+        let (h, seen) = feature_hashes_x4(names);
+        if !seen.is_ascii() {
+            for name in names {
+                wire::utf8(name, "feature name").map_err(frame::wire_err)?;
+            }
+        }
+        hashes.extend_from_slice(&h[..group.len()]);
+    }
+    Ok(())
 }
 
 /// Row `i` of a decoded structure-of-arrays vote batch.
@@ -477,6 +552,7 @@ pub fn compute_marginal(
         cols,
         votes,
         rows,
+        sigs,
         probs,
         pending,
         ..
@@ -485,6 +561,11 @@ pub fn compute_marginal(
     probs.reset();
     probs.resize(n * width, 0.0);
     pending.reset();
+    sigs.reset();
+    sigs.extend((0..n).map(|i| {
+        let (rc, rv) = row_at(rows, cols, votes, i);
+        SigMemo::hash(rc, rv)
+    }));
     let mut memo_hits = 0u64;
     // Memo pass 1: harvest hits for the whole batch under one lock.
     {
@@ -495,7 +576,7 @@ pub fn compute_marginal(
         } else {
             for i in 0..n {
                 let (rc, rv) = row_at(rows, cols, votes, i);
-                match memo.lookup(rc, rv) {
+                match memo.lookup_hashed(sigs[i], rc, rv) {
                     Some(p) => {
                         probs[i * width..(i + 1) * width].copy_from_slice(p);
                         memo_hits += 1;
@@ -520,7 +601,7 @@ pub fn compute_marginal(
             for &i in pending.iter() {
                 let (rc, rv) = row_at(rows, cols, votes, i as usize);
                 let p = &probs[i as usize * width..(i as usize + 1) * width];
-                memo.insert(rc, rv, p);
+                memo.insert_hashed(sigs[i as usize], rc, rv, p);
             }
         }
     }
@@ -532,25 +613,35 @@ pub fn compute_marginal(
 }
 
 /// Distilled-model posteriors for the decoded feature rows, written
-/// flat into `scratch.probs`, under the caller's state read lock.
-/// Feature names are read back out of `payload` (the ranges
-/// [`decode_predict`] recorded), hashed into the reusable sparse
-/// vector, and scored through the `*_into` kernels.
+/// flat into `scratch.probs`, under the caller's state read lock. The
+/// names were hashed at decode; `payload` is not read again and stays
+/// in the signature for existing callers.
 pub fn compute_predict(
     session: &IncrementalSession,
-    payload: &[u8],
+    _payload: &[u8],
     scratch: &mut ReadScratch,
 ) -> Result<PredictOutcome, String> {
     let Some(disc) = session.disc() else {
         return Err("no distilled model (enable distillation and REFRESH)".into());
     };
-    let width = disc.model.num_classes();
-    let dim = disc.model.dim();
+    Ok(PredictOutcome {
+        rows: predict_rows(&disc.model, scratch),
+        width: disc.model.num_classes(),
+        disc_gen: disc.generation,
+    })
+}
+
+/// Score every decoded feature row: reduce its name hashes to the
+/// model's buckets, build the L2-normalized row from their counts in
+/// the reusable sparse vector, and score it through the `*_into`
+/// kernel. Returns the row count.
+fn predict_rows(model: &DistilledModel, scratch: &mut ReadScratch) -> usize {
+    let width = model.num_classes();
+    let dim = model.dim();
     let ReadScratch {
-        feats,
+        hashes,
         feat_rows,
         probs,
-        pairs,
         x,
         ..
     } = scratch;
@@ -558,27 +649,20 @@ pub fn compute_predict(
     probs.reset();
     probs.resize(n * width, 0.0);
     for (i, &(off, len)) in feat_rows.iter().enumerate() {
-        let names =
-            feats[off as usize..(off + len) as usize]
-                .iter()
-                .map(|&(start, bytes)| -> &str {
-                    std::str::from_utf8(&payload[start as usize..(start + bytes) as usize])
-                        .expect("decode_predict validated UTF-8")
-                });
-        snorkel_disc::hash_features_into(names, dim, pairs, x);
-        disc.model
-            .predict_proba_into(x, &mut probs[i * width..(i + 1) * width]);
+        let row = &hashes[off as usize..(off + len) as usize];
+        x.assign_bucket_counts(|buckets| {
+            buckets.extend(row.iter().map(|&h| feature_bucket(h, dim)))
+        });
+        x.l2_normalize();
+        model.predict_proba_into(x, &mut probs[i * width..(i + 1) * width]);
     }
-    Ok(PredictOutcome {
-        rows: n,
-        width,
-        disc_gen: disc.generation,
-    })
+    n
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn sig_memo_lookup_insert_and_generation_reset() {
@@ -631,6 +715,116 @@ mod tests {
             memo.insert(&[i], &[1], &[1.0, 0.0]);
         }
         assert_eq!(memo.len(), MEMO_CAP);
+    }
+
+    /// A memo filled to [`MEMO_CAP`] with random signatures returns each
+    /// one's own posterior, through both the hashing and the pre-hashed
+    /// entry points, and misses a signature it never saw.
+    #[test]
+    fn full_memo_returns_every_posterior_and_misses_the_unseen() {
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand::rngs::StdRng::seed_from_u64(36);
+        let mut seen = std::collections::HashSet::new();
+        let mut sigs = Vec::with_capacity(MEMO_CAP);
+        let mut random_sig = |rng: &mut rand::rngs::StdRng| loop {
+            let k = rng.gen_range(1..=12);
+            let mut cols: Vec<u32> = (0..k).map(|_| rng.gen_range(0..64)).collect();
+            cols.sort_unstable();
+            cols.dedup();
+            let votes: Vec<Vote> = cols
+                .iter()
+                .map(|_| if rng.gen_bool(0.5) { 1 } else { -1 })
+                .collect();
+            if seen.insert((cols.clone(), votes.clone())) {
+                return (cols, votes);
+            }
+        };
+        let mut memo = SigMemo::new();
+        for i in 0..MEMO_CAP {
+            let (cols, votes) = random_sig(&mut rng);
+            memo.insert(&cols, &votes, &[i as f64, -(i as f64)]);
+            sigs.push((cols, votes));
+        }
+        assert_eq!(memo.len(), MEMO_CAP);
+        for (i, (cols, votes)) in sigs.iter().enumerate() {
+            let want = [i as f64, -(i as f64)];
+            assert_eq!(memo.lookup(cols, votes), Some(&want[..]), "signature {i}");
+            let hash = SigMemo::hash(cols, votes);
+            assert_eq!(memo.lookup_hashed(hash, cols, votes), Some(&want[..]));
+        }
+        for _ in 0..1000 {
+            let (cols, votes) = random_sig(&mut rng);
+            assert!(memo.lookup(&cols, &votes).is_none(), "{cols:?} {votes:?}");
+        }
+    }
+
+    /// A feature name for the bit-identity property: one byte, a short
+    /// run of ASCII and non-ASCII characters, or 200 bytes.
+    fn feature_name() -> impl Strategy<Value = String> {
+        prop_oneof!["[a-z=]", "[a-z=_éΣ中İ]{1,12}", "[a-z]{200}", "ß{100}",]
+    }
+
+    /// Rows of 1–64 names, each drawn from a small per-batch pool so
+    /// names repeat within a row.
+    fn feature_rows() -> impl Strategy<Value = Vec<Vec<String>>> {
+        prop::collection::vec(feature_name(), 1..8).prop_flat_map(|pool| {
+            let n = pool.len();
+            prop::collection::vec(prop::collection::vec(0..n, 1..=64), 1..4).prop_map(move |rows| {
+                rows.iter()
+                    .map(|row| row.iter().map(|&i| pool[i].clone()).collect())
+                    .collect()
+            })
+        })
+    }
+
+    /// A distilled model with every weight set, so any bucket a name
+    /// lands in moves the score.
+    fn distilled(dim: u32, classes: usize) -> DistilledModel {
+        let vectors = if classes == 2 { 1 } else { classes };
+        let weight =
+            |c: usize, b: u32| ((b as usize * 2_654_435_761 + c * 97) % 2001) as f64 / 1000.0 - 1.0;
+        let parts = snorkel_disc::DiscModelParts {
+            dim,
+            class_weights: (0..vectors)
+                .map(|c| (0..dim).map(|b| (b, weight(c, b))).collect())
+                .collect(),
+            bias: (0..vectors).map(|c| c as f64 * 0.25 - 0.1).collect(),
+        };
+        DistilledModel::from_parts(&parts).expect("valid parts")
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Names hashed at decode score to the bit what the reference
+        /// path scores: FNV-1a per name, `(bucket, 1.0)` pairs merged
+        /// by `SparseVec::from_pairs`, L2-normalized, `predict_proba`
+        /// — and `hash_features` builds that same row.
+        #[test]
+        fn decode_hashed_predict_is_bit_identical_to_the_reference(
+            rows in feature_rows(),
+            dim in prop_oneof![Just(1u32 << 10), Just(1000u32)],
+            classes in prop_oneof![Just(2usize), Just(3usize)],
+        ) {
+            let model = distilled(dim, classes);
+            let body = body_of(&frame::encode_predict(&rows));
+            let mut scratch = ReadScratch::new();
+            prop_assert_eq!(decode_predict(&body, &mut scratch), Ok(rows.len()));
+            prop_assert_eq!(predict_rows(&model, &mut scratch), rows.len());
+            for (i, names) in rows.iter().enumerate() {
+                let pairs = names
+                    .iter()
+                    .map(|n| (snorkel_disc::hash_feature(n, dim), 1.0))
+                    .collect();
+                let mut want = SparseVec::from_pairs(pairs);
+                want.l2_normalize();
+                let hashed = snorkel_disc::hash_features(names.iter().map(String::as_str), dim);
+                prop_assert_eq!(&hashed, &want);
+                let bits = |p: &[f64]| p.iter().map(|v| v.to_bits()).collect::<Vec<_>>();
+                let got = &scratch.probs()[i * classes..(i + 1) * classes];
+                prop_assert_eq!(bits(got), bits(&model.predict_proba(&want)));
+            }
+        }
     }
 
     fn body_of(frame_bytes: &[u8]) -> Vec<u8> {

@@ -523,7 +523,8 @@ fn apply(
 }
 
 /// Featurize a transient two-span candidate (same grammar as `APPLY`)
-/// and answer from the distilled model.
+/// into the worker's reusable feature row and answer from the distilled
+/// model.
 fn predict_text(
     core: &Core,
     span1: (usize, usize),
@@ -536,10 +537,12 @@ fn predict_text(
     let Some(disc) = state.session.disc() else {
         return Err("no distilled model (enable distillation and REFRESH)".into());
     };
-    let x = disc.config.featurizer.featurize(&probe.candidate(cand));
     let width = disc.model.num_classes();
-    disc.model
-        .predict_proba_into(&x, scratch.start_probs(width));
+    let (x, probs) = scratch.start_feature_row(width);
+    disc.config
+        .featurizer
+        .featurize_into(&probe.candidate(cand), x);
+    disc.model.predict_proba_into(x, probs);
     Ok(Reply::Predict {
         gen: state.generation,
         disc_gen: disc.generation,

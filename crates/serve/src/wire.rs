@@ -113,7 +113,7 @@ impl Field for String {
     }
 
     fn get(r: &mut Reader<'_>, context: &'static str) -> Result<Self, SnapError> {
-        r.str_bytes(context).map(str::to_owned)
+        utf8(r.bytes(context)?, context).map(str::to_owned)
     }
 }
 
@@ -283,19 +283,11 @@ impl<'a> Reader<'a> {
 
     /// Length-prefixed raw bytes (no UTF-8 requirement) — opaque
     /// payloads such as replication log record bodies travel through
-    /// this.
+    /// this, and so do `OP_PREDICT` feature names, which the hot path
+    /// validates while it hashes them.
     pub(crate) fn bytes(&mut self, context: &'static str) -> Result<&'a [u8], SnapError> {
         let n = self.count::<u64>(u8::MIN_BYTES, context)?;
         self.take(n, context)
-    }
-
-    /// A string borrowed from the buffer, UTF-8-validated in place. The
-    /// serving hot path decodes feature names through this so a request
-    /// costs zero per-name heap allocations.
-    pub(crate) fn str_bytes(&mut self, context: &'static str) -> Result<&'a str, SnapError> {
-        std::str::from_utf8(self.bytes(context)?).map_err(|_| SnapError::Corrupt {
-            context: format!("{context}: invalid UTF-8"),
-        })
     }
 
     /// Cursor offset from the start of the buffer. Zero-copy decoders
@@ -304,6 +296,13 @@ impl<'a> Reader<'a> {
     pub(crate) fn position(&self) -> usize {
         self.pos
     }
+}
+
+/// `bytes` as a `str`, or the one wording of a field that is not UTF-8.
+pub(crate) fn utf8<'a>(bytes: &'a [u8], context: &'static str) -> Result<&'a str, SnapError> {
+    std::str::from_utf8(bytes).map_err(|_| SnapError::Corrupt {
+        context: format!("{context}: invalid UTF-8"),
+    })
 }
 
 /// FNV-1a, 64-bit — the snapshot and WAL checksum. Not cryptographic
