@@ -129,13 +129,6 @@ impl SparseVec {
         s
     }
 
-    /// `dense ← dense + alpha * self` (scatter-add).
-    pub fn axpy_into_dense(&self, alpha: f64, dense: &mut [f64]) {
-        for (i, v) in self.iter() {
-            dense[i as usize] += alpha * v;
-        }
-    }
-
     /// Squared Euclidean norm of the stored values.
     pub fn norm2_sq(&self) -> f64 {
         self.val.iter().map(|v| v * v).sum()
@@ -171,11 +164,6 @@ impl SparseVec {
             }
         }
         s
-    }
-
-    /// Largest stored index plus one, or 0 for an empty vector.
-    pub fn dim_lower_bound(&self) -> u32 {
-        self.idx.last().map_or(0, |&i| i + 1)
     }
 }
 
@@ -223,13 +211,10 @@ mod tests {
     }
 
     #[test]
-    fn dot_dense_and_axpy() {
+    fn dot_dense() {
         let v = SparseVec::from_pairs(vec![(0, 2.0), (3, -1.0)]);
         let w = [1.0, 10.0, 10.0, 4.0];
         assert_eq!(v.dot_dense(&w), -2.0);
-        let mut acc = vec![0.0; 4];
-        v.axpy_into_dense(0.5, &mut acc);
-        assert_eq!(acc, vec![1.0, 0.0, 0.0, -0.5]);
     }
 
     #[test]
@@ -248,12 +233,5 @@ mod tests {
         let mut z = SparseVec::new();
         z.l2_normalize(); // must not panic or produce NaN
         assert!(z.is_empty());
-    }
-
-    #[test]
-    fn dim_lower_bound() {
-        assert_eq!(SparseVec::new().dim_lower_bound(), 0);
-        let v = SparseVec::from_pairs(vec![(41, 1.0)]);
-        assert_eq!(v.dim_lower_bound(), 42);
     }
 }

@@ -329,9 +329,7 @@ impl ReadScratch {
     /// Reset the posterior buffer to one zeroed `width`-class row for a
     /// caller that scores a single row itself (text `APPLY`).
     pub(crate) fn start_probs(&mut self, width: usize) -> &mut [f64] {
-        self.probs.reset();
-        self.probs.resize(width, 0.0);
-        &mut self.probs
+        self.start_feature_row(width).1
     }
 
     /// [`Self::start_probs`] plus the reusable feature vector, for a
@@ -797,9 +795,9 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(64))]
 
         /// Names hashed at decode score to the bit what the reference
-        /// path scores: FNV-1a per name, `(bucket, 1.0)` pairs merged
-        /// by `SparseVec::from_pairs`, L2-normalized, `predict_proba`
-        /// — and `hash_features` builds that same row.
+        /// path scores: FNV-1a of each name's bytes `% dim`, `(bucket,
+        /// 1.0)` pairs merged by `SparseVec::from_pairs`, L2-normalized,
+        /// `predict_proba` — and `hash_features` builds that same row.
         #[test]
         fn decode_hashed_predict_is_bit_identical_to_the_reference(
             rows in feature_rows(),
@@ -814,7 +812,7 @@ mod tests {
             for (i, names) in rows.iter().enumerate() {
                 let pairs = names
                     .iter()
-                    .map(|n| (snorkel_disc::hash_feature(n, dim), 1.0))
+                    .map(|n| ((wire::fnv1a(n.as_bytes()) % u64::from(dim)) as u32, 1.0))
                     .collect();
                 let mut want = SparseVec::from_pairs(pairs);
                 want.l2_normalize();
