@@ -5,9 +5,13 @@
 //! [`GenerativeModel`]'s cold and warm fits whenever correlation pairs
 //! are modeled; the independent model never comes here.
 
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard};
+use std::thread::{self, Thread};
+
 use rand::rngs::StdRng;
 use rand::seq::SliceRandom;
-use rand::{Rng, SeedableRng};
+use rand::{Rng, RngCore, SeedableRng};
 
 use snorkel_linalg::math::softmax_in_place;
 use snorkel_matrix::{LabelMatrix, Vote};
@@ -49,26 +53,46 @@ impl GenerativeModel {
     }
 
     /// The CD epoch loop, starting from whatever weights are currently
-    /// set (the warm-start path enters here directly).
-    ///
-    /// Every buffer is built before the first epoch and reused, so an
-    /// epoch allocates nothing. Within a minibatch the weights are
-    /// constant, which makes each Gibbs conditional a pure function of
-    /// `(j, y', Λ'_{N(j)})`: [`GibbsConditionals`] memoizes them per
-    /// minibatch. The chain's non-abstain columns are kept as a sorted
-    /// list beside the dense chain, so every score and gradient pass
-    /// walks the (few) votes in the same ascending-`j` order the dense
-    /// scan used — the float operations, their order and the RNG draw
-    /// sequence are those of the row-by-row loop this replaces (kept as
-    /// the `#[cfg(test)]` reference below), so the result is
-    /// bit-identical.
+    /// set (the warm-start path enters here directly), on every core.
     pub(super) fn fit_correlated_cd_from_current(
         &mut self,
         lambda: &LabelMatrix,
         cfg: &TrainConfig,
     ) -> FitReport {
+        self.fit_correlated_cd_on(lambda, cfg, crate::available_cores())
+    }
+
+    /// [`Self::fit_correlated_cd_from_current`] on at most `workers`
+    /// threads, the calling thread among them.
+    ///
+    /// Every buffer is built before the first epoch and reused, so an
+    /// epoch allocates nothing. Within a minibatch the weights are
+    /// constant, so a row's statistics depend only on the weights, the
+    /// row and the row's RNG draws: each minibatch is split into
+    /// contiguous runs, one per worker, and [`Self::cd_run`] computes
+    /// each. The merge redoes the single-threaded loop's arithmetic:
+    /// - every row makes exactly `gibbs_steps·(n+1)+1` draws, so a
+    ///   helper starts from the batch-start stream advanced past the
+    ///   rows before its run, and the fit's stream leaves the batch in
+    ///   the last run's end state;
+    /// - `g_lab` and `g_corr` receive only ±1.0, so their per-run
+    ///   partials are exact integers and sum to the same bits in any
+    ///   order;
+    /// - `g_acc` also receives posteriors, so each helper logs its
+    ///   terms in row order and the caller, whose run comes first,
+    ///   replays the logs run by run.
+    ///
+    /// The float operations, their order and the RNG draw sequence are
+    /// those of the row-by-row loop this replaces (kept as the
+    /// `#[cfg(test)]` reference below), so the result is bit-identical
+    /// for every worker count.
+    pub(crate) fn fit_correlated_cd_on(
+        &mut self,
+        lambda: &LabelMatrix,
+        cfg: &TrainConfig,
+        workers: usize,
+    ) -> FitReport {
         let m = lambda.num_points();
-        let k = self.scheme.num_classes();
         let mut rng = StdRng::seed_from_u64(cfg.seed);
         let mut order: Vec<usize> = (0..m).collect();
         let mut lr = cfg.cd_learning_rate;
@@ -77,110 +101,198 @@ impl GenerativeModel {
         } else {
             cfg.batch_size
         };
+        // No batch has more rows than this, so no run is ever empty.
+        let workers = workers.clamp(1, batch_size.min(m).max(1));
+        let draws_per_row = cfg.gibbs_steps * (self.n + 1) + 1;
 
         let mut g_lab = vec![0.0f64; self.n];
         let mut g_acc = vec![0.0f64; self.n];
         let mut g_corr = vec![0.0f64; self.corr_pairs.len()];
-        let mut post = vec![0.0f64; k];
-        let mut scores = vec![0.0f64; k];
-        // The Gibbs chain: dense votes plus its non-abstain columns,
-        // ascending. `chain` is all-abstain between rows.
-        let mut chain = vec![0 as Vote; self.n];
-        let mut live: Vec<usize> = Vec::with_capacity(self.n);
-        let mut next_live: Vec<usize> = Vec::with_capacity(self.n);
-        let mut conditionals = GibbsConditionals::new(self);
+        let mut scratch = CdScratch::new(self);
+        let run_cap = batch_size.min(m).div_ceil(workers);
+        let helpers: Vec<Helper> = (1..workers).map(|_| Helper::new(self, run_cap)).collect();
+        let caller = thread::current();
 
-        for _epoch in 0..cfg.cd_epochs {
-            order.shuffle(&mut rng);
-            for batch in order.chunks(batch_size) {
-                let bs = batch.len() as f64;
-                g_lab.fill(0.0);
-                g_acc.fill(0.0);
-                g_corr.fill(0.0);
-                conditionals.weights_changed();
+        thread::scope(|scope| {
+            let mut crew = Crew {
+                threads: helpers
+                    .iter()
+                    .map(|helper| {
+                        let caller = caller.clone();
+                        let spawned = scope.spawn(move || helper.serve(lambda, cfg, &caller));
+                        spawned.thread().clone()
+                    })
+                    .collect(),
+                helpers: &helpers,
+                generation: 0,
+            };
+            for _epoch in 0..cfg.cd_epochs {
+                order.shuffle(&mut rng);
+                for batch in order.chunks(batch_size) {
+                    let bs = batch.len() as f64;
+                    g_lab.fill(0.0);
+                    g_acc.fill(0.0);
+                    g_corr.fill(0.0);
 
-                for &i in batch {
-                    let (cols, votes) = lambda.row(i);
-
-                    // Posterior phase (exact).
-                    self.posterior_into(cols, votes, &mut post);
-                    for (&c, &v) in cols.iter().zip(votes) {
-                        let j = c as usize;
-                        g_lab[j] += 1.0;
-                        if let Some(class) = self.scheme.class_of_vote(v) {
-                            g_acc[j] += post[class];
+                    let runs = batch.len().min(workers);
+                    let run_start = |r: usize| r * batch.len() / runs;
+                    crew.generation += 1;
+                    for r in 1..runs {
+                        crew.post(r - 1, |job| {
+                            job.model.w_lab.copy_from_slice(&self.w_lab);
+                            job.model.w_acc.copy_from_slice(&self.w_acc);
+                            job.model.w_corr.copy_from_slice(&self.w_corr);
+                            job.rows.clear();
+                            job.rows
+                                .extend_from_slice(&batch[run_start(r)..run_start(r + 1)]);
+                            job.rng.clone_from(&rng);
+                            job.skip = run_start(r) * draws_per_row;
+                        });
+                    }
+                    self.cd_run(
+                        lambda,
+                        &batch[..run_start(1)],
+                        cfg.gibbs_steps,
+                        &mut rng,
+                        &mut scratch,
+                        &mut g_lab,
+                        &mut g_corr,
+                        |j, term| g_acc[j] += term,
+                    );
+                    for r in 1..runs {
+                        let job = crew.collect(r - 1);
+                        for (g, &part) in g_lab.iter_mut().zip(&job.g_lab) {
+                            *g += part;
+                        }
+                        for (g, &part) in g_corr.iter_mut().zip(&job.g_corr) {
+                            *g += part;
+                        }
+                        for &(j, term) in &job.acc_log {
+                            g_acc[j] += term;
+                        }
+                        if r == runs - 1 {
+                            rng.clone_from(&job.rng);
                         }
                     }
 
-                    // Observed correlation agreements (vote agreement
-                    // only — see the module docs on the factor).
-                    live.clear();
-                    for (&c, &v) in cols.iter().zip(votes) {
-                        if v != 0 {
-                            chain[c as usize] = v;
-                            live.push(c as usize);
+                    // Apply the averaged ascent step.
+                    for j in 0..self.n {
+                        self.w_lab[j] = (self.w_lab[j]
+                            + lr * (g_lab[j] / bs - cfg.l2 * self.w_lab[j]))
+                            .clamp(-W_CLAMP, W_CLAMP);
+                        self.w_acc[j] = (self.w_acc[j]
+                            + lr * (g_acc[j] / bs - cfg.l2 * self.w_acc[j]))
+                            .clamp(-W_CLAMP, W_CLAMP);
+                        if cfg.clamp_nonadversarial && self.w_acc[j] < 0.0 {
+                            self.w_acc[j] = 0.0;
                         }
                     }
-                    self.for_each_agreeing_pair(&chain, &live, |p| g_corr[p] += 1.0);
-
-                    // Model phase: CD-k Gibbs chain from the observed row.
-                    for _sweep in 0..cfg.gibbs_steps {
-                        // Sample y' | Λ'.
-                        let y_class = self.sample_class(&mut rng, &chain, &live, &mut scores);
-                        // Sample each Λ'_j | y', Λ'_{-j}.
-                        next_live.clear();
-                        for j in 0..self.n {
-                            let v = conditionals.sample(self, &mut rng, j, y_class, &chain);
-                            chain[j] = v;
-                            if v != 0 {
-                                next_live.push(j);
-                            }
-                        }
-                        std::mem::swap(&mut live, &mut next_live);
-                    }
-
-                    // Subtract model-phase statistics. The accuracy
-                    // factor needs y': resample once more for an
-                    // unbiased-ish pairing of (Λ', y').
-                    for &j in &live {
-                        g_lab[j] -= 1.0;
-                    }
-                    let y_final = self.sample_class(&mut rng, &chain, &live, &mut scores);
-                    for &j in &live {
-                        if self.scheme.class_of_vote(chain[j]) == Some(y_final) {
-                            g_acc[j] -= 1.0;
-                        }
-                    }
-                    self.for_each_agreeing_pair(&chain, &live, |p| g_corr[p] -= 1.0);
-                    for &j in &live {
-                        chain[j] = 0;
+                    for p in 0..self.corr_pairs.len() {
+                        self.w_corr[p] = (self.w_corr[p]
+                            + lr * (g_corr[p] / bs - cfg.l2 * self.w_corr[p]))
+                            .clamp(-W_CLAMP, W_CLAMP);
                     }
                 }
-
-                // Apply the averaged ascent step.
-                for j in 0..self.n {
-                    self.w_lab[j] = (self.w_lab[j] + lr * (g_lab[j] / bs - cfg.l2 * self.w_lab[j]))
-                        .clamp(-W_CLAMP, W_CLAMP);
-                    self.w_acc[j] = (self.w_acc[j] + lr * (g_acc[j] / bs - cfg.l2 * self.w_acc[j]))
-                        .clamp(-W_CLAMP, W_CLAMP);
-                    if cfg.clamp_nonadversarial && self.w_acc[j] < 0.0 {
-                        self.w_acc[j] = 0.0;
-                    }
-                }
-                for p in 0..self.corr_pairs.len() {
-                    self.w_corr[p] = (self.w_corr[p]
-                        + lr * (g_corr[p] / bs - cfg.l2 * self.w_corr[p]))
-                        .clamp(-W_CLAMP, W_CLAMP);
-                }
+                lr *= cfg.lr_decay;
             }
-            lr *= cfg.lr_decay;
-        }
+        });
 
         FitReport {
             epochs: cfg.cd_epochs,
             final_nll: f64::NAN,
             used_gibbs: true,
             warm_started: false,
+        }
+    }
+
+    /// One worker's share of a minibatch: add the CD statistics of
+    /// `rows` (posterior phase minus model phase) to `g_lab` and
+    /// `g_corr`, and hand each `g_acc` term to `add_acc` in the order
+    /// the row-by-row loop adds it. `rng` advances by exactly
+    /// `gibbs_steps·(n+1)+1` draws per row.
+    ///
+    /// Each conditional is memoized while the weights stand still
+    /// ([`GibbsConditionals`]), and the chain's non-abstain columns are
+    /// kept as a sorted list beside the dense chain, so every score and
+    /// gradient pass walks the (few) votes in the ascending-`j` order
+    /// of a dense scan.
+    #[allow(clippy::too_many_arguments)]
+    fn cd_run(
+        &self,
+        lambda: &LabelMatrix,
+        rows: &[usize],
+        gibbs_steps: usize,
+        rng: &mut StdRng,
+        scratch: &mut CdScratch,
+        g_lab: &mut [f64],
+        g_corr: &mut [f64],
+        mut add_acc: impl FnMut(usize, f64),
+    ) {
+        let CdScratch {
+            post,
+            scores,
+            chain,
+            live,
+            next_live,
+            conditionals,
+        } = scratch;
+        conditionals.weights_changed();
+        for &i in rows {
+            let (cols, votes) = lambda.row(i);
+
+            // Posterior phase (exact).
+            self.posterior_into(cols, votes, post);
+            for (&c, &v) in cols.iter().zip(votes) {
+                let j = c as usize;
+                g_lab[j] += 1.0;
+                if let Some(class) = self.scheme.class_of_vote(v) {
+                    add_acc(j, post[class]);
+                }
+            }
+
+            // Observed correlation agreements (vote agreement only — see
+            // the module docs on the factor).
+            live.clear();
+            for (&c, &v) in cols.iter().zip(votes) {
+                if v != 0 {
+                    chain[c as usize] = v;
+                    live.push(c as usize);
+                }
+            }
+            self.for_each_agreeing_pair(chain, live, |p| g_corr[p] += 1.0);
+
+            // Model phase: CD-k Gibbs chain from the observed row.
+            for _sweep in 0..gibbs_steps {
+                // Sample y' | Λ'.
+                let y_class = self.sample_class(rng, chain, live, scores);
+                // Sample each Λ'_j | y', Λ'_{-j}.
+                next_live.clear();
+                for j in 0..self.n {
+                    let v = conditionals.sample(self, rng, j, y_class, chain);
+                    chain[j] = v;
+                    if v != 0 {
+                        next_live.push(j);
+                    }
+                }
+                std::mem::swap(live, next_live);
+            }
+
+            // Subtract model-phase statistics. The accuracy factor needs
+            // y': resample once more for an unbiased-ish pairing of
+            // (Λ', y').
+            for &j in live.iter() {
+                g_lab[j] -= 1.0;
+            }
+            let y_final = self.sample_class(rng, chain, live, scores);
+            for &j in live.iter() {
+                if self.scheme.class_of_vote(chain[j]) == Some(y_final) {
+                    add_acc(j, -1.0);
+                }
+            }
+            self.for_each_agreeing_pair(chain, live, |p| g_corr[p] -= 1.0);
+            for &j in live.iter() {
+                chain[j] = 0;
+            }
         }
     }
 
@@ -254,8 +366,8 @@ impl GenerativeModel {
 /// recomputes its conditional on every draw.
 const MEMO_MAX_CONFIGS: usize = 243;
 
-/// The Gibbs conditionals `p(Λ'_j | y', Λ'_{N(j)})` of one fit, memoized
-/// while the weights stand still.
+/// The Gibbs conditionals `p(Λ'_j | y', Λ'_{N(j)})` of one worker of a
+/// fit, memoized while the weights stand still.
 ///
 /// Each LF under [`MEMO_MAX_CONFIGS`] owns a table with one slot per
 /// `(neighbour configuration in base K+1, y')`. A slot is filled the
@@ -361,6 +473,207 @@ impl GibbsConditionals {
             }
         };
         self.candidates[sample_categorical(rng, probs)]
+    }
+}
+
+/// One worker's buffers for [`GenerativeModel::cd_run`], built before
+/// the first epoch.
+struct CdScratch {
+    post: Vec<f64>,
+    scores: Vec<f64>,
+    /// The Gibbs chain: dense votes plus its non-abstain columns,
+    /// ascending. `chain` is all-abstain between rows.
+    chain: Vec<Vote>,
+    live: Vec<usize>,
+    next_live: Vec<usize>,
+    conditionals: GibbsConditionals,
+}
+
+impl CdScratch {
+    fn new(model: &GenerativeModel) -> Self {
+        let k = model.scheme.num_classes();
+        CdScratch {
+            post: vec![0.0; k],
+            scores: vec![0.0; k],
+            chain: vec![0; model.n],
+            live: Vec::with_capacity(model.n),
+            next_live: Vec::with_capacity(model.n),
+            conditionals: GibbsConditionals::new(model),
+        }
+    }
+}
+
+/// [`Helper::posted`] value that ends the helper.
+const STOP: u64 = u64::MAX;
+
+/// Spin iterations before a waiting thread parks: about 70 µs on a
+/// 2.1 GHz Xeon, one minibatch half of the dev loop's fit, so the next
+/// handoff usually lands while the waiter still spins and costs no
+/// wake-up.
+const SPINS: u32 = 1 << 12;
+
+/// What the calling thread of a CD fit shares with one helper thread:
+/// a mailbox for the helper's run and its results, and the two
+/// generation counters of the handoff. The mutex is never contended:
+/// each side touches the job only while the other waits on a counter.
+/// Each counter is stored with `Release` after the storing side has
+/// released the job and loaded with `Acquire` before the other side
+/// locks it.
+struct Helper {
+    job: Mutex<Job>,
+    /// Generation of the last posted run; [`STOP`] ends the helper.
+    posted: OwnLine,
+    /// Generation of the last finished run.
+    finished: OwnLine,
+}
+
+/// A counter on a cache line of its own: the thread spinning on it
+/// would otherwise stall the thread writing the job beside it.
+#[repr(align(128))]
+struct OwnLine(AtomicU64);
+
+/// One helper's run of a minibatch, and what it computed.
+struct Job {
+    /// The model with the batch's weights.
+    model: GenerativeModel,
+    rows: Vec<usize>,
+    /// The batch-start stream when posted; the run's end state after.
+    rng: StdRng,
+    /// Draws made by the rows before this run.
+    skip: usize,
+    g_lab: Vec<f64>,
+    g_corr: Vec<f64>,
+    /// `(j, term)` of every `g_acc` add, in row order.
+    acc_log: Vec<(usize, f64)>,
+}
+
+impl Helper {
+    /// A helper for runs of at most `run_cap` rows: every buffer is
+    /// sized here, so a run allocates nothing (a row logs at most one
+    /// `g_acc` term per LF in each phase).
+    fn new(model: &GenerativeModel, run_cap: usize) -> Self {
+        Helper {
+            job: Mutex::new(Job {
+                model: model.clone(),
+                rows: Vec::with_capacity(run_cap),
+                rng: StdRng::seed_from_u64(0),
+                skip: 0,
+                g_lab: vec![0.0; model.n],
+                g_corr: vec![0.0; model.corr_pairs.len()],
+                acc_log: Vec::with_capacity(run_cap * 2 * model.n),
+            }),
+            posted: OwnLine(AtomicU64::new(0)),
+            finished: OwnLine(AtomicU64::new(0)),
+        }
+    }
+
+    /// The helper thread's loop: run each posted job, then wake the
+    /// caller, until [`STOP`].
+    fn serve(&self, lambda: &LabelMatrix, cfg: &TrainConfig, caller: &Thread) {
+        let mut scratch = CdScratch::new(&self.job.lock().expect("CD fit panicked").model);
+        let mut seen = 0;
+        loop {
+            wait_until(|| self.posted.0.load(Ordering::Acquire) != seen);
+            seen = self.posted.0.load(Ordering::Acquire);
+            if seen == STOP {
+                return;
+            }
+            // Marks the run finished even if it panics, so the caller
+            // wakes up and finds the mutex poisoned.
+            let _finish = Finish {
+                helper: self,
+                generation: seen,
+                caller,
+            };
+            let mut guard = self.job.lock().expect("CD fit panicked");
+            let job = &mut *guard;
+            for _ in 0..job.skip {
+                job.rng.next_u64();
+            }
+            job.g_lab.fill(0.0);
+            job.g_corr.fill(0.0);
+            job.acc_log.clear();
+            job.model.cd_run(
+                lambda,
+                &job.rows,
+                cfg.gibbs_steps,
+                &mut job.rng,
+                &mut scratch,
+                &mut job.g_lab,
+                &mut job.g_corr,
+                |j, term| job.acc_log.push((j, term)),
+            );
+        }
+    }
+}
+
+/// Publishes a helper's finished run and wakes the caller when dropped.
+struct Finish<'a> {
+    helper: &'a Helper,
+    generation: u64,
+    caller: &'a Thread,
+}
+
+impl Drop for Finish<'_> {
+    fn drop(&mut self) {
+        self.helper
+            .finished
+            .0
+            .store(self.generation, Ordering::Release);
+        self.caller.unpark();
+    }
+}
+
+/// The calling thread's side of a fit's helpers. Dropping it, at the end
+/// of the fit or while the caller unwinds, stops every helper, so the
+/// enclosing scope can join them.
+struct Crew<'a> {
+    helpers: &'a [Helper],
+    threads: Vec<Thread>,
+    /// The current minibatch's generation.
+    generation: u64,
+}
+
+impl Crew<'_> {
+    /// Fill helper `h`'s job and start it.
+    fn post(&self, h: usize, fill: impl FnOnce(&mut Job)) {
+        fill(&mut self.helpers[h].job.lock().expect("CD helper panicked"));
+        self.helpers[h]
+            .posted
+            .0
+            .store(self.generation, Ordering::Release);
+        self.threads[h].unpark();
+    }
+
+    /// Wait for helper `h` to finish the current run, and lend out its
+    /// job.
+    fn collect(&self, h: usize) -> MutexGuard<'_, Job> {
+        let helper = &self.helpers[h];
+        wait_until(|| helper.finished.0.load(Ordering::Acquire) == self.generation);
+        helper.job.lock().expect("CD helper panicked")
+    }
+}
+
+impl Drop for Crew<'_> {
+    fn drop(&mut self) {
+        for (helper, thread) in self.helpers.iter().zip(&self.threads) {
+            helper.posted.0.store(STOP, Ordering::Release);
+            thread.unpark();
+        }
+    }
+}
+
+/// Spin briefly, then park, until `ready` holds; the thread that makes
+/// it hold unparks this one.
+fn wait_until(ready: impl Fn() -> bool) {
+    for _ in 0..SPINS {
+        if ready() {
+            return;
+        }
+        std::hint::spin_loop();
+    }
+    while !ready() {
+        thread::park();
     }
 }
 
@@ -582,37 +895,76 @@ mod tests {
     }
 
     /// The state a fit enters the epoch loop with is what a fit with no
-    /// epochs leaves behind; the reference loop runs from there.
+    /// epochs leaves behind.
+    fn entered(
+        enter: impl Fn(&mut GenerativeModel, &TrainConfig),
+        model: &GenerativeModel,
+        cfg: &TrainConfig,
+    ) -> GenerativeModel {
+        let mut entered = model.clone();
+        enter(
+            &mut entered,
+            &TrainConfig {
+                cd_epochs: 0,
+                ..cfg.clone()
+            },
+        );
+        entered
+    }
+
+    /// The reference loop, run from where `enter`'s fit enters its own.
+    /// It has no `batch_size` 0, so it gets one batch of every row, what
+    /// `batch_size_zero_is_one_full_batch_step_per_epoch` pins 0 to.
     fn reference_after(
         enter: impl Fn(&mut GenerativeModel, &TrainConfig),
         model: &GenerativeModel,
         lambda: &LabelMatrix,
         cfg: &TrainConfig,
     ) -> ModelParams {
-        let mut reference = model.clone();
-        enter(
-            &mut reference,
+        let mut reference = entered(enter, model, cfg);
+        let batch_size = match cfg.batch_size {
+            0 => lambda.num_points(),
+            b => b,
+        };
+        reference.reference_cd_from_current(
+            lambda,
             &TrainConfig {
-                cd_epochs: 0,
+                batch_size,
                 ..cfg.clone()
             },
         );
-        reference.reference_cd_from_current(lambda, cfg);
         reference.to_params()
+    }
+
+    /// `enter`'s fit with its epoch loop on `workers` threads.
+    fn fitted_on(
+        enter: impl Fn(&mut GenerativeModel, &TrainConfig),
+        model: &GenerativeModel,
+        lambda: &LabelMatrix,
+        cfg: &TrainConfig,
+        workers: usize,
+    ) -> ModelParams {
+        let mut fitted = entered(enter, model, cfg);
+        fitted.fit_correlated_cd_on(lambda, cfg, workers);
+        fitted.to_params()
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
+        /// The public fits at this machine's core count, and the epoch
+        /// loop at 1, 2, 3 and 8 workers, against the reference. Batch
+        /// size 1 (and a one-row matrix) leaves workers without rows;
+        /// batch size 0 is one batch of every row.
         #[test]
         fn cold_and_warm_fits_match_the_reference_loop(
-            m in 1usize..48,
+            m in prop_oneof![Just(1usize), 1usize..48],
             n in 8usize..11,
             cardinality in 2u8..5,
             density in 0.05f64..0.6,
             extra in prop::collection::vec((0usize..16, 0usize..16), 0..6),
             gibbs_steps in 0usize..4,
-            batch_choice in 0usize..4,
+            batch_choice in 0usize..5,
             clamp in 0u8..2,
             seed in 0u64..1_000_000,
         ) {
@@ -621,7 +973,7 @@ mod tests {
             let cfg = TrainConfig {
                 cd_epochs: 3,
                 gibbs_steps,
-                batch_size: [1, 7, 64, m][batch_choice],
+                batch_size: [1, 7, 64, m, 0][batch_choice],
                 clamp_nonadversarial: clamp == 1,
                 seed,
                 ..TrainConfig::default()
@@ -632,20 +984,29 @@ mod tests {
                 .with_weighted_correlations(&pairs, &strengths[..pairs.len()]);
             prop_assert!(unfitted.corr_adj[n - 1].is_empty());
 
+            let cold_fit = |gm: &mut GenerativeModel, c: &TrainConfig| {
+                gm.fit(&lambda, c);
+            };
             let mut cold = unfitted.clone();
             cold.fit(&lambda, &cfg);
-            let want = reference_after(|gm, c| { gm.fit(&lambda, c); }, &unfitted, &lambda, &cfg);
+            let want = reference_after(cold_fit, &unfitted, &lambda, &cfg);
             prop_assert_eq!(bits(&cold.to_params()), bits(&want));
+            for workers in [1, 2, 3, 8] {
+                let got = fitted_on(cold_fit, &unfitted, &lambda, &cfg, workers);
+                prop_assert_eq!(bits(&got), bits(&want), "cold, {} workers", workers);
+            }
 
+            let warm_fit = |gm: &mut GenerativeModel, c: &TrainConfig| {
+                gm.fit_warm(&edited, None, c, &cold, &[n - 2]);
+            };
             let mut warm = unfitted.clone();
             warm.fit_warm(&edited, None, &cfg, &cold, &[n - 2]);
-            let want = reference_after(
-                |gm, c| { gm.fit_warm(&edited, None, c, &cold, &[n - 2]); },
-                &unfitted,
-                &edited,
-                &cfg,
-            );
+            let want = reference_after(warm_fit, &unfitted, &edited, &cfg);
             prop_assert_eq!(bits(&warm.to_params()), bits(&want));
+            for workers in [1, 2, 3, 8] {
+                let got = fitted_on(warm_fit, &unfitted, &edited, &cfg, workers);
+                prop_assert_eq!(bits(&got), bits(&want), "warm, {} workers", workers);
+            }
         }
     }
 

@@ -63,3 +63,14 @@ pub use pipeline::{
 };
 pub use structure::{learn_structure, StructureConfig, StructureReport};
 pub use vote::{majority_vote, modeling_advantage, weighted_vote};
+
+/// The number of worker threads the all-core trainers (the CD fit and
+/// the structure sweep) use: the available cores.
+///
+/// Read on every call rather than cached: the lookup reads cgroup files
+/// and allocates, and a cache would charge those allocations to
+/// whichever fit runs first in a process — the one
+/// `tests/no_alloc_training.rs` compares against a later fit.
+pub(crate) fn available_cores() -> usize {
+    std::thread::available_parallelism().map_or(1, |n| n.get())
+}

@@ -104,8 +104,7 @@ pub fn structure_sweep(
 /// Fitted correlation weights: `fitted[j][k]` is the weight of `Λ_k` in
 /// target `j`'s conditional (0 on the diagonal).
 fn fit_all_targets(lambda: &LabelMatrix, cfg: &StructureConfig) -> Vec<Vec<f64>> {
-    let workers = std::thread::available_parallelism().map_or(1, |p| p.get());
-    fit_all_targets_on(lambda, cfg, workers)
+    fit_all_targets_on(lambda, cfg, crate::available_cores())
 }
 
 /// [`fit_all_targets`] on a given number of worker threads (the calling

@@ -8,9 +8,16 @@
 //! As in `crates/serve/tests/no_alloc_read_path.rs`, the budget is
 //! asserted only in release builds (debug builds of generic std code may
 //! allocate where release builds do not) and a debug run reports the
-//! counts. The counter is per thread: the fits run on the measuring
-//! thread, and so does the first run of structure-learning targets (the
-//! calling thread is one of the sweep's workers).
+//! counts. The counter is per thread. The distillation fit runs on the
+//! measuring thread. The CD fit and the structure sweep split their
+//! work over all cores, and the calling thread is one of their workers:
+//! it runs the first run of rows of every CD minibatch, and the first
+//! run of structure-learning targets, through the same kernel the
+//! helper threads run, so the count covers that kernel. It also covers
+//! the caller's side of the CD fit's per-batch handoff (filling each
+//! helper's job, waiting for it, merging its partial gradients), which
+//! must not allocate either. On one core both trainers run inline and
+//! spawn nothing.
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
