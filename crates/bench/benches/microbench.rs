@@ -1,5 +1,6 @@
 //! Criterion microbenchmarks for the hot paths of every subsystem:
-//! generative-model training (exact and Gibbs/CD), structure learning,
+//! generative-model training (exact and Gibbs/CD, and the dev loop's
+//! warm CD refit after an LF edit), structure learning,
 //! LF application (serial vs parallel), label-matrix diagnostics, the
 //! pattern engine, one discriminative training epoch, and the serving
 //! read path's two hashing kernels (`OP_PREDICT` decode + compute, and
@@ -8,21 +9,24 @@
 //! Run with `cargo bench --workspace`.
 
 use std::hint::black_box;
+use std::sync::Arc;
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use snorkel_context::{CandidateId, Corpus};
 use snorkel_core::model::{GenerativeModel, LabelScheme, TrainConfig};
-use snorkel_core::pipeline::DiscTrainerConfig;
+use snorkel_core::optimizer::{decide, OptimizerConfig};
+use snorkel_core::pipeline::{fit_and_label, DiscTrainerConfig};
 use snorkel_core::structure::{learn_structure, structure_sweep, StructureConfig};
 use snorkel_core::vote::majority_vote;
 use snorkel_datasets::synthetic::{correlated_matrix, independent_matrix, Cluster};
 use snorkel_datasets::{cdr, TaskConfig};
 use snorkel_disc::{LogRegConfig, LogisticRegression, TextFeaturizer};
 use snorkel_incr::{IncrementalSession, SessionConfig};
-use snorkel_lf::{LfExecutor, Vote};
+use snorkel_lf::{lf, BoxedLf, LfExecutor, Vote};
 use snorkel_matrix::stats::matrix_stats;
+use snorkel_matrix::ShardedMatrix;
 use snorkel_nlp::tokenize;
 use snorkel_pattern::Regex;
 use snorkel_serve::frame;
@@ -97,6 +101,57 @@ fn bench_generative_training(c: &mut Criterion) {
             let mut gm = GenerativeModel::new(lambda.num_lfs(), LabelScheme::Binary)
                 .with_correlations(&pairs);
             gm.fit(&lambda, &cfg)
+        })
+    });
+    group.finish();
+}
+
+/// The fit `pipeline_dev`'s `latency_us` times: one warm refit after an
+/// LF edit on the CDR analogue at 2 000 candidates (seed 1), with the
+/// structure `decide` picks there (71 correlation pairs). The edit is
+/// the dev loop's refinement: LF 5 abstains on the tenth of candidates
+/// whose sentence length ends in 3. Each iteration is what a session's
+/// `refresh()` runs after the edit once the column is re-executed:
+/// `decide` reuses the structure, then `fit_and_label` warm-starts from
+/// the model before the edit.
+fn bench_cd_warm_refit(c: &mut Criterion) {
+    let task = cdr::build(TaskConfig {
+        num_candidates: 2000,
+        seed: 1,
+    });
+    let executor = LfExecutor::default();
+    let lambda = executor.apply(&task.lfs, &task.corpus, &task.candidates);
+    let cfg = OptimizerConfig::default();
+    let train = TrainConfig::default();
+    let (strategy, _, _) = decide(&lambda, &cfg, None, None);
+    let plan = ShardedMatrix::build(&lambda, 0);
+    let (before, _, _) = fit_and_label(&strategy, &lambda, Some(&plan), &train, None);
+
+    const EDITED: usize = 5;
+    let suite = Arc::new(task.lfs);
+    let edited_lfs: Vec<BoxedLf> = (0..suite.len())
+        .map(|j| {
+            let suite = Arc::clone(&suite);
+            lf(suite[j].name().to_string(), move |x| {
+                if j == EDITED && x.sentence().text().len() % 10 == 3 {
+                    0
+                } else {
+                    suite[j].label(x)
+                }
+            })
+        })
+        .collect();
+    let edited = executor.apply(&edited_lfs, &task.corpus, &task.candidates);
+    let edited_plan = ShardedMatrix::build(&edited, 0);
+    let (strategy, _, reused) = decide(&edited, &cfg, None, Some(&strategy));
+    assert!(reused, "an edit reuses the structure");
+
+    let mut group = c.benchmark_group("generative_model");
+    group.sample_size(20);
+    group.bench_function("cd_warm_refit_cdr_2000", |b| {
+        b.iter(|| {
+            let warm = Some((before.clone(), vec![EDITED]));
+            fit_and_label(&strategy, &edited, Some(&edited_plan), &train, warm).2
         })
     });
     group.finish();
@@ -317,6 +372,7 @@ fn bench_read_path_hashing(c: &mut Criterion) {
 criterion_group!(
     benches,
     bench_generative_training,
+    bench_cd_warm_refit,
     bench_structure_learning,
     bench_lf_application,
     bench_matrix_ops,

@@ -63,14 +63,27 @@ impl GenerativeModel {
     }
 
     /// [`Self::fit_correlated_cd_from_current`] on at most `workers`
-    /// threads, the calling thread among them.
+    /// threads, the calling thread among them, with the run boundaries
+    /// of each minibatch following the finish order ([`Balance`]).
+    pub(crate) fn fit_correlated_cd_on(
+        &mut self,
+        lambda: &LabelMatrix,
+        cfg: &TrainConfig,
+        workers: usize,
+    ) -> FitReport {
+        self.fit_correlated_cd_split(lambda, cfg, workers, &mut Balance::new(workers))
+    }
+
+    /// The CD epoch loop on at most `workers` threads, the calling
+    /// thread among them, each minibatch split where `split` says.
     ///
     /// Every buffer is built before the first epoch and reused, so an
     /// epoch allocates nothing. Within a minibatch the weights are
     /// constant, so a row's statistics depend only on the weights, the
     /// row and the row's RNG draws: each minibatch is split into
     /// contiguous runs, one per worker, and [`Self::cd_run`] computes
-    /// each. The merge redoes the single-threaded loop's arithmetic:
+    /// each. The merge redoes the single-threaded loop's arithmetic for
+    /// any boundaries:
     /// - every row makes exactly `gibbs_steps·(n+1)+1` draws, so a
     ///   helper starts from the batch-start stream advanced past the
     ///   rows before its run, and the fit's stream leaves the batch in
@@ -85,12 +98,13 @@ impl GenerativeModel {
     /// The float operations, their order and the RNG draw sequence are
     /// those of the row-by-row loop this replaces (kept as the
     /// `#[cfg(test)]` reference below), so the result is bit-identical
-    /// for every worker count.
-    pub(crate) fn fit_correlated_cd_on(
+    /// for every worker count and split.
+    pub(crate) fn fit_correlated_cd_split(
         &mut self,
         lambda: &LabelMatrix,
         cfg: &TrainConfig,
         workers: usize,
+        split: &mut impl Split,
     ) -> FitReport {
         let m = lambda.num_points();
         let mut rng = StdRng::seed_from_u64(cfg.seed);
@@ -101,7 +115,7 @@ impl GenerativeModel {
         } else {
             cfg.batch_size
         };
-        // No batch has more rows than this, so no run is ever empty.
+        // A worker beyond the rows of a full batch would have nothing to do.
         let workers = workers.clamp(1, batch_size.min(m).max(1));
         let draws_per_row = cfg.gibbs_steps * (self.n + 1) + 1;
 
@@ -109,8 +123,14 @@ impl GenerativeModel {
         let mut g_acc = vec![0.0f64; self.n];
         let mut g_corr = vec![0.0f64; self.corr_pairs.len()];
         let mut scratch = CdScratch::new(self);
-        let run_cap = batch_size.min(m).div_ceil(workers);
+        let mut starts = vec![0usize; workers + 1];
+        // A split may hand any run the whole batch.
+        let run_cap = batch_size.min(m);
         let helpers: Vec<Helper> = (1..workers).map(|_| Helper::new(self, run_cap)).collect();
+        // Each worker takes a number when its run ends, for `split`.
+        // `Relaxed`: the numbers publish nothing; a helper's travels in
+        // its job, under the handoff's Release/Acquire.
+        let finish_order = AtomicU64::new(0);
         let caller = thread::current();
 
         thread::scope(|scope| {
@@ -119,7 +139,9 @@ impl GenerativeModel {
                     .iter()
                     .map(|helper| {
                         let caller = caller.clone();
-                        let spawned = scope.spawn(move || helper.serve(lambda, cfg, &caller));
+                        let finish_order = &finish_order;
+                        let spawned =
+                            scope.spawn(move || helper.serve(lambda, cfg, finish_order, &caller));
                         spawned.thread().clone()
                     })
                     .collect(),
@@ -135,7 +157,8 @@ impl GenerativeModel {
                     g_corr.fill(0.0);
 
                     let runs = batch.len().min(workers);
-                    let run_start = |r: usize| r * batch.len() / runs;
+                    let starts = &mut starts[..=runs];
+                    split.starts(batch.len(), starts);
                     crew.generation += 1;
                     for r in 1..runs {
                         crew.post(r - 1, |job| {
@@ -143,15 +166,14 @@ impl GenerativeModel {
                             job.model.w_acc.copy_from_slice(&self.w_acc);
                             job.model.w_corr.copy_from_slice(&self.w_corr);
                             job.rows.clear();
-                            job.rows
-                                .extend_from_slice(&batch[run_start(r)..run_start(r + 1)]);
+                            job.rows.extend_from_slice(&batch[starts[r]..starts[r + 1]]);
                             job.rng.clone_from(&rng);
-                            job.skip = run_start(r) * draws_per_row;
+                            job.skip = starts[r] * draws_per_row;
                         });
                     }
                     self.cd_run(
                         lambda,
-                        &batch[..run_start(1)],
+                        &batch[..starts[1]],
                         cfg.gibbs_steps,
                         &mut rng,
                         &mut scratch,
@@ -159,6 +181,8 @@ impl GenerativeModel {
                         &mut g_corr,
                         |j, term| g_acc[j] += term,
                     );
+                    let finished_as = finish_order.fetch_add(1, Ordering::Relaxed);
+                    let (mut first, mut last) = ((finished_as, 0), (finished_as, 0));
                     for r in 1..runs {
                         let job = crew.collect(r - 1);
                         for (g, &part) in g_lab.iter_mut().zip(&job.g_lab) {
@@ -173,7 +197,10 @@ impl GenerativeModel {
                         if r == runs - 1 {
                             rng.clone_from(&job.rng);
                         }
+                        first = first.min((job.finished_as, r));
+                        last = last.max((job.finished_as, r));
                     }
+                    split.finished(first.1, last.1);
 
                     // Apply the averaged ascent step.
                     for j in 0..self.n {
@@ -255,7 +282,7 @@ impl GenerativeModel {
             live.clear();
             for (&c, &v) in cols.iter().zip(votes) {
                 if v != 0 {
-                    chain[c as usize] = v;
+                    conditionals.set(chain, c as usize, v);
                     live.push(c as usize);
                 }
             }
@@ -269,7 +296,7 @@ impl GenerativeModel {
                 next_live.clear();
                 for j in 0..self.n {
                     let v = conditionals.sample(self, rng, j, y_class, chain);
-                    chain[j] = v;
+                    conditionals.set(chain, j, v);
                     if v != 0 {
                         next_live.push(j);
                     }
@@ -290,9 +317,7 @@ impl GenerativeModel {
                 }
             }
             self.for_each_agreeing_pair(chain, live, |p| g_corr[p] -= 1.0);
-            for &j in live.iter() {
-                chain[j] = 0;
-            }
+            conditionals.clear(chain, live);
         }
     }
 
@@ -370,12 +395,16 @@ const MEMO_MAX_CONFIGS: usize = 243;
 /// fit, memoized while the weights stand still.
 ///
 /// Each LF under [`MEMO_MAX_CONFIGS`] owns a table with one slot per
-/// `(neighbour configuration in base K+1, y')`. A slot is filled the
-/// first time a draw needs it and is valid for the current minibatch
-/// only: [`Self::weights_changed`] bumps a generation stamp instead of
-/// clearing anything. A filled slot holds exactly what
-/// [`GenerativeModel::gibbs_conditional_into`] computes, so a hit and a
-/// miss hand the sampler the same bits.
+/// `(neighbour configuration, y')`, where the configuration is its
+/// neighbours' chain entries as a number in base `K+1` (digit `t` for
+/// its `t`-th adjacency entry: 0 abstain, `c+1` class `c`'s vote). The
+/// configuration is kept current as the chain changes ([`Self::set`],
+/// [`Self::clear`]) rather than rebuilt from the adjacency on every
+/// draw. A slot is filled the first time a draw needs it and is valid
+/// for the current minibatch only: [`Self::weights_changed`] bumps a
+/// generation stamp instead of clearing anything. A filled slot holds
+/// exactly what [`GenerativeModel::gibbs_conditional_into`] computes,
+/// so a hit and a miss hand the sampler the same bits.
 struct GibbsConditionals {
     /// Candidate values of one chain entry: abstain, then each class's
     /// vote.
@@ -385,6 +414,11 @@ struct GibbsConditionals {
     candidate_of_vote: [u8; 256],
     /// Per LF: its first slot, or `None` above the cap.
     first_slot: Vec<Option<usize>>,
+    /// Per LF with a table: its neighbour configuration.
+    config: Vec<usize>,
+    /// Per LF `o`: `(j, (K+1)^t)` for every LF `j` with a table whose
+    /// `t`-th neighbour is `o`.
+    watchers: Vec<Vec<(usize, usize)>>,
     /// Per slot: the generation that filled it.
     filled_at: Vec<u64>,
     /// Per slot: `candidates.len()` probabilities.
@@ -405,7 +439,7 @@ impl GibbsConditionals {
             candidate_of_vote[v as u8 as usize] = idx as u8;
         }
         let mut slots = 0usize;
-        let first_slot = model
+        let first_slot: Vec<Option<usize>> = model
             .corr_adj
             .iter()
             .map(|adj| {
@@ -417,11 +451,23 @@ impl GibbsConditionals {
                 Some(first)
             })
             .collect();
+        let mut watchers = vec![Vec::new(); model.n];
+        for (j, adj) in model.corr_adj.iter().enumerate() {
+            if first_slot[j].is_some() {
+                let mut place = 1;
+                for &(_, other) in adj {
+                    watchers[other].push((j, place));
+                    place *= candidates.len();
+                }
+            }
+        }
         GibbsConditionals {
             uncached: vec![0.0; candidates.len()],
             probs: vec![0.0; slots * candidates.len()],
             filled_at: vec![0; slots],
             generation: 0,
+            config: vec![0; model.n],
+            watchers,
             first_slot,
             candidate_of_vote,
             candidates,
@@ -431,6 +477,33 @@ impl GibbsConditionals {
     /// The model's weights moved (a minibatch step): forget every slot.
     fn weights_changed(&mut self) {
         self.generation += 1;
+    }
+
+    /// Set `chain[j] = v`, keeping the configurations of `j`'s
+    /// neighbours current.
+    fn set(&mut self, chain: &mut [Vote], j: usize, v: Vote) {
+        let (was, now) = (
+            self.candidate_of_vote[chain[j] as u8 as usize],
+            self.candidate_of_vote[v as u8 as usize],
+        );
+        chain[j] = v;
+        if was != now {
+            // Exact: the wrapped sum is the configuration, which is
+            // under MEMO_MAX_CONFIGS.
+            let delta = usize::from(now).wrapping_sub(usize::from(was));
+            for &(watcher, place) in &self.watchers[j] {
+                self.config[watcher] = self.config[watcher].wrapping_add(place.wrapping_mul(delta));
+            }
+        }
+    }
+
+    /// Abstain at every `live` entry of `chain` (its only non-abstain
+    /// ones), leaving every configuration 0.
+    fn clear(&mut self, chain: &mut [Vote], live: &[usize]) {
+        for &j in live {
+            chain[j] = 0;
+        }
+        self.config.fill(0);
     }
 
     /// Sample `Λ'_j` from its conditional given the class and the other
@@ -444,16 +517,9 @@ impl GibbsConditionals {
         chain: &[Vote],
     ) -> Vote {
         let nv = self.candidates.len();
-        let k = nv - 1;
         let probs = match self.first_slot[j] {
             Some(first) => {
-                let mut config = 0usize;
-                let mut place = 1usize;
-                for &(_, other) in &model.corr_adj[j] {
-                    config += place * self.candidate_of_vote[chain[other] as u8 as usize] as usize;
-                    place *= nv;
-                }
-                let slot = first + config * k + y_class;
+                let slot = first + self.config[j] * (nv - 1) + y_class;
                 let probs = &mut self.probs[slot * nv..(slot + 1) * nv];
                 if self.filled_at[slot] != self.generation {
                     model.gibbs_conditional_into(j, y_class, chain, &self.candidate_of_vote, probs);
@@ -503,13 +569,75 @@ impl CdScratch {
     }
 }
 
+/// Where each minibatch's runs start, and what the finish order of a
+/// batch's runs does to later ones. Every split of a batch into
+/// contiguous runs gives the same bits, so a split moves only time.
+pub(crate) trait Split {
+    /// Fill `starts` for a batch of `len` rows: one entry per run and a
+    /// last one, `starts[0] == 0`, nondecreasing, ending at `len`.
+    fn starts(&mut self, len: usize, starts: &mut [usize]);
+
+    /// Run `first` of the batch just merged finished first, run `last`
+    /// last.
+    fn finished(&mut self, first: usize, last: usize);
+}
+
+/// The fit's split: a full batch starts evenly split, then each batch
+/// moves one row from the run that finished last to the run that
+/// finished first, so the boundaries follow whichever cores are fast
+/// right now; a shorter batch (an epoch's last) is split evenly.
+struct Balance {
+    /// Rows per run of a full batch: `workers` entries once the first
+    /// batch, always a full one, has set them.
+    lens: Vec<usize>,
+    full: usize,
+}
+
+impl Balance {
+    fn new(workers: usize) -> Self {
+        Balance {
+            lens: Vec::with_capacity(workers),
+            full: 0,
+        }
+    }
+}
+
+impl Split for Balance {
+    fn starts(&mut self, len: usize, starts: &mut [usize]) {
+        let runs = starts.len() - 1;
+        if self.lens.is_empty() {
+            self.full = len;
+            self.lens
+                .extend((0..runs).map(|r| (r + 1) * len / runs - r * len / runs));
+        }
+        if len == self.full && runs == self.lens.len() {
+            starts[0] = 0;
+            for r in 0..runs {
+                starts[r + 1] = starts[r] + self.lens[r];
+            }
+        } else {
+            for (r, start) in starts.iter_mut().enumerate() {
+                *start = r * len / runs;
+            }
+        }
+    }
+
+    fn finished(&mut self, first: usize, last: usize) {
+        if first != last && self.lens[last] > 1 {
+            self.lens[last] -= 1;
+            self.lens[first] += 1;
+        }
+    }
+}
+
 /// [`Helper::posted`] value that ends the helper.
 const STOP: u64 = u64::MAX;
 
-/// Spin iterations before a waiting thread parks: about 70 µs on a
-/// 2.1 GHz Xeon, one minibatch half of the dev loop's fit, so the next
-/// handoff usually lands while the waiter still spins and costs no
-/// wake-up.
+/// Spin iterations before a waiting thread parks: about 100 µs on a
+/// 2.1 GHz Xeon (4 096 rounds of an `Acquire` load and a `spin_loop`
+/// hint measured 98–113 µs), over half of the dev loop's 160–210 µs
+/// minibatch, so the next handoff usually lands while the waiter still
+/// spins and costs no wake-up.
 const SPINS: u32 = 1 << 12;
 
 /// What the calling thread of a CD fit shares with one helper thread:
@@ -541,6 +669,8 @@ struct Job {
     rng: StdRng,
     /// Draws made by the rows before this run.
     skip: usize,
+    /// The fit's finish count when this run finished.
+    finished_as: u64,
     g_lab: Vec<f64>,
     g_corr: Vec<f64>,
     /// `(j, term)` of every `g_acc` add, in row order.
@@ -558,6 +688,7 @@ impl Helper {
                 rows: Vec::with_capacity(run_cap),
                 rng: StdRng::seed_from_u64(0),
                 skip: 0,
+                finished_as: 0,
                 g_lab: vec![0.0; model.n],
                 g_corr: vec![0.0; model.corr_pairs.len()],
                 acc_log: Vec::with_capacity(run_cap * 2 * model.n),
@@ -567,9 +698,15 @@ impl Helper {
         }
     }
 
-    /// The helper thread's loop: run each posted job, then wake the
-    /// caller, until [`STOP`].
-    fn serve(&self, lambda: &LabelMatrix, cfg: &TrainConfig, caller: &Thread) {
+    /// The helper thread's loop: run each posted job, take a number
+    /// from `finish_order`, then wake the caller, until [`STOP`].
+    fn serve(
+        &self,
+        lambda: &LabelMatrix,
+        cfg: &TrainConfig,
+        finish_order: &AtomicU64,
+        caller: &Thread,
+    ) {
         let mut scratch = CdScratch::new(&self.job.lock().expect("CD fit panicked").model);
         let mut seen = 0;
         loop {
@@ -603,6 +740,7 @@ impl Helper {
                 &mut job.g_corr,
                 |j, term| job.acc_log.push((j, term)),
             );
+            job.finished_as = finish_order.fetch_add(1, Ordering::Relaxed);
         }
     }
 }
@@ -949,6 +1087,45 @@ mod tests {
         fitted.to_params()
     }
 
+    /// A split drawn from its own stream, independent of timing: each
+    /// inner boundary at 1 row, at `len − 1` or anywhere (empty runs
+    /// included).
+    struct RandomSplit(StdRng);
+
+    impl Split for RandomSplit {
+        fn starts(&mut self, len: usize, starts: &mut [usize]) {
+            let runs = starts.len() - 1;
+            starts[0] = 0;
+            starts[runs] = len;
+            for start in &mut starts[1..runs] {
+                *start = match self.0.gen_range(0..4) {
+                    0 => 1,
+                    1 => len - 1,
+                    _ => self.0.gen_range(0..=len),
+                };
+            }
+            starts[1..runs].sort_unstable();
+        }
+
+        fn finished(&mut self, _first: usize, _last: usize) {}
+    }
+
+    /// `enter`'s fit with its epoch loop on `workers` threads, each
+    /// minibatch split by a [`RandomSplit`] seeded with `split_seed`.
+    fn fitted_split(
+        enter: impl Fn(&mut GenerativeModel, &TrainConfig),
+        model: &GenerativeModel,
+        lambda: &LabelMatrix,
+        cfg: &TrainConfig,
+        workers: usize,
+        split_seed: u64,
+    ) -> ModelParams {
+        let mut fitted = entered(enter, model, cfg);
+        let mut split = RandomSplit(StdRng::seed_from_u64(split_seed));
+        fitted.fit_correlated_cd_split(lambda, cfg, workers, &mut split);
+        fitted.to_params()
+    }
+
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -1006,6 +1183,23 @@ mod tests {
             for workers in [1, 2, 3, 8] {
                 let got = fitted_on(warm_fit, &unfitted, &edited, &cfg, workers);
                 prop_assert_eq!(bits(&got), bits(&want), "warm, {} workers", workers);
+            }
+
+            // Any split of every minibatch gives the same bits.
+            let want_cold = bits(&cold.to_params());
+            let want_warm = bits(&warm.to_params());
+            for (t, workers) in [2, 3, 8].into_iter().enumerate() {
+                let split_seed = seed + t as u64;
+                let got = fitted_split(cold_fit, &unfitted, &lambda, &cfg, workers, split_seed);
+                prop_assert_eq!(
+                    bits(&got), want_cold.clone(),
+                    "cold, {} workers, split seed {}", workers, split_seed
+                );
+                let got = fitted_split(warm_fit, &unfitted, &edited, &cfg, workers, !split_seed);
+                prop_assert_eq!(
+                    bits(&got), want_warm.clone(),
+                    "warm, {} workers, split seed {}", workers, !split_seed
+                );
             }
         }
     }

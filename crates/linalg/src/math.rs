@@ -48,7 +48,9 @@ pub fn log1pexp(x: f64) -> f64 {
 /// Stable log-sum-exp: `ln Σ_i e^{x_i}`.
 ///
 /// Returns negative infinity for an empty slice (the sum of zero terms).
-/// Shifts by the maximum so no term overflows.
+/// Shifts by the maximum so no term overflows. A term at the maximum
+/// adds `e^0`, exactly 1.0, without calling `exp`; `x − max` is zero
+/// for no other finite `x`, and is NaN, not zero, for `x = max = +∞`.
 ///
 /// ```
 /// use snorkel_linalg::math::logsumexp;
@@ -67,7 +69,8 @@ pub fn logsumexp(xs: &[f64]) -> f64 {
     }
     let mut sum = 0.0;
     for &x in xs {
-        sum += (x - max).exp();
+        let d = x - max;
+        sum += if d == 0.0 { 1.0 } else { d.exp() };
     }
     max + sum.ln()
 }
@@ -195,6 +198,103 @@ mod tests {
         assert!((logsumexp(&v) - 0.0).abs() < 1e-12);
         let w = [f64::NEG_INFINITY, f64::NEG_INFINITY];
         assert_eq!(logsumexp(&w), f64::NEG_INFINITY);
+    }
+
+    /// `logsumexp` with `exp` taken at every term, the maximum's included.
+    fn unskipped_logsumexp(xs: &[f64]) -> f64 {
+        let max = xs
+            .iter()
+            .fold(f64::NEG_INFINITY, |m, &x| if x > m { x } else { m });
+        if max == f64::NEG_INFINITY {
+            return f64::NEG_INFINITY;
+        }
+        max + xs
+            .iter()
+            .map(|&x| (x - max).exp())
+            .fold(0.0, |s, e| s + e)
+            .ln()
+    }
+
+    fn unskipped_softmax(xs: &mut [f64]) {
+        if xs.is_empty() {
+            return;
+        }
+        let lse = unskipped_logsumexp(xs);
+        if lse == f64::NEG_INFINITY {
+            xs.fill(1.0 / xs.len() as f64);
+            return;
+        }
+        for x in xs.iter_mut() {
+            *x = (*x - lse).exp();
+        }
+    }
+
+    fn special() -> impl proptest::strategy::Strategy<Value = f64> {
+        use proptest::prelude::*;
+        prop_oneof![
+            -40.0f64..40.0,
+            -40.0f64..40.0,
+            -40.0f64..40.0,
+            Just(0.0),
+            Just(-0.0),
+            Just(f64::INFINITY),
+            Just(f64::NEG_INFINITY),
+            Just(f64::NAN),
+            Just(f64::MAX),
+        ]
+    }
+
+    proptest::proptest! {
+        /// Skipping `exp` at the maximum moves no bit of either kernel.
+        /// Entries repeat (ties at the maximum) and include ±∞, NaN,
+        /// ±0 and the largest finite value; lengths run from 0 up.
+        #[test]
+        fn skipping_exp_at_the_max_is_exact(
+            pool in proptest::prop::collection::vec(special(), 1..5),
+            picks in proptest::prop::collection::vec(0usize..8, 0..9),
+        ) {
+            let xs: Vec<f64> = picks.iter().map(|&p| pool[p % pool.len()]).collect();
+            proptest::prop_assert_eq!(
+                logsumexp(&xs).to_bits(),
+                unskipped_logsumexp(&xs).to_bits(),
+                "{:?}", xs
+            );
+            let (mut got, mut want) = (xs.clone(), xs.clone());
+            softmax_in_place(&mut got);
+            unskipped_softmax(&mut want);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            proptest::prop_assert_eq!(bits(&got), bits(&want), "{:?}", xs);
+        }
+    }
+
+    #[test]
+    fn skipping_exp_at_the_max_is_exact_at_the_edges() {
+        let inf = f64::INFINITY;
+        for xs in [
+            &[][..],
+            &[2.5],
+            &[-inf],
+            &[-inf, -inf, -inf],
+            &[inf],
+            &[inf, inf],
+            &[inf, 1.0],
+            &[f64::NAN],
+            &[f64::NAN, 1.0],
+            &[1.0, f64::NAN, 1.0],
+            &[3.0, 3.0, 3.0],
+            &[-0.0, 0.0],
+        ] {
+            assert_eq!(
+                logsumexp(xs).to_bits(),
+                unskipped_logsumexp(xs).to_bits(),
+                "{xs:?}"
+            );
+            let (mut got, mut want) = (xs.to_vec(), xs.to_vec());
+            softmax_in_place(&mut got);
+            unskipped_softmax(&mut want);
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got), bits(&want), "{xs:?}");
+        }
     }
 
     #[test]
