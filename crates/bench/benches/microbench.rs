@@ -26,7 +26,7 @@ use snorkel_disc::{LogRegConfig, LogisticRegression, TextFeaturizer};
 use snorkel_incr::{IncrementalSession, SessionConfig};
 use snorkel_lf::{lf, BoxedLf, LfExecutor, Vote};
 use snorkel_matrix::stats::matrix_stats;
-use snorkel_matrix::ShardedMatrix;
+use snorkel_matrix::PatternIndex;
 use snorkel_nlp::tokenize;
 use snorkel_pattern::Regex;
 use snorkel_serve::frame;
@@ -56,9 +56,9 @@ fn hub_traffic() -> (snorkel_matrix::LabelMatrix, Vec<(usize, usize)>) {
 fn bench_generative_training(c: &mut Criterion) {
     let mut group = c.benchmark_group("generative_model");
     group.sample_size(10);
-    // 200×5 is the small-matrix end of the one-shard plan; 8000×25 is
-    // mostly-unique rows just under the 8 192-row two-shard point, the
-    // one shape where a one-shard plan loses to the old row-wise pass.
+    // 200×5 is the small-matrix end; 8000×25 is mostly-unique rows, the
+    // one shape where the per-pattern pass loses to the old row-wise
+    // pass.
     for &(m, n) in &[(200usize, 5usize), (1000, 10), (5000, 20), (8000, 25)] {
         let (lambda, _) = independent_matrix(m, n, 0.75, 0.3, 1);
         let cfg = TrainConfig {
@@ -124,7 +124,7 @@ fn bench_cd_warm_refit(c: &mut Criterion) {
     let cfg = OptimizerConfig::default();
     let train = TrainConfig::default();
     let (strategy, _, _) = decide(&lambda, &cfg, None, None);
-    let plan = ShardedMatrix::build(&lambda, 0);
+    let plan = PatternIndex::build(&lambda);
     let (before, _, _) = fit_and_label(&strategy, &lambda, Some(&plan), &train, None);
 
     const EDITED: usize = 5;
@@ -142,7 +142,7 @@ fn bench_cd_warm_refit(c: &mut Criterion) {
         })
         .collect();
     let edited = executor.apply(&edited_lfs, &task.corpus, &task.candidates);
-    let edited_plan = ShardedMatrix::build(&edited, 0);
+    let edited_plan = PatternIndex::build(&edited);
     let (strategy, _, reused) = decide(&edited, &cfg, None, Some(&strategy));
     assert!(reused, "an edit reuses the structure");
 

@@ -5,15 +5,14 @@
 //! `model.rs`, like `correlated.rs`, so the model's fields stay private
 //! to that file and its extensions.
 //!
-//! Every pass runs on a [`ShardedMatrix`]: once per unique vote pattern
-//! per shard, weighted by multiplicity, merged in shard order. There is
-//! no row-wise product path; a small matrix is a one-shard plan whose
-//! passes run on the caller's thread (`ShardedMatrix::build(λ, 0)`). The
-//! row-wise E-pass survives under `#[cfg(test)]` as the reference the
-//! per-pattern pass is property-tested against.
+//! Every pass runs on a [`PatternIndex`]: once per unique vote pattern,
+//! weighted by multiplicity, in pattern-id order on the caller's thread.
+//! There is no row-wise product path. The row-wise E-pass survives
+//! under `#[cfg(test)]` as the reference the per-pattern pass is
+//! property-tested against.
 
 use snorkel_linalg::math::{logsumexp, softmax_in_place};
-use snorkel_matrix::{LabelMatrix, ShardedMatrix};
+use snorkel_matrix::{LabelMatrix, PatternIndex};
 
 use super::{ClassBalance, FitReport, GenerativeModel, TrainConfig, W_CLAMP};
 use crate::label_model::fold_signatures;
@@ -23,7 +22,7 @@ impl GenerativeModel {
     pub(super) fn fit_exec(
         &mut self,
         lambda: &LabelMatrix,
-        plan: &ShardedMatrix,
+        plan: &PatternIndex,
         cfg: &TrainConfig,
     ) -> FitReport {
         self.init_cold(lambda, plan, cfg);
@@ -39,7 +38,7 @@ impl GenerativeModel {
 
     /// The cold-fit initialization: prior accuracy weights, then the
     /// three plan-driven initializers.
-    fn init_cold(&mut self, lambda: &LabelMatrix, plan: &ShardedMatrix, cfg: &TrainConfig) {
+    fn init_cold(&mut self, lambda: &LabelMatrix, plan: &PatternIndex, cfg: &TrainConfig) {
         self.assert_fits(lambda, plan);
         for w in self.w_acc.iter_mut() {
             *w = cfg.init_acc_weight;
@@ -51,7 +50,7 @@ impl GenerativeModel {
         self.init_lab_from_coverage(lambda, plan);
     }
 
-    fn assert_fits(&self, lambda: &LabelMatrix, plan: &ShardedMatrix) {
+    fn assert_fits(&self, lambda: &LabelMatrix, plan: &PatternIndex) {
         assert_eq!(
             lambda.num_lfs(),
             self.n,
@@ -63,7 +62,7 @@ impl GenerativeModel {
     }
 
     /// Fix the class-balance weights per the configured policy.
-    fn set_class_balance(&mut self, lambda: &LabelMatrix, plan: &ShardedMatrix, cfg: &TrainConfig) {
+    fn set_class_balance(&mut self, lambda: &LabelMatrix, plan: &PatternIndex, cfg: &TrainConfig) {
         let k = self.scheme.num_classes();
         match &cfg.class_balance {
             ClassBalance::Uniform => self.b_class.iter_mut().for_each(|b| *b = 0.0),
@@ -74,25 +73,20 @@ impl GenerativeModel {
                 }
             }
             ClassBalance::FromMajorityVote => {
-                let mut counts = vec![1usize; k]; // add-one smoothing
                 let scheme = self.scheme;
                 // The MV class is a pure function of the vote signature,
                 // and these are integer counts — the per-pattern tally
                 // is *exactly* the row-wise one.
-                for (c, _) in fold_signatures(
+                let (counts, _) = fold_signatures(
                     lambda,
                     Some(plan),
-                    || (vec![0usize; k], vec![0usize; k]),
+                    (vec![1usize; k], vec![0usize; k]), // add-one smoothing
                     |(c, tally), _, votes, cnt| {
                         if let Some(mv) = plurality_class(scheme, votes, tally) {
                             c[mv] += cnt;
                         }
                     },
-                ) {
-                    for (tot, add) in counts.iter_mut().zip(c) {
-                        *tot += add;
-                    }
-                }
+                );
                 let total: f64 = counts.iter().map(|&c| c as f64).sum();
                 for (b, c) in self.b_class.iter_mut().zip(counts) {
                     *b = (c as f64 / total).ln();
@@ -110,24 +104,19 @@ impl GenerativeModel {
     /// collapsed optimum. Solving
     /// `coverage = e^lab (e^acc + K−1) / (1 + e^lab (e^acc + K−1))`
     /// for `lab` removes the transient entirely.
-    fn init_lab_from_coverage(&mut self, lambda: &LabelMatrix, plan: &ShardedMatrix) {
+    fn init_lab_from_coverage(&mut self, lambda: &LabelMatrix, plan: &PatternIndex) {
         let m = lambda.num_points();
         if m == 0 {
             return;
         }
         let k1 = (self.scheme.num_classes() - 1) as f64;
-        let mut votes = vec![0usize; self.n];
         // Per-pattern coverage counts are integer-exact.
-        for c in fold_signatures(
+        let votes = fold_signatures(
             lambda,
             Some(plan),
-            || vec![0usize; self.n],
+            vec![0usize; self.n],
             |c, cols, _, cnt| cols.iter().for_each(|&j| c[j as usize] += cnt),
-        ) {
-            for (tot, add) in votes.iter_mut().zip(c) {
-                *tot += add;
-            }
-        }
+        );
         for j in 0..self.n {
             let c = ((votes[j] as f64 + 0.5) / (m as f64 + 1.0)).clamp(1e-4, 1.0 - 1e-4);
             let s = c / (1.0 - c);
@@ -143,18 +132,16 @@ impl GenerativeModel {
     fn init_acc_from_majority_vote(
         &mut self,
         lambda: &LabelMatrix,
-        plan: &ShardedMatrix,
+        plan: &PatternIndex,
         cfg: &TrainConfig,
     ) {
-        let mut agree = vec![0usize; self.n];
-        let mut total = vec![0usize; self.n];
         let (n, scheme, k) = (self.n, self.scheme, self.scheme.num_classes());
         // Agreement with the row's own majority vote is a pure function
         // of the signature; integer counts are exact.
-        for (a, t, _) in fold_signatures(
+        let (agree, total, _) = fold_signatures(
             lambda,
             Some(plan),
-            || (vec![0usize; n], vec![0usize; n], vec![0usize; k]),
+            (vec![0usize; n], vec![0usize; n], vec![0usize; k]),
             |(a, t, tally), cols, votes, cnt| {
                 let Some(mv_class) = plurality_class(scheme, votes, tally) else {
                     return;
@@ -168,12 +155,7 @@ impl GenerativeModel {
                     }
                 }
             },
-        ) {
-            for j in 0..n {
-                agree[j] += a[j];
-                total[j] += t[j];
-            }
-        }
+        );
         for j in 0..self.n {
             if total[j] < 5 {
                 continue; // keep the prior for LFs with no evidence
@@ -194,16 +176,13 @@ impl GenerativeModel {
     /// current weights, every E-pass over `plan`'s unique patterns.
     fn fit_independent_exact(
         &mut self,
-        plan: &ShardedMatrix,
+        plan: &PatternIndex,
         cfg: &TrainConfig,
         warm_started: bool,
     ) -> FitReport {
-        // Per-shard accumulator pool, allocated on the first pass and
-        // reused by every later iteration of both phases.
-        let mut pool: Vec<ShardPass> = Vec::new();
         let (epochs, final_nll) =
             self.run_exact_epochs(plan.num_rows(), cfg, |gm, stats, moments| {
-                gm.exact_pass(plan, stats, moments, &mut pool)
+                gm.exact_pass(plan, stats, moments)
             });
         FitReport {
             epochs,
@@ -268,28 +247,11 @@ impl GenerativeModel {
         let mut iters = 0usize;
 
         // ---------------- Phase 1: plain EM sweeps ----------------
-        let mut stats = ExactPassStats::new(n);
+        let mut stats = ExactPassStats::new(n, self.scheme.num_classes());
         loop {
             pass(self, &mut stats, false);
             iters += 1;
-            let mut f_inf = 0.0f64;
-            for j in 0..n {
-                let a_j = stats.agree[j];
-                let d_j = (stats.votes_cast[j] - a_j).max(0.0);
-                let z_j = (m - stats.votes_cast[j]).max(0.0);
-                let new_lab =
-                    (((d_j + a_dis) / (k1 * (z_j + a_abs))).ln()).clamp(-W_CLAMP, W_CLAMP);
-                let mut new_acc =
-                    (((a_j + a_agree) * k1 / (d_j + a_dis)).ln()).clamp(-W_CLAMP, W_CLAMP);
-                if cfg.clamp_nonadversarial && new_acc < 0.0 {
-                    new_acc = 0.0;
-                }
-                f_inf = f_inf
-                    .max((new_lab - self.w_lab[j]).abs())
-                    .max((new_acc - self.w_acc[j]).abs());
-                self.w_lab[j] = new_lab;
-                self.w_acc[j] = new_acc;
-            }
+            let f_inf = self.em_step(&stats, m, cfg);
             if f_inf < EM_BASIN_TOL || iters >= EM_WARMUP_MAX || iters >= cfg.epochs {
                 break;
             }
@@ -431,19 +393,7 @@ impl GenerativeModel {
                 // makes progress, and reset the damping.
                 pass(self, &mut stats, false);
                 iters += 1;
-                for j in 0..n {
-                    let a_j = stats.agree[j];
-                    let d_j = (stats.votes_cast[j] - a_j).max(0.0);
-                    let z_j = (m - stats.votes_cast[j]).max(0.0);
-                    self.w_lab[j] =
-                        (((d_j + a_dis) / (k1 * (z_j + a_abs))).ln()).clamp(-W_CLAMP, W_CLAMP);
-                    let mut acc =
-                        (((a_j + a_agree) * k1 / (d_j + a_dis)).ln()).clamp(-W_CLAMP, W_CLAMP);
-                    if cfg.clamp_nonadversarial && acc < 0.0 {
-                        acc = 0.0;
-                    }
-                    self.w_acc[j] = acc;
-                }
+                self.em_step(&stats, m, cfg);
                 lm = 1e-3;
             }
         }
@@ -454,73 +404,79 @@ impl GenerativeModel {
         (iters, nll)
     }
 
+    /// The closed-form EM M-step (see [`Self::run_exact_epochs`]) from
+    /// one E-pass's statistics over `m` rows. Returns the step's
+    /// sup-norm parameter change.
+    fn em_step(&mut self, stats: &ExactPassStats, m: f64, cfg: &TrainConfig) -> f64 {
+        let k1 = (self.scheme.num_classes() - 1) as f64;
+        let (a_agree, a_dis, a_abs) = prior_pseudocounts(cfg.init_acc_weight, k1);
+        let mut f_inf = 0.0f64;
+        for j in 0..self.n {
+            let a_j = stats.agree[j];
+            let d_j = (stats.votes_cast[j] - a_j).max(0.0);
+            let z_j = (m - stats.votes_cast[j]).max(0.0);
+            let new_lab = (((d_j + a_dis) / (k1 * (z_j + a_abs))).ln()).clamp(-W_CLAMP, W_CLAMP);
+            let mut new_acc =
+                (((a_j + a_agree) * k1 / (d_j + a_dis)).ln()).clamp(-W_CLAMP, W_CLAMP);
+            if cfg.clamp_nonadversarial && new_acc < 0.0 {
+                new_acc = 0.0;
+            }
+            f_inf = f_inf
+                .max((new_lab - self.w_lab[j]).abs())
+                .max((new_acc - self.w_acc[j]).abs());
+            self.w_lab[j] = new_lab;
+            self.w_acc[j] = new_acc;
+        }
+        f_inf
+    }
+
     /// One exact E-pass: posteriors accumulated into the expected per-LF
     /// statistics (and, when `with_moments`, the posterior second-moment
-    /// matrix the Newton phase needs). Each shard walks its *unique* vote
-    /// patterns once, scaling every statistic by the pattern's
-    /// multiplicity, and the per-shard partials merge in shard index
-    /// order (deterministic for a fixed shard count regardless of how
-    /// many worker threads ran). On a DryBell-shaped corpus this turns
-    /// the O(m) posterior computations of one pass into O(#patterns).
-    fn exact_pass(
-        &self,
-        plan: &ShardedMatrix,
-        stats: &mut ExactPassStats,
-        with_moments: bool,
-        pool: &mut Vec<ShardPass>,
-    ) {
-        let k = self.scheme.num_classes();
-        let n = self.n;
-        if pool.len() != plan.shards().len() {
-            pool.clear();
-            pool.resize_with(plan.shards().len(), || ShardPass::new(n, k));
-        }
-        plan.for_each_shard_with(pool, |idx, slot| {
-            let s = &mut slot.stats;
-            s.reset(with_moments);
-            let scores = &mut slot.scores;
-            let row_classes = &mut slot.row_classes;
-            for (_, cols, votes, cnt) in idx.live_patterns() {
-                let c = cnt as f64;
-                scores.copy_from_slice(&self.b_class);
-                let mut lab_term = 0.0;
-                for (&col, &v) in cols.iter().zip(votes) {
-                    let j = col as usize;
-                    lab_term += self.w_lab[j];
-                    if let Some(class) = self.scheme.class_of_vote(v) {
-                        scores[class] += self.w_acc[j];
-                    }
+    /// matrix the Newton phase needs). The pass walks the index's
+    /// *unique* vote patterns once, in pattern-id order, scaling every
+    /// statistic by the pattern's multiplicity. On a DryBell-shaped
+    /// corpus this turns the O(m) posterior computations of one pass
+    /// into O(#patterns).
+    fn exact_pass(&self, plan: &PatternIndex, s: &mut ExactPassStats, with_moments: bool) {
+        s.reset(with_moments);
+        let scores = &mut s.scores;
+        let row_classes = &mut s.row_classes;
+        for (_, cols, votes, cnt) in plan.live_patterns() {
+            let c = cnt as f64;
+            scores.copy_from_slice(&self.b_class);
+            let mut lab_term = 0.0;
+            for (&col, &v) in cols.iter().zip(votes) {
+                let j = col as usize;
+                lab_term += self.w_lab[j];
+                if let Some(class) = self.scheme.class_of_vote(v) {
+                    scores[class] += self.w_acc[j];
                 }
-                let lse = logsumexp(scores);
-                s.loglik += c * (lab_term + lse);
-                row_classes.clear();
-                for (&col, &v) in cols.iter().zip(votes) {
-                    let j = col as usize;
-                    s.votes_cast[j] += c;
-                    if let Some(class) = self.scheme.class_of_vote(v) {
-                        let q = (scores[class] - lse).exp();
-                        s.agree[j] += c * q;
-                        if with_moments {
-                            row_classes.push((j, class, q));
-                        }
-                    }
-                }
-                if with_moments {
-                    for (x, &(j, cj, qj)) in row_classes.iter().enumerate() {
-                        s.acc_moment[j][j] += c * qj * (1.0 - qj);
-                        for &(l, cl, ql) in row_classes.iter().skip(x + 1) {
-                            let joint = if cj == cl { qj } else { 0.0 };
-                            let cov = c * (joint - qj * ql);
-                            s.acc_moment[j][l] += cov;
-                            s.acc_moment[l][j] += cov;
-                        }
+            }
+            let lse = logsumexp(scores);
+            s.loglik += c * (lab_term + lse);
+            row_classes.clear();
+            for (&col, &v) in cols.iter().zip(votes) {
+                let j = col as usize;
+                s.votes_cast[j] += c;
+                if let Some(class) = self.scheme.class_of_vote(v) {
+                    let q = (scores[class] - lse).exp();
+                    s.agree[j] += c * q;
+                    if with_moments {
+                        row_classes.push((j, class, q));
                     }
                 }
             }
-        });
-        stats.reset(with_moments);
-        for slot in pool.iter() {
-            stats.merge(&slot.stats, with_moments);
+            if with_moments {
+                for (x, &(j, cj, qj)) in row_classes.iter().enumerate() {
+                    s.acc_moment[j][j] += c * qj * (1.0 - qj);
+                    for &(l, cl, ql) in row_classes.iter().skip(x + 1) {
+                        let joint = if cj == cl { qj } else { 0.0 };
+                        let cov = c * (joint - qj * ql);
+                        s.acc_moment[j][l] += cov;
+                        s.acc_moment[l][j] += cov;
+                    }
+                }
+            }
         }
     }
 
@@ -543,7 +499,7 @@ impl GenerativeModel {
     pub(super) fn fit_warm_exec(
         &mut self,
         lambda: &LabelMatrix,
-        plan: &ShardedMatrix,
+        plan: &PatternIndex,
         cfg: &TrainConfig,
         prev: &GenerativeModel,
         changed_cols: &[usize],
@@ -566,7 +522,7 @@ impl GenerativeModel {
     fn init_warm(
         &mut self,
         lambda: &LabelMatrix,
-        plan: &ShardedMatrix,
+        plan: &PatternIndex,
         cfg: &TrainConfig,
         prev: &GenerativeModel,
         changed_cols: &[usize],
@@ -691,37 +647,22 @@ struct ExactPassStats {
     loglik: f64,
     /// Posterior second moments `Σ_i cov_i(φ_j, φ_k)` (Newton only).
     acc_moment: Vec<Vec<f64>>,
-}
-
-/// One shard's slot in the exact-pass scratch pool: the partial
-/// accumulators plus the per-pattern posterior buffers. The fit loop
-/// owns one pool for its whole run, so every EM/Newton iteration after
-/// the first reuses these buffers instead of reallocating them per
-/// pass (`ShardedMatrix::for_each_shard_with` pairs slot `i` with
-/// shard `i` deterministically).
-struct ShardPass {
-    stats: ExactPassStats,
+    /// Scratch: one pattern's class scores, and its `(lf, class, q)`
+    /// terms for the second moments. Kept here so every pass of a fit
+    /// reuses the same buffers.
     scores: Vec<f64>,
     row_classes: Vec<(usize, usize, f64)>,
 }
 
-impl ShardPass {
-    fn new(n: usize, k: usize) -> Self {
-        ShardPass {
-            stats: ExactPassStats::new(n),
-            scores: vec![0.0; k],
-            row_classes: Vec::new(),
-        }
-    }
-}
-
 impl ExactPassStats {
-    fn new(n: usize) -> Self {
+    fn new(n: usize, k: usize) -> Self {
         ExactPassStats {
             votes_cast: vec![0.0; n],
             agree: vec![0.0; n],
             loglik: 0.0,
             acc_moment: vec![vec![0.0; n]; n],
+            scores: vec![0.0; k],
+            row_classes: Vec::new(),
         }
     }
 
@@ -732,25 +673,6 @@ impl ExactPassStats {
         if with_moments {
             for row in self.acc_moment.iter_mut() {
                 row.iter_mut().for_each(|v| *v = 0.0);
-            }
-        }
-    }
-
-    /// Add another pass's accumulators (the sharded reduction; callers
-    /// merge in shard index order for determinism).
-    fn merge(&mut self, other: &ExactPassStats, with_moments: bool) {
-        for (a, b) in self.votes_cast.iter_mut().zip(&other.votes_cast) {
-            *a += b;
-        }
-        for (a, b) in self.agree.iter_mut().zip(&other.agree) {
-            *a += b;
-        }
-        self.loglik += other.loglik;
-        if with_moments {
-            for (ra, rb) in self.acc_moment.iter_mut().zip(&other.acc_moment) {
-                for (a, b) in ra.iter_mut().zip(rb) {
-                    *a += b;
-                }
             }
         }
     }
@@ -875,14 +797,14 @@ mod tests {
         /// The exact trainer driven by the row-wise reference E-pass,
         /// cold (`warm: None`) or warm-started from `(prev,
         /// changed_cols)`. The initializers tally whole-row counts, which
-        /// are path-independent, so they run on a one-shard plan.
+        /// are path-independent, so they run on the pattern index.
         fn reference_fit(
             &mut self,
             lambda: &LabelMatrix,
             cfg: &TrainConfig,
             warm: Option<(&GenerativeModel, &[usize])>,
         ) {
-            let plan = ShardedMatrix::build(lambda, 1);
+            let plan = PatternIndex::build(lambda);
             match warm {
                 None => self.init_cold(lambda, &plan, cfg),
                 Some((prev, changed)) => self.init_warm(lambda, &plan, cfg, prev, changed),
@@ -951,24 +873,22 @@ mod tests {
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
-        /// A cold fit over plans of 1, 2 and 5 shards lands on the
-        /// row-wise reference's optimum: the per-pattern statistics
-        /// differ from the row sums only in summation order, and the
-        /// tol-driven fixed-point iteration erases that.
+        /// A cold fit over the pattern index lands on the row-wise
+        /// reference's optimum: the per-pattern statistics differ from
+        /// the row sums only in summation order, and the tol-driven
+        /// fixed-point iteration erases that.
         #[test]
         fn cold_fit_matches_the_rowwise_reference(lambda in matrix_strategy()) {
             let scheme = LabelScheme::from_cardinality(lambda.cardinality());
             let cfg = TrainConfig::default();
             let mut reference = GenerativeModel::new(lambda.num_lfs(), scheme);
             reference.reference_fit(&lambda, &cfg, None);
-            for shards in [1, 2, 5] {
-                let mut gm = GenerativeModel::new(lambda.num_lfs(), scheme);
-                gm.fit_with(&lambda, &ShardedMatrix::build(&lambda, shards), &cfg);
-                let gap = params_gap(&gm.to_params(), &reference.to_params());
-                prop_assert!(gap <= PARAMS_TOL, "{} shards: params off by {:e}", shards, gap);
-                let gap = marginals_gap(&gm, &reference, &lambda);
-                prop_assert!(gap <= 1e-12, "{} shards: marginals off by {:e}", shards, gap);
-            }
+            let mut gm = GenerativeModel::new(lambda.num_lfs(), scheme);
+            gm.fit_with(&lambda, &PatternIndex::build(&lambda), &cfg);
+            let gap = params_gap(&gm.to_params(), &reference.to_params());
+            prop_assert!(gap <= PARAMS_TOL, "params off by {:e}", gap);
+            let gap = marginals_gap(&gm, &reference, &lambda);
+            prop_assert!(gap <= 1e-12, "marginals off by {:e}", gap);
         }
 
         /// Warm restarts after a column edit match the row-wise
@@ -994,15 +914,13 @@ mod tests {
 
             let mut reference = GenerativeModel::new(lambda.num_lfs(), scheme);
             reference.reference_fit(&edited, &cfg, Some((&base, &[j])));
-            for shards in [1, 2, 5] {
-                let plan = ShardedMatrix::build(&edited, shards);
-                let mut gm = GenerativeModel::new(lambda.num_lfs(), scheme);
-                gm.fit_warm(&edited, Some(&plan), &cfg, &base, &[j]);
-                let gap = params_gap(&gm.to_params(), &reference.to_params());
-                prop_assert!(gap <= PARAMS_TOL, "{} shards: params off by {:e}", shards, gap);
-                let gap = marginals_gap(&gm, &reference, &edited);
-                prop_assert!(gap <= 1e-9, "{} shards: marginals off by {:e}", shards, gap);
-            }
+            let plan = PatternIndex::build(&edited);
+            let mut gm = GenerativeModel::new(lambda.num_lfs(), scheme);
+            gm.fit_warm(&edited, Some(&plan), &cfg, &base, &[j]);
+            let gap = params_gap(&gm.to_params(), &reference.to_params());
+            prop_assert!(gap <= PARAMS_TOL, "params off by {:e}", gap);
+            let gap = marginals_gap(&gm, &reference, &edited);
+            prop_assert!(gap <= 1e-9, "marginals off by {:e}", gap);
         }
     }
 

@@ -69,7 +69,7 @@
 //! }
 //! ```
 
-use snorkel_matrix::{LabelMatrix, ShardedMatrix, Vote};
+use snorkel_matrix::{LabelMatrix, PatternIndex, Vote};
 
 use crate::model::{FitReport, GenerativeModel, LabelScheme, TrainConfig};
 pub use crate::moment::{MomentModel, MomentStats, MomentStatsParts};
@@ -89,7 +89,7 @@ pub const BACKEND_MOMENT: &str = "moment";
 ///
 /// The `plan` argument of [`fit`](Self::fit) /
 /// [`fit_warm`](Self::fit_warm) / [`marginals`](Self::marginals) is an
-/// optional prebuilt pattern-deduplicated [`ShardedMatrix`] covering
+/// optional prebuilt [`PatternIndex`] covering
 /// exactly `lambda`; backends exploit it or ignore it. Callers that
 /// keep a plan alive across calls (the incremental session, the
 /// pipeline) pass it so no index is rebuilt.
@@ -139,13 +139,12 @@ impl LabelModel {
 
     /// Fit to a label matrix from scratch. With `plan: None` the exact
     /// generative backend, which only trains on a plan, builds
-    /// `ShardedMatrix::build(lambda, 0)` for the call (one shard, run on
-    /// the caller's thread, below 8 192 rows); the other backends walk
-    /// rows.
+    /// `PatternIndex::build(lambda)` for the call; the other backends
+    /// walk rows.
     pub fn fit(
         &mut self,
         lambda: &LabelMatrix,
-        plan: Option<&ShardedMatrix>,
+        plan: Option<&PatternIndex>,
         cfg: &TrainConfig,
     ) -> FitReport {
         match self {
@@ -167,7 +166,7 @@ impl LabelModel {
     pub fn fit_warm(
         &mut self,
         lambda: &LabelMatrix,
-        plan: Option<&ShardedMatrix>,
+        plan: Option<&PatternIndex>,
         cfg: &TrainConfig,
         prev: &LabelModel,
         changed_cols: &[usize],
@@ -235,7 +234,7 @@ impl LabelModel {
 
     /// Posterior class distributions for every row of `lambda`
     /// (`labels[row][class]`), through the plan when one is supplied.
-    pub fn marginals(&self, lambda: &LabelMatrix, plan: Option<&ShardedMatrix>) -> Vec<Vec<f64>> {
+    pub fn marginals(&self, lambda: &LabelMatrix, plan: Option<&PatternIndex>) -> Vec<Vec<f64>> {
         match self {
             LabelModel::MajorityVote(_) => {
                 marginals_via(lambda, plan, |cols, votes| self.posterior(cols, votes))
@@ -295,17 +294,16 @@ pub(crate) fn map_vote(scheme: LabelScheme, post: &[f64]) -> Vote {
 }
 
 /// Compute per-row posteriors, once per unique pattern when a plan is
-/// supplied (scattering each pattern's posterior back to its rows in
-/// shard order), row by row otherwise. The posterior of a row is a pure
-/// function of its vote signature for every backend, so both paths are
-/// bit-identical.
+/// supplied (scattering each pattern's posterior back to its rows), row
+/// by row otherwise. The posterior of a row is a pure function of its
+/// vote signature for every backend, so both paths are bit-identical.
 pub(crate) fn marginals_via<F>(
     lambda: &LabelMatrix,
-    plan: Option<&ShardedMatrix>,
+    plan: Option<&PatternIndex>,
     posterior: F,
 ) -> Vec<Vec<f64>>
 where
-    F: Fn(&[u32], &[Vote]) -> Vec<f64> + Sync,
+    F: Fn(&[u32], &[Vote]) -> Vec<f64>,
 {
     match plan {
         None => (0..lambda.num_points())
@@ -315,58 +313,42 @@ where
             })
             .collect(),
         Some(plan) => {
-            let per_shard: Vec<Vec<Vec<f64>>> = plan.map_shards(|idx| {
-                let mut posts = vec![Vec::new(); idx.num_slots()];
-                for (p, cols, votes, _) in idx.live_patterns() {
-                    posts[p] = posterior(cols, votes);
-                }
-                posts
-            });
-            let mut out = vec![Vec::new(); lambda.num_points()];
-            for (idx, posts) in plan.shards().iter().zip(&per_shard) {
-                for row in idx.row_range() {
-                    out[row] = posts[idx.pattern_of_row(row)].clone();
-                }
+            let mut posts = vec![Vec::new(); plan.num_slots()];
+            for (p, cols, votes, _) in plan.live_patterns() {
+                posts[p] = posterior(cols, votes);
             }
-            out
+            (0..lambda.num_points())
+                .map(|row| posts[plan.pattern_of_row(row)].clone())
+                .collect()
         }
     }
 }
 
 /// Fold every vote signature of `lambda`, with its multiplicity, into
-/// accumulators: one per shard over its unique patterns when a plan is
-/// supplied (returned in shard order — merge left to right), a single
-/// one over the rows otherwise. Counts of whole rows are exact either
-/// way, so statistics gathered through this walk do not depend on the
-/// path taken.
-pub(crate) fn fold_signatures<A, I, S>(
+/// `acc`: over the plan's unique patterns when one is supplied, over
+/// the rows otherwise. Counts of whole rows are exact either way, so
+/// statistics gathered through this walk do not depend on the path
+/// taken.
+pub(crate) fn fold_signatures<A>(
     lambda: &LabelMatrix,
-    plan: Option<&ShardedMatrix>,
-    init: I,
-    step: S,
-) -> Vec<A>
-where
-    A: Send,
-    I: Fn() -> A + Sync,
-    S: Fn(&mut A, &[u32], &[Vote], usize) + Sync,
-{
+    plan: Option<&PatternIndex>,
+    mut acc: A,
+    step: impl Fn(&mut A, &[u32], &[Vote], usize),
+) -> A {
     match plan {
-        Some(plan) => plan.map_shards(|idx| {
-            let mut acc = init();
-            for (_, cols, votes, cnt) in idx.live_patterns() {
+        Some(plan) => {
+            for (_, cols, votes, cnt) in plan.live_patterns() {
                 step(&mut acc, cols, votes, cnt);
             }
-            acc
-        }),
+        }
         None => {
-            let mut acc = init();
             for i in 0..lambda.num_points() {
                 let (cols, votes) = lambda.row(i);
                 step(&mut acc, cols, votes, 1);
             }
-            vec![acc]
         }
     }
+    acc
 }
 
 // ----------------------------------------------------------------------
@@ -515,7 +497,7 @@ pub(crate) mod tests {
             }
         }
         // Plan-deduplicated path is bit-identical.
-        let plan = ShardedMatrix::build(&lambda, 3);
+        let plan = PatternIndex::build(&lambda);
         assert_eq!(mv.marginals(&lambda, Some(&plan)), marg);
     }
 

@@ -39,7 +39,7 @@
 //! labels `Ỹ`.
 
 use snorkel_linalg::math::softmax_in_place;
-use snorkel_matrix::{LabelMatrix, ShardedMatrix, Vote};
+use snorkel_matrix::{LabelMatrix, PatternIndex, Vote};
 
 use crate::label_model::{map_vote, marginals_via};
 
@@ -155,13 +155,16 @@ pub struct TrainConfig {
     /// full-batch). `0` means all rows: one full-batch step per epoch.
     pub batch_size: usize,
     /// Convergence tolerance for the exact (independent-model) path:
-    /// stop once the Aitken-estimated distance to the EM fixed point
-    /// drops below this. The fixed point is a stationary point of the
-    /// likelihood and does not depend on where iteration started, so any
-    /// two runs that both converge — e.g. a cold fit and a
-    /// [`GenerativeModel::fit_warm`] restart after one LF edit — land on
-    /// the *same* parameters up to this tolerance. `0.0` disables early
-    /// stopping. This is the §3 early-stopping lever (the paper reports
+    /// iteration stops one polish step after the sup-norm of the
+    /// likelihood gradient over the unpinned coordinates falls to
+    /// `(m + 1) · tol` (`m` rows), or once that norm has failed to halve
+    /// for 8 Newton steps in a row (the arithmetic noise floor). The
+    /// stopping point is a stationary point of the likelihood and does
+    /// not depend on where iteration started, so any two runs that both
+    /// converge — e.g. a cold fit and a [`GenerativeModel::fit_warm`]
+    /// restart after one LF edit — land on the *same* parameters up to
+    /// this tolerance. `0.0` disables the gradient test (the stall
+    /// backstop and the epoch cap still apply). This is the §3 early-stopping lever (the paper reports
     /// up to 61% of training time saved by stopping when converged).
     pub tol: f64,
     /// Mean prior accuracy weight w̄ (log-odds scale; 1.0 ≈ 73% accuracy,
@@ -608,7 +611,7 @@ impl GenerativeModel {
     }
 
     /// Posterior class distributions for every row, one posterior per
-    /// row. Callers that hold a [`ShardedMatrix`] plan use
+    /// row. Callers that hold a [`PatternIndex`] use
     /// [`Self::marginals_with`] instead: the same bits, one posterior
     /// per unique vote pattern.
     pub fn marginals(&self, lambda: &LabelMatrix) -> Vec<Vec<f64>> {
@@ -617,10 +620,10 @@ impl GenerativeModel {
 
     /// Posterior class distributions for every row, computed once per
     /// unique vote pattern of the prebuilt plan and scattered back to
-    /// rows. Bit-identical to [`Self::marginals`] for any shard count,
-    /// because a pattern's posterior is computed by the exact float-op
-    /// sequence its rows' posteriors would have used.
-    pub fn marginals_with(&self, lambda: &LabelMatrix, plan: &ShardedMatrix) -> Vec<Vec<f64>> {
+    /// rows. Bit-identical to [`Self::marginals`], because a pattern's
+    /// posterior is computed by the exact float-op sequence its rows'
+    /// posteriors would have used.
+    pub fn marginals_with(&self, lambda: &LabelMatrix, plan: &PatternIndex) -> Vec<Vec<f64>> {
         self.assert_plan_matches(lambda, plan);
         marginals_via(lambda, Some(plan), |cols, votes| {
             self.posterior(cols, votes)
@@ -634,18 +637,18 @@ impl GenerativeModel {
         self.marginals(lambda).into_iter().map(|p| p[0]).collect()
     }
 
-    fn assert_plan_matches(&self, lambda: &LabelMatrix, plan: &ShardedMatrix) {
+    fn assert_plan_matches(&self, lambda: &LabelMatrix, plan: &PatternIndex) {
         assert_eq!(
             plan.num_rows(),
             lambda.num_points(),
-            "sharded plan covers {} rows but Λ has {}",
+            "pattern index covers {} rows but Λ has {}",
             plan.num_rows(),
             lambda.num_points()
         );
         assert_eq!(
             plan.num_lfs(),
             lambda.num_lfs(),
-            "sharded plan built for {} LFs but Λ has {}",
+            "pattern index built for {} LFs but Λ has {}",
             plan.num_lfs(),
             lambda.num_lfs()
         );
@@ -665,29 +668,26 @@ impl GenerativeModel {
     // ------------------------------------------------------------------
 
     /// The plan [`Self::fit`] builds: always
-    /// `Some(ShardedMatrix::build(lambda, 0))`, whatever `cfg` says (the
-    /// partition is sized by rows and cores, not configured). Callers
+    /// `Some(PatternIndex::build(lambda))`, whatever `cfg` says. Callers
     /// that run several passes over the same matrix (pipeline,
     /// incremental session) build the plan once and hand it to
     /// [`Self::fit_with`] / [`Self::marginals_with`].
-    pub fn plan_for(lambda: &LabelMatrix, _cfg: &TrainConfig) -> Option<ShardedMatrix> {
-        Some(ShardedMatrix::build(lambda, 0))
+    pub fn plan_for(lambda: &LabelMatrix, _cfg: &TrainConfig) -> Option<PatternIndex> {
+        Some(PatternIndex::build(lambda))
     }
 
     /// Fit to a label matrix by maximizing the (smoothed) marginal
-    /// likelihood, over a plan built for this call
-    /// (`ShardedMatrix::build(lambda, 0)`: one shard, run inline, below
-    /// 8 192 rows).
+    /// likelihood, over a pattern index built for this call.
     pub fn fit(&mut self, lambda: &LabelMatrix, cfg: &TrainConfig) -> FitReport {
-        self.fit_exec(lambda, &ShardedMatrix::build(lambda, 0), cfg)
+        self.fit_exec(lambda, &PatternIndex::build(lambda), cfg)
     }
 
-    /// [`Self::fit`] against a prebuilt sharded plan (must cover exactly
+    /// [`Self::fit`] against a prebuilt pattern index (must cover exactly
     /// this matrix), skipping the per-call plan build.
     pub fn fit_with(
         &mut self,
         lambda: &LabelMatrix,
-        plan: &ShardedMatrix,
+        plan: &PatternIndex,
         cfg: &TrainConfig,
     ) -> FitReport {
         self.fit_exec(lambda, plan, cfg)
@@ -738,11 +738,11 @@ impl GenerativeModel {
     /// lists the columns whose LF was edited (an empty slice means only
     /// the data changed, e.g. a new candidate batch was ingested). A
     /// prebuilt `plan` must cover exactly this matrix; without one the
-    /// call builds `ShardedMatrix::build(lambda, 0)`.
+    /// call builds `PatternIndex::build(lambda)`.
     pub fn fit_warm(
         &mut self,
         lambda: &LabelMatrix,
-        plan: Option<&ShardedMatrix>,
+        plan: Option<&PatternIndex>,
         cfg: &TrainConfig,
         prev: &GenerativeModel,
         changed_cols: &[usize],
@@ -750,7 +750,7 @@ impl GenerativeModel {
         match plan {
             Some(plan) => self.fit_warm_exec(lambda, plan, cfg, prev, changed_cols),
             None => {
-                let plan = ShardedMatrix::build(lambda, 0);
+                let plan = PatternIndex::build(lambda);
                 self.fit_warm_exec(lambda, &plan, cfg, prev, changed_cols)
             }
         }

@@ -3,7 +3,7 @@
 //! [`MomentStatsParts`]). The estimator is described in the
 //! [`crate::label_model`] module docs, which re-export these types.
 
-use snorkel_matrix::{LabelMatrix, ShardedMatrix, Vote};
+use snorkel_matrix::{LabelMatrix, PatternIndex, Vote};
 
 use crate::label_model::fold_signatures;
 use crate::model::{
@@ -66,7 +66,7 @@ impl MomentModel {
     pub fn fit(
         &mut self,
         lambda: &LabelMatrix,
-        plan: Option<&ShardedMatrix>,
+        plan: Option<&PatternIndex>,
         cfg: &TrainConfig,
     ) -> FitReport {
         let n = self.inner.num_lfs();
@@ -98,22 +98,19 @@ impl MomentModel {
     fn fit_closed_form(
         &mut self,
         lambda: &LabelMatrix,
-        plan: Option<&ShardedMatrix>,
+        plan: Option<&PatternIndex>,
         cfg: &TrainConfig,
     ) {
         let scheme = GenerativeModel::scheme(&self.inner);
         let n = GenerativeModel::num_lfs(&self.inner);
 
         // ---- The single pass: per-LF and pairwise sufficient stats.
-        let mut stats = MomentStats::new(n, scheme);
-        for partial in fold_signatures(
+        let stats = fold_signatures(
             lambda,
             plan,
-            || MomentStats::new(n, scheme),
+            MomentStats::new(n, scheme),
             |s, cols, votes, cnt| s.accumulate(cols, votes, cnt as f64),
-        ) {
-            stats.merge(&partial);
-        }
+        );
 
         self.solve_from_stats(&stats, cfg);
     }
@@ -428,28 +425,6 @@ impl MomentStats {
         self.classes = classes;
     }
 
-    /// Add another pass's accumulators (shard merge, in shard order).
-    pub fn merge(&mut self, other: &MomentStats) {
-        assert_eq!(self.n, other.n, "merging stats over different LF counts");
-        assert_eq!(
-            self.scheme, other.scheme,
-            "merging stats under different schemes"
-        );
-        self.rows += other.rows;
-        for (dst, src) in [
-            (&mut self.votes, &other.votes),
-            (&mut self.mv_class, &other.mv_class),
-            (&mut self.agree_mv, &other.agree_mv),
-            (&mut self.total_mv, &other.total_mv),
-            (&mut self.both, &other.both),
-            (&mut self.agree, &other.agree),
-        ] {
-            for (a, b) in dst.iter_mut().zip(src) {
-                *a += b;
-            }
-        }
-    }
-
     /// Export the accumulated counts as plain data (the snapshot
     /// encoding surface).
     pub fn to_parts(&self) -> MomentStatsParts {
@@ -562,18 +537,18 @@ mod tests {
     #[test]
     fn moment_plan_pass_matches_rowwise_pass() {
         let (lambda, _) = planted(3000, &[0.85, 0.75, 0.65, 0.6], 0.5, 11);
-        let plan = ShardedMatrix::build(&lambda, 4);
+        let plan = PatternIndex::build(&lambda);
         let cfg = TrainConfig::default();
         let mut rowwise = MomentModel::new(4, LabelScheme::Binary);
         rowwise.fit(&lambda, None, &cfg);
-        let mut sharded = MomentModel::new(4, LabelScheme::Binary);
-        sharded.fit(&lambda, Some(&plan), &cfg);
-        // Integer-weighted statistics merged in shard order: the counts
-        // are exactly equal, so the closed-form weights are too.
+        let mut deduped = MomentModel::new(4, LabelScheme::Binary);
+        deduped.fit(&lambda, Some(&plan), &cfg);
+        // Integer-weighted statistics: the counts are exactly equal, so
+        // the closed-form weights are too.
         for (a, b) in rowwise
             .accuracy_weights()
             .iter()
-            .zip(sharded.accuracy_weights())
+            .zip(deduped.accuracy_weights())
         {
             assert!((a - b).abs() < 1e-12, "weights diverged: {a} vs {b}");
         }
@@ -666,23 +641,14 @@ mod tests {
         {
             assert_eq!(a.to_bits(), b.to_bits(), "weights diverged: {a} vs {b}");
         }
-        // Through the enum's hook, and through merged partial stats.
-        let mid = lambda.num_points() / 2;
-        let mut first = MomentStats::new(4, LabelScheme::Binary);
-        let mut second = MomentStats::new(4, LabelScheme::Binary);
-        for i in 0..lambda.num_points() {
-            let (cols, votes) = lambda.row(i);
-            if i < mid { &mut first } else { &mut second }.accumulate(cols, votes, 1.0);
-        }
-        first.merge(&second);
-        assert_eq!(first, stats);
+        // Through the enum's hook.
         let mut hooked = LabelModel::Moment(MomentModel::new(4, LabelScheme::Binary));
-        assert!(hooked.fit_online(&first, &cfg).is_some());
+        assert!(hooked.fit_online(&stats, &cfg).is_some());
         // Backends without an online form decline through the hook.
         let mut mv = LabelModel::MajorityVote(MajorityVoteModel::new(4, LabelScheme::Binary));
-        assert!(mv.fit_online(&first, &cfg).is_none());
+        assert!(mv.fit_online(&stats, &cfg).is_none());
         let mut gm = LabelModel::Generative(GenerativeModel::new(4, LabelScheme::Binary));
-        assert!(gm.fit_online(&first, &cfg).is_none());
+        assert!(gm.fit_online(&stats, &cfg).is_none());
     }
 
     #[test]

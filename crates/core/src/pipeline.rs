@@ -22,7 +22,7 @@ use snorkel_context::{CandidateId, Corpus};
 use snorkel_disc::{DistillConfig, DistillReport, DistilledModel, TextFeaturizer};
 use snorkel_lf::{BoxedLf, LfExecutor};
 use snorkel_linalg::SparseVec;
-use snorkel_matrix::{LabelMatrix, ShardedMatrix};
+use snorkel_matrix::{LabelMatrix, PatternIndex};
 
 use crate::label_model::{LabelModel, ModelRegistry};
 use crate::model::{FitReport, LabelScheme, TrainConfig};
@@ -65,10 +65,10 @@ impl DiscTrainerConfig {
 /// model on the label model's probabilistic labels with the noise-aware
 /// expected loss, so predictions generalize **beyond the labeling
 /// functions' coverage**. Training is minibatched: each step takes one
-/// minibatch from each of the scale-out plan's [`ShardedMatrix`] row
-/// ranges and sums their gradients in one sequential pass, in range
-/// order; abstain-marginal (near-uniform) rows are down-weighted by
-/// their confidence and dropped at the floor.
+/// minibatch of one shuffle stream over all rows and sums its
+/// gradients in one sequential pass; abstain-marginal (near-uniform)
+/// rows are down-weighted by their confidence and dropped at the
+/// floor.
 #[derive(Clone, Debug, Default)]
 pub struct DiscTrainer {
     /// Stage configuration.
@@ -81,50 +81,31 @@ impl DiscTrainer {
         DiscTrainer { config }
     }
 
-    /// The contiguous row ranges training draws its minibatches from:
-    /// the plan's shard ranges when one is live, else one range
-    /// covering all `rows`.
-    pub fn ranges_for(plan: Option<&ShardedMatrix>, rows: usize) -> Vec<(usize, usize)> {
-        match plan {
-            Some(plan) if plan.num_rows() == rows => plan
-                .shards()
-                .iter()
-                .map(|s| {
-                    let r = s.row_range();
-                    (r.start, r.end)
-                })
-                .collect(),
-            _ => vec![(0, rows)],
-        }
-    }
-
     /// Hashed feature vectors for the given candidates.
     pub fn featurize(&self, corpus: &Corpus, candidates: &[CandidateId]) -> Vec<SparseVec> {
         self.config.featurizer.featurize_all(corpus, candidates)
     }
 
-    /// [`Self::fit`] from a fresh model over `plan`'s shard ranges.
+    /// [`Self::fit`] from a fresh model. `_plan` is ignored.
     pub fn train(
         &self,
         xs: &[SparseVec],
         marginals: &[Vec<f64>],
         num_classes: usize,
-        plan: Option<&ShardedMatrix>,
+        _plan: Option<&PatternIndex>,
     ) -> (DistilledModel, DistillReport) {
-        let ranges = DiscTrainer::ranges_for(plan, xs.len());
-        self.fit(xs, marginals, num_classes, &ranges, None)
+        self.fit(xs, marginals, num_classes, None)
     }
 
-    /// The distillation fit over the row `ranges`: warm from `warm` when
-    /// its shape matches, from a fresh model otherwise. `num_classes`
-    /// must match the marginal rows' width (it shapes the model of an
-    /// empty training set); a mismatch panics.
+    /// The distillation fit: warm from `warm` when its shape matches,
+    /// from a fresh model otherwise. `num_classes` must match the
+    /// marginal rows' width (it shapes the model of an empty training
+    /// set); a mismatch panics.
     pub fn fit(
         &self,
         xs: &[SparseVec],
         marginals: &[Vec<f64>],
         num_classes: usize,
-        ranges: &[(usize, usize)],
         warm: Option<DistilledModel>,
     ) -> (DistilledModel, DistillReport) {
         if let Some(row) = marginals.first() {
@@ -139,7 +120,7 @@ impl DiscTrainer {
         let mut model = warm
             .filter(|m| m.dim() == dim && m.num_classes() == num_classes)
             .unwrap_or_else(|| DistilledModel::new(dim, num_classes));
-        let report = model.fit(xs, marginals, ranges, &self.config.train);
+        let report = model.fit(xs, marginals, &self.config.train);
         (model, report)
     }
 }
@@ -150,7 +131,7 @@ impl DiscTrainer {
 pub fn fit_and_label(
     strategy: &ModelingStrategy,
     lambda: &LabelMatrix,
-    plan: Option<&ShardedMatrix>,
+    plan: Option<&PatternIndex>,
     cfg: &TrainConfig,
     warm: Option<(LabelModel, Vec<usize>)>,
 ) -> (LabelModel, FitReport, Vec<Vec<f64>>) {
@@ -238,8 +219,7 @@ impl Pipeline {
 
     /// Run from raw candidates: apply LFs, model, and — when
     /// [`PipelineConfig::distill`] is set — featurize the candidates and
-    /// distill a discriminative model from the marginals (minibatches
-    /// drawn from the scale-out plan's shard ranges). Returns per-class
+    /// distill a discriminative model from the marginals. Returns per-class
     /// probabilistic labels (`labels[i][class]`) and the report.
     pub fn run(
         &self,
@@ -250,7 +230,7 @@ impl Pipeline {
         let lf_span = stage_span("lf_application");
         let lambda = self.config.executor.apply(lfs, corpus, candidates);
         let lf_time = lf_span.finish();
-        let (labels, mut report, plan) = self.run_from_matrix_inner(&lambda);
+        let (labels, mut report) = self.run_from_matrix(&lambda);
         report.timings.lf_application = lf_time;
         report.timings.total += lf_time;
         if let Some(disc_cfg) = &self.config.distill {
@@ -258,7 +238,7 @@ impl Pipeline {
             let trainer = DiscTrainer::new(disc_cfg.clone());
             let xs = trainer.featurize(corpus, candidates);
             let num_classes = LabelScheme::from_cardinality(lambda.cardinality()).num_classes();
-            let (disc, disc_report) = trainer.train(&xs, &labels, num_classes, plan.as_ref());
+            let (disc, disc_report) = trainer.fit(&xs, &labels, num_classes, None);
             report.disc = Some(disc);
             report.disc_report = Some(disc_report);
             report.timings.distillation = disc_span.finish();
@@ -272,14 +252,6 @@ impl Pipeline {
     /// have no corpus to featurize, so the distillation stage is
     /// skipped; use [`Self::run`] or drive a [`DiscTrainer`] directly.
     pub fn run_from_matrix(&self, lambda: &LabelMatrix) -> (Vec<Vec<f64>>, PipelineReport) {
-        let (labels, report, _) = self.run_from_matrix_inner(lambda);
-        (labels, report)
-    }
-
-    fn run_from_matrix_inner(
-        &self,
-        lambda: &LabelMatrix,
-    ) -> (Vec<Vec<f64>>, PipelineReport, Option<ShardedMatrix>) {
         let strategy_span = stage_span("strategy_selection");
         let forced = self.config.force_strategy.as_ref();
         let (strategy, predicted, _) = decide(lambda, &self.config.optimizer, forced, None);
@@ -291,7 +263,7 @@ impl Pipeline {
         // the Algorithm-1 skip-work branch must not pay an index build
         // it cannot amortize.
         let plan =
-            (strategy != ModelingStrategy::MajorityVote).then(|| ShardedMatrix::build(lambda, 0));
+            (strategy != ModelingStrategy::MajorityVote).then(|| PatternIndex::build(lambda));
         let (model, _, labels) =
             fit_and_label(&strategy, lambda, plan.as_ref(), &self.config.train, None);
         let training_time = training_span.finish();
@@ -311,7 +283,7 @@ impl Pipeline {
             disc: None,
             disc_report: None,
         };
-        (labels, report, plan)
+        (labels, report)
     }
 }
 

@@ -7,7 +7,7 @@ use snorkel_core::label_model::LabelModel;
 use snorkel_core::model::{ClassBalance, GenerativeModel, LabelScheme, TrainConfig};
 use snorkel_core::optimizer::{advantage_upper_bound, OptimizerConfig};
 use snorkel_core::vote::{majority_vote, modeling_advantage, weighted_vote};
-use snorkel_matrix::{LabelMatrix, LabelMatrixBuilder, ShardedMatrix, Vote};
+use snorkel_matrix::{LabelMatrix, LabelMatrixBuilder, PatternIndex, Vote};
 
 /// Random binary matrix with per-LF accuracies and planted gold.
 fn planted(m: usize, accs: &[f64], pl: f64, seed: u64) -> (LabelMatrix, Vec<Vote>) {
@@ -104,13 +104,12 @@ proptest! {
 
     /// The generative backend behind the `LabelModel` enum is the same
     /// model: enum-call fit and marginals are bit-identical to the
-    /// concrete-type calls, with and without a sharded plan, and a clone
+    /// concrete-type calls, with and without a pattern index, and a clone
     /// scores exactly as the original — the "no numeric drift" contract.
     #[test]
     fn generative_enum_calls_are_bit_identical(
         accs in prop::collection::vec(0.45f64..0.95, 2..6),
         pl in 0.2f64..0.8,
-        shards in 1usize..5,
         seed in 0u64..1000,
     ) {
         let (lambda, _) = planted(300, &accs, pl, seed);
@@ -127,8 +126,8 @@ proptest! {
         model.fit(&lambda, None, &cfg);
         prop_assert_eq!(&model.marginals(&lambda, None), &reference);
 
-        // Enum path, through a sharded plan.
-        let plan = ShardedMatrix::build(&lambda, shards);
+        // Enum path, through a pattern index.
+        let plan = PatternIndex::build(&lambda);
         prop_assert_eq!(&model.marginals(&lambda, Some(&plan)), &reference);
 
         // A clone is the same model.

@@ -1,13 +1,9 @@
 //! Property-test harness locking down the scale-out contract: for
-//! arbitrary matrices, cardinalities, and shard counts (including 1 and
-//! 0 = auto-sized),
-//!
-//! * pattern-deduplicated **marginals** are *bit-identical* to the
-//!   row walk of [`GenerativeModel::marginals`] — a pattern's posterior
-//!   is computed by the exact float-op sequence its rows' posteriors
-//!   would have used;
-//! * the plan structures themselves satisfy their invariants
-//!   ([`ShardedMatrix::validate`]).
+//! arbitrary matrices and cardinalities, pattern-deduplicated
+//! **marginals** are *bit-identical* to the row walk of
+//! [`GenerativeModel::marginals`] — a pattern's posterior is computed
+//! by the exact float-op sequence its rows' posteriors would have used.
+//! The index's own invariants are property-tested in `snorkel-matrix`.
 //!
 //! Fits have one path (the plan); their equivalence with the row-wise
 //! E-pass it replaced is a unit proptest against the `#[cfg(test)]`
@@ -15,7 +11,7 @@
 
 use proptest::prelude::*;
 use snorkel_core::model::{GenerativeModel, LabelScheme, TrainConfig};
-use snorkel_matrix::{LabelMatrix, LabelMatrixBuilder, PatternIndex, ShardedMatrix, Vote};
+use snorkel_matrix::{LabelMatrix, LabelMatrixBuilder, PatternIndex, Vote};
 
 /// Arbitrary (matrix, cardinality) with duplicate-heavy rows: each row
 /// is drawn from a small pool of row templates plus free noise, so real
@@ -59,30 +55,9 @@ fn matrix_strategy() -> impl Strategy<Value = LabelMatrix> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Plans of every shard count are structurally valid and count
-    /// patterns consistently with an unsharded index.
+    /// Deduplicated marginals are bit-identical to row-wise marginals.
     #[test]
-    fn plans_are_valid_for_any_shard_count(
-        lambda in matrix_strategy(),
-        shards in 0usize..6,
-    ) {
-        let plan = ShardedMatrix::build(&lambda, shards);
-        plan.validate(&lambda).unwrap();
-        prop_assert_eq!(plan.num_rows(), lambda.num_points());
-        // Sharding can only split patterns at shard boundaries, never
-        // lose or invent signatures.
-        let whole = PatternIndex::build(&lambda);
-        prop_assert!(plan.num_patterns() >= whole.num_patterns());
-        prop_assert!(plan.num_patterns() <= whole.num_patterns() * plan.num_shards());
-    }
-
-    /// Deduplicated marginals are bit-identical to row-wise marginals,
-    /// for shard counts 0 (= auto-sized), 1, and arbitrary.
-    #[test]
-    fn marginals_bit_identical_across_paths(
-        lambda in matrix_strategy(),
-        shards in 0usize..6,
-    ) {
+    fn marginals_bit_identical_across_paths(lambda in matrix_strategy()) {
         let scheme = LabelScheme::from_cardinality(lambda.cardinality());
         let mut gm = GenerativeModel::new(lambda.num_lfs(), scheme);
         gm.fit(&lambda, &TrainConfig {
@@ -90,13 +65,7 @@ proptest! {
             ..TrainConfig::default()
         });
         let reference = gm.marginals(&lambda);
-        for s in [shards, 0, 1] {
-            let plan = ShardedMatrix::build(&lambda, s);
-            let dedup = gm.marginals_with(&lambda, &plan);
-            prop_assert_eq!(
-                &dedup, &reference,
-                "marginals must be bit-identical at shard count {}", s
-            );
-        }
+        let plan = PatternIndex::build(&lambda);
+        prop_assert_eq!(gm.marginals_with(&lambda, &plan), reference);
     }
 }

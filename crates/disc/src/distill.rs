@@ -18,16 +18,15 @@
 //!   row's gradient is scaled by its *confidence*
 //!   `(max_c p̃_c − 1/K) · K/(K−1) ∈ [0, 1]` and rows below
 //!   [`DistillConfig::min_confidence`] are dropped outright.
-//! * **One minibatch per range and step.** Each of the caller's row
-//!   ranges — in production the ranges of the live `ShardedMatrix`
-//!   plan — keeps its own shuffle stream, and every step takes one
-//!   minibatch from each of them (effective batch = `batch_size × live
-//!   ranges`). The step is one sequential pass on the calling thread:
-//!   every row's gradient is scatter-added into a dense per-fit buffer
-//!   in one canonical order — range order, then minibatch row order,
-//!   then the row's feature order — and the touched buckets get a
-//!   single Adam update. No thread is spawned and nothing is allocated
-//!   inside the epoch loop.
+//! * **One shuffle stream.** Every epoch shuffles the trainable rows
+//!   with one stream seeded from `(seed, epoch)`, and each step takes
+//!   the next `batch_size` of them, so the result never depends on the
+//!   machine it ran on. The step is one sequential pass on the calling
+//!   thread: every row's gradient is scatter-added into a dense per-fit
+//!   buffer in one canonical order — minibatch row order, then the
+//!   row's feature order — and the touched buckets get a single Adam
+//!   update. No thread is spawned and nothing is allocated inside the
+//!   epoch loop.
 //! * **Warm starts.** `fit` continues from the model's current weights
 //!   (and runs the full `epochs`), so the serving layer's
 //!   retrain-after-edit starts from the previous model, not from zero.
@@ -95,16 +94,15 @@ pub fn marginal_confidence(row: &[f64]) -> f64 {
 pub struct DistillConfig {
     /// Feature dimensionality (hash buckets).
     pub dim: u32,
-    /// Training epochs (one pass over every shard's trainable rows).
+    /// Training epochs (one pass over the trainable rows each).
     pub epochs: usize,
     /// Adam learning rate.
     pub learning_rate: f64,
     /// L2 regularization strength (applied to touched coordinates).
     pub l2: f64,
-    /// Minibatch size *per shard and step*; the effective step batch is
-    /// `batch_size × live shards`.
+    /// Rows per minibatch step.
     pub batch_size: usize,
-    /// Shuffle seed (per-shard streams are derived from it).
+    /// Shuffle seed (each epoch's stream is derived from it).
     pub seed: u64,
     /// Rows whose [`marginal_confidence`] is at or below this floor are
     /// dropped from training (no supervision signal); everything above
@@ -129,7 +127,7 @@ impl Default for DistillConfig {
 /// What one [`DistilledModel::fit`] call did.
 #[derive(Clone, Copy, Debug, Default)]
 pub struct DistillReport {
-    /// Rows offered (the union of the row ranges).
+    /// Rows offered.
     pub rows_total: usize,
     /// Rows that carried supervision signal and trained.
     pub rows_trained: usize,
@@ -349,22 +347,16 @@ impl DistilledModel {
     }
 
     /// Noise-aware fit on label-model marginals, warm-continuing from
-    /// the current weights (a fresh model starts cold).
-    ///
-    /// `ranges` are contiguous row ranges, each with its own shuffle
-    /// stream and one minibatch per step — normally the live
-    /// `ShardedMatrix` plan's shard ranges; empty means one range
-    /// covering every row. The result is a pure function of
-    /// `(self, xs, marginals, ranges, cfg)`.
+    /// the current weights (a fresh model starts cold). The result is a
+    /// pure function of `(self, xs, marginals, cfg)`.
     ///
     /// # Panics
-    /// If `xs` and `marginals` lengths differ, a range is out of
-    /// bounds, or a marginal row's class count mismatches the model's.
+    /// If `xs` and `marginals` lengths differ, or a marginal row's
+    /// class count mismatches the model's.
     pub fn fit(
         &mut self,
         xs: &[SparseVec],
         marginals: &[Vec<f64>],
-        ranges: &[(usize, usize)],
         cfg: &DistillConfig,
     ) -> DistillReport {
         assert_eq!(
@@ -380,33 +372,21 @@ impl DistilledModel {
             cfg.dim
         );
         let k = self.num_classes();
-        let whole = [(0usize, xs.len())];
-        let ranges: &[(usize, usize)] = if ranges.is_empty() { &whole } else { ranges };
 
-        // Per-shard trainable rows and their confidence weights.
-        let mut rows_total = 0usize;
+        // Trainable rows and their confidence weights.
         let mut weight_sum = 0.0f64;
         let mut max_nnz = 0usize;
-        let mut shard_rows: Vec<Vec<(usize, f64)>> = Vec::with_capacity(ranges.len());
-        for &(lo, hi) in ranges {
-            assert!(
-                lo <= hi && hi <= xs.len(),
-                "fit: range {lo}..{hi} out of bounds"
-            );
-            rows_total += hi - lo;
-            let mut kept = Vec::new();
-            for (i, row) in marginals.iter().enumerate().take(hi).skip(lo) {
-                assert_eq!(row.len(), k, "fit: marginal row {i} has wrong class count");
-                let w = marginal_confidence(row);
-                if w > cfg.min_confidence {
-                    weight_sum += w;
-                    max_nnz = max_nnz.max(xs[i].nnz());
-                    kept.push((i, w));
-                }
+        let mut rows: Vec<(usize, f64)> = Vec::new();
+        for (i, row) in marginals.iter().enumerate() {
+            assert_eq!(row.len(), k, "fit: marginal row {i} has wrong class count");
+            let w = marginal_confidence(row);
+            if w > cfg.min_confidence {
+                weight_sum += w;
+                max_nnz = max_nnz.max(xs[i].nnz());
+                rows.push((i, w));
             }
-            shard_rows.push(kept);
         }
-        let rows_trained: usize = shard_rows.iter().map(Vec::len).sum();
+        let (rows_total, rows_trained) = (xs.len(), rows.len());
         let mut report = DistillReport {
             rows_total,
             rows_trained,
@@ -430,35 +410,19 @@ impl DistilledModel {
             .collect();
         let mut bias_adam = Adam::new(groups, cfg.learning_rate);
         let batch = cfg.batch_size.max(1);
-        // A step takes at most `batch` rows per shard, so the touched
-        // list never outgrows this and the epoch loop never allocates.
-        let max_touched = (cfg.dim as usize).min(shard_rows.len() * batch * max_nnz);
+        // A step takes at most `batch` rows, so the touched list never
+        // outgrows this and the epoch loop never allocates.
+        let max_touched = (cfg.dim as usize).min(batch * max_nnz);
         let mut scratch = StepScratch::new(groups, k, cfg.dim, max_touched);
 
         for epoch in 0..cfg.epochs {
-            // Per-shard shuffle streams: deterministic per (seed, shard,
-            // epoch) and independent of every other shard.
-            for (s, rows) in shard_rows.iter_mut().enumerate() {
-                let mut rng = StdRng::seed_from_u64(
-                    cfg.seed
-                        ^ (s as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                        ^ (epoch as u64) << 32,
-                );
-                rows.shuffle(&mut rng);
-            }
-            let steps = shard_rows
-                .iter()
-                .map(|r| r.len().div_ceil(batch))
-                .max()
-                .unwrap_or(0);
+            rows.shuffle(&mut StdRng::seed_from_u64(
+                cfg.seed ^ ((epoch as u64) << 32),
+            ));
             let mut epoch_loss = 0.0f64;
             let mut epoch_weight = 0.0f64;
-            for step in 0..steps {
-                for rows in &shard_rows {
-                    let lo = (step * batch).min(rows.len());
-                    let hi = ((step + 1) * batch).min(rows.len());
-                    self.accumulate(xs, marginals, &rows[lo..hi], &mut scratch);
-                }
+            for minibatch in rows.chunks(batch) {
+                self.accumulate(xs, marginals, minibatch, &mut scratch);
                 if scratch.weight > 0.0 {
                     epoch_loss += scratch.loss;
                     epoch_weight += scratch.weight;
@@ -474,21 +438,18 @@ impl DistilledModel {
         report
     }
 
-    /// Add one shard's minibatch `(row, weight)` slice to the step:
-    /// every row's gradient is scatter-added into `s.grad` in slice
-    /// order, and the slice's loss, weight and bias-gradient partials
-    /// are summed on their own and then added to the step totals — the
-    /// per-shard-then-shard-order merge the scalars have always had.
+    /// Add one minibatch of `(row, weight)` pairs to the (reset) step:
+    /// every row's gradient is scatter-added into `s.grad`, and its
+    /// loss, weight and bias gradient into the step totals, in
+    /// minibatch order.
     fn accumulate(
         &self,
         xs: &[SparseVec],
         marginals: &[Vec<f64>],
-        slice: &[(usize, f64)],
+        minibatch: &[(usize, f64)],
         s: &mut StepScratch,
     ) {
-        let (mut loss, mut weight) = (0.0f64, 0.0f64);
-        s.shard_bias.fill(0.0);
-        for &(i, w) in slice {
+        for &(i, w) in minibatch {
             let x = &xs[i];
             match self {
                 DistilledModel::Binary(m) => {
@@ -496,29 +457,24 @@ impl DistilledModel {
                     let p = sigmoid(score);
                     let target = marginals[i][0];
                     let err = w * (p - target);
-                    loss -= w
+                    s.loss -= w
                         * (target * p.max(1e-12).ln()
                             + (1.0 - target) * sigmoid(-score).max(1e-12).ln());
                     s.scatter(0, x, err);
-                    s.shard_bias[0] += err;
+                    s.grad_bias[0] += err;
                 }
                 DistilledModel::Multi(m) => {
                     m.predict_proba_into(x, &mut s.probs);
                     for (c, &target) in marginals[i].iter().enumerate() {
                         let p = s.probs[c];
                         let err = w * (p - target);
-                        loss -= w * target * p.max(1e-12).ln();
-                        s.shard_bias[c] += err;
+                        s.loss -= w * target * p.max(1e-12).ln();
+                        s.grad_bias[c] += err;
                         s.scatter(c, x, err);
                     }
                 }
             }
-            weight += w;
-        }
-        s.loss += loss;
-        s.weight += weight;
-        for (total, &part) in s.grad_bias.iter_mut().zip(&s.shard_bias) {
-            *total += part;
+            s.weight += w;
         }
     }
 
@@ -581,9 +537,7 @@ struct StepScratch {
     vals: Vec<f64>,
     /// Multi-class posterior of the current row.
     probs: Vec<f64>,
-    /// The current shard's bias-gradient partials.
-    shard_bias: Vec<f64>,
-    /// Step totals, merged from the shard partials in shard order.
+    /// Step totals.
     grad_bias: Vec<f64>,
     loss: f64,
     weight: f64,
@@ -598,7 +552,6 @@ impl StepScratch {
             idx: Vec::with_capacity(max_touched),
             vals: Vec::with_capacity(max_touched),
             probs: vec![0.0; classes],
-            shard_bias: vec![0.0; groups],
             grad_bias: vec![0.0; groups],
             loss: 0.0,
             weight: 0.0,
@@ -640,42 +593,30 @@ mod tests {
     use proptest::prelude::*;
     use rand::Rng;
 
-    /// The fit the scatter-add step replaced, body verbatim less the
-    /// argument checks and with the shards accumulating one after
-    /// another where it spawned a thread per shard (it merged in shard
-    /// order, so the bits are the same): per-shard `(bucket, gradient)`
-    /// pair lists, merged by cloning and sorting them into a
-    /// `SparseVec`. The definition the sequential step must match in all
-    /// but the last bits.
+    /// The fit the scatter-add step replaced, less the argument checks,
+    /// over one shuffle stream: the step's `(bucket, gradient)` pair
+    /// list, cloned and sorted into a `SparseVec`. The definition the
+    /// sequential step must match in all but the last bits.
     fn reference_fit(
         model: &mut DistilledModel,
         xs: &[SparseVec],
         marginals: &[Vec<f64>],
-        ranges: &[(usize, usize)],
         cfg: &DistillConfig,
     ) -> DistillReport {
         let k = model.num_classes();
-        let whole = [(0usize, xs.len())];
-        let ranges: &[(usize, usize)] = if ranges.is_empty() { &whole } else { ranges };
 
-        // Per-shard trainable rows and their confidence weights.
-        let mut rows_total = 0usize;
+        // Trainable rows and their confidence weights.
         let mut weight_sum = 0.0f64;
-        let mut shard_rows: Vec<Vec<(usize, f64)>> = Vec::with_capacity(ranges.len());
-        for &(lo, hi) in ranges {
-            rows_total += hi - lo;
-            let mut kept = Vec::new();
-            for (i, row) in marginals.iter().enumerate().take(hi).skip(lo) {
-                assert_eq!(row.len(), k, "fit: marginal row {i} has wrong class count");
-                let w = marginal_confidence(row);
-                if w > cfg.min_confidence {
-                    weight_sum += w;
-                    kept.push((i, w));
-                }
+        let mut rows: Vec<(usize, f64)> = Vec::new();
+        for (i, row) in marginals.iter().enumerate() {
+            assert_eq!(row.len(), k, "fit: marginal row {i} has wrong class count");
+            let w = marginal_confidence(row);
+            if w > cfg.min_confidence {
+                weight_sum += w;
+                rows.push((i, w));
             }
-            shard_rows.push(kept);
         }
-        let rows_trained: usize = shard_rows.iter().map(Vec::len).sum();
+        let (rows_total, rows_trained) = (xs.len(), rows.len());
         let mut report = DistillReport {
             rows_total,
             rows_trained,
@@ -701,38 +642,12 @@ mod tests {
         let batch = cfg.batch_size.max(1);
 
         for epoch in 0..cfg.epochs {
-            for (s, rows) in shard_rows.iter_mut().enumerate() {
-                let mut rng = StdRng::seed_from_u64(
-                    cfg.seed
-                        ^ (s as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15)
-                        ^ (epoch as u64) << 32,
-                );
-                rows.shuffle(&mut rng);
-            }
-            let steps = shard_rows
-                .iter()
-                .map(|r| r.len().div_ceil(batch))
-                .max()
-                .unwrap_or(0);
+            let mut rng = StdRng::seed_from_u64(cfg.seed ^ ((epoch as u64) << 32));
+            rows.shuffle(&mut rng);
             let mut epoch_loss = 0.0f64;
             let mut epoch_weight = 0.0f64;
-            for step in 0..steps {
-                let slices: Vec<&[(usize, f64)]> = shard_rows
-                    .iter()
-                    .map(|rows| {
-                        let lo = (step * batch).min(rows.len());
-                        let hi = ((step + 1) * batch).min(rows.len());
-                        &rows[lo..hi]
-                    })
-                    .collect();
-                let partials: Vec<StepAccum> = slices
-                    .iter()
-                    .map(|slice| reference_accumulate(model, xs, marginals, slice))
-                    .collect();
-                let mut merged = StepAccum::new(groups);
-                for p in partials {
-                    merged.merge(p);
-                }
+            for minibatch in rows.chunks(batch) {
+                let merged = reference_accumulate(model, xs, marginals, minibatch);
                 if merged.weight <= 0.0 {
                     continue;
                 }
@@ -844,17 +759,6 @@ mod tests {
                 weight: 0.0,
             }
         }
-
-        fn merge(&mut self, other: StepAccum) {
-            for (mine, theirs) in self.grad.iter_mut().zip(other.grad) {
-                mine.extend(theirs);
-            }
-            for (mine, theirs) in self.grad_bias.iter_mut().zip(other.grad_bias) {
-                *mine += theirs;
-            }
-            self.loss += other.loss;
-            self.weight += other.weight;
-        }
     }
 
     /// Planted `k`-class data over 64 buckets: bucket `c` marks class
@@ -884,13 +788,6 @@ mod tests {
         (xs, ms)
     }
 
-    /// `parts` contiguous ranges tiling `0..n`.
-    fn split(n: usize, parts: usize) -> Vec<(usize, usize)> {
-        (0..parts)
-            .map(|p| (p * n / parts, (p + 1) * n / parts))
-            .collect()
-    }
-
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(32))]
 
@@ -898,21 +795,19 @@ mod tests {
         fn sequential_step_matches_the_sort_merge_reference(
             n in 1usize..160,
             k in 2usize..4,
-            parts in 1usize..4,
             warm in 0u8..2,
             batch_size in 1usize..24,
             seed in 0u64..1_000_000,
         ) {
             let (xs, ms) = planted_k(n, k, seed);
-            let ranges = split(n, parts);
             let cfg = DistillConfig { dim: 64, epochs: 3, batch_size, seed, ..DistillConfig::default() };
             let mut start = DistilledModel::new(64, k);
             if warm == 1 {
-                start.fit(&xs, &ms, &[], &DistillConfig { seed: seed ^ 1, ..cfg.clone() });
+                start.fit(&xs, &ms, &DistillConfig { seed: seed ^ 1, ..cfg.clone() });
             }
             let (mut got, mut want) = (start.clone(), start);
-            let a = got.fit(&xs, &ms, &ranges, &cfg);
-            let b = reference_fit(&mut want, &xs, &ms, &ranges, &cfg);
+            let a = got.fit(&xs, &ms, &cfg);
+            let b = reference_fit(&mut want, &xs, &ms, &cfg);
             prop_assert_eq!(
                 (a.rows_trained, a.rows_dropped, a.steps),
                 (b.rows_trained, b.rows_dropped, b.steps)
@@ -974,7 +869,7 @@ mod tests {
     fn learns_from_soft_marginals() {
         let (xs, ms, gold) = planted(600, 0.9, 1);
         let mut m = DistilledModel::new(64, 2);
-        let report = m.fit(&xs, &ms, &[], &cfg());
+        let report = m.fit(&xs, &ms, &cfg());
         assert_eq!(report.rows_trained, 600);
         let preds: Vec<Vote> = xs.iter().map(|x| m.predict_vote(x)).collect();
         let acc = crate::metrics::accuracy(&preds, &gold);
@@ -982,13 +877,12 @@ mod tests {
     }
 
     #[test]
-    fn sharded_fit_is_deterministic_and_learns() {
+    fn fit_is_deterministic_and_learns() {
         let (xs, ms, gold) = planted(600, 0.85, 2);
-        let ranges = [(0, 200), (200, 400), (400, 600)];
         let mut a = DistilledModel::new(64, 2);
         let mut b = DistilledModel::new(64, 2);
-        a.fit(&xs, &ms, &ranges, &cfg());
-        b.fit(&xs, &ms, &ranges, &cfg());
+        a.fit(&xs, &ms, &cfg());
+        b.fit(&xs, &ms, &cfg());
         for x in &xs[..20] {
             assert_eq!(a.predict_proba(x), b.predict_proba(x), "non-deterministic");
         }
@@ -1003,7 +897,7 @@ mod tests {
             *m = vec![0.5, 0.5]; // uniform = no signal
         }
         let mut m = DistilledModel::new(64, 2);
-        let report = m.fit(&xs, &ms, &[], &cfg());
+        let report = m.fit(&xs, &ms, &cfg());
         assert_eq!(report.rows_dropped, 120);
         assert_eq!(report.rows_trained, 80);
     }
@@ -1013,7 +907,7 @@ mod tests {
         let (xs, _, _) = planted(50, 0.9, 4);
         let ms = vec![vec![0.5, 0.5]; 50];
         let mut m = DistilledModel::new(64, 2);
-        let report = m.fit(&xs, &ms, &[], &cfg());
+        let report = m.fit(&xs, &ms, &cfg());
         assert_eq!(report.rows_trained, 0);
         assert_eq!(report.steps, 0);
         assert_eq!(m.predict_proba(&xs[0]), vec![0.5, 0.5]);
@@ -1036,12 +930,7 @@ mod tests {
             batch_size: 2,
             ..DistillConfig::default()
         };
-        let report = m.fit(
-            &[x.clone(), x],
-            &[vec![0.75, 0.25], vec![0.25, 0.75]],
-            &[],
-            &cfg,
-        );
+        let report = m.fit(&[x.clone(), x], &[vec![0.75, 0.25], vec![0.25, 0.75]], &cfg);
         assert_eq!(report.steps, cfg.epochs);
         assert_eq!(m.to_parts(), parts);
     }
@@ -1050,11 +939,11 @@ mod tests {
     fn warm_fit_continues_from_weights() {
         let (xs, ms, gold) = planted(400, 0.9, 5);
         let mut cold = DistilledModel::new(64, 2);
-        cold.fit(&xs, &ms, &[], &cfg());
+        cold.fit(&xs, &ms, &cfg());
         // A short warm continuation must not regress.
         let warm_cfg = DistillConfig { epochs: 2, ..cfg() };
         let mut warm = cold.clone();
-        warm.fit(&xs, &ms, &[], &warm_cfg);
+        warm.fit(&xs, &ms, &warm_cfg);
         let preds: Vec<Vote> = xs.iter().map(|x| warm.predict_vote(x)).collect();
         assert!(crate::metrics::accuracy(&preds, &gold) > 0.95);
     }
@@ -1079,7 +968,6 @@ mod tests {
         m.fit(
             &xs,
             &ms,
-            &[(0, 300), (300, 600)],
             &DistillConfig {
                 dim: 32,
                 epochs: 25,
@@ -1098,7 +986,7 @@ mod tests {
     fn parts_round_trip_bit_exact() {
         let (xs, ms, _) = planted(200, 0.9, 7);
         let mut m = DistilledModel::new(64, 2);
-        m.fit(&xs, &ms, &[], &cfg());
+        m.fit(&xs, &ms, &cfg());
         let parts = m.to_parts();
         let back = DistilledModel::from_parts(&parts).unwrap();
         for x in &xs[..20] {
@@ -1117,7 +1005,6 @@ mod tests {
         mm.fit(
             &xs3,
             &ms3,
-            &[],
             &DistillConfig {
                 dim: 32,
                 epochs: 2,

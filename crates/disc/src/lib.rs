@@ -64,7 +64,7 @@
 //!
 //! let mut model = DistilledModel::new(dim, 2);
 //! let cfg = DistillConfig { dim, epochs: 40, ..DistillConfig::default() };
-//! let report = model.fit(&xs, &marginals, &[], &cfg);
+//! let report = model.fit(&xs, &marginals, &cfg);
 //! assert_eq!(report.rows_trained, 3);
 //! assert_eq!(report.rows_dropped, 1);
 //!

@@ -33,7 +33,7 @@
 //!   the previous correlation structure is reused; the cheap `A~*`
 //!   advantage bound is always re-checked.
 //! * **Reused refresh scratch** — the session owns a
-//!   [`snorkel_matrix::ResignScratch`] threaded into the sharded plan's
+//!   [`snorkel_matrix::ResignScratch`] threaded into the pattern index's
 //!   delta column re-signs, so repeated edits stop allocating once the
 //!   buffers reach the workload's high-water mark (reported on the
 //!   `snorkel_incr_scratch_bytes` gauge; budgets in

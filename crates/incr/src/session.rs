@@ -18,7 +18,7 @@ use snorkel_disc::{DiscModelParts, DistillReport, DistilledModel, TextFeaturizer
 use snorkel_lf::{BoxedLf, LfExecutor};
 use snorkel_linalg::SparseVec;
 use snorkel_matrix::{
-    LabelMatrix, MatrixDelta, ResignScratch, ShardedMatrix, ShardedMatrixParts, Vote,
+    LabelMatrix, MatrixDelta, PatternIndex, PatternIndexParts, ResignScratch, Vote,
 };
 use snorkel_stream::{DriftConfig, FrozenStream, StreamState};
 
@@ -182,7 +182,7 @@ pub struct RefreshReport {
     pub warm_started: bool,
     /// Training iterations run (0 for fit-free backends like MV).
     pub fit_epochs: usize,
-    /// Distinct vote patterns in the session's sharded plan.
+    /// Distinct vote patterns in the session's pattern index.
     pub unique_patterns: usize,
     /// Cumulative cache statistics.
     pub cache: CacheStats,
@@ -258,8 +258,6 @@ pub struct DiscTrainingSet {
     /// The label model's per-row marginals at `generation`. Shared with
     /// the session's refresh cache — O(1) to take.
     pub marginals: std::sync::Arc<Vec<Vec<f64>>>,
-    /// Row ranges to parallelize over (the live plan's shard ranges).
-    pub ranges: Vec<(usize, usize)>,
     /// Classes per marginal row.
     pub num_classes: usize,
     /// Previous model to warm-start from, if any.
@@ -282,7 +280,6 @@ impl DiscTrainingSet {
             &self.features[..rows],
             &self.marginals,
             self.num_classes,
-            &self.ranges,
             self.warm,
         );
         drop(retrain_span);
@@ -333,9 +330,9 @@ pub struct IncrementalSession {
     versions: std::collections::HashMap<String, u64>,
     cache: LfResultCache,
     lambda: Option<LabelMatrix>,
-    /// Sharded pattern index over `lambda`, maintained incrementally
-    /// across refreshes (present exactly when `lambda` is).
-    plan: Option<ShardedMatrix>,
+    /// Pattern index over `lambda`, maintained incrementally across
+    /// refreshes (present exactly when `lambda` is).
+    plan: Option<PatternIndex>,
     /// The label-model backend of the last refresh (whatever the
     /// optimizer selected — majority vote included).
     model: Option<LabelModel>,
@@ -368,7 +365,7 @@ pub struct IncrementalSession {
     /// fed by [`Self::ingest_batch`]. `None` until streaming is enabled
     /// (explicitly, from a thawed snapshot, or by the first ingest).
     stream: Option<StreamState>,
-    /// Reusable re-sign scratch for the sharded plan's delta column
+    /// Reusable re-sign scratch for the pattern index's delta column
     /// splices: grown to the workload's high-water mark on the first
     /// edit, reset (not freed) on every subsequent refresh. Its
     /// footprint is the `snorkel_incr_scratch_bytes` gauge.
@@ -480,8 +477,8 @@ impl IncrementalSession {
         self.model.as_ref().map(LabelModel::backend_name)
     }
 
-    /// The live sharded pattern plan (after the first refresh).
-    pub fn pattern_plan(&self) -> Option<&ShardedMatrix> {
+    /// The live pattern index (after the first refresh).
+    pub fn pattern_plan(&self) -> Option<&PatternIndex> {
         self.plan.as_ref()
     }
 
@@ -578,12 +575,10 @@ impl IncrementalSession {
             _ => std::sync::Arc::new(model.marginals(lambda, self.plan.as_ref())),
         };
         let num_classes = LabelScheme::from_cardinality(lambda.cardinality()).num_classes();
-        let ranges = DiscTrainer::ranges_for(self.plan.as_ref(), marginals.len());
         self.ensure_features(&config.featurizer);
         Some(DiscTrainingSet {
             features: std::sync::Arc::clone(&self.features),
             marginals,
-            ranges,
             num_classes,
             warm: self.disc.as_ref().map(|d| d.model.clone()),
             generation: self.refresh_generation,
@@ -645,7 +640,7 @@ impl IncrementalSession {
             .set(self.refresh_generation.min(i64::MAX as u64) as i64);
         metrics
             .unique_patterns
-            .set(self.plan.as_ref().map_or(0, ShardedMatrix::num_patterns) as i64);
+            .set(self.plan.as_ref().map_or(0, PatternIndex::num_patterns) as i64);
         metrics.cache_columns.set(self.cache.len() as i64);
         metrics.cache_capacity.set(self.cache.capacity() as i64);
         metrics.rows.set(self.candidates.len() as i64);

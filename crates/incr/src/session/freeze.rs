@@ -23,9 +23,9 @@ pub struct FrozenSession {
     pub cache: FrozenCache,
     /// The label matrix of the last refresh.
     pub lambda: Option<LabelMatrix>,
-    /// The sharded pattern plan of the last refresh (present exactly
+    /// The pattern index of the last refresh (present exactly
     /// when `lambda` is).
-    pub plan: Option<ShardedMatrixParts>,
+    pub plan: Option<PatternIndexParts>,
     /// The label model of the last refresh.
     pub model: Option<LabelModel>,
     /// Column-aligned fingerprint layout at the last refresh.
@@ -100,7 +100,7 @@ impl IncrementalSession {
                 .collect(),
             cache: self.cache.export(),
             lambda: self.lambda.clone(),
-            plan: self.plan.as_ref().map(ShardedMatrix::to_parts),
+            plan: self.plan.as_ref().map(PatternIndex::to_parts),
             model: self.model.clone(),
             last_fingerprints: self.last_fingerprints.clone(),
             last_rows: self.last_rows,
@@ -246,16 +246,16 @@ impl IncrementalSession {
             (None, None) => None,
             (None, Some(_)) => {
                 return Err(ThawError::Inconsistent(
-                    "a matrix without its sharded plan".into(),
+                    "a matrix without its pattern index".into(),
                 ))
             }
             (Some(_), None) => {
                 return Err(ThawError::Inconsistent(
-                    "a sharded plan without a matrix".into(),
+                    "a pattern index without a matrix".into(),
                 ))
             }
             (Some(parts), Some(lambda)) => {
-                let plan = ShardedMatrix::from_parts(parts).map_err(ThawError::Inconsistent)?;
+                let plan = PatternIndex::from_parts(parts).map_err(ThawError::Inconsistent)?;
                 plan.validate(lambda).map_err(ThawError::Inconsistent)?;
                 Some(plan)
             }

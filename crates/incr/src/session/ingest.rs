@@ -50,7 +50,7 @@ impl IncrementalSession {
     /// 1. the live LF columns are *extended* onto just the new rows
     ///    (content-addressed cache, same as a refresh extension);
     /// 2. the new rows are spliced into Λ ([`MatrixDelta::AppendRows`])
-    ///    and interned into the live sharded plan's tail;
+    ///    and interned into the live pattern index;
     /// 3. each row is folded into the running moment statistics and the
     ///    drift detector's current window;
     /// 4. the label model is re-solved from the running statistics via
@@ -93,7 +93,7 @@ impl IncrementalSession {
         // 1. Extend every live column onto the new rows.
         let (live, sync) = self.sync_columns();
 
-        // 2. Splice the new rows into Λ and the live plan's tail shard.
+        // 2. Splice the new rows into Λ and the live pattern index.
         let lambda = self.lambda.as_mut().expect("checked above");
         if new_rows > 0 {
             lambda.apply_delta(&appended_rows(&mut self.cache, &live, old_m, new_rows));

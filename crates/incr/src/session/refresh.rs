@@ -93,12 +93,10 @@ impl IncrementalSession {
             self.lambda = Some(LabelMatrix::from_columns(m, cardinality, &cols));
             lambda_update = LambdaUpdate::Assembled;
         }
-        // Keep the sharded pattern plan in sync with Λ. Delta refreshes
-        // touch only the affected patterns: an appended batch interns
-        // just the new rows into the tail shard (an auto-sized plan gains
-        // shards as it grows past 8 192 rows); a column splice re-signs
-        // just the rows that voted in the old or new column. Structural
-        // suite changes rebuild.
+        // Keep the pattern index in sync with Λ. Delta refreshes touch
+        // only the affected patterns: an appended batch interns just the
+        // new rows; a column splice re-signs just the rows that voted in
+        // the old or new column. Structural suite changes rebuild.
         let lambda = self.lambda.as_ref().expect("Λ assembled above");
         match (&mut self.plan, lambda_update) {
             (Some(plan), LambdaUpdate::Patched { .. }) => {
@@ -110,7 +108,7 @@ impl IncrementalSession {
                 }
             }
             (Some(_), LambdaUpdate::Unchanged) => {}
-            _ => self.plan = Some(ShardedMatrix::build(lambda, 0)),
+            _ => self.plan = Some(PatternIndex::build(lambda)),
         }
         let assembly_time = asm_span.finish();
 

@@ -350,13 +350,13 @@ fn acceptance_one_lf_edit_is_5x_faster_than_cold_pipeline() {
     );
 }
 
-/// Scale-out integration: the session's plan (the host partition,
-/// `ShardedMatrix::build(λ, 0)`) stays consistent with Λ through every
-/// delta edit (column edit, candidate ingestion, LF removal), updating
-/// only the touched patterns — and labels still match a cold pipeline.
+/// Scale-out integration: the session's pattern index stays consistent
+/// with Λ through every delta edit (column edit, candidate ingestion,
+/// LF removal), updating only the touched patterns — and labels still
+/// match a cold pipeline.
 #[test]
-fn sharded_session_keeps_pattern_plan_consistent() {
-    use snorkel_matrix::{PatternIndex, ShardedMatrix};
+fn session_keeps_pattern_index_consistent() {
+    use snorkel_matrix::PatternIndex;
 
     let (corpus, ids) = build_corpus(400);
     let (cold_corpus, _) = build_corpus(400);
@@ -395,15 +395,11 @@ fn sharded_session_keeps_pattern_plan_consistent() {
         let lambda = session.label_matrix().expect("Λ built");
         let plan = session.pattern_plan().expect("a plan is kept with Λ");
         plan.validate(lambda).unwrap();
+        // Same pattern multiset as a fresh rebuild.
         assert_eq!(
-            plan.num_shards(),
-            ShardedMatrix::build(lambda, 0).num_shards()
+            plan.num_patterns(),
+            PatternIndex::build(lambda).num_patterns()
         );
-        // Same per-shard pattern multiset as a fresh rebuild.
-        for shard in plan.shards() {
-            let fresh = PatternIndex::build_range(lambda, shard.start_row(), shard.row_range().end);
-            assert_eq!(shard.num_patterns(), fresh.num_patterns());
-        }
     };
 
     let (_, report) = session.refresh();
@@ -428,7 +424,7 @@ fn sharded_session_keeps_pattern_plan_consistent() {
     );
     check_plan(&session);
 
-    // Candidate ingestion → tail-shard extension path.
+    // Candidate ingestion → row-append path.
     let new_ids: Vec<_> = {
         let c = session.corpus_mut();
         let doc = c.add_document("growth");
@@ -498,10 +494,7 @@ fn sharded_session_keeps_pattern_plan_consistent() {
             gap = gap.max((pa - pb).abs());
         }
     }
-    assert!(
-        gap < 1e-9,
-        "sharded session diverged from cold pipeline by {gap:e}"
-    );
+    assert!(gap < 1e-9, "session diverged from cold pipeline by {gap:e}");
 }
 
 #[test]
@@ -616,7 +609,7 @@ fn thaw_rejects_mismatched_suite_and_corpus() {
         Some(snorkel_incr::ThawError::Inconsistent(_))
     ));
 
-    // Tampered state: Λ without the sharded plan a session keeps with it.
+    // Tampered state: Λ without the pattern index a session keeps with it.
     let mut bad = frozen;
     bad.plan = None;
     let thawed = IncrementalSession::thaw(

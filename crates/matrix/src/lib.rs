@@ -20,11 +20,11 @@
 //! row-batch appends that are bit-identical to a full rebuild — the storage
 //! substrate of the `snorkel-incr` incremental engine.
 //!
-//! For scale-out inference over millions of candidates, rows can be
-//! **deduplicated by vote signature** ([`PatternIndex`]) and partitioned
-//! into deterministic row-range shards ([`ShardedMatrix`]) so model
-//! passes run once per unique pattern, weighted by multiplicity, instead
-//! of once per row.
+//! For scale-out inference over millions of candidates, rows are
+//! **deduplicated by vote signature** ([`PatternIndex`]) so model passes
+//! run once per unique pattern, weighted by multiplicity, instead of
+//! once per row. One index covers all of Λ, so no result depends on the
+//! core count.
 //!
 //! ```
 //! use snorkel_matrix::LabelMatrixBuilder;
@@ -44,7 +44,6 @@
 mod csr;
 mod delta;
 mod pattern;
-mod shard;
 pub mod stats;
 
 pub use csr::{
@@ -52,6 +51,5 @@ pub use csr::{
     ABSTAIN,
 };
 pub use delta::MatrixDelta;
-pub use pattern::{PatternIndex, PatternIndexParts, ResignScratch};
-pub use shard::{ShardedMatrix, ShardedMatrixParts};
+pub use pattern::{PatternIndex, PatternIndexParts, ResignScratch, ShardedMatrix};
 pub use stats::{LfSummary, MatrixStats};

@@ -9,20 +9,20 @@
 //! EM/Newton sufficient statistics can run once per *pattern* (weighted
 //! by multiplicity) instead of once per *row*.
 //!
-//! The index is **incrementally maintainable** alongside
+//! One index covers every row of Λ, so every pass over it — and every
+//! output built from one — is the same on any machine, whatever its
+//! core count. The index is **incrementally maintainable** alongside
 //! [`MatrixDelta`](crate::MatrixDelta) edits:
 //!
-//! * [`PatternIndex::extend_to`] interns newly appended rows only;
+//! * [`PatternIndex::append_rows`] interns newly appended rows only;
 //! * [`PatternIndex::refresh_column`] re-signs exactly the rows whose
 //!   signature a column splice could have changed (rows that voted in
 //!   the old column or vote in the new one);
-//! * [`PatternIndex::resign_rows`] is the generic "these rows changed"
-//!   primitive;
 //! * structural edits that shift column indices (column removal) need a
-//!   [`PatternIndex::rebuild`] — every surviving signature changes.
+//!   fresh [`PatternIndex::build`] — every surviving signature changes.
 //!
-//! Pattern numbering is first-occurrence order within the covered row
-//! range, so a freshly built index is deterministic; incremental
+//! Pattern numbering is first-occurrence order over the rows, so a
+//! freshly built index is deterministic; incremental
 //! maintenance may leave zero-count tombstones (compacted automatically)
 //! and number late-appearing patterns differently, but the row →
 //! signature mapping and the multiplicity of every signature always
@@ -84,8 +84,8 @@ fn sig_hash(cols: &[u32], votes: &[Vote]) -> u64 {
 /// identically to the original.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PatternIndexParts {
-    /// First matrix row the index covers.
-    pub start: usize,
+    /// LF-column count of the matrix the index was built for.
+    pub num_lfs: usize,
     /// Concatenated column indices of every interned pattern.
     pub sig_cols: Vec<u32>,
     /// Votes parallel to `sig_cols`.
@@ -94,16 +94,18 @@ pub struct PatternIndexParts {
     pub pat_bounds: Vec<(usize, usize)>,
     /// Rows currently carrying each pattern (0 = tombstone).
     pub counts: Vec<usize>,
-    /// Local row → pattern id.
+    /// Row → pattern id.
     pub row_pattern: Vec<u32>,
 }
 
-/// Groups the rows of one [`LabelMatrix`] row range by unique vote
-/// signature, with multiplicity counts. See the module docs.
+/// Groups the rows of a [`LabelMatrix`] by unique vote signature, with
+/// multiplicity counts. See the module docs. Built against one matrix
+/// and kept in sync with it by the caller (see the update methods);
+/// every consumer asserts the shape still matches.
 #[derive(Clone, Debug)]
 pub struct PatternIndex {
-    /// First matrix row this index covers.
-    start: usize,
+    /// LF-column count of the matrix the index was built for.
+    n: usize,
     /// Signature arena: concatenated column indices of every interned
     /// pattern.
     sig_cols: Vec<u32>,
@@ -113,7 +115,7 @@ pub struct PatternIndex {
     pat_bounds: Vec<(usize, usize)>,
     /// Rows currently carrying each pattern (0 = tombstone).
     counts: Vec<usize>,
-    /// Local row → pattern id.
+    /// Row → pattern id.
     row_pattern: Vec<u32>,
     /// Signature hash → candidate pattern ids.
     lookup: HashMap<u64, Vec<u32>>,
@@ -124,38 +126,23 @@ pub struct PatternIndex {
 impl PatternIndex {
     /// Index every row of `lambda` in one pass.
     pub fn build(lambda: &LabelMatrix) -> Self {
-        Self::build_range(lambda, 0, lambda.num_points())
-    }
-
-    /// Index rows `start..end` of `lambda` (a shard's slice).
-    pub fn build_range(lambda: &LabelMatrix, start: usize, end: usize) -> Self {
-        assert!(
-            start <= end && end <= lambda.num_points(),
-            "range {start}..{end} out of bounds ({} points)",
-            lambda.num_points()
-        );
         let mut idx = PatternIndex {
-            start,
+            n: lambda.num_lfs(),
             sig_cols: Vec::new(),
             sig_votes: Vec::new(),
             pat_bounds: Vec::new(),
             counts: Vec::new(),
-            row_pattern: Vec::with_capacity(end - start),
+            row_pattern: Vec::with_capacity(lambda.num_points()),
             lookup: HashMap::new(),
             live: 0,
         };
-        idx.extend_to(lambda, end);
+        idx.append_rows(lambda);
         idx
     }
 
-    /// First matrix row this index covers.
-    pub fn start_row(&self) -> usize {
-        self.start
-    }
-
-    /// The covered row range of the backing matrix.
-    pub fn row_range(&self) -> std::ops::Range<usize> {
-        self.start..self.start + self.row_pattern.len()
+    /// Number of LF columns of the matrix this index was built for.
+    pub fn num_lfs(&self) -> usize {
+        self.n
     }
 
     /// Number of rows covered.
@@ -194,9 +181,9 @@ impl PatternIndex {
         self.counts[p]
     }
 
-    /// Pattern id of a (global) matrix row in the covered range.
+    /// Pattern id of a matrix row.
     pub fn pattern_of_row(&self, row: usize) -> usize {
-        self.row_pattern[row - self.start] as usize
+        self.row_pattern[row] as usize
     }
 
     /// Total pattern slots including tombstones — the valid id range for
@@ -250,17 +237,17 @@ impl PatternIndex {
         }
     }
 
-    /// Intern rows `covered_end..new_end` (a freshly appended row batch).
-    /// The tail shard calls this after a
-    /// [`MatrixDelta::AppendRows`](crate::MatrixDelta::AppendRows).
-    pub fn extend_to(&mut self, lambda: &LabelMatrix, new_end: usize) {
-        let covered_end = self.start + self.row_pattern.len();
+    /// Intern the rows appended to `lambda` since the index last
+    /// covered it (after a
+    /// [`MatrixDelta::AppendRows`](crate::MatrixDelta::AppendRows)).
+    pub fn append_rows(&mut self, lambda: &LabelMatrix) {
+        let covered = self.row_pattern.len();
+        let m = lambda.num_points();
         assert!(
-            (self.start..=lambda.num_points()).contains(&new_end) && new_end >= covered_end,
-            "extend_to({new_end}) out of bounds (covered {covered_end}, {} points)",
-            lambda.num_points()
+            m >= covered,
+            "matrix shrank below the index ({m} < {covered} rows)"
         );
-        for r in covered_end..new_end {
+        for r in covered..m {
             let (cols, votes) = lambda.row(r);
             let p = self.intern(cols, votes);
             self.add_to_pattern(p);
@@ -268,12 +255,10 @@ impl PatternIndex {
         }
     }
 
-    /// Re-sign the given (global, in-range) rows against the current
-    /// matrix contents: the generic "these rows changed" primitive.
-    pub fn resign_rows(&mut self, lambda: &LabelMatrix, rows: &[usize]) {
+    /// Re-sign the given rows against the current matrix contents.
+    fn resign_rows(&mut self, lambda: &LabelMatrix, rows: &[usize]) {
         for &r in rows {
-            let local = r - self.start;
-            let old = self.row_pattern[local] as usize;
+            let old = self.row_pattern[r] as usize;
             self.counts[old] -= 1;
             if self.counts[old] == 0 {
                 self.live -= 1;
@@ -281,7 +266,7 @@ impl PatternIndex {
             let (cols, votes) = lambda.row(r);
             let p = self.intern(cols, votes);
             self.add_to_pattern(p);
-            self.row_pattern[local] = p;
+            self.row_pattern[r] = p;
         }
         self.maybe_compact();
     }
@@ -294,7 +279,7 @@ impl PatternIndex {
     ///
     /// Not valid after a column *removal* — deleting a column shifts
     /// every higher column index, changing signatures the edited column
-    /// never appeared in; use [`Self::rebuild`] there.
+    /// never appeared in; [`Self::build`] a fresh index there.
     pub fn refresh_column(&mut self, lambda: &LabelMatrix, col: usize) {
         self.refresh_column_with(lambda, col, &mut ResignScratch::new());
     }
@@ -310,25 +295,19 @@ impl PatternIndex {
         col: usize,
         scratch: &mut ResignScratch,
     ) {
+        self.n = lambda.num_lfs();
         let jc = col as u32;
         scratch.pat_has.reset();
         scratch.pat_has.extend(
             (0..self.pat_bounds.len()).map(|p| self.pattern(p).0.binary_search(&jc).is_ok()),
         );
         scratch.affected.reset();
-        for (local, &p) in self.row_pattern.iter().enumerate() {
-            let r = self.start + local;
+        for (r, &p) in self.row_pattern.iter().enumerate() {
             if scratch.pat_has[p as usize] || lambda.row(r).0.binary_search(&jc).is_ok() {
                 scratch.affected.push(r);
             }
         }
         self.resign_rows(lambda, &scratch.affected);
-    }
-
-    /// Rebuild from scratch over the same row range, extended/truncated
-    /// to the matrix's current row count if this was the tail range.
-    pub fn rebuild(&mut self, lambda: &LabelMatrix, end: usize) {
-        *self = PatternIndex::build_range(lambda, self.start, end);
     }
 
     /// Drop tombstoned patterns once they dominate the slot table,
@@ -373,7 +352,7 @@ impl PatternIndex {
     /// Export the persistent state (see [`PatternIndexParts`]).
     pub fn to_parts(&self) -> PatternIndexParts {
         PatternIndexParts {
-            start: self.start,
+            num_lfs: self.n,
             sig_cols: self.sig_cols.clone(),
             sig_votes: self.sig_votes.clone(),
             pat_bounds: self.pat_bounds.clone(),
@@ -389,7 +368,7 @@ impl PatternIndex {
     /// check ([`Self::validate`]).
     pub fn from_parts(parts: PatternIndexParts) -> Result<PatternIndex, String> {
         let PatternIndexParts {
-            start,
+            num_lfs,
             sig_cols,
             sig_votes,
             pat_bounds,
@@ -420,12 +399,9 @@ impl PatternIndex {
             }
         }
         let mut hist = vec![0usize; pat_bounds.len()];
-        for (local, &p) in row_pattern.iter().enumerate() {
+        for (r, &p) in row_pattern.iter().enumerate() {
             if (p as usize) >= pat_bounds.len() {
-                return Err(format!(
-                    "row {}: pattern id {p} out of range",
-                    start + local
-                ));
+                return Err(format!("row {r}: pattern id {p} out of range"));
             }
             hist[p as usize] += 1;
         }
@@ -434,7 +410,7 @@ impl PatternIndex {
         }
         let live = counts.iter().filter(|&&c| c > 0).count();
         let mut idx = PatternIndex {
-            start,
+            n: num_lfs,
             sig_cols,
             sig_votes,
             pat_bounds,
@@ -451,23 +427,28 @@ impl PatternIndex {
         Ok(idx)
     }
 
-    /// Check every invariant against the backing matrix: each covered
-    /// row's stored signature equals its matrix row, multiplicities
-    /// equal the actual row→pattern histogram, counts sum to the row
-    /// count, and `num_patterns` counts exactly the non-tombstones.
-    /// Returns a description of the first violation.
+    /// Check every invariant against the backing matrix: the index
+    /// covers exactly its rows and columns, each row's stored signature
+    /// equals its matrix row, multiplicities equal the actual
+    /// row→pattern histogram, and `num_patterns` counts exactly the
+    /// non-tombstones. Returns a description of the first violation.
     pub fn validate(&self, lambda: &LabelMatrix) -> Result<(), String> {
-        if self.start + self.row_pattern.len() > lambda.num_points() {
+        if self.n != lambda.num_lfs() {
             return Err(format!(
-                "index covers {}..{} but matrix has {} points",
-                self.start,
-                self.start + self.row_pattern.len(),
+                "index built for {} LFs but matrix has {}",
+                self.n,
+                lambda.num_lfs()
+            ));
+        }
+        if self.row_pattern.len() != lambda.num_points() {
+            return Err(format!(
+                "index covers {} rows but matrix has {}",
+                self.row_pattern.len(),
                 lambda.num_points()
             ));
         }
         let mut hist = vec![0usize; self.pat_bounds.len()];
-        for (local, &p) in self.row_pattern.iter().enumerate() {
-            let r = self.start + local;
+        for (r, &p) in self.row_pattern.iter().enumerate() {
             if self.pattern(p as usize) != lambda.row(r) {
                 return Err(format!("row {r}: stored signature != matrix row"));
             }
@@ -488,6 +469,18 @@ impl PatternIndex {
             }
         }
         Ok(())
+    }
+}
+
+/// The name the benchmark harness builds its plan by. There is one
+/// [`PatternIndex`] over all rows; [`ShardedMatrix::build`] returns it.
+#[derive(Debug)]
+pub struct ShardedMatrix;
+
+impl ShardedMatrix {
+    /// [`PatternIndex::build`]; `_shards` is ignored.
+    pub fn build(lambda: &LabelMatrix, _shards: usize) -> PatternIndex {
+        PatternIndex::build(lambda)
     }
 }
 
@@ -526,24 +519,13 @@ mod tests {
     }
 
     #[test]
-    fn range_build_covers_a_shard() {
-        let lambda = sample();
-        let idx = PatternIndex::build_range(&lambda, 2, 5);
-        idx.validate(&lambda).unwrap();
-        assert_eq!(idx.row_range(), 2..5);
-        assert_eq!(idx.num_rows(), 3);
-        assert_eq!(idx.num_patterns(), 2);
-        assert_eq!(idx.pattern_of_row(2), idx.pattern_of_row(4));
-    }
-
-    #[test]
     fn extend_after_row_append() {
         let mut lambda = sample();
         let mut idx = PatternIndex::build(&lambda);
         lambda.apply_delta(&MatrixDelta::AppendRows {
             rows: vec![vec![(0, 1), (1, -1)], vec![(2, 1)]],
         });
-        idx.extend_to(&lambda, lambda.num_points());
+        idx.append_rows(&lambda);
         idx.validate(&lambda).unwrap();
         assert_eq!(idx.num_rows(), 8);
         assert_eq!(idx.count(idx.pattern_of_row(6)), 4); // joins {1,-1}
@@ -581,14 +563,16 @@ mod tests {
         });
         idx.refresh_column(&lambda, 3);
         idx.validate(&lambda).unwrap();
+        assert_eq!(idx.num_lfs(), 4);
     }
 
     #[test]
-    fn rebuild_after_column_removal() {
+    fn column_removal_needs_a_fresh_build() {
         let mut lambda = sample();
-        let mut idx = PatternIndex::build(&lambda);
+        let idx = PatternIndex::build(&lambda);
         lambda.apply_delta(&MatrixDelta::RemoveColumn { col: 0 });
-        idx.rebuild(&lambda, lambda.num_points());
+        assert!(idx.validate(&lambda).is_err());
+        let idx = PatternIndex::build(&lambda);
         idx.validate(&lambda).unwrap();
         assert_eq!(idx.num_rows(), 6);
     }
@@ -631,6 +615,7 @@ mod tests {
         let back = PatternIndex::from_parts(idx.to_parts()).unwrap();
         back.validate(&lambda).unwrap();
         assert_eq!(back.num_patterns(), idx.num_patterns());
+        assert_eq!(back.num_lfs(), idx.num_lfs());
         for r in 0..lambda.num_points() {
             assert_eq!(back.pattern_of_row(r), idx.pattern_of_row(r), "row {r}");
         }
@@ -678,14 +663,11 @@ mod tests {
     }
 
     #[test]
-    fn empty_matrix_and_empty_range() {
+    fn empty_matrix() {
         let lambda = LabelMatrixBuilder::new(0, 3).build();
         let idx = PatternIndex::build(&lambda);
         idx.validate(&lambda).unwrap();
         assert_eq!(idx.num_patterns(), 0);
         assert_eq!(idx.dedup_ratio(), 1.0);
-        let lambda = sample();
-        let idx = PatternIndex::build_range(&lambda, 3, 3);
-        assert_eq!(idx.num_rows(), 0);
     }
 }

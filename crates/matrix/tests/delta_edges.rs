@@ -3,9 +3,7 @@
 //! the last column, splices on zero-nnz matrices, and row-batch appends
 //! followed by a pattern-index refresh.
 
-use snorkel_matrix::{
-    LabelMatrix, LabelMatrixBuilder, MatrixDelta, PatternIndex, ShardedMatrix, Vote,
-};
+use snorkel_matrix::{LabelMatrix, LabelMatrixBuilder, MatrixDelta, PatternIndex, Vote};
 
 fn build(grid: &[Vec<Vote>]) -> LabelMatrix {
     let m = grid.len();
@@ -106,18 +104,15 @@ fn row_batch_append_then_pattern_index_refresh() {
     let grid = sample_grid();
     let mut lambda = build(&grid);
     let mut idx = PatternIndex::build(&lambda);
-    let mut plan = ShardedMatrix::build(&lambda, 2);
 
     // Append a batch: one duplicate of an existing signature, one brand
     // new signature, one empty row.
     lambda.apply_delta(&MatrixDelta::AppendRows {
         rows: vec![vec![(0, 1), (1, -1)], vec![(2, 1)], vec![]],
     });
-    idx.extend_to(&lambda, lambda.num_points());
-    plan.append_rows(&lambda);
+    idx.append_rows(&lambda);
 
     idx.validate(&lambda).unwrap();
-    plan.validate(&lambda).unwrap();
     let fresh = PatternIndex::build(&lambda);
     assert_eq!(idx.num_patterns(), fresh.num_patterns());
     assert_eq!(idx.num_rows(), 8);
@@ -131,9 +126,7 @@ fn row_batch_append_then_pattern_index_refresh() {
         entries: vec![(1, 1), (6, -1)],
     });
     idx.refresh_column(&lambda, 2);
-    plan.refresh_column(&lambda, 2);
     idx.validate(&lambda).unwrap();
-    plan.validate(&lambda).unwrap();
     assert_eq!(
         idx.num_patterns(),
         PatternIndex::build(&lambda).num_patterns()
@@ -148,7 +141,7 @@ fn append_rows_on_empty_matrix() {
     lambda.apply_delta(&MatrixDelta::AppendRows {
         rows: vec![vec![(0, 1)], vec![(0, 1)], vec![(1, -1)]],
     });
-    idx.extend_to(&lambda, lambda.num_points());
+    idx.append_rows(&lambda);
     idx.validate(&lambda).unwrap();
     assert_eq!(idx.num_patterns(), 2);
     assert_eq!(idx.count(idx.pattern_of_row(0)), 2);

@@ -5,9 +5,7 @@
 
 use proptest::prelude::*;
 use snorkel_matrix::stats::{class_balance, empirical_accuracies, matrix_stats};
-use snorkel_matrix::{
-    LabelMatrix, LabelMatrixBuilder, MatrixDelta, PatternIndex, ShardedMatrix, Vote,
-};
+use snorkel_matrix::{LabelMatrix, LabelMatrixBuilder, MatrixDelta, PatternIndex, Vote};
 
 /// Generate a random binary label matrix as a dense grid, then build.
 fn matrix_strategy() -> impl Strategy<Value = (LabelMatrix, Vec<Vec<Vote>>)> {
@@ -118,12 +116,9 @@ proptest! {
     }
 
     /// A fresh pattern index satisfies its invariants and partitions the
-    /// rows exactly, at any shard count.
+    /// rows exactly.
     #[test]
-    fn pattern_index_groups_rows_exactly(
-        (lambda, grid) in matrix_strategy(),
-        shards in 0usize..5,
-    ) {
+    fn pattern_index_groups_rows_exactly((lambda, grid) in matrix_strategy()) {
         let idx = PatternIndex::build(&lambda);
         idx.validate(&lambda).unwrap();
         let total: usize = idx
@@ -141,7 +136,6 @@ proptest! {
                 );
             }
         }
-        ShardedMatrix::build(&lambda, shards).validate(&lambda).unwrap();
     }
 
     /// Incremental maintenance over an arbitrary delta sequence keeps
@@ -151,10 +145,9 @@ proptest! {
     fn pattern_index_survives_arbitrary_delta_sequences(
         (lambda, _) in matrix_strategy(),
         ops in prop::collection::vec((0u8..3, 0usize..64, prop::collection::vec((0usize..64, -1i8..=1), 0..10)), 1..6),
-        shards in 1usize..4,
     ) {
         let mut lambda = lambda;
-        let mut plan = ShardedMatrix::build(&lambda, shards);
+        let mut plan = PatternIndex::build(&lambda);
         for (kind, pick, entries) in ops {
             match kind {
                 // Column replace.
@@ -203,14 +196,7 @@ proptest! {
                 }
             }
             plan.validate(&lambda).unwrap();
-            for shard in plan.shards() {
-                let fresh = PatternIndex::build_range(
-                    &lambda,
-                    shard.start_row(),
-                    shard.row_range().end,
-                );
-                prop_assert_eq!(shard.num_patterns(), fresh.num_patterns());
-            }
+            prop_assert_eq!(plan.num_patterns(), PatternIndex::build(&lambda).num_patterns());
         }
     }
 }

@@ -12,7 +12,7 @@
 //!   format round-tripping the label matrix (CSR), the label model
 //!   (a [`LabelModel`](snorkel_core::label_model::LabelModel) under its
 //!   backend tag, + [`TrainConfig`](snorkel_core::TrainConfig)), the
-//!   `snorkel-incr` LF-result cache, and the sharded
+//!   `snorkel-incr` LF-result cache, and the
 //!   [`PatternIndex`](snorkel_matrix::PatternIndex) — so a restarted
 //!   process warm-starts in milliseconds instead of re-running every LF
 //!   and re-fitting from scratch, on the *same backend* it was running.

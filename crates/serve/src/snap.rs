@@ -36,7 +36,7 @@
 //! | `CACH` | the LF-result cache, LRU-first                   | always   |
 //! | `TCFG` | the [`TrainConfig`]                              | always   |
 //! | `LMTX` | the label matrix (raw CSR)                       | if built |
-//! | `PLAN` | the sharded pattern index                        | with `LMTX` |
+//! | `PLAN` | the pattern index                                | with `LMTX` |
 //! | `MODL` | the label model, backend-tagged — weights + structure for the generative/moment backends, shape only for majority vote | if trained |
 //! | `DISC` | the distilled serving model: refresh/disc generation counters, featurizer + distill config, sparse per-class weights | if distilled |
 //! | `STRM` | the streaming plane: running moment sufficient statistics, drift config, frozen reference window, drift scores, lifetime ingest counters | if streaming |
@@ -79,7 +79,7 @@ use sections::*;
 pub const MAGIC: [u8; 8] = *b"SNKLSNAP";
 
 /// The one format version this build writes and reads.
-pub const FORMAT_VERSION: u32 = 6;
+pub const FORMAT_VERSION: u32 = 7;
 
 const TAG_SESS: u32 = u32::from_le_bytes(*b"SESS");
 const TAG_CACH: u32 = u32::from_le_bytes(*b"CACH");

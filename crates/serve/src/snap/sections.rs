@@ -12,7 +12,7 @@ use snorkel_core::optimizer::ModelingStrategy;
 use snorkel_core::pipeline::DiscTrainerConfig;
 use snorkel_disc::{DiscModelParts, DistillConfig, TextFeaturizer};
 use snorkel_incr::{CacheStats, Fingerprint, FrozenCache, FrozenColumn, FrozenDisc, FrozenSession};
-use snorkel_matrix::{LabelMatrix, PatternIndexParts, ShardedMatrixParts, Vote};
+use snorkel_matrix::{LabelMatrix, PatternIndexParts, Vote};
 use snorkel_stream::{DriftConfig, FrozenStream, StreamState, WindowStats};
 
 use super::{corrupt, SnapError};
@@ -64,35 +64,6 @@ impl Field for FrozenColumn {
             fingerprint: r.get("column fingerprint")?,
             rows: r.get("column rows")?,
             entries: r.get("column entries")?,
-        })
-    }
-}
-
-impl Field for PatternIndexParts {
-    const MIN_BYTES: usize = usize::MIN_BYTES
-        + Vec::<u32>::MIN_BYTES
-        + Vec::<Vote>::MIN_BYTES
-        + Vec::<(usize, usize)>::MIN_BYTES
-        + Vec::<usize>::MIN_BYTES
-        + Vec::<u32>::MIN_BYTES;
-
-    fn put(&self, w: &mut Writer) {
-        w.put(&self.start);
-        w.put(&self.sig_cols);
-        w.put(&self.sig_votes);
-        w.put(&self.pat_bounds);
-        w.put(&self.counts);
-        w.put(&self.row_pattern);
-    }
-
-    fn get(r: &mut Reader<'_>, _: &'static str) -> Result<Self, SnapError> {
-        Ok(PatternIndexParts {
-            start: r.get("shard start")?,
-            sig_cols: r.get("sig_cols")?,
-            sig_votes: r.get("sig_votes")?,
-            pat_bounds: r.get("pat_bounds")?,
-            counts: r.get("pattern counts")?,
-            row_pattern: r.get("row_pattern")?,
         })
     }
 }
@@ -224,18 +195,26 @@ pub(super) fn dec_matrix(r: &mut Reader<'_>) -> Result<LabelMatrix, SnapError> {
     .map_err(corrupt)
 }
 
-/// `PLAN`: the sharded pattern index.
-pub(super) fn enc_plan(p: &ShardedMatrixParts) -> Vec<u8> {
+/// `PLAN`: the pattern index.
+pub(super) fn enc_plan(p: &PatternIndexParts) -> Vec<u8> {
     let mut w = Writer::new();
     w.put(&p.num_lfs);
-    w.put(&p.shards);
+    w.put(&p.sig_cols);
+    w.put(&p.sig_votes);
+    w.put(&p.pat_bounds);
+    w.put(&p.counts);
+    w.put(&p.row_pattern);
     w.into_bytes()
 }
 
-pub(super) fn dec_plan(r: &mut Reader<'_>) -> Result<ShardedMatrixParts, SnapError> {
-    Ok(ShardedMatrixParts {
+pub(super) fn dec_plan(r: &mut Reader<'_>) -> Result<PatternIndexParts, SnapError> {
+    Ok(PatternIndexParts {
         num_lfs: r.get("plan LF count")?,
-        shards: r.get("plan shards")?,
+        sig_cols: r.get("sig_cols")?,
+        sig_votes: r.get("sig_votes")?,
+        pat_bounds: r.get("pat_bounds")?,
+        counts: r.get("pattern counts")?,
+        row_pattern: r.get("row_pattern")?,
     })
 }
 

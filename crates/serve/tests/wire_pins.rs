@@ -15,7 +15,7 @@ use snorkel_core::optimizer::ModelingStrategy;
 use snorkel_core::pipeline::DiscTrainerConfig;
 use snorkel_disc::{DiscModelParts, DistillConfig, TextFeaturizer};
 use snorkel_incr::{CacheStats, Fingerprint, FrozenCache, FrozenColumn, FrozenDisc, FrozenSession};
-use snorkel_matrix::{LabelMatrix, PatternIndexParts, ShardedMatrixParts};
+use snorkel_matrix::{LabelMatrix, PatternIndexParts};
 use snorkel_serve::frame::{self, IngestRow, VoteRow};
 use snorkel_serve::repl::wal::{self, Op};
 use snorkel_serve::{LfSpec, ReplMark, Snapshot, SuiteEdit};
@@ -48,16 +48,13 @@ fn full_snapshot() -> Snapshot {
     let lambda =
         LabelMatrix::from_csr_parts(3, 2, 2, vec![0, 2, 3, 3], vec![0, 1, 1], vec![1, -1, 1])
             .expect("valid CSR");
-    let plan = ShardedMatrixParts {
+    let plan = PatternIndexParts {
         num_lfs: 2,
-        shards: vec![PatternIndexParts {
-            start: 0,
-            sig_cols: vec![0, 1, 1],
-            sig_votes: vec![1, -1, 1],
-            pat_bounds: vec![(0, 2), (2, 1), (3, 0)],
-            counts: vec![1, 1, 1],
-            row_pattern: vec![0, 1, 2],
-        }],
+        sig_cols: vec![0, 1, 1],
+        sig_votes: vec![1, -1, 1],
+        pat_bounds: vec![(0, 2), (2, 1), (3, 0)],
+        counts: vec![1, 1, 1],
+        row_pattern: vec![0, 1, 2],
     };
     let model = GenerativeModel::from_params(ModelParams {
         cardinality: 2,
@@ -188,7 +185,7 @@ fn snapshot_with_every_section_is_pinned() {
         9,
         "all nine sections present"
     );
-    check_pins(&[("snapshot", bytes.clone(), 0x6070_d3e3_7541_cec3, 1623)]);
+    check_pins(&[("snapshot", bytes.clone(), 0x64e5_151c_6546_c1ab, 1607)]);
     let back = Snapshot::from_bytes(&bytes).expect("pinned bytes parse");
     assert_eq!(back.to_bytes(), bytes, "re-encodes to the same bytes");
 }

@@ -13,7 +13,7 @@ use snorkel::core::pipeline::{DiscTrainer, DiscTrainerConfig, Pipeline, Pipeline
 use snorkel::disc::{hash_features, DistillConfig};
 use snorkel::lf::{BoxedLf, KeywordBetweenLf};
 use snorkel::linalg::SparseVec;
-use snorkel::matrix::{LabelMatrixBuilder, ShardedMatrix, Vote};
+use snorkel::matrix::{LabelMatrixBuilder, PatternIndex, Vote};
 use snorkel::nlp::tokenize;
 
 /// Binary relation corpus. Positive sentences use a *covered* verb
@@ -173,8 +173,8 @@ fn planted_features(y: Vote, dim: u32, rng: &mut StdRng) -> SparseVec {
 #[test]
 fn planted_suite_distills_to_95_percent_on_zero_coverage_candidates() {
     // 20 000 rows × 25 LFs of accuracy 0.9 → 0.6, each voting on 30 %
-    // of the rows; the moment backend's marginals, through a sharded
-    // plan, train the default distillation config.
+    // of the rows; the moment backend's marginals, through a pattern
+    // index, train the default distillation config.
     let (rows, lfs, holdout) = (20_000, 25, 2_000);
     let dim = DiscTrainerConfig::default().train.dim;
     let mut rng = StdRng::seed_from_u64(11);
@@ -201,13 +201,13 @@ fn planted_suite_distills_to_95_percent_on_zero_coverage_candidates() {
         })
         .unzip();
     let lambda = b.build();
-    let plan = ShardedMatrix::build(&lambda, 0);
+    let plan = PatternIndex::build(&lambda);
     let mut lm = LabelModel::Moment(MomentModel::new(lfs, LabelScheme::Binary));
     lm.fit(&lambda, Some(&plan), &TrainConfig::default());
     let marginals = lm.marginals(&lambda, Some(&plan));
 
     let trainer = DiscTrainer::new(DiscTrainerConfig::with_dim(dim));
-    let (disc, report) = trainer.train(&xs, &marginals, 2, Some(&plan));
+    let (disc, report) = trainer.fit(&xs, &marginals, 2, None);
     assert!(report.rows_trained > rows / 2, "{report:?}");
     let preds: Vec<Vote> = xs_holdout.iter().map(|x| disc.predict_vote(x)).collect();
     let accuracy = snorkel::disc::accuracy(&preds, &gold);

@@ -7,7 +7,7 @@ use snorkel::core::pipeline::{run_pipeline, Pipeline, PipelineConfig};
 use snorkel::core::structure::{learn_structure, StructureConfig};
 use snorkel::core::vote::majority_vote;
 use snorkel::datasets::synthetic::{heterogeneous_matrix, independent_matrix};
-use snorkel::matrix::{LabelMatrix, LabelMatrixBuilder, ShardedMatrix};
+use snorkel::matrix::{LabelMatrix, LabelMatrixBuilder, PatternIndex};
 
 #[test]
 fn empty_matrix_flows_through() {
@@ -139,49 +139,28 @@ fn class_balance_variants_all_train() {
 }
 
 // ---------------------------------------------------------------------
-// Adversarial pattern shapes: a plan of many shards must degrade
-// *identically* to the dense (one-shard) plan — same marginals bit for
-// bit under fixed weights, same optimum (≤1e-9) after fitting.
+// Adversarial pattern shapes: the pattern-deduplicated path must
+// degrade *identically* to the dense row walk — same marginals bit for
+// bit, and a finite fit.
 // ---------------------------------------------------------------------
 
-/// Fit the same model through a one-shard plan and a `shards`-shard
-/// plan and assert both degrade identically: fitted marginals within
-/// `1e-9`, and the sharded *inference* of the dense model bit-identical
-/// to its row walk.
-fn assert_sharded_degrades_identically(lambda: &LabelMatrix, shards: usize) {
+/// Fit through the pattern index and assert the model degrades
+/// identically to the dense path: every posterior finite, and the
+/// deduplicated *inference* bit-identical to the row walk.
+fn assert_sharded_degrades_identically(lambda: &LabelMatrix) {
     let scheme = LabelScheme::from_cardinality(lambda.cardinality());
-    // The convergence test's gradient threshold scales with the row
-    // count; on adversarial shapes with near-zero-coverage LFs the
-    // default tol leaves those LFs' weights loosely pinned, so drive
-    // both paths to the arithmetic noise floor before comparing.
-    let cfg = TrainConfig {
-        tol: 1e-15,
-        ..TrainConfig::default()
-    };
-    let plan = ShardedMatrix::build(lambda, shards);
-    let mut dense = GenerativeModel::new(lambda.num_lfs(), scheme);
-    dense.fit_with(lambda, &ShardedMatrix::build(lambda, 1), &cfg);
-    let mut sharded = GenerativeModel::new(lambda.num_lfs(), scheme);
-    sharded.fit_with(lambda, &plan, &cfg);
+    let plan = PatternIndex::build(lambda);
+    let mut gm = GenerativeModel::new(lambda.num_lfs(), scheme);
+    gm.fit_with(lambda, &plan, &TrainConfig::default());
 
-    // Inference path: bit-identical under the same weights.
-    let reference = dense.marginals(lambda);
+    let dense = gm.marginals(lambda);
     assert_eq!(
-        dense.marginals_with(lambda, &plan),
-        reference,
-        "sharded marginals must be bit-identical to the dense path"
+        gm.marginals_with(lambda, &plan),
+        dense,
+        "deduplicated marginals must be bit-identical to the dense path"
     );
-
-    // Training path: same optimum, and everything stays finite.
-    let fitted = sharded.marginals(lambda);
-    for (r, (a, b)) in reference.iter().zip(&fitted).enumerate() {
-        for (pa, pb) in a.iter().zip(b) {
-            assert!(pa.is_finite() && pb.is_finite(), "row {r} not finite");
-            assert!(
-                (pa - pb).abs() < 1e-9,
-                "row {r}: dense {pa} vs sharded {pb}"
-            );
-        }
+    for (r, post) in dense.iter().enumerate() {
+        assert!(post.iter().all(|p| p.is_finite()), "row {r} not finite");
     }
 }
 
@@ -189,10 +168,10 @@ fn assert_sharded_degrades_identically(lambda: &LabelMatrix, shards: usize) {
 fn sharded_all_abstain_corpus_matches_dense() {
     // 10k rows, not a single vote: exactly one (empty) pattern.
     let lambda = LabelMatrixBuilder::new(10_000, 5).build();
-    let plan = ShardedMatrix::build(&lambda, 3);
-    assert_eq!(plan.num_patterns(), 3); // the empty pattern, once per shard
-    assert!(plan.dedup_ratio() > 3000.0);
-    assert_sharded_degrades_identically(&lambda, 3);
+    let plan = PatternIndex::build(&lambda);
+    assert_eq!(plan.num_patterns(), 1);
+    assert_eq!(plan.dedup_ratio(), 10_000.0);
+    assert_sharded_degrades_identically(&lambda);
 }
 
 #[test]
@@ -220,13 +199,13 @@ fn sharded_dominant_pattern_matches_dense() {
         }
     }
     let lambda = b.build();
-    let plan = ShardedMatrix::build(&lambda, 4);
+    let plan = PatternIndex::build(&lambda);
     assert!(
         plan.dedup_ratio() > 500.0,
         "dominant pattern must dedup massively, got {:.1}",
         plan.dedup_ratio()
     );
-    assert_sharded_degrades_identically(&lambda, 4);
+    assert_sharded_degrades_identically(&lambda);
 }
 
 #[test]
@@ -248,10 +227,7 @@ fn sharded_duplicate_lf_columns_match_dense() {
         }
     }
     let lambda = b.build();
-    assert_sharded_degrades_identically(&lambda, 2);
-    // Shard count 1 and 0 (= auto-sized) degrade identically too.
-    assert_sharded_degrades_identically(&lambda, 1);
-    assert_sharded_degrades_identically(&lambda, 0);
+    assert_sharded_degrades_identically(&lambda);
 }
 
 #[test]

@@ -9,7 +9,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use snorkel::core::label_model::{LabelModel, MomentModel};
 use snorkel::core::model::{GenerativeModel, LabelScheme, TrainConfig};
-use snorkel::matrix::{LabelMatrix, LabelMatrixBuilder, ShardedMatrix, Vote};
+use snorkel::matrix::{LabelMatrix, LabelMatrixBuilder, PatternIndex, Vote};
 
 /// Planted conditionally-independent binary suite (the moment
 /// estimator's model assumptions).
@@ -71,7 +71,7 @@ fn moment_fit_is_10x_faster_than_newton_at_100k() {
     let lambda = planted(m, &accs, 0.3, 7);
     // Both backends fit through the same prebuilt plan, so the timing
     // compares the training loops, not index construction.
-    let plan = ShardedMatrix::build(&lambda, 0);
+    let plan = PatternIndex::build(&lambda);
     let cfg = TrainConfig::default();
 
     let t0 = Instant::now();
