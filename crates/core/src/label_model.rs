@@ -72,7 +72,7 @@
 use snorkel_matrix::{LabelMatrix, PatternIndex, Vote};
 
 use crate::model::{FitReport, GenerativeModel, LabelScheme, TrainConfig};
-pub use crate::moment::{MomentModel, MomentStats, MomentStatsParts};
+pub use crate::moment::{MomentModel, MomentStats};
 use crate::optimizer::ModelingStrategy;
 
 /// Backend name of [`MajorityVoteModel`].

@@ -1,7 +1,7 @@
 //! The method-of-moments backend: [`MomentModel`] and the running
-//! sufficient statistics it solves from ([`MomentStats`], persisted as
-//! [`MomentStatsParts`]). The estimator is described in the
-//! [`crate::label_model`] module docs, which re-export these types.
+//! sufficient statistics it solves from ([`MomentStats`]). The
+//! estimator is described in the [`crate::label_model`] module docs,
+//! which re-export these types.
 
 use snorkel_matrix::{LabelMatrix, PatternIndex, Vote};
 
@@ -101,17 +101,9 @@ impl MomentModel {
         plan: Option<&PatternIndex>,
         cfg: &TrainConfig,
     ) {
-        let scheme = GenerativeModel::scheme(&self.inner);
-        let n = GenerativeModel::num_lfs(&self.inner);
-
         // ---- The single pass: per-LF and pairwise sufficient stats.
-        let stats = fold_signatures(
-            lambda,
-            plan,
-            MomentStats::new(n, scheme),
-            |s, cols, votes, cnt| s.accumulate(cols, votes, cnt as f64),
-        );
-
+        let stats =
+            MomentStats::from_signatures(lambda, plan, GenerativeModel::scheme(&self.inner));
         self.solve_from_stats(&stats, cfg);
     }
 
@@ -284,14 +276,15 @@ impl MomentModel {
 
 /// Sufficient statistics of the moment backend: per-LF vote counts,
 /// plurality-agreement counts, and the pairwise co-vote/agreement upper
-/// triangle. One `accumulate` call folds one row in; `merge` adds two
-/// accumulator sets; the counts are plain weighted sums, so the order
-/// of integer-weighted accumulation never changes the totals
+/// triangle. One `accumulate` call folds one row (or one pattern with
+/// its multiplicity) in; the counts are plain weighted sums, so the
+/// order of integer-weighted accumulation never changes the totals
 /// (bit-exactly — f64 addition of integers below 2⁵³ is exact).
 ///
 /// This is the streaming primitive behind the online moment model: a
-/// caller keeps one `MomentStats` alive, folds each ingested batch's
-/// rows in as they arrive, and refits via
+/// caller seeds one `MomentStats` from Λ's pattern index
+/// ([`from_signatures`](Self::from_signatures)), folds each ingested
+/// batch's rows in as they arrive, and refits via
 /// [`MomentModel::fit_from_stats`] without ever re-reading Λ. The
 /// invariant that running totals equal a single batch recompute over
 /// the same rows is property-tested in `crates/stream`.
@@ -321,31 +314,6 @@ pub struct MomentStats {
     classes: Vec<(usize, usize)>,
 }
 
-/// The plain-data image of a [`MomentStats`] — what `snorkel-serve`
-/// persists in the snapshot's `STRM` section. Scratch buffers are not
-/// carried; [`MomentStats::from_parts`] rebuilds them.
-#[derive(Clone, Debug, PartialEq)]
-pub struct MomentStatsParts {
-    /// Number of LF columns the statistics cover.
-    pub num_lfs: usize,
-    /// Task cardinality.
-    pub cardinality: u8,
-    /// Weighted row count.
-    pub rows: f64,
-    /// Per-LF weighted vote counts (`num_lfs` entries).
-    pub votes: Vec<f64>,
-    /// Per-class plurality-vote counts (`cardinality` entries).
-    pub mv_class: Vec<f64>,
-    /// Per-LF plurality-agreement counts (`num_lfs` entries).
-    pub agree_mv: Vec<f64>,
-    /// Per-LF plurality-covered vote counts (`num_lfs` entries).
-    pub total_mv: Vec<f64>,
-    /// Upper-triangle co-vote counts (`num_lfs²` entries).
-    pub both: Vec<f64>,
-    /// Upper-triangle same-class co-vote counts (`num_lfs²` entries).
-    pub agree: Vec<f64>,
-}
-
 impl MomentStats {
     /// Empty accumulators over `n` LFs under `scheme`.
     pub fn new(n: usize, scheme: LabelScheme) -> Self {
@@ -365,6 +333,25 @@ impl MomentStats {
         }
     }
 
+    /// The statistics of every row of `lambda`, folded over the
+    /// pattern index's live signatures weighted by their row counts
+    /// (row by row when `plan` is `None`). The one statistics pass:
+    /// [`MomentModel::fit`] and the streaming plane's rebuilds both
+    /// come through here, and integer-weighted sums make the result
+    /// bit-identical to folding the same rows one at a time.
+    pub fn from_signatures(
+        lambda: &LabelMatrix,
+        plan: Option<&PatternIndex>,
+        scheme: LabelScheme,
+    ) -> MomentStats {
+        fold_signatures(
+            lambda,
+            plan,
+            MomentStats::new(lambda.num_lfs(), scheme),
+            |s, cols, votes, cnt| s.accumulate(cols, votes, cnt as f64),
+        )
+    }
+
     /// Number of LF columns the statistics cover.
     pub fn num_lfs(&self) -> usize {
         self.n
@@ -378,15 +365,6 @@ impl MomentStats {
     /// Weighted row count folded in so far.
     pub fn rows(&self) -> f64 {
         self.rows
-    }
-
-    /// Accumulate every row of `lambda` (the batch recompute the online
-    /// path is property-tested against).
-    pub fn accumulate_matrix(&mut self, lambda: &LabelMatrix) {
-        for i in 0..lambda.num_points() {
-            let (cols, votes) = lambda.row(i);
-            self.accumulate(cols, votes, 1.0);
-        }
     }
 
     /// Fold one row (or one pattern with multiplicity `w`) in.
@@ -423,68 +401,6 @@ impl MomentStats {
             }
         }
         self.classes = classes;
-    }
-
-    /// Export the accumulated counts as plain data (the snapshot
-    /// encoding surface).
-    pub fn to_parts(&self) -> MomentStatsParts {
-        MomentStatsParts {
-            num_lfs: self.n,
-            cardinality: self.scheme.cardinality(),
-            rows: self.rows,
-            votes: self.votes.clone(),
-            mv_class: self.mv_class.clone(),
-            agree_mv: self.agree_mv.clone(),
-            total_mv: self.total_mv.clone(),
-            both: self.both.clone(),
-            agree: self.agree.clone(),
-        }
-    }
-
-    /// Rebuild from exported parts, validating every length and value
-    /// (snapshot decoders hand this untrusted data). The error string
-    /// names the violated invariant.
-    pub fn from_parts(parts: MomentStatsParts) -> Result<MomentStats, String> {
-        if parts.cardinality < 2 {
-            return Err(format!("bad cardinality {}", parts.cardinality));
-        }
-        let scheme = LabelScheme::from_cardinality(parts.cardinality);
-        let n = parts.num_lfs;
-        let k = scheme.num_classes();
-        let Some(pairs) = n.checked_mul(n) else {
-            return Err(format!("{n} LFs overflow the pairwise tables"));
-        };
-        for (name, vec, want) in [
-            ("votes", &parts.votes, n),
-            ("mv_class", &parts.mv_class, k),
-            ("agree_mv", &parts.agree_mv, n),
-            ("total_mv", &parts.total_mv, n),
-            ("both", &parts.both, pairs),
-            ("agree", &parts.agree, pairs),
-        ] {
-            if vec.len() != want {
-                return Err(format!("{name} has {} entries, want {want}", vec.len()));
-            }
-            if let Some(bad) = vec.iter().find(|v| !(v.is_finite() && **v >= 0.0)) {
-                return Err(format!("{name} holds a non-count value {bad}"));
-            }
-        }
-        if !(parts.rows.is_finite() && parts.rows >= 0.0) {
-            return Err(format!("bad row count {}", parts.rows));
-        }
-        Ok(MomentStats {
-            n,
-            scheme,
-            rows: parts.rows,
-            votes: parts.votes,
-            mv_class: parts.mv_class,
-            agree_mv: parts.agree_mv,
-            total_mv: parts.total_mv,
-            both: parts.both,
-            agree: parts.agree,
-            tally: vec![0; k],
-            classes: Vec::new(),
-        })
     }
 }
 
@@ -628,7 +544,19 @@ mod tests {
         // The same rows folded into a running accumulator, then the
         // stats-only solve: weights must match the cold fit bit for bit.
         let mut stats = MomentStats::new(4, LabelScheme::Binary);
-        stats.accumulate_matrix(&lambda);
+        for i in 0..lambda.num_points() {
+            let (cols, votes) = lambda.row(i);
+            stats.accumulate(cols, votes, 1.0);
+        }
+        assert_eq!(
+            stats,
+            MomentStats::from_signatures(
+                &lambda,
+                Some(&PatternIndex::build(&lambda)),
+                LabelScheme::Binary
+            ),
+            "the index fold equals the row walk bit for bit"
+        );
         assert_eq!(stats.rows(), lambda.num_points() as f64);
         let mut online = MomentModel::new(4, LabelScheme::Binary);
         let report = online.fit_from_stats(&stats, &cfg);
@@ -649,47 +577,6 @@ mod tests {
         assert!(mv.fit_online(&stats, &cfg).is_none());
         let mut gm = LabelModel::Generative(GenerativeModel::new(4, LabelScheme::Binary));
         assert!(gm.fit_online(&stats, &cfg).is_none());
-    }
-
-    #[test]
-    fn moment_stats_from_parts_rejects_overflowing_lf_count() {
-        // An LF count whose square overflows `usize` (snapshot bytes are
-        // untrusted) is refused before any length is compared.
-        let parts = MomentStatsParts {
-            num_lfs: 1 << 32,
-            cardinality: 2,
-            rows: 0.0,
-            votes: Vec::new(),
-            mv_class: Vec::new(),
-            agree_mv: Vec::new(),
-            total_mv: Vec::new(),
-            both: Vec::new(),
-            agree: Vec::new(),
-        };
-        assert!(MomentStats::from_parts(parts).is_err());
-    }
-
-    #[test]
-    fn moment_stats_parts_round_trip_and_reject_corruption() {
-        let (lambda, _) = planted(500, &[0.8, 0.7, 0.6], 0.5, 29);
-        let mut stats = MomentStats::new(3, LabelScheme::Binary);
-        stats.accumulate_matrix(&lambda);
-        let parts = stats.to_parts();
-        let restored = MomentStats::from_parts(parts.clone()).unwrap();
-        assert_eq!(restored, stats);
-
-        let mut bad = parts.clone();
-        bad.votes.pop();
-        assert!(MomentStats::from_parts(bad).is_err());
-        let mut bad = parts.clone();
-        bad.agree[0] = f64::NAN;
-        assert!(MomentStats::from_parts(bad).is_err());
-        let mut bad = parts.clone();
-        bad.both[0] = -1.0;
-        assert!(MomentStats::from_parts(bad).is_err());
-        let mut bad = parts;
-        bad.cardinality = 1;
-        assert!(MomentStats::from_parts(bad).is_err());
     }
 
     #[test]

@@ -10,7 +10,7 @@ use std::sync::OnceLock;
 use std::time::Duration;
 
 use snorkel_context::{CandidateId, CandidateView, Corpus};
-use snorkel_core::label_model::LabelModel;
+use snorkel_core::label_model::{LabelModel, MomentStats};
 use snorkel_core::model::{LabelScheme, TrainConfig};
 use snorkel_core::optimizer::{decide, ModelingStrategy, OptimizerConfig};
 use snorkel_core::pipeline::{fit_and_label, DiscTrainer, DiscTrainerConfig};
@@ -336,10 +336,9 @@ pub struct IncrementalSession {
     /// The label-model backend of the last refresh (whatever the
     /// optimizer selected — majority vote included).
     model: Option<LabelModel>,
-    /// Fingerprint layout at the last refresh (column-aligned).
+    /// Fingerprint layout at the last refresh (column-aligned). The
+    /// last refresh's row count is Λ's.
     last_fingerprints: Vec<Fingerprint>,
-    /// Row count at the last refresh.
-    last_rows: usize,
     /// Last GM strategy (correlation structure) the optimizer produced,
     /// together with the LF-name layout it was derived from — pair
     /// indices are only meaningful against that exact layout.
@@ -362,8 +361,9 @@ pub struct IncrementalSession {
     /// The distilled serving model, if any.
     disc: Option<DiscState>,
     /// The streaming plane: running moment statistics + drift detector,
-    /// fed by [`Self::ingest_batch`]. `None` until streaming is enabled
-    /// (explicitly, from a thawed snapshot, or by the first ingest).
+    /// fed by [`Self::ingest_batch`]. `None` until the first ingest (or
+    /// a thawed snapshot) enables it; present only with Λ, whose pattern
+    /// index its running statistics are rebuilt from.
     stream: Option<StreamState>,
     /// Reusable re-sign scratch for the pattern index's delta column
     /// splices: grown to the workload's high-water mark on the first
@@ -388,7 +388,6 @@ impl IncrementalSession {
             plan: None,
             model: None,
             last_fingerprints: Vec::new(),
-            last_rows: 0,
             last_gm_strategy: None,
             refresh_generation: 0,
             features: std::sync::Arc::new(Vec::new()),
@@ -510,20 +509,27 @@ impl IncrementalSession {
         self.stream.as_ref()
     }
 
-    /// Activate the streaming plane with the session config's
-    /// [`DriftConfig`]. Idempotent. The running statistics are seeded
-    /// from the current Λ (one batch pass, once) so subsequent
-    /// [`Self::ingest_batch`] refits solve over *all* rows, not just
-    /// the streamed tail. Called implicitly by the first ingest.
-    pub fn enable_streaming(&mut self) {
+    /// Start the streaming plane with the session config's
+    /// [`DriftConfig`] unless it already runs. Only
+    /// [`Self::ingest_batch`] calls this, once Λ exists. The running
+    /// statistics are seeded from Λ's pattern index (one pass over the
+    /// unique patterns, once) so subsequent ingests refit over *all*
+    /// rows, not just the streamed tail.
+    fn start_stream(&mut self) {
         if self.stream.is_some() {
             return;
         }
+        let lambda = self
+            .lambda
+            .as_ref()
+            .expect("streaming starts once Λ exists");
+        let plan = self
+            .plan
+            .as_ref()
+            .expect("a plan is kept whenever Λ exists");
         let scheme = LabelScheme::from_cardinality(self.config.executor.cardinality);
-        let mut state = StreamState::new(self.lfs.len(), scheme, self.config.drift.clone());
-        if let Some(lambda) = &self.lambda {
-            state.rebuild_from_matrix(lambda);
-        }
+        let mut state = StreamState::new(lambda.num_lfs(), scheme, self.config.drift.clone());
+        state.rebuild_from_index(lambda, plan);
         self.stream = Some(state);
     }
 

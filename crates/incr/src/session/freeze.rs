@@ -30,8 +30,6 @@ pub struct FrozenSession {
     pub model: Option<LabelModel>,
     /// Column-aligned fingerprint layout at the last refresh.
     pub last_fingerprints: Vec<Fingerprint>,
-    /// Row count at the last refresh.
-    pub last_rows: usize,
     /// Last structure-sweep outcome and the LF-name layout it indexes.
     pub last_gm_strategy: Option<(ModelingStrategy, Vec<String>)>,
     /// Refresh generation at freeze time (the disc staleness reference).
@@ -40,8 +38,9 @@ pub struct FrozenSession {
     /// feature cache is deliberately absent — features are derived state,
     /// re-extracted from the reloaded corpus on the next distill.
     pub disc: Option<FrozenDisc>,
-    /// The streaming plane's state (running moment statistics, drift
-    /// reference window, lifetime counters), if streaming was active.
+    /// The streaming plane's state (drift reference window, scores,
+    /// lifetime counters), if streaming was active. Its running moment
+    /// statistics are not frozen: thawing folds them from `plan`.
     pub stream: Option<FrozenStream>,
 }
 
@@ -103,7 +102,6 @@ impl IncrementalSession {
             plan: self.plan.as_ref().map(PatternIndex::to_parts),
             model: self.model.clone(),
             last_fingerprints: self.last_fingerprints.clone(),
-            last_rows: self.last_rows,
             last_gm_strategy: self.last_gm_strategy.clone(),
             refresh_generation: self.refresh_generation,
             disc: self.disc.as_ref().map(|d| FrozenDisc {
@@ -145,7 +143,6 @@ impl IncrementalSession {
             plan,
             model,
             last_fingerprints,
-            last_rows,
             last_gm_strategy,
             refresh_generation,
             disc,
@@ -198,12 +195,6 @@ impl IncrementalSession {
                 )));
             }
         }
-        if last_rows > candidates.len() {
-            return Err(ThawError::Inconsistent(format!(
-                "last refresh covered {last_rows} rows but only {} candidates are registered",
-                candidates.len()
-            )));
-        }
         // Collect into the live map up front so duplicates are caught
         // regardless of the snapshot's ordering (a later duplicate would
         // otherwise silently rewind the counter, letting an auto-tagged
@@ -218,10 +209,11 @@ impl IncrementalSession {
         }
         let cache = LfResultCache::import(cache, cardinality).map_err(ThawError::Inconsistent)?;
         if let Some(lambda) = &lambda {
-            if lambda.num_points() != last_rows {
+            if lambda.num_points() > candidates.len() {
                 return Err(ThawError::Inconsistent(format!(
-                    "Λ has {} rows but the last refresh covered {last_rows}",
-                    lambda.num_points()
+                    "Λ has {} rows but only {} candidates are registered",
+                    lambda.num_points(),
+                    candidates.len()
                 )));
             }
             if lambda.num_lfs() != last_fingerprints.len() {
@@ -237,7 +229,7 @@ impl IncrementalSession {
                     lambda.cardinality()
                 )));
             }
-        } else if last_rows > 0 || !last_fingerprints.is_empty() {
+        } else if !last_fingerprints.is_empty() {
             return Err(ThawError::Inconsistent(
                 "a refresh happened but Λ is missing".into(),
             ));
@@ -331,24 +323,23 @@ impl IncrementalSession {
             }
         };
 
-        let stream = match stream {
-            None => None,
-            Some(frozen_stream) => {
-                let state = StreamState::thaw(frozen_stream)
-                    .map_err(|e| ThawError::Inconsistent(e.to_string()))?;
-                if state.num_lfs() != last_fingerprints.len() {
-                    return Err(ThawError::Inconsistent(format!(
-                        "stream statistics cover {} LFs but the last refresh had {}",
-                        state.num_lfs(),
-                        last_fingerprints.len()
-                    )));
-                }
-                if state.scheme() != LabelScheme::from_cardinality(cardinality) {
-                    return Err(ThawError::Inconsistent(
-                        "stream scheme != executor cardinality".into(),
-                    ));
-                }
-                Some(state)
+        // The running moment statistics are a fold of the validated
+        // index, so they cover Λ's LFs under the executor's scheme by
+        // construction.
+        let stream = match (stream, lambda.as_ref().zip(plan.as_ref())) {
+            (None, _) => None,
+            (Some(_), None) => {
+                return Err(ThawError::Inconsistent(
+                    "streaming state without a matrix".into(),
+                ))
+            }
+            (Some(frozen_stream), Some((lambda, plan))) => {
+                let scheme = LabelScheme::from_cardinality(cardinality);
+                let stats = MomentStats::from_signatures(lambda, Some(plan), scheme);
+                Some(
+                    StreamState::thaw(frozen_stream, stats)
+                        .map_err(|e| ThawError::Inconsistent(e.to_string()))?,
+                )
             }
         };
 
@@ -364,7 +355,6 @@ impl IncrementalSession {
             plan,
             model,
             last_fingerprints,
-            last_rows,
             last_gm_strategy,
             refresh_generation,
             features: std::sync::Arc::new(Vec::new()),

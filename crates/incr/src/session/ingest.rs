@@ -76,7 +76,7 @@ impl IncrementalSession {
         if self.lambda.is_none() || !self.suite_matches_last_refresh() {
             self.ingest_candidates(ids);
             let (_, refresh) = self.refresh();
-            self.enable_streaming();
+            self.start_stream();
             return self.report_without_refit(ids.len(), refresh.lf_invocations);
         }
         if ids.is_empty() {
@@ -84,10 +84,10 @@ impl IncrementalSession {
             // invalidate every generation-keyed memo for nothing.
             return self.report_without_refit(0, 0);
         }
-        self.enable_streaming();
+        self.start_stream();
+        let old_m = self.lambda.as_ref().expect("checked above").num_points();
         self.ingest_candidates(ids);
         let m = self.candidates.len();
-        let old_m = self.last_rows;
         let new_rows = m - old_m;
 
         // 1. Extend every live column onto the new rows.
@@ -122,9 +122,8 @@ impl IncrementalSession {
             None => false,
         };
 
-        // 5. Bookkeeping: the splice is committed; an online-refitted
-        //    model invalidates generation-keyed posterior memos.
-        self.last_rows = m;
+        // 5. Bookkeeping: an online-refitted model invalidates
+        //    generation-keyed posterior memos.
         if online_fit {
             self.refresh_generation += 1;
             self.last_marginals = None;
@@ -175,9 +174,11 @@ impl IncrementalSession {
     }
 
     /// Bring every live column up to date in the cache, executing only
-    /// the rows it cannot serve (in parallel across candidates via the
-    /// executor's per-column kernel), then evict down to capacity. Returns
-    /// the live fingerprints in column order and what was done.
+    /// the rows it cannot serve, one column at a time through the
+    /// session executor's `apply_column` — serially with the default
+    /// executor, split across candidates only when the config sets
+    /// `LfExecutor::parallelism` above 1 — then evict down to capacity.
+    /// Returns the live fingerprints in column order and what was done.
     pub(super) fn sync_columns(&mut self) -> (Vec<Fingerprint>, ColumnSync) {
         let m = self.candidates.len();
         let mut sync = ColumnSync::default();

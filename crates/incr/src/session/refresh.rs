@@ -36,7 +36,8 @@ impl IncrementalSession {
                 .filter(|&j| live[j] != self.last_fingerprints[j])
                 .collect()
         };
-        let new_rows = m.saturating_sub(self.last_rows);
+        let old_m = self.lambda.as_ref().map_or(0, LabelMatrix::num_points);
+        let new_rows = m.saturating_sub(old_m);
         // The stored correlation structure indexes columns of one exact
         // suite layout; drop it whenever the layout's LF identities no
         // longer match (add/remove, including length-preserving
@@ -60,12 +61,7 @@ impl IncrementalSession {
                 // splice — both sourced from the same cached column, so
                 // the result is consistent either way).
                 if new_rows > 0 {
-                    lambda.apply_delta(&appended_rows(
-                        &mut self.cache,
-                        &live,
-                        self.last_rows,
-                        new_rows,
-                    ));
+                    lambda.apply_delta(&appended_rows(&mut self.cache, &live, old_m, new_rows));
                 }
                 for &j in &changed_cols {
                     let entries = self
@@ -168,16 +164,16 @@ impl IncrementalSession {
         // 5. Commit refresh bookkeeping and report.
         // ------------------------------------------------------------------
         self.last_fingerprints = live;
-        self.last_rows = m;
         // Keep the streaming plane consistent with the refreshed Λ:
         // suite edits and batch-path row appends change per-LF counts,
-        // so the running moment statistics are rebuilt from Λ (edits
-        // are rare; ingest — the hot path — never comes through here)
-        // and the drift baseline restarts. A no-op refresh (e.g. the
-        // automatic post-drift warm refit) leaves the stream untouched.
+        // so the running moment statistics are rebuilt from the
+        // refreshed pattern index (edits are rare; ingest — the hot
+        // path — never comes through here) and the drift baseline
+        // restarts. A no-op refresh (e.g. the automatic post-drift warm
+        // refit) leaves the stream untouched.
         if lambda_update != LambdaUpdate::Unchanged {
             if let Some(stream) = &mut self.stream {
-                stream.rebuild_from_matrix(lambda);
+                stream.rebuild_from_index(lambda, plan);
             }
         }
         // The disc model (if any) now lags these marginals; readers keep

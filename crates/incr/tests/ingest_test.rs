@@ -89,6 +89,19 @@ fn counting_lf(name: &str, vote_mod: u64, counter: Arc<AtomicUsize>) -> BoxedLf 
     })
 }
 
+/// The moment statistics of Λ folded one row at a time — the reference
+/// the stream's running totals (seeded from the pattern index, then
+/// grown by ingested rows) must equal bit for bit.
+fn row_walk(session: &IncrementalSession) -> MomentStats {
+    let lambda = session.label_matrix().expect("Λ built");
+    let mut stats = MomentStats::new(lambda.num_lfs(), LabelScheme::Binary);
+    for i in 0..lambda.num_points() {
+        let (cols, votes) = lambda.row(i);
+        stats.accumulate(cols, votes, 1.0);
+    }
+    stats
+}
+
 #[test]
 fn steady_state_ingest_refits_online_without_a_cold_fit() {
     let mut session =
@@ -135,9 +148,7 @@ fn steady_state_ingest_refits_online_without_a_cold_fit() {
 
     // The running statistics equal a batch recompute over the spliced Λ
     // bit-for-bit — the invariant that makes the online refit exact.
-    let mut batch_stats = MomentStats::new(4, LabelScheme::Binary);
-    batch_stats.accumulate_matrix(lambda);
-    assert_eq!(stream.stats(), &batch_stats);
+    assert_eq!(stream.stats(), &row_walk(&session));
 
     // And the online-refitted model is the one a cold session fitting
     // the same 520 rows from scratch would produce, to the last bit.
@@ -425,4 +436,111 @@ fn duplicate_candidates_are_rejected_however_the_session_was_built() {
     assert_eq!(duplicate_ingest_message(&mut fresh, &batch), want);
     fresh.ingest_candidates(&batch[..3]);
     assert_eq!(fresh.num_candidates(), 3);
+}
+
+/// `lf_h3` after an edit: votes only on its positive hint.
+fn edited_h3() -> BoxedLf {
+    lf("lf_h3", |x| i8::from(x.sentence().text().contains("h3p")))
+}
+
+/// Freeze `session` and thaw it around a copy of its corpus and the
+/// suite `hint_lf(0..3)` + `edited_h3()`.
+fn thaw_copy(session: &IncrementalSession) -> IncrementalSession {
+    let lfs: Vec<BoxedLf> = (0..3).map(hint_lf).chain([edited_h3()]).collect();
+    IncrementalSession::thaw(
+        session.corpus().clone(),
+        session.config().clone(),
+        session.freeze(),
+        lfs,
+    )
+    .expect("a streaming session thaws")
+}
+
+#[test]
+fn stream_statistics_equal_a_row_walk_over_lambda_in_every_state() {
+    const WINDOW: usize = 64;
+    let mut corpus = Corpus::new();
+    let doc = corpus.add_document("d");
+    for i in 0..400 {
+        add_row(&mut corpus, doc, &drift_row_text(i, false));
+    }
+    let mut session = IncrementalSession::over_all_candidates(corpus, moment_config(WINDOW));
+    for j in 0..4 {
+        session.add_lf(hint_lf(j));
+    }
+    let check = |session: &IncrementalSession, state: &str| {
+        let stream = session.stream().expect("streaming active");
+        assert_eq!(stream.stats(), &row_walk(session), "{state}");
+    };
+
+    // A fresh session ingesting before any refresh: the fallback refresh
+    // builds Λ and its index, and streaming starts from that index.
+    let mut total = 400;
+    let ids = grow_drift_corpus(&mut session, total, WINDOW, false);
+    total += WINDOW;
+    assert!(!session.ingest_batch(&ids).online_fit);
+    check(&session, "first ingest before any refresh");
+
+    // An LF edit followed by a refresh rebuilds from the re-signed index.
+    session.edit_lf(edited_h3());
+    let (_, refresh) = session.refresh();
+    assert_eq!(refresh.columns_recomputed, 1);
+    check(&session, "LF edit and refresh");
+
+    // One stationary window seals the reference; a flipped one drifts
+    // and the session refits on its own.
+    let ids = grow_drift_corpus(&mut session, total, WINDOW, false);
+    total += WINDOW;
+    assert!(session.ingest_batch(&ids).online_fit);
+    check(&session, "steady-state ingest");
+    let ids = grow_drift_corpus(&mut session, total, WINDOW, true);
+    total += WINDOW;
+    assert!(session.ingest_batch(&ids).auto_refit, "drift must refit");
+    check(&session, "drift auto-refit");
+
+    // Freeze → thaw rebuilds the totals from the snapshot's index, and
+    // both sessions keep folding the same rows afterwards.
+    let mut thawed = thaw_copy(&session);
+    check(&thawed, "thawed");
+    assert_eq!(
+        thawed.stream().expect("stream").stats(),
+        session.stream().expect("stream").stats()
+    );
+    for s in [&mut session, &mut thawed] {
+        let ids = grow_drift_corpus(s, total, WINDOW, true);
+        assert!(s.ingest_batch(&ids).online_fit);
+        check(s, "ingest after thaw");
+    }
+    assert_eq!(
+        thawed.stream().expect("stream").stats(),
+        session.stream().expect("stream").stats()
+    );
+}
+
+#[test]
+fn streaming_state_without_a_matrix_does_not_thaw() {
+    let corpus = build_corpus(40);
+    let mut streaming = IncrementalSession::over_all_candidates(corpus.clone(), moment_config(512));
+    let mut fresh = IncrementalSession::over_all_candidates(corpus.clone(), moment_config(512));
+    for session in [&mut streaming, &mut fresh] {
+        session.add_lf(counting_lf("lf_0", 2, Arc::new(AtomicUsize::new(0))));
+    }
+    let ids = grow_corpus(&mut streaming, 40, 8);
+    streaming.ingest_batch(&ids);
+    // A never-refreshed image carrying another session's stream.
+    let mut frozen = fresh.freeze();
+    frozen.stream = streaming.freeze().stream;
+    assert!(frozen.stream.is_some() && frozen.lambda.is_none());
+    let thawed = IncrementalSession::thaw(
+        corpus,
+        moment_config(512),
+        frozen,
+        vec![counting_lf("lf_0", 2, Arc::new(AtomicUsize::new(0)))],
+    );
+    match thawed.err() {
+        Some(snorkel_incr::ThawError::Inconsistent(why)) => {
+            assert!(why.contains("without a matrix"), "{why}")
+        }
+        other => panic!("want Inconsistent, got {other:?}"),
+    }
 }

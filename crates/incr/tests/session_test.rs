@@ -595,9 +595,9 @@ fn thaw_rejects_mismatched_suite_and_corpus() {
         Some(snorkel_incr::ThawError::Inconsistent(_))
     ));
 
-    // Tampered state: Λ row count out of sync.
+    // Tampered state: Λ covers more rows than are registered.
     let mut bad = frozen.clone();
-    bad.last_rows += 1;
+    bad.candidates.pop();
     let thawed = IncrementalSession::thaw(
         corpus.clone(),
         SessionConfig::default(),

@@ -13,7 +13,7 @@
 //! ```text
 //! offset  size  field
 //! 0       8     magic  "SNKLSNAP"
-//! 8       4     format version (u32 LE, currently 6)
+//! 8       4     format version (u32 LE, [`FORMAT_VERSION`])
 //! 12      4     section count (u32 LE)
 //! 16      28×k  section table: tag (u32), offset (u64), len (u64),
 //!               FNV-1a checksum of the section bytes (u64)
@@ -32,14 +32,14 @@
 //!
 //! | tag    | contents                                         | presence |
 //! |--------|--------------------------------------------------|----------|
-//! | `SESS` | candidates, version counters, suite layout, last-refresh bookkeeping, strategy | always |
+//! | `SESS` | candidates, version counters, suite layout, last-refresh fingerprint layout, strategy | always |
 //! | `CACH` | the LF-result cache, LRU-first                   | always   |
 //! | `TCFG` | the [`TrainConfig`]                              | always   |
 //! | `LMTX` | the label matrix (raw CSR)                       | if built |
 //! | `PLAN` | the pattern index                                | with `LMTX` |
 //! | `MODL` | the label model, backend-tagged — weights + structure for the generative/moment backends, shape only for majority vote | if trained |
 //! | `DISC` | the distilled serving model: refresh/disc generation counters, featurizer + distill config, sparse per-class weights | if distilled |
-//! | `STRM` | the streaming plane: running moment sufficient statistics, drift config, frozen reference window, drift scores, lifetime ingest counters | if streaming |
+//! | `STRM` | the streaming plane: drift config, frozen reference window, drift scores, lifetime ingest counters (the running moment totals are folded from `PLAN` on thaw) | if streaming |
 //! | `REPL` | the replication mark: the op-log LSN and server generation the snapshot was taken at, so a follower bootstrapped from it resumes tailing exactly where the image ends | if replicated |
 //!
 //! ## Versioning
@@ -79,7 +79,7 @@ use sections::*;
 pub const MAGIC: [u8; 8] = *b"SNKLSNAP";
 
 /// The one format version this build writes and reads.
-pub const FORMAT_VERSION: u32 = 7;
+pub const FORMAT_VERSION: u32 = 8;
 
 const TAG_SESS: u32 = u32::from_le_bytes(*b"SESS");
 const TAG_CACH: u32 = u32::from_le_bytes(*b"CACH");

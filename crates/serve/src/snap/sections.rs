@@ -4,7 +4,7 @@
 //! `docs/SNAPSHOT_FORMAT.md`.
 
 use snorkel_context::CandidateId;
-use snorkel_core::label_model::{LabelModel, MajorityVoteModel, MomentModel, MomentStatsParts};
+use snorkel_core::label_model::{LabelModel, MajorityVoteModel, MomentModel};
 use snorkel_core::model::{
     ClassBalance, GenerativeModel, LabelScheme, ModelParams, ParamsError, TrainConfig,
 };
@@ -13,7 +13,7 @@ use snorkel_core::pipeline::DiscTrainerConfig;
 use snorkel_disc::{DiscModelParts, DistillConfig, TextFeaturizer};
 use snorkel_incr::{CacheStats, Fingerprint, FrozenCache, FrozenColumn, FrozenDisc, FrozenSession};
 use snorkel_matrix::{LabelMatrix, PatternIndexParts, Vote};
-use snorkel_stream::{DriftConfig, FrozenStream, StreamState, WindowStats};
+use snorkel_stream::{DriftConfig, FrozenStream, WindowStats};
 
 use super::{corrupt, SnapError};
 use crate::repl::ReplMark;
@@ -69,15 +69,15 @@ impl Field for FrozenColumn {
 }
 
 /// `SESS`: candidates, version counters, suite layout, last-refresh
-/// bookkeeping and the refresh-generation counter (the disc staleness
-/// anchor). The container fills in the other sections' parts.
+/// fingerprint layout and strategy, and the refresh-generation counter
+/// (the disc staleness anchor). The container fills in the other
+/// sections' parts.
 pub(super) fn enc_session_meta(s: &FrozenSession) -> Vec<u8> {
     let mut w = Writer::new();
     w.put(&s.candidates);
     w.put(&s.versions);
     w.put(&s.suite);
     w.put(&s.last_fingerprints);
-    w.put(&s.last_rows);
     match &s.last_gm_strategy {
         None => w.put(&0u8),
         Some((strategy, layout)) => {
@@ -107,7 +107,6 @@ pub(super) fn dec_session_meta(r: &mut Reader<'_>) -> Result<FrozenSession, Snap
     let versions = r.get("version counters")?;
     let suite = r.get("suite layout")?;
     let last_fingerprints = r.get("fingerprint layout")?;
-    let last_rows = r.get("last row count")?;
     let last_gm_strategy = match r.get::<u8>("strategy tag")? {
         0 => None,
         tag @ 1..=3 => {
@@ -137,7 +136,6 @@ pub(super) fn dec_session_meta(r: &mut Reader<'_>) -> Result<FrozenSession, Snap
         plan: None,
         model: None,
         last_fingerprints,
-        last_rows,
         last_gm_strategy,
         refresh_generation: r.get("refresh generation")?,
         disc: None,
@@ -414,21 +412,10 @@ pub(super) fn dec_disc(r: &mut Reader<'_>) -> Result<FrozenDisc, SnapError> {
 }
 
 /// `STRM`: the streaming plane's persistent state. The running moment
-/// totals travel as raw f64 bits (they are exact sums of integer
-/// counts, so bit-exactness preserves the online-equals-batch invariant
-/// across a restart); the diagnostic window ring is deliberately not
-/// persisted.
+/// totals are not in it — thawing folds them from `PLAN` — and the
+/// diagnostic window ring is deliberately not persisted.
 pub(super) fn enc_stream(s: &FrozenStream) -> Vec<u8> {
     let mut w = Writer::new();
-    w.put(&s.stats.num_lfs);
-    w.put(&s.stats.cardinality);
-    w.put(&s.stats.rows);
-    w.put(&s.stats.votes);
-    w.put(&s.stats.mv_class);
-    w.put(&s.stats.agree_mv);
-    w.put(&s.stats.total_mv);
-    w.put(&s.stats.both);
-    w.put(&s.stats.agree);
     w.put(&s.config.window_rows);
     w.put(&s.config.ring_windows);
     w.put(&s.config.threshold);
@@ -452,17 +439,6 @@ pub(super) fn enc_stream(s: &FrozenStream) -> Vec<u8> {
 
 pub(super) fn dec_stream(r: &mut Reader<'_>) -> Result<FrozenStream, SnapError> {
     let frozen = FrozenStream {
-        stats: MomentStatsParts {
-            num_lfs: r.get("stream LF count")?,
-            cardinality: r.get("stream cardinality")?,
-            rows: r.get("stream weighted rows")?,
-            votes: r.get("stream votes")?,
-            mv_class: r.get("stream mv_class")?,
-            agree_mv: r.get("stream agree_mv")?,
-            total_mv: r.get("stream total_mv")?,
-            both: r.get("stream both")?,
-            agree: r.get("stream agree")?,
-        },
         config: DriftConfig {
             window_rows: r.get("drift window_rows")?,
             ring_windows: r.get("drift ring_windows")?,
@@ -484,11 +460,13 @@ pub(super) fn dec_stream(r: &mut Reader<'_>) -> Result<FrozenStream, SnapError> 
         drift_score: r.get("drift score")?,
         per_lf_scores: r.get("per-LF drift scores")?,
     };
-    // Every structural invariant (count consistency, score ranges,
-    // window sanity) is enforced by the stream crate's own thaw path —
-    // run it here so a corrupt STRM is a typed snapshot error, not a
-    // later session-thaw surprise.
-    StreamState::thaw(frozen.clone()).map_err(|e| corrupt(format!("STRM: {e}")))?;
+    // Every invariant the section holds by itself (drift config,
+    // reference window, score ranges) is checked here, so a corrupt
+    // STRM is a typed snapshot error; its per-LF lengths are checked
+    // against Λ when the session thaws.
+    frozen
+        .validate()
+        .map_err(|e| corrupt(format!("STRM: {e}")))?;
     Ok(frozen)
 }
 

@@ -326,7 +326,6 @@ fn model_only_snapshot(model: LabelModel) -> Snapshot {
             plan: None,
             model: Some(model),
             last_fingerprints: Vec::new(),
-            last_rows: 0,
             last_gm_strategy: None,
             refresh_generation: 0,
             disc: None,
@@ -371,15 +370,15 @@ fn model_section_bytes_are_pinned() {
     for (model, digest, len) in [
         (
             LabelModel::MajorityVote(MajorityVoteModel::new(5, LabelScheme::from_cardinality(3))),
-            0x2189_61c9_b240_43a3u64,
-            326,
+            0xc94b_2a8d_60c6_a207u64,
+            318,
         ),
         (
             LabelModel::Generative(generative),
-            0x95d1_43e2_e6d9_84c1,
-            518,
+            0x606c_83dc_0215_e681,
+            510,
         ),
-        (LabelModel::Moment(moment), 0xbb43_51b6_fe0f_cb38, 454),
+        (LabelModel::Moment(moment), 0x41f9_94ab_7387_44ec, 446),
     ] {
         let backend = model.backend_name();
         let bytes = model_only_snapshot(model).to_bytes();
@@ -634,10 +633,10 @@ fn streaming_state_round_trips_and_resumes_steady_state() {
 fn corrupt_strm_section_is_a_typed_error() {
     let session = streaming_session(60, 16, &[95, 96, 97]);
     let mut bytes = snapshot_of(&session).to_bytes();
-    // Byte 8 of STRM is the statistics' cardinality (after the u64 LF
-    // count); zeroing it is semantic corruption the stream crate's own
-    // thaw validation must catch, surfaced as a typed snapshot error.
-    patch_section(&mut bytes, b"STRM", 8, &[0]);
+    // Bytes 0..8 of STRM are the drift window size; a zero window is
+    // semantic corruption the section's own validation must catch,
+    // surfaced as a typed snapshot error.
+    patch_section(&mut bytes, b"STRM", 0, &[0; 8]);
     match Snapshot::from_bytes(&bytes) {
         Err(SnapError::Corrupt { context }) => {
             assert!(context.contains("STRM"), "unexpected context {context:?}")

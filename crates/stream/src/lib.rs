@@ -33,10 +33,11 @@
 //!   (`docs/PROTOCOL.md` has the normative grammar).
 //!
 //! Freezing: [`FrozenStream`] is the plain-data image persisted in the
-//! snapshot format's `STRM` section (`docs/SNAPSHOT_FORMAT.md`) —
-//! running moment totals, drift configuration, reference window, and
-//! the lifetime counters — so a kill/resume keeps the online model warm
-//! and the drift baseline intact. The in-memory ring of *recent*
+//! snapshot format's `STRM` section (`docs/SNAPSHOT_FORMAT.md`) — drift
+//! configuration, reference window, scores and the lifetime counters —
+//! so a kill/resume keeps the drift baseline intact. The running moment
+//! totals are not in it: [`StreamState::thaw`] takes them folded from
+//! the thawed Λ's pattern index, which keeps the online model warm. The in-memory ring of *recent*
 //! windows is deliberately not persisted: it is diagnostic state, and a
 //! resumed process re-fills it within one window of traffic.
 

@@ -1,11 +1,12 @@
 //! Per-session streaming state: the running moment statistics, the
 //! drift detector, and the lifetime counters, plus the frozen image
-//! persisted in the snapshot format's `STRM` section.
+//! persisted in the snapshot format's `STRM` section (everything but
+//! the statistics, which Λ's pattern index rebuilds on thaw).
 
 use crate::drift::{DriftConfig, DriftDetector, WindowStats};
-use snorkel_core::label_model::{MomentStats, MomentStatsParts};
+use snorkel_core::label_model::MomentStats;
 use snorkel_core::model::LabelScheme;
-use snorkel_matrix::{LabelMatrix, Vote};
+use snorkel_matrix::{LabelMatrix, PatternIndex, Vote};
 use snorkel_obs::{Counter, Gauge};
 use std::sync::Arc;
 use std::sync::OnceLock;
@@ -149,24 +150,21 @@ impl StreamState {
         m.drift_score.set(score_ppm(self.detector.score()));
     }
 
-    /// Rebuild the running statistics from Λ after a structural suite
-    /// edit (LFs added/removed re-shape every per-LF vector). The
-    /// batch recompute is acceptable here — edits are rare, ingest is
+    /// Rebuild the running statistics from Λ's pattern index after a
+    /// refresh changed Λ (a suite edit re-shapes every per-LF vector).
+    /// One pass over the unique patterns — edits are rare, ingest is
     /// not — and lifetime counters survive; the drift baseline restarts
     /// because per-LF windows are not comparable across suite shapes.
-    pub fn rebuild_from_matrix(&mut self, lambda: &LabelMatrix) {
-        let n = lambda.num_lfs();
+    pub fn rebuild_from_index(&mut self, lambda: &LabelMatrix, plan: &PatternIndex) {
         let scheme = self.stats.scheme();
-        let mut stats = MomentStats::new(n, scheme);
-        stats.accumulate_matrix(lambda);
-        self.stats = stats;
-        self.detector = DriftDetector::new(n, scheme, self.detector.config().clone());
+        self.stats = MomentStats::from_signatures(lambda, Some(plan), scheme);
+        self.detector =
+            DriftDetector::new(lambda.num_lfs(), scheme, self.detector.config().clone());
     }
 
     /// Export the persistent image (snapshot `STRM` section payload).
     pub fn freeze(&self) -> FrozenStream {
         FrozenStream {
-            stats: self.stats.to_parts(),
             config: self.detector.config().clone(),
             reference: self.detector.reference().cloned(),
             batches: self.batches,
@@ -177,34 +175,26 @@ impl StreamState {
         }
     }
 
-    /// Rebuild from a frozen image, validating every invariant
-    /// (snapshot decoders hand this untrusted data). The window ring
-    /// and the partially filled current window restart empty — they
-    /// are diagnostic state a resumed process re-fills within one
+    /// Rebuild from a frozen image around `stats`, the running totals
+    /// folded from the thawed Λ's pattern index
+    /// ([`MomentStats::from_signatures`]). Every invariant of the image
+    /// is validated, and its per-LF parts must cover the statistics'
+    /// LFs (snapshot decoders hand this untrusted data). The window
+    /// ring and the partially filled current window restart empty —
+    /// they are diagnostic state a resumed process re-fills within one
     /// window of traffic.
-    pub fn thaw(frozen: FrozenStream) -> Result<StreamState, ThawStreamError> {
-        let stats = MomentStats::from_parts(frozen.stats).map_err(ThawStreamError::BadStats)?;
+    pub fn thaw(frozen: FrozenStream, stats: MomentStats) -> Result<StreamState, ThawStreamError> {
+        frozen.validate()?;
         let n = stats.num_lfs();
         let scheme = stats.scheme();
-        frozen
-            .config
-            .validate()
-            .map_err(ThawStreamError::BadConfig)?;
         if let Some(reference) = &frozen.reference {
             reference.validate(n).map_err(ThawStreamError::BadWindow)?;
         }
         if frozen.per_lf_scores.len() != n {
-            return Err(ThawStreamError::BadStats(format!(
-                "per-LF scores have {} entries, want {n}",
+            return Err(ThawStreamError::BadScores(format!(
+                "per-LF scores have {} entries, Λ has {n} LFs",
                 frozen.per_lf_scores.len()
             )));
-        }
-        for score in frozen.per_lf_scores.iter().chain([&frozen.drift_score]) {
-            if !(score.is_finite() && (0.0..=1.0).contains(score)) {
-                return Err(ThawStreamError::BadStats(format!(
-                    "drift score {score} outside [0, 1]"
-                )));
-            }
         }
         let detector = DriftDetector::restore(
             n,
@@ -225,15 +215,14 @@ impl StreamState {
     }
 }
 
-/// The plain-data image of a [`StreamState`] — what snapshot format v4
-/// persists in the `STRM` section: running moment totals, drift
-/// configuration, the frozen reference window, the latest scores, and
-/// the lifetime counters. The diagnostic window ring is deliberately
-/// not part of the image.
+/// The plain-data image of a [`StreamState`] — what the snapshot
+/// format persists in the `STRM` section: drift configuration, the
+/// frozen reference window, the latest scores, and the lifetime
+/// counters. The running moment totals are not part of the image: they
+/// are a fold of Λ's pattern index, which the snapshot carries in
+/// `PLAN`. The diagnostic window ring is deliberately left out too.
 #[derive(Clone, Debug, PartialEq)]
 pub struct FrozenStream {
-    /// Running moment sufficient statistics.
-    pub stats: MomentStatsParts,
     /// Drift detector configuration.
     pub config: DriftConfig,
     /// Frozen reference window (absent until the first window sealed).
@@ -250,12 +239,35 @@ pub struct FrozenStream {
     pub per_lf_scores: Vec<f64>,
 }
 
+impl FrozenStream {
+    /// Check every invariant the image holds by itself: the drift
+    /// configuration, the reference window's internal counts, and that
+    /// every score lies in `[0, 1]`. The per-LF lengths are checked
+    /// against Λ by [`StreamState::thaw`].
+    pub fn validate(&self) -> Result<(), ThawStreamError> {
+        self.config.validate().map_err(ThawStreamError::BadConfig)?;
+        if let Some(reference) = &self.reference {
+            reference
+                .validate(reference.num_lfs())
+                .map_err(ThawStreamError::BadWindow)?;
+        }
+        for score in self.per_lf_scores.iter().chain([&self.drift_score]) {
+            if !(score.is_finite() && (0.0..=1.0).contains(score)) {
+                return Err(ThawStreamError::BadScores(format!(
+                    "drift score {score} outside [0, 1]"
+                )));
+            }
+        }
+        Ok(())
+    }
+}
+
 /// Why a [`FrozenStream`] was rejected at thaw time.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub enum ThawStreamError {
-    /// The moment statistics or scores are malformed; the string names
-    /// the violated invariant.
-    BadStats(String),
+    /// The drift scores are malformed or do not cover Λ's LFs; the
+    /// string names the violated invariant.
+    BadScores(String),
     /// The reference window's counts are inconsistent.
     BadWindow(String),
     /// The drift configuration is out of range.
@@ -265,7 +277,7 @@ pub enum ThawStreamError {
 impl std::fmt::Display for ThawStreamError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
-            ThawStreamError::BadStats(why) => write!(f, "bad stream statistics: {why}"),
+            ThawStreamError::BadScores(why) => write!(f, "bad drift scores: {why}"),
             ThawStreamError::BadWindow(why) => write!(f, "bad reference window: {why}"),
             ThawStreamError::BadConfig(why) => write!(f, "bad drift config: {why}"),
         }
@@ -297,8 +309,7 @@ mod tests {
         let mut state = filled_state(10);
         state.record_auto_refit();
         let frozen = state.freeze();
-        let thawed = StreamState::thaw(frozen.clone()).expect("thaw");
-        assert_eq!(thawed.stats(), state.stats());
+        let thawed = StreamState::thaw(frozen.clone(), state.stats().clone()).expect("thaw");
         assert_eq!(thawed.batches(), state.batches());
         assert_eq!(thawed.rows(), state.rows());
         assert_eq!(thawed.auto_refits(), state.auto_refits());
@@ -312,40 +323,39 @@ mod tests {
     fn thaw_rejects_corruption() {
         let state = filled_state(10);
         let good = state.freeze();
-
-        let mut bad = good.clone();
-        bad.per_lf_scores.pop();
-        assert!(matches!(
-            StreamState::thaw(bad),
-            Err(ThawStreamError::BadStats(_))
-        ));
+        let thaw = |frozen: FrozenStream| StreamState::thaw(frozen, state.stats().clone());
 
         let mut bad = good.clone();
         bad.drift_score = f64::NAN;
-        assert!(matches!(
-            StreamState::thaw(bad),
-            Err(ThawStreamError::BadStats(_))
-        ));
+        assert!(matches!(bad.validate(), Err(ThawStreamError::BadScores(_))));
+        assert!(matches!(thaw(bad), Err(ThawStreamError::BadScores(_))));
 
         let mut bad = good.clone();
         bad.config.window_rows = 0;
-        assert!(matches!(
-            StreamState::thaw(bad),
-            Err(ThawStreamError::BadConfig(_))
-        ));
+        assert!(matches!(bad.validate(), Err(ThawStreamError::BadConfig(_))));
+        assert!(matches!(thaw(bad), Err(ThawStreamError::BadConfig(_))));
 
         let mut bad = good.clone();
         if let Some(reference) = &mut bad.reference {
             reference.agree_mv[0] = reference.total_mv[0] + 1;
         }
+        assert!(matches!(bad.validate(), Err(ThawStreamError::BadWindow(_))));
+        assert!(matches!(thaw(bad), Err(ThawStreamError::BadWindow(_))));
+
+        // Sound by itself, but its per-LF parts do not cover Λ's LFs.
+        let mut bad = good.clone();
+        bad.per_lf_scores.pop();
+        assert_eq!(bad.validate(), Ok(()));
+        assert!(matches!(thaw(bad), Err(ThawStreamError::BadScores(_))));
+        let four_lfs = MomentStats::new(4, LabelScheme::Binary);
         assert!(matches!(
-            StreamState::thaw(bad),
+            StreamState::thaw(good, four_lfs),
             Err(ThawStreamError::BadWindow(_))
         ));
     }
 
     #[test]
-    fn rebuild_from_matrix_keeps_counters_and_matches_batch() {
+    fn rebuild_from_index_keeps_counters_and_matches_row_walk() {
         use snorkel_matrix::LabelMatrixBuilder;
         let mut state = filled_state(8);
         let mut b = LabelMatrixBuilder::new(6, 4);
@@ -356,11 +366,15 @@ mod tests {
             b.set(i, 3, -v);
         }
         let lambda = b.build();
-        state.rebuild_from_matrix(&lambda);
+        state.rebuild_from_index(&lambda, &PatternIndex::build(&lambda));
         assert_eq!(state.num_lfs(), 4);
+        assert_eq!(state.detector().num_lfs(), 4);
         assert_eq!(state.batches(), 1, "lifetime counters survive rebuild");
-        let mut batch = MomentStats::new(4, LabelScheme::Binary);
-        batch.accumulate_matrix(&lambda);
-        assert_eq!(state.stats(), &batch);
+        let mut row_walk = MomentStats::new(4, LabelScheme::Binary);
+        for i in 0..lambda.num_points() {
+            let (cols, votes) = lambda.row(i);
+            row_walk.accumulate(cols, votes, 1.0);
+        }
+        assert_eq!(state.stats(), &row_walk);
     }
 }
