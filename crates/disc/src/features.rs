@@ -44,29 +44,18 @@ pub fn feature_bucket(hash: u64, buckets: u32) -> u32 {
     }
 }
 
-/// The 64-bit FNV-1a of four feature names at once, in four independent
-/// lanes (one hash chain per name, so the multiplies of different names
-/// overlap instead of waiting on each other), plus the OR of every byte
-/// hashed: a caller that must validate UTF-8 learns from bit 7 in the
-/// same pass whether any of the four left ASCII. Hash `i` reduced by
-/// [`feature_bucket`] is [`hash_feature`] of name `i`; an empty name
-/// pads a short group.
-pub fn feature_hashes_x4(names: [&[u8]; 4]) -> ([u64; 4], u8) {
-    let common = names.iter().map(|n| n.len()).min().unwrap_or(0);
-    let [a, b, c, d] = names.map(|n| &n[..common]);
-    let mut h = [FeatureHash::new(); 4];
+/// The 64-bit FNV-1a of one feature name's bytes, plus the OR of every
+/// byte hashed: a caller that must validate UTF-8 learns from bit 7 in
+/// the same pass whether the name left ASCII. The hash reduced by
+/// [`feature_bucket`] is [`hash_feature`] of the name.
+pub fn feature_hash(name: &[u8]) -> (u64, u8) {
+    let mut h = FeatureHash::new();
     let mut seen = 0u8;
-    for (((&a, &b), &c), &d) in a.iter().zip(b).zip(c).zip(d) {
-        seen |= a | b | c | d;
-        h = [h[0].byte(a), h[1].byte(b), h[2].byte(c), h[3].byte(d)];
+    for &byte in name {
+        seen |= byte;
+        h = h.byte(byte);
     }
-    for (lane, name) in h.iter_mut().zip(names) {
-        for &byte in &name[common..] {
-            seen |= byte;
-            *lane = lane.byte(byte);
-        }
-    }
-    (h.map(|lane| lane.0), seen)
+    (h.0, seen)
 }
 
 /// FNV-1a streamed over the pieces of one feature name. FNV-1a folds

@@ -93,7 +93,7 @@ pub use distill::{
     hash_features, hash_features_into, marginal_confidence, DiscModelParts, DistillConfig,
     DistillReport, DistilledModel,
 };
-pub use features::{feature_bucket, feature_hashes_x4, hash_feature, TextFeaturizer};
+pub use features::{feature_bucket, feature_hash, hash_feature, TextFeaturizer};
 pub use logreg::{LogRegConfig, LogisticRegression};
 pub use metrics::{accuracy, f1_score, precision_recall_f1, roc_auc, Prf};
 pub use mlp::{Mlp, MlpConfig};

@@ -24,7 +24,9 @@
 //! **deduplicated by vote signature** ([`PatternIndex`]) so model passes
 //! run once per unique pattern, weighted by multiplicity, instead of
 //! once per row. One index covers all of Λ, so no result depends on the
-//! core count.
+//! core count. Its signatures live in a [`SigTable`], the one
+//! hash-consing table for vote signatures, which the serving layer's
+//! posterior memo uses too.
 //!
 //! ```
 //! use snorkel_matrix::LabelMatrixBuilder;
@@ -44,6 +46,7 @@
 mod csr;
 mod delta;
 mod pattern;
+mod sigtable;
 pub mod stats;
 
 pub use csr::{
@@ -52,4 +55,5 @@ pub use csr::{
 };
 pub use delta::MatrixDelta;
 pub use pattern::{PatternIndex, PatternIndexParts, ResignScratch, ShardedMatrix};
+pub use sigtable::SigTable;
 pub use stats::{LfSummary, MatrixStats};

@@ -4,10 +4,10 @@
 //! handful of LFs) the posterior of the generative model depends only on
 //! a row's vote signature `(cols, votes)` — millions of rows collapse
 //! onto a few thousand distinct patterns. A [`PatternIndex`] groups the
-//! rows of a [`LabelMatrix`] by unique signature in a single hash-consed
-//! pass, recording each pattern's **multiplicity**, so inference and the
-//! EM/Newton sufficient statistics can run once per *pattern* (weighted
-//! by multiplicity) instead of once per *row*.
+//! rows of a [`LabelMatrix`] by unique signature in a single pass over
+//! a [`SigTable`], recording each pattern's **multiplicity**, so
+//! inference and the EM/Newton sufficient statistics can run once per
+//! *pattern* (weighted by multiplicity) instead of once per *row*.
 //!
 //! One index covers every row of Λ, so every pass over it — and every
 //! output built from one — is the same on any machine, whatever its
@@ -29,11 +29,10 @@
 //! match a fresh rebuild — [`PatternIndex::validate`] checks exactly
 //! that invariant against the backing matrix.
 
-use std::collections::HashMap;
-
 use snorkel_arena::ScratchVec;
 
 use crate::csr::{LabelMatrix, Vote};
+use crate::sigtable::SigTable;
 
 /// Reusable scratch for [`PatternIndex::refresh_column_with`]: the
 /// pattern-touches-column bitmap and the affected-row list that a
@@ -59,29 +58,12 @@ impl ResignScratch {
     }
 }
 
-/// Hash of one row signature (the hash-consing key; collisions are
-/// resolved by full slice comparison, so the hash only needs to spread
-/// well). An FxHash-style rotate-xor-multiply over the packed
-/// `(col, vote)` words: index construction is hash-bound at the
-/// million-row scale, and SipHash's per-call overhead tripled the build
-/// cost for no benefit here (no untrusted-key DoS surface — the table
-/// is process-local and rebuilt per matrix).
-fn sig_hash(cols: &[u32], votes: &[Vote]) -> u64 {
-    const SEED: u64 = 0x51_7c_c1_b7_27_22_0a_95;
-    let mut h = cols.len() as u64;
-    for (&c, &v) in cols.iter().zip(votes) {
-        let word = ((c as u64) << 8) | (v as u8 as u64);
-        h = (h.rotate_left(5) ^ word).wrapping_mul(SEED);
-    }
-    h
-}
-
 /// Owned copy of a [`PatternIndex`]'s persistent state — the stable
 /// encoding surface for on-disk snapshots. The derived structures (the
-/// signature-hash lookup table and the live-pattern count) are *not*
-/// part of the encoding; [`PatternIndex::from_parts`] rebuilds them
-/// deterministically, so a round trip reproduces an index that behaves
-/// identically to the original.
+/// signature table's probe slots and the live-pattern count) are *not*
+/// part of the encoding; [`PatternIndex::from_parts`] rebuilds them by
+/// re-interning the patterns in id order, so a round trip reproduces an
+/// index that behaves identically to the original.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PatternIndexParts {
     /// LF-column count of the matrix the index was built for.
@@ -106,19 +88,12 @@ pub struct PatternIndexParts {
 pub struct PatternIndex {
     /// LF-column count of the matrix the index was built for.
     n: usize,
-    /// Signature arena: concatenated column indices of every interned
-    /// pattern.
-    sig_cols: Vec<u32>,
-    /// Signature arena: votes, parallel to `sig_cols`.
-    sig_votes: Vec<Vote>,
-    /// Per-pattern `(offset, len)` into the arenas.
-    pat_bounds: Vec<(usize, usize)>,
+    /// Every pattern's signature; the table id is the pattern id.
+    table: SigTable,
     /// Rows currently carrying each pattern (0 = tombstone).
     counts: Vec<usize>,
     /// Row → pattern id.
     row_pattern: Vec<u32>,
-    /// Signature hash → candidate pattern ids.
-    lookup: HashMap<u64, Vec<u32>>,
     /// Number of patterns with a non-zero count.
     live: usize,
 }
@@ -128,12 +103,9 @@ impl PatternIndex {
     pub fn build(lambda: &LabelMatrix) -> Self {
         let mut idx = PatternIndex {
             n: lambda.num_lfs(),
-            sig_cols: Vec::new(),
-            sig_votes: Vec::new(),
-            pat_bounds: Vec::new(),
+            table: SigTable::new(),
             counts: Vec::new(),
             row_pattern: Vec::with_capacity(lambda.num_points()),
-            lookup: HashMap::new(),
             live: 0,
         };
         idx.append_rows(lambda);
@@ -169,11 +141,7 @@ impl PatternIndex {
 
     /// Signature of pattern `p` as `(cols, votes)` slices.
     pub fn pattern(&self, p: usize) -> (&[u32], &[Vote]) {
-        let (off, len) = self.pat_bounds[p];
-        (
-            &self.sig_cols[off..off + len],
-            &self.sig_votes[off..off + len],
-        )
+        self.table.get(p)
     }
 
     /// Multiplicity of pattern `p` (0 for tombstones).
@@ -189,44 +157,28 @@ impl PatternIndex {
     /// Total pattern slots including tombstones — the valid id range for
     /// [`Self::pattern`] / [`Self::count`].
     pub fn num_slots(&self) -> usize {
-        self.pat_bounds.len()
+        self.counts.len()
     }
 
     /// Iterate the live patterns in id order as
     /// `(pattern_id, cols, votes, multiplicity)`.
     pub fn live_patterns(&self) -> impl Iterator<Item = (usize, &[u32], &[Vote], usize)> + '_ {
-        self.pat_bounds
+        self.counts
             .iter()
-            .zip(&self.counts)
             .enumerate()
-            .filter(|(_, (_, &c))| c > 0)
-            .map(move |(p, (&(off, len), &c))| {
-                (
-                    p,
-                    &self.sig_cols[off..off + len],
-                    &self.sig_votes[off..off + len],
-                    c,
-                )
+            .filter(|(_, &c)| c > 0)
+            .map(move |(p, &c)| {
+                let (cols, votes) = self.table.get(p);
+                (p, cols, votes, c)
             })
     }
 
     /// Intern a signature, returning its pattern id (count untouched).
     fn intern(&mut self, cols: &[u32], votes: &[Vote]) -> u32 {
-        let h = sig_hash(cols, votes);
-        if let Some(cands) = self.lookup.get(&h) {
-            for &p in cands {
-                if self.pattern(p as usize) == (cols, votes) {
-                    return p;
-                }
-            }
+        let p = self.table.intern(cols, votes);
+        if p as usize == self.counts.len() {
+            self.counts.push(0);
         }
-        let p = self.pat_bounds.len() as u32;
-        let off = self.sig_cols.len();
-        self.sig_cols.extend_from_slice(cols);
-        self.sig_votes.extend_from_slice(votes);
-        self.pat_bounds.push((off, cols.len()));
-        self.counts.push(0);
-        self.lookup.entry(h).or_default().push(p);
         p
     }
 
@@ -298,9 +250,9 @@ impl PatternIndex {
         self.n = lambda.num_lfs();
         let jc = col as u32;
         scratch.pat_has.reset();
-        scratch.pat_has.extend(
-            (0..self.pat_bounds.len()).map(|p| self.pattern(p).0.binary_search(&jc).is_ok()),
-        );
+        scratch
+            .pat_has
+            .extend((0..self.num_slots()).map(|p| self.pattern(p).0.binary_search(&jc).is_ok()));
         scratch.affected.reset();
         for (r, &p) in self.row_pattern.iter().enumerate() {
             if scratch.pat_has[p as usize] || lambda.row(r).0.binary_search(&jc).is_ok() {
@@ -311,61 +263,51 @@ impl PatternIndex {
     }
 
     /// Drop tombstoned patterns once they dominate the slot table,
-    /// renumbering the survivors in id order.
+    /// re-interning the survivors in id order.
     fn maybe_compact(&mut self) {
-        if self.pat_bounds.len() <= 2 * self.live + 16 {
+        if self.num_slots() <= 2 * self.live + 16 {
             return;
         }
-        let mut remap = vec![u32::MAX; self.pat_bounds.len()];
-        let mut sig_cols = Vec::with_capacity(self.sig_cols.len());
-        let mut sig_votes = Vec::with_capacity(self.sig_votes.len());
-        let mut pat_bounds = Vec::with_capacity(self.live);
+        let mut remap = vec![u32::MAX; self.num_slots()];
+        let mut table = SigTable::new();
         let mut counts = Vec::with_capacity(self.live);
-        let mut lookup: HashMap<u64, Vec<u32>> = HashMap::new();
-        for (p, &count) in self.counts.iter().enumerate() {
-            if count == 0 {
-                continue;
-            }
-            let (cols, votes) = self.pattern(p);
-            let new_id = pat_bounds.len() as u32;
-            remap[p] = new_id;
-            let off = sig_cols.len();
-            sig_cols.extend_from_slice(cols);
-            sig_votes.extend_from_slice(votes);
-            lookup
-                .entry(sig_hash(cols, votes))
-                .or_default()
-                .push(new_id);
-            pat_bounds.push((off, cols.len()));
+        for (p, &count) in self.counts.iter().enumerate().filter(|(_, &c)| c > 0) {
+            let (cols, votes) = self.table.get(p);
+            remap[p] = table.intern(cols, votes);
             counts.push(count);
         }
         for p in self.row_pattern.iter_mut() {
             *p = remap[*p as usize];
         }
-        self.sig_cols = sig_cols;
-        self.sig_votes = sig_votes;
-        self.pat_bounds = pat_bounds;
+        self.table = table;
         self.counts = counts;
-        self.lookup = lookup;
     }
 
-    /// Export the persistent state (see [`PatternIndexParts`]).
+    /// Export the persistent state (see [`PatternIndexParts`]). The
+    /// arenas hold the patterns back to back in id order.
     pub fn to_parts(&self) -> PatternIndexParts {
-        PatternIndexParts {
+        let mut parts = PatternIndexParts {
             num_lfs: self.n,
-            sig_cols: self.sig_cols.clone(),
-            sig_votes: self.sig_votes.clone(),
-            pat_bounds: self.pat_bounds.clone(),
+            sig_cols: Vec::new(),
+            sig_votes: Vec::new(),
+            pat_bounds: Vec::with_capacity(self.num_slots()),
             counts: self.counts.clone(),
             row_pattern: self.row_pattern.clone(),
+        };
+        for p in 0..self.num_slots() {
+            let (cols, votes) = self.table.get(p);
+            parts.pat_bounds.push((parts.sig_cols.len(), cols.len()));
+            parts.sig_cols.extend_from_slice(cols);
+            parts.sig_votes.extend_from_slice(votes);
         }
+        parts
     }
 
-    /// Rebuild an index from exported parts, reconstructing the lookup
-    /// table (in pattern-id order, matching a freshly built index's
-    /// bucket ordering) and the live count. Structural invariants are
-    /// validated here; consistency with a backing matrix is the caller's
-    /// check ([`Self::validate`]).
+    /// Rebuild an index from exported parts by re-interning the
+    /// patterns in id order, and recount the live patterns. Structural
+    /// invariants are validated here — including that no two patterns,
+    /// tombstones too, share a signature; consistency with a backing
+    /// matrix is the caller's check ([`Self::validate`]).
     pub fn from_parts(parts: PatternIndexParts) -> Result<PatternIndex, String> {
         let PatternIndexParts {
             num_lfs,
@@ -389,13 +331,19 @@ impl PatternIndex {
                 pat_bounds.len()
             ));
         }
+        let mut table = SigTable::new();
         for (p, &(off, len)) in pat_bounds.iter().enumerate() {
             let end = off.checked_add(len).filter(|&e| e <= sig_cols.len());
             if end.is_none() {
                 return Err(format!("pattern {p}: bounds {off}+{len} exceed arena"));
             }
-            if sig_cols[off..off + len].windows(2).any(|w| w[0] >= w[1]) {
+            let (cols, votes) = (&sig_cols[off..off + len], &sig_votes[off..off + len]);
+            if cols.windows(2).any(|w| w[0] >= w[1]) {
                 return Err(format!("pattern {p}: columns not strictly increasing"));
+            }
+            let q = table.intern(cols, votes);
+            if q as usize != p {
+                return Err(format!("patterns {q} and {p} share a signature"));
             }
         }
         let mut hist = vec![0usize; pat_bounds.len()];
@@ -409,29 +357,21 @@ impl PatternIndex {
             return Err("multiplicity counts disagree with the row histogram".into());
         }
         let live = counts.iter().filter(|&&c| c > 0).count();
-        let mut idx = PatternIndex {
+        Ok(PatternIndex {
             n: num_lfs,
-            sig_cols,
-            sig_votes,
-            pat_bounds,
+            table,
             counts,
             row_pattern,
-            lookup: HashMap::new(),
             live,
-        };
-        for p in 0..idx.pat_bounds.len() {
-            let (cols, votes) = idx.pattern(p);
-            let h = sig_hash(cols, votes);
-            idx.lookup.entry(h).or_default().push(p as u32);
-        }
-        Ok(idx)
+        })
     }
 
     /// Check every invariant against the backing matrix: the index
     /// covers exactly its rows and columns, each row's stored signature
     /// equals its matrix row, multiplicities equal the actual
-    /// row→pattern histogram, and `num_patterns` counts exactly the
-    /// non-tombstones. Returns a description of the first violation.
+    /// row→pattern histogram, `num_patterns` counts exactly the
+    /// non-tombstones, and every pattern is found under its own id.
+    /// Returns a description of the first violation.
     pub fn validate(&self, lambda: &LabelMatrix) -> Result<(), String> {
         if self.n != lambda.num_lfs() {
             return Err(format!(
@@ -447,7 +387,7 @@ impl PatternIndex {
                 lambda.num_points()
             ));
         }
-        let mut hist = vec![0usize; self.pat_bounds.len()];
+        let mut hist = vec![0usize; self.num_slots()];
         for (r, &p) in self.row_pattern.iter().enumerate() {
             if self.pattern(p as usize) != lambda.row(r) {
                 return Err(format!("row {r}: stored signature != matrix row"));
@@ -461,11 +401,10 @@ impl PatternIndex {
         if live != self.live {
             return Err(format!("live count {} != actual {live}", self.live));
         }
-        // No duplicate live signatures (hash-consing must have merged).
-        let mut seen = HashMap::new();
-        for (p, cols, votes, _) in self.live_patterns() {
-            if let Some(prev) = seen.insert((cols.to_vec(), votes.to_vec()), p) {
-                return Err(format!("patterns {prev} and {p} share a signature"));
+        for p in 0..self.num_slots() {
+            let (cols, votes) = self.pattern(p);
+            if self.table.find(cols, votes) != Some(p as u32) {
+                return Err(format!("pattern {p} is not found under its own id"));
             }
         }
         Ok(())
@@ -619,7 +558,7 @@ mod tests {
         for r in 0..lambda.num_points() {
             assert_eq!(back.pattern_of_row(r), idx.pattern_of_row(r), "row {r}");
         }
-        // The rebuilt lookup must keep interning correctly: a further
+        // The re-interned table must keep interning correctly: a further
         // column edit lands on the same patterns as the original index.
         let mut a = idx.clone();
         let mut b = back;
@@ -660,6 +599,30 @@ mod tests {
         let mut parts = idx.to_parts();
         parts.sig_votes.pop();
         assert!(PatternIndex::from_parts(parts).is_err());
+        // A tombstone repeating a live pattern's signature: thawed, a
+        // later column edit would leave two live patterns on one
+        // signature, so the repeat is refused up front.
+        let mut b = LabelMatrixBuilder::new(2, 2);
+        b.set(0, 0, 1);
+        b.set(1, 0, 1);
+        let lambda = b.build();
+        let parts = PatternIndexParts {
+            num_lfs: 2,
+            sig_cols: vec![0, 0],
+            sig_votes: vec![1, 1],
+            pat_bounds: vec![(0, 1), (1, 1)],
+            counts: vec![0, 2],
+            row_pattern: vec![1, 1],
+        };
+        assert_eq!(
+            PatternIndex::from_parts(parts).unwrap_err(),
+            "patterns 0 and 1 share a signature"
+        );
+        let parts = PatternIndex::build(&lambda).to_parts();
+        PatternIndex::from_parts(parts)
+            .unwrap()
+            .validate(&lambda)
+            .unwrap();
     }
 
     #[test]

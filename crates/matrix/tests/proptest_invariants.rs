@@ -140,7 +140,8 @@ proptest! {
 
     /// Incremental maintenance over an arbitrary delta sequence keeps
     /// the index equivalent to a fresh rebuild (same row→signature map,
-    /// same multiplicities — checked by `validate` + pattern count).
+    /// same multiplicities — checked by `validate` + pattern count), and
+    /// never gives one signature two slots.
     #[test]
     fn pattern_index_survives_arbitrary_delta_sequences(
         (lambda, _) in matrix_strategy(),
@@ -197,6 +198,12 @@ proptest! {
             }
             plan.validate(&lambda).unwrap();
             prop_assert_eq!(plan.num_patterns(), PatternIndex::build(&lambda).num_patterns());
+            // No two slots share a signature, tombstones included.
+            let mut seen = std::collections::HashMap::new();
+            for p in 0..plan.num_slots() {
+                let prev = seen.insert(plan.pattern(p), p);
+                prop_assert_eq!(prev, None, "slot {} repeats a signature", p);
+            }
         }
     }
 }

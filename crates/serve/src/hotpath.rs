@@ -11,12 +11,10 @@
 //! * [`ReadScratch`] — one per worker thread: every buffer a request
 //!   decode or posterior batch needs, grown to the traffic's high-water
 //!   mark and reset (not freed) per request.
-//! * [`SigMemo`] — the per-generation posterior memo in
-//!   structure-of-arrays form: flat signature/posterior arenas plus an
-//!   open-addressing probe table of hash-tagged entries, so a
+//! * [`SigMemo`] — the per-generation posterior memo: the shared
+//!   signature table ([`SigTable`]) plus a flat posterior arena, so a
 //!   steady-state lookup borrows `&[f64]` straight out of the arena
-//!   with zero allocations, and a probe reads the key arena only when
-//!   its tag matches.
+//!   with zero allocations.
 //! * [`decode_marginal`] / [`decode_predict`] — the one decoder of each
 //!   batched read opcode: zero-copy, validating into the scratch arenas
 //!   instead of fresh `Vec`s, with the error wording the rest of
@@ -39,10 +37,11 @@ use std::sync::Mutex;
 use snorkel_arena::ScratchVec;
 use snorkel_core::label_model::{LabelModel, MajorityVoteModel};
 use snorkel_core::model::LabelScheme;
-use snorkel_disc::{feature_bucket, feature_hashes_x4, DistilledModel};
+use snorkel_disc::{feature_bucket, feature_hash, DistilledModel};
 use snorkel_incr::IncrementalSession;
 use snorkel_lf::Vote;
 use snorkel_linalg::SparseVec;
+use snorkel_matrix::SigTable;
 
 use crate::core::lock_unpoisoned;
 use crate::frame;
@@ -53,62 +52,33 @@ use crate::wire::{self, Field, Reader};
 /// diversity, where we fall back to recomputing.
 pub const MEMO_CAP: usize = 65_536;
 
-/// Slots the probe table starts with (power of two; grows by doubling).
-const INITIAL_TABLE: usize = 1024;
-
-/// Memoized posteriors per vote signature, valid for one generation —
-/// the structure-of-arrays replacement for the `HashMap` memo.
+/// Memoized posteriors per vote signature, valid for one generation.
 ///
-/// Keys (vote signatures) and values (posterior rows) live in flat
-/// arenas addressed by per-entry bounds, exactly the layout the
-/// training-side `PatternIndex` uses for the same data. An
-/// open-addressing table of tagged entry indices (linear probing,
-/// power-of-two capacity) makes lookup a tag compare, and a slice
-/// compare only when the tag matches: no key clone to probe, no `Vec`
-/// clone to return — a hit borrows the arena. The read path hashes a
-/// signature once with [`Self::hash`], outside the memo's lock, and
-/// passes the hash to [`Self::lookup_hashed`] and
+/// The signatures are interned in a [`SigTable`] — the same table the
+/// training-side `PatternIndex` keys its patterns by — and entry `e`'s
+/// posterior is the `val_bounds[e]` range of a flat value arena: no key
+/// clone to probe, no `Vec` clone to return — a hit borrows the arena.
+/// The read path hashes a signature once with [`Self::hash`], outside
+/// the memo's lock, and passes the hash to [`Self::lookup_hashed`] and
 /// [`Self::insert_hashed`]; [`Self::lookup`] and [`Self::insert`] hash
 /// for the caller.
 ///
-/// A generation bump ([`Self::begin_generation`]) resets the arenas
-/// and zeroes the table without freeing either, so the memo re-warms
-/// after a `REFRESH` without re-allocating.
+/// A generation bump ([`Self::begin_generation`]) clears the table and
+/// the value arena without freeing either, so the memo re-warms after a
+/// `REFRESH` without re-allocating.
+#[derive(Default)]
 pub struct SigMemo {
     generation: u64,
-    /// Flat signature arena: entry `e`'s columns and votes are the
-    /// `key_bounds[e]` range of these two parallel arrays.
-    key_cols: Vec<u32>,
-    key_votes: Vec<Vote>,
-    key_bounds: Vec<(u32, u32)>,
+    sigs: SigTable,
     /// Flat posterior arena, addressed by `val_bounds`.
     vals: Vec<f64>,
     val_bounds: Vec<(u32, u32)>,
-    /// Probe table: the entry's signature hash in the high 32 bits,
-    /// entry index + 1 in the low 32; `0` = empty. A slot's home is
-    /// its hash masked to the table size, so growth rehashes from the
-    /// table alone.
-    table: Vec<u64>,
-}
-
-impl Default for SigMemo {
-    fn default() -> Self {
-        SigMemo::new()
-    }
 }
 
 impl SigMemo {
     /// An empty memo at generation 0 (no allocation until first use).
     pub fn new() -> SigMemo {
-        SigMemo {
-            generation: 0,
-            key_cols: Vec::new(),
-            key_votes: Vec::new(),
-            key_bounds: Vec::new(),
-            vals: Vec::new(),
-            val_bounds: Vec::new(),
-            table: Vec::new(),
-        }
+        SigMemo::default()
     }
 
     /// The generation the memoized posteriors belong to.
@@ -118,64 +88,33 @@ impl SigMemo {
 
     /// Number of memoized signatures.
     pub fn len(&self) -> usize {
-        self.key_bounds.len()
+        self.sigs.len()
     }
 
     /// True when nothing is memoized.
     pub fn is_empty(&self) -> bool {
-        self.key_bounds.is_empty()
+        self.sigs.is_empty()
     }
 
     /// High-water heap footprint in bytes (capacities, which never
     /// shrink across generations).
     pub fn bytes(&self) -> usize {
-        self.key_cols.capacity() * std::mem::size_of::<u32>()
-            + self.key_votes.capacity() * std::mem::size_of::<Vote>()
-            + self.key_bounds.capacity() * std::mem::size_of::<(u32, u32)>()
+        self.sigs.bytes()
             + self.vals.capacity() * std::mem::size_of::<f64>()
             + self.val_bounds.capacity() * std::mem::size_of::<(u32, u32)>()
-            + self.table.capacity() * std::mem::size_of::<u64>()
     }
 
-    /// Invalidate everything and adopt `gen`: arenas reset, table
-    /// zeroed, all capacity retained.
+    /// Invalidate everything and adopt `gen`, keeping all capacity.
     pub fn begin_generation(&mut self, gen: u64) {
         self.generation = gen;
-        self.key_cols.clear();
-        self.key_votes.clear();
-        self.key_bounds.clear();
+        self.sigs.clear();
         self.vals.clear();
         self.val_bounds.clear();
-        self.table.iter_mut().for_each(|slot| *slot = 0);
     }
 
-    /// The 32-bit hash the `*_hashed` methods take: one
-    /// multiply-rotate step per `(column, vote)` word, seeded with the
-    /// length so a prefix signature does not collide with its extension
-    /// trivially, then the `fmix64` finalizer so every input bit reaches
-    /// the low bits that pick the home slot. Never persisted or sent, so
-    /// it is free to change.
+    /// The hash the `*_hashed` methods take: [`SigTable::hash`].
     pub fn hash(cols: &[u32], votes: &[Vote]) -> u32 {
-        let mut h = cols.len() as u64;
-        for (&c, &v) in cols.iter().zip(votes) {
-            let word = u64::from(c) | u64::from(v as u8) << 32;
-            h = (h.rotate_left(5) ^ word).wrapping_mul(0x517c_c1b7_2722_0a95);
-        }
-        h ^= h >> 33;
-        h = h.wrapping_mul(0xff51_afd7_ed55_8ccd);
-        h ^= h >> 33;
-        h = h.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
-        h ^= h >> 33;
-        h as u32
-    }
-
-    fn key_at(&self, e: usize) -> (&[u32], &[Vote]) {
-        let (off, len) = self.key_bounds[e];
-        let (off, len) = (off as usize, len as usize);
-        (
-            &self.key_cols[off..off + len],
-            &self.key_votes[off..off + len],
-        )
+        SigTable::hash(cols, votes)
     }
 
     /// The memoized posterior for a signature, if present. Borrows the
@@ -186,26 +125,9 @@ impl SigMemo {
 
     /// [`Self::lookup`] for a signature whose [`Self::hash`] is `hash`.
     pub fn lookup_hashed(&self, hash: u32, cols: &[u32], votes: &[Vote]) -> Option<&[f64]> {
-        if self.table.is_empty() {
-            return None;
-        }
-        let mask = self.table.len() - 1;
-        let mut i = hash as usize & mask;
-        loop {
-            let slot = self.table[i];
-            if slot == 0 {
-                return None;
-            }
-            if (slot >> 32) as u32 == hash {
-                let e = (slot as u32 - 1) as usize;
-                let (kc, kv) = self.key_at(e);
-                if kc == cols && kv == votes {
-                    let (off, len) = self.val_bounds[e];
-                    return Some(&self.vals[off as usize..(off + len) as usize]);
-                }
-            }
-            i = (i + 1) & mask;
-        }
+        let e = self.sigs.find_hashed(hash, cols, votes)?;
+        let (off, len) = self.val_bounds[e as usize];
+        Some(&self.vals[off as usize..(off + len) as usize])
     }
 
     /// Memoize one signature's posterior. A no-op at [`MEMO_CAP`] or if
@@ -220,45 +142,14 @@ impl SigMemo {
 
     /// [`Self::insert`] for a signature whose [`Self::hash`] is `hash`.
     pub fn insert_hashed(&mut self, hash: u32, cols: &[u32], votes: &[Vote], probs: &[f64]) {
-        if self.len() >= MEMO_CAP || self.lookup_hashed(hash, cols, votes).is_some() {
+        if self.len() >= MEMO_CAP {
             return;
         }
-        self.grow_table_if_loaded();
-        let e = self.key_bounds.len();
-        self.key_bounds
-            .push((self.key_cols.len() as u32, cols.len() as u32));
-        self.key_cols.extend_from_slice(cols);
-        self.key_votes.extend_from_slice(votes);
-        self.val_bounds
-            .push((self.vals.len() as u32, probs.len() as u32));
-        self.vals.extend_from_slice(probs);
-        Self::place(&mut self.table, u64::from(hash) << 32 | (e + 1) as u64);
-    }
-
-    /// Put `slot` at the first free position from its home.
-    fn place(table: &mut [u64], slot: u64) {
-        let mask = table.len() - 1;
-        let mut i = (slot >> 32) as usize & mask;
-        while table[i] != 0 {
-            i = (i + 1) & mask;
+        if self.sigs.intern_hashed(hash, cols, votes) as usize == self.val_bounds.len() {
+            self.val_bounds
+                .push((self.vals.len() as u32, probs.len() as u32));
+            self.vals.extend_from_slice(probs);
         }
-        table[i] = slot;
-    }
-
-    /// Keep the probe table under ~70% load (doubling + rehash).
-    fn grow_table_if_loaded(&mut self) {
-        if self.table.is_empty() {
-            self.table = vec![0; INITIAL_TABLE];
-            return;
-        }
-        if (self.len() + 1) * 10 < self.table.len() * 7 {
-            return;
-        }
-        let mut table = vec![0u64; self.table.len() * 2];
-        for &slot in self.table.iter().filter(|&&slot| slot != 0) {
-            Self::place(&mut table, slot);
-        }
-        self.table = table;
     }
 }
 
@@ -448,28 +339,22 @@ fn parse_predict(payload: &[u8], scratch: &mut ReadScratch) -> Result<usize, Str
     Ok(n)
 }
 
-/// The 64-bit FNV-1a of every name in `feats` into `hashes`, four
-/// names per step in [`feature_hashes_x4`]'s lanes. The lanes also
-/// report whether any byte left ASCII; only such a group is run
-/// through the full UTF-8 check.
+/// The 64-bit FNV-1a of every name in `feats` into `hashes`, one name
+/// at a time. [`feature_hash`] also ORs the name's bytes; only a name
+/// with a byte ≥ 0x80 is run through the full UTF-8 check.
 fn hash_names(
     payload: &[u8],
     feats: &[(u32, u32)],
     hashes: &mut ScratchVec<u64>,
 ) -> Result<(), String> {
     hashes.reset();
-    for group in feats.chunks(4) {
-        let mut names: [&[u8]; 4] = [&[]; 4];
-        for (name, &(off, len)) in names.iter_mut().zip(group) {
-            *name = &payload[off as usize..(off + len) as usize];
-        }
-        let (h, seen) = feature_hashes_x4(names);
+    for &(off, len) in feats {
+        let name = &payload[off as usize..(off + len) as usize];
+        let (h, seen) = feature_hash(name);
         if !seen.is_ascii() {
-            for name in names {
-                wire::utf8(name, "feature name").map_err(frame::wire_err)?;
-            }
+            wire::utf8(name, "feature name").map_err(frame::wire_err)?;
         }
-        hashes.extend_from_slice(&h[..group.len()]);
+        hashes.push(h);
     }
     Ok(())
 }
@@ -690,9 +575,9 @@ mod tests {
     #[test]
     fn sig_memo_survives_table_growth() {
         let mut memo = SigMemo::new();
-        // Enough distinct signatures to force at least one doubling
-        // past the initial table.
-        let count = (INITIAL_TABLE * 7) / 10 + 64;
+        // Enough distinct signatures to force a few doublings of the
+        // probe table.
+        let count = 4096;
         for i in 0..count as u32 {
             memo.insert(&[i, i + 1], &[1, -1], &[i as f64, 1.0]);
         }

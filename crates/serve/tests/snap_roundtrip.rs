@@ -9,7 +9,7 @@ use snorkel_context::{CandidateId, Corpus};
 use snorkel_core::label_model::{LabelModel, MajorityVoteModel, MomentModel};
 use snorkel_core::model::{GenerativeModel, LabelScheme, ModelParams, ParamsError, TrainConfig};
 use snorkel_core::optimizer::ModelingStrategy;
-use snorkel_incr::{FrozenCache, FrozenSession, IncrementalSession, SessionConfig};
+use snorkel_incr::{FrozenCache, FrozenSession, IncrementalSession, SessionConfig, ThawError};
 use snorkel_lf::{lf, BoxedLf, LfExecutor, Vote};
 use snorkel_nlp::tokenize;
 use snorkel_serve::{SnapError, Snapshot, FORMAT_VERSION};
@@ -657,5 +657,32 @@ fn corrupt_disc_section_is_a_typed_error() {
             assert!(context.contains("disc"), "unexpected context {context:?}")
         }
         other => panic!("expected Corrupt, got {other:?}"),
+    }
+}
+
+#[test]
+fn plan_repeating_a_signature_is_refused_at_thaw() {
+    let salts = [81, 82, 83];
+    let session = session_for(40, &salts, 2);
+    let mut snapshot = snapshot_of(&session);
+    // A tombstone slot that repeats pattern 0's signature: the section
+    // decodes, but the index it describes holds one signature twice.
+    let plan = snapshot.session.plan.as_mut().expect("PLAN");
+    let last = plan.pat_bounds.len();
+    plan.pat_bounds.push(plan.pat_bounds[0]);
+    plan.counts.push(0);
+    let back = Snapshot::from_bytes(&snapshot.to_bytes()).expect("PLAN decodes");
+    let (corpus, _) = build_corpus(40);
+    let lfs: Vec<BoxedLf> = salts
+        .iter()
+        .enumerate()
+        .map(|(j, &salt)| salted_lf(&format!("lf_{j}"), salt, 2))
+        .collect();
+    match IncrementalSession::thaw(corpus, session.config().clone(), back.session, lfs) {
+        Err(ThawError::Inconsistent(msg)) => {
+            assert_eq!(msg, format!("patterns 0 and {last} share a signature"))
+        }
+        Err(e) => panic!("want Inconsistent, got {e}"),
+        Ok(_) => panic!("thaw accepted a PLAN that repeats a signature"),
     }
 }

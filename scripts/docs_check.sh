@@ -124,6 +124,16 @@ if stale="$(grep -nE 'ModelSnapshot|dyn LabelModel|downcast_ref|to_snapshot' REA
     fail=1
 fi
 
+# --- Retired signature hashes: one `SigTable` interns vote signatures
+# for both the pattern index and the serving memo, and `OP_PREDICT`
+# names are hashed one at a time, so neither the index's own hash nor
+# the four-lane FNV may come back in the docs or the code.
+if stale="$(grep -rnwE 'feature_hashes_x4|sig_hash' README.md docs crates)"; then
+    echo "docs-check: docs or code still name a retired signature hash:" >&2
+    echo "$stale" >&2
+    fail=1
+fi
+
 # --- Metrics: two-way check against docs/OBSERVABILITY.md.
 # Registered names are string literals like "snorkel_serve_requests_total"
 # in the instrumented crates; documented names are the same tokens in the
