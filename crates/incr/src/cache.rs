@@ -19,9 +19,8 @@
 //!   only the new rows.
 //! * **Candidate content mutated in place** (outside the append-only
 //!   contract) → nothing in the key changes, so the cache would serve
-//!   stale votes: callers must invalidate explicitly
-//!   ([`LfResultCache::clear`]). The `IncrementalSession` documents this
-//!   as the append-only corpus contract.
+//!   stale votes. The `IncrementalSession` documents this as the
+//!   append-only corpus contract: mutated content needs a new session.
 //!
 //! Superseded columns (old LF versions) are kept until LRU capacity
 //! pressure evicts them, so *reverting* an edit whose fingerprint is
@@ -128,6 +127,16 @@ impl LfResultCache {
         self.columns.get(&fp).map_or(0, |c| c.rows)
     }
 
+    /// The rows covered by and the entries of the column cached under
+    /// `fp`, leaving its recency alone (a read that must not change
+    /// which column is evicted later). `None` when the fingerprint is
+    /// absent.
+    pub fn peek(&self, fp: Fingerprint) -> Option<(usize, &[(u32, Vote)])> {
+        self.columns
+            .get(&fp)
+            .map(|c| (c.rows, c.entries.as_slice()))
+    }
+
     /// The cached entries for `fp`, bumping its recency. `None` when the
     /// fingerprint is absent.
     pub fn entries(&mut self, fp: Fingerprint) -> Option<&[(u32, Vote)]> {
@@ -199,12 +208,6 @@ impl LfResultCache {
                 None => break, // everything live is pinned
             }
         }
-    }
-
-    /// Drop every cached column (the escape hatch when corpus content was
-    /// mutated in place, breaking the append-only contract).
-    pub fn clear(&mut self) {
-        self.columns.clear();
     }
 
     /// Export the persistent state (see [`FrozenCache`]).
@@ -333,6 +336,20 @@ mod tests {
         assert_eq!(back.rows(fp(2)), 0, "imported LRU order drives eviction");
         assert_eq!(back.rows(fp(1)), 5);
         assert_eq!(back.entries(fp(1)).unwrap(), &[(0, 1)]);
+    }
+
+    #[test]
+    fn peek_leaves_recency_alone() {
+        let mut cache = LfResultCache::new(2);
+        cache.insert(fp(1), 5, vec![(0, 1)]);
+        cache.insert(fp(2), 5, vec![(3, -1)]);
+        assert_eq!(cache.peek(fp(1)), Some((5, &[(0, 1)][..])));
+        assert_eq!(cache.peek(fp(3)), None);
+        // fp(1) is still the least recently used: it goes first.
+        cache.insert(fp(3), 5, vec![]);
+        cache.evict_to_capacity(&[]);
+        assert_eq!(cache.rows(fp(1)), 0, "peek must not bump recency");
+        assert_eq!(cache.rows(fp(2)), 5);
     }
 
     #[test]

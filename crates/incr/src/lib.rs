@@ -55,7 +55,7 @@
 //! | LF edited | new fingerprint ⇒ that column misses and is re-executed; all other columns hit |
 //! | LF removed / re-added | old column stays cached (LRU) ⇒ re-adding the same version is free |
 //! | candidates ingested | every column extends itself over the new rows only |
-//! | candidate mutated in place | **not tracked** — violates the append-only contract; call [`IncrementalSession::invalidate_cache`] |
+//! | candidate mutated in place | **not tracked** — violates the append-only contract; build a new session |
 //!
 //! ## Example
 //!

@@ -303,8 +303,8 @@ impl DiscTrainingSet {
 ///   assumed immutable: the cache key is `(lf_fingerprint, candidate)`,
 ///   so in-place edits to already-registered candidates would serve
 ///   stale votes. Grow the corpus through [`Self::corpus_mut`] +
-///   [`Self::ingest_candidates`]; call [`Self::invalidate_cache`] if you
-///   must mutate in place.
+///   [`Self::ingest_candidates`]; build a new session if you must
+///   mutate in place.
 /// * **Names identify LFs.** [`Self::edit_lf`] / [`Self::remove_lf`]
 ///   address the suite by `LabelingFunction::name()`; names must be
 ///   unique within the session.
@@ -654,12 +654,6 @@ impl IncrementalSession {
         metrics
             .scratch_bytes
             .set(self.resign_scratch.bytes().min(i64::MAX as usize) as i64);
-    }
-
-    /// Drop all cached LF results (required after mutating registered
-    /// candidates in place — see the type-level contract).
-    pub fn invalidate_cache(&mut self) {
-        self.cache.clear();
     }
 
     fn column_of(&self, name: &str) -> Option<usize> {

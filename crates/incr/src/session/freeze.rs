@@ -21,10 +21,10 @@ pub struct FrozenSession {
     pub suite: Vec<(String, Fingerprint)>,
     /// The LF-result cache.
     pub cache: FrozenCache,
-    /// The label matrix of the last refresh.
-    pub lambda: Option<LabelMatrix>,
-    /// The pattern index of the last refresh (present exactly
-    /// when `lambda` is).
+    /// The pattern index of the last refresh (present exactly when a
+    /// refresh happened). Λ itself is not frozen: thawing rebuilds it
+    /// from the cache's `last_fingerprints` columns over the rows this
+    /// index covers.
     pub plan: Option<PatternIndexParts>,
     /// The label model of the last refresh.
     pub model: Option<LabelModel>,
@@ -98,7 +98,6 @@ impl IncrementalSession {
                 .map(|s| (s.lf.name().to_string(), s.fingerprint))
                 .collect(),
             cache: self.cache.export(),
-            lambda: self.lambda.clone(),
             plan: self.plan.as_ref().map(PatternIndex::to_parts),
             model: self.model.clone(),
             last_fingerprints: self.last_fingerprints.clone(),
@@ -123,7 +122,9 @@ impl IncrementalSession {
     /// reused tag. A thawed session's first
     /// [`refresh`](Self::refresh) with an unchanged suite executes zero
     /// LF invocations and warm-starts training at the frozen optimum, so
-    /// it reproduces the frozen marginals bit-for-bit.
+    /// it reproduces the frozen marginals bit-for-bit. Λ is rebuilt from
+    /// the cached columns of the last refresh, which must each cover
+    /// exactly the rows of the frozen pattern index.
     ///
     /// Every structural invariant of the frozen state is validated
     /// against the corpus and `config` — corrupt or mismatched state
@@ -139,7 +140,6 @@ impl IncrementalSession {
             versions,
             suite,
             cache,
-            lambda,
             plan,
             model,
             last_fingerprints,
@@ -207,49 +207,50 @@ impl IncrementalSession {
                 )));
             }
         }
-        let cache = LfResultCache::import(cache, cardinality).map_err(ThawError::Inconsistent)?;
-        if let Some(lambda) = &lambda {
-            if lambda.num_points() > candidates.len() {
-                return Err(ThawError::Inconsistent(format!(
-                    "Λ has {} rows but only {} candidates are registered",
-                    lambda.num_points(),
-                    candidates.len()
-                )));
-            }
-            if lambda.num_lfs() != last_fingerprints.len() {
-                return Err(ThawError::Inconsistent(format!(
-                    "Λ has {} columns but the last refresh had {}",
-                    lambda.num_lfs(),
-                    last_fingerprints.len()
-                )));
-            }
-            if lambda.cardinality() != cardinality {
-                return Err(ThawError::Inconsistent(format!(
-                    "Λ cardinality {} != executor cardinality {cardinality}",
-                    lambda.cardinality()
-                )));
-            }
-        } else if !last_fingerprints.is_empty() {
-            return Err(ThawError::Inconsistent(
-                "a refresh happened but Λ is missing".into(),
-            ));
+        // A cached column is a prefix of the registered rows; a longer
+        // one would hand later ingests votes for rows that do not exist.
+        if let Some(col) = cache.columns.iter().find(|c| c.rows > candidates.len()) {
+            return Err(ThawError::Inconsistent(format!(
+                "cached column {} covers {} rows but only {} candidates are registered",
+                col.fingerprint,
+                col.rows,
+                candidates.len()
+            )));
         }
-        let plan = match (plan, &lambda) {
-            (None, None) => None,
-            (None, Some(_)) => {
+        let cache = LfResultCache::import(cache, cardinality).map_err(ThawError::Inconsistent)?;
+        // Λ is the last refresh's columns of the cache over the rows its
+        // pattern index covers; the index then cross-checks every row.
+        // Peeking leaves the columns' recency as it was frozen.
+        let (lambda, plan) = match plan {
+            None if last_fingerprints.is_empty() => (None, None),
+            None => {
                 return Err(ThawError::Inconsistent(
-                    "a matrix without its pattern index".into(),
+                    "a refresh happened but its pattern index is missing".into(),
                 ))
             }
-            (Some(_), None) => {
-                return Err(ThawError::Inconsistent(
-                    "a pattern index without a matrix".into(),
-                ))
-            }
-            (Some(parts), Some(lambda)) => {
+            Some(parts) => {
                 let plan = PatternIndex::from_parts(parts).map_err(ThawError::Inconsistent)?;
-                plan.validate(lambda).map_err(ThawError::Inconsistent)?;
-                Some(plan)
+                let rows = plan.num_rows();
+                if rows > candidates.len() {
+                    return Err(ThawError::Inconsistent(format!(
+                        "Λ has {rows} rows but only {} candidates are registered",
+                        candidates.len()
+                    )));
+                }
+                let columns = last_fingerprints
+                    .iter()
+                    .map(|&fp| match cache.peek(fp) {
+                        Some((covered, entries)) if covered == rows => Ok(entries),
+                        Some((covered, _)) => Err(format!(
+                            "column {fp} covers {covered} rows but Λ has {rows}"
+                        )),
+                        None => Err(format!("column {fp} of the last refresh is not cached")),
+                    })
+                    .collect::<Result<Vec<_>, _>>()
+                    .map_err(ThawError::Inconsistent)?;
+                let lambda = LabelMatrix::from_columns(rows, cardinality, &columns);
+                plan.validate(&lambda).map_err(ThawError::Inconsistent)?;
+                (Some(lambda), Some(plan))
             }
         };
         if let Some(model) = &model {
@@ -330,7 +331,7 @@ impl IncrementalSession {
             (None, _) => None,
             (Some(_), None) => {
                 return Err(ThawError::Inconsistent(
-                    "streaming state without a matrix".into(),
+                    "streaming state without a pattern index".into(),
                 ))
             }
             (Some(frozen_stream), Some((lambda, plan))) => {

@@ -530,7 +530,7 @@ fn streaming_state_without_a_matrix_does_not_thaw() {
     // A never-refreshed image carrying another session's stream.
     let mut frozen = fresh.freeze();
     frozen.stream = streaming.freeze().stream;
-    assert!(frozen.stream.is_some() && frozen.lambda.is_none());
+    assert!(frozen.stream.is_some() && frozen.plan.is_none());
     let thawed = IncrementalSession::thaw(
         corpus,
         moment_config(512),
@@ -539,7 +539,7 @@ fn streaming_state_without_a_matrix_does_not_thaw() {
     );
     match thawed.err() {
         Some(snorkel_incr::ThawError::Inconsistent(why)) => {
-            assert!(why.contains("without a matrix"), "{why}")
+            assert!(why.contains("without a pattern index"), "{why}")
         }
         other => panic!("want Inconsistent, got {other:?}"),
     }

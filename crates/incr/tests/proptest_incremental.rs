@@ -1,6 +1,8 @@
 //! Property tests: for *any* edit sequence, an incremental session's Λ
 //! is bit-identical to rebuilding from scratch, and its (warm-started)
-//! generative marginals match a cold pipeline's within 1e-9.
+//! generative marginals match a cold pipeline's within 1e-9. A twin
+//! thawed from a freeze taken with the ops still pending refreshes to
+//! the same Λ and the same label bits.
 
 use proptest::prelude::*;
 
@@ -144,7 +146,26 @@ fn check_sequence(initial_lfs: usize, initial_rows: usize, ops: &[Op], force_gm:
     });
 
     let check = |session: &mut IncrementalSession, mirror: &Mirror, rows: usize| {
+        // A twin thawed from a freeze taken while the ops are still
+        // pending holds the same Λ and refreshes to the same bits.
+        let mut twin = IncrementalSession::thaw(
+            build_corpus(pool).0,
+            session.config().clone(),
+            session.freeze(),
+            mirror.suite(),
+        )
+        .expect("thaw with ops pending");
+        assert_eq!(twin.label_matrix(), session.label_matrix(), "thawed Λ");
         let (labels, _report) = session.refresh();
+        let (twin_labels, _) = twin.refresh();
+        assert_eq!(twin.label_matrix(), session.label_matrix(), "twin Λ");
+        let bits = |labels: &[Vec<f64>]| -> Vec<Vec<u64>> {
+            labels
+                .iter()
+                .map(|row| row.iter().map(|p| p.to_bits()).collect())
+                .collect()
+        };
+        assert_eq!(bits(&twin_labels), bits(&labels), "twin labels");
         // Λ must be bit-identical to a from-scratch application.
         let suite = mirror.suite();
         let cold_lambda = LfExecutor::new().apply(&suite, &cold_corpus, &ids[..rows]);

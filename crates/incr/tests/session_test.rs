@@ -595,33 +595,86 @@ fn thaw_rejects_mismatched_suite_and_corpus() {
         Some(snorkel_incr::ThawError::Inconsistent(_))
     ));
 
-    // Tampered state: Λ covers more rows than are registered.
-    let mut bad = frozen.clone();
-    bad.candidates.pop();
-    let thawed = IncrementalSession::thaw(
+    // Tampered states, each refused as inconsistent with the reason
+    // given. Λ is rebuilt from the cached columns of the last refresh,
+    // so every tampering below reaches it through the cache or the
+    // pattern index.
+    let reject = |bad: snorkel_incr::FrozenSession, why: &str| match IncrementalSession::thaw(
         corpus.clone(),
         SessionConfig::default(),
         bad,
         vec![counting_lf("lf_a", 2, Arc::clone(&c))],
-    );
-    assert!(matches!(
-        thawed.err(),
-        Some(snorkel_incr::ThawError::Inconsistent(_))
-    ));
+    ) {
+        Err(snorkel_incr::ThawError::Inconsistent(msg)) => {
+            assert!(msg.contains(why), "want {why:?}, got {msg:?}")
+        }
+        Err(e) => panic!("want Inconsistent ({why}), got {e}"),
+        Ok(_) => panic!("thaw accepted a tampered state ({why})"),
+    };
+    fn column(f: &mut snorkel_incr::FrozenSession) -> &mut snorkel_incr::FrozenColumn {
+        let live = f.last_fingerprints[0];
+        f.cache
+            .columns
+            .iter_mut()
+            .find(|col| col.fingerprint == live)
+            .expect("live column cached")
+    }
 
-    // Tampered state: Λ without the pattern index a session keeps with it.
-    let mut bad = frozen;
+    // Fewer registered rows than the cached columns cover.
+    let mut bad = frozen.clone();
+    bad.candidates.pop();
+    reject(bad, "covers 30 rows but only 29 candidates");
+
+    // Λ's rows, as the index covers them, beyond the registered ones
+    // (the columns shortened to match so that this check is the one
+    // reached).
+    let mut bad = frozen.clone();
+    bad.candidates.pop();
+    let col = column(&mut bad);
+    col.rows = 29;
+    col.entries.retain(|&(row, _)| row < 29);
+    reject(bad, "Λ has 30 rows but only 29 candidates");
+
+    // A live column longer than the corpus: a later ingest would index
+    // past the registered rows.
+    let mut bad = frozen.clone();
+    let col = column(&mut bad);
+    col.rows += 5;
+    col.entries.push((32, 1));
+    reject(bad, "covers 35 rows but only 30 candidates");
+
+    // The same for a superseded column, which Λ never reads.
+    let mut bad = frozen.clone();
+    bad.cache.columns.push(snorkel_incr::FrozenColumn {
+        fingerprint: snorkel_incr::Fingerprint(0x5EED),
+        rows: 31,
+        entries: vec![(30, -1)],
+    });
+    reject(bad, "covers 31 rows but only 30 candidates");
+
+    // A refreshed session without the pattern index Λ is rebuilt over.
+    let mut bad = frozen.clone();
     bad.plan = None;
-    let thawed = IncrementalSession::thaw(
-        corpus,
-        SessionConfig::default(),
-        bad,
-        vec![counting_lf("lf_a", 2, Arc::clone(&c))],
-    );
-    assert!(matches!(
-        thawed.err(),
-        Some(snorkel_incr::ThawError::Inconsistent(_))
-    ));
+    reject(bad, "pattern index is missing");
+
+    // A last-refresh column missing from the cache.
+    let mut bad = frozen.clone();
+    let live = bad.last_fingerprints[0];
+    bad.cache.columns.retain(|col| col.fingerprint != live);
+    reject(bad, "of the last refresh is not cached");
+
+    // A last-refresh column shorter than the index's rows.
+    let mut bad = frozen.clone();
+    let col = column(&mut bad);
+    col.rows = 20;
+    col.entries.retain(|&(row, _)| row < 20);
+    reject(bad, "covers 20 rows but Λ has 30");
+
+    // Cached votes that disagree with the pattern index.
+    let mut bad = frozen;
+    let col = column(&mut bad);
+    col.entries[0].1 = -col.entries[0].1;
+    reject(bad, "stored signature != matrix row");
 }
 
 #[test]

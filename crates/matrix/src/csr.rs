@@ -196,7 +196,8 @@ impl LabelMatrix {
 /// Whether `v` is a legal non-abstain vote for a `cardinality`-class
 /// scheme: `{−1, +1}` when binary, `1..=k` otherwise. The one
 /// vote-legality rule, shared by every layer that validates untrusted
-/// votes (snapshot decoding, cache import, the serving protocol).
+/// votes (LF output, a thawed snapshot's cache import, the serving
+/// protocol).
 pub fn is_legal_vote(cardinality: u8, v: Vote) -> bool {
     if cardinality == 2 {
         v == 1 || v == -1
@@ -219,101 +220,6 @@ pub fn assert_legal_vote(cardinality: u8, vote: Vote) {
             vote >= 1 && (vote as u8) <= cardinality,
             "{cardinality}-class scheme requires votes in 1..={cardinality}, got {vote}"
         );
-    }
-}
-
-/// Borrowed view of a [`LabelMatrix`]'s raw CSR arrays — the stable
-/// encoding surface for on-disk snapshots (`snorkel-serve`). The three
-/// slices are exactly the matrix's internal storage; serializing them
-/// plus the scalars reproduces the matrix bit-for-bit through
-/// [`LabelMatrix::from_csr_parts`].
-#[derive(Clone, Copy, Debug)]
-pub struct CsrParts<'a> {
-    /// Number of data-point rows `m`.
-    pub num_points: usize,
-    /// Number of LF columns `n`.
-    pub num_lfs: usize,
-    /// Task cardinality (2 = binary).
-    pub cardinality: u8,
-    /// Row offsets into `col_idx`/`votes` (`m + 1` entries).
-    pub row_ptr: &'a [usize],
-    /// Column index per non-abstain entry, sorted within each row.
-    pub col_idx: &'a [u32],
-    /// Vote per non-abstain entry, parallel to `col_idx`.
-    pub votes: &'a [Vote],
-}
-
-impl LabelMatrix {
-    /// The raw CSR arrays (see [`CsrParts`]).
-    pub fn csr_parts(&self) -> CsrParts<'_> {
-        CsrParts {
-            num_points: self.m,
-            num_lfs: self.n,
-            cardinality: self.cardinality,
-            row_ptr: &self.row_ptr,
-            col_idx: &self.col_idx,
-            votes: &self.votes,
-        }
-    }
-
-    /// Rebuild a matrix from raw CSR arrays (the inverse of
-    /// [`Self::csr_parts`]), validating every invariant the builder
-    /// enforces: row pointers monotone and spanning the entry arrays,
-    /// each row's columns strictly increasing and in range, and every
-    /// vote legal for the scheme. Untrusted input (a snapshot file)
-    /// comes through here, so violations return an error instead of
-    /// corrupting later passes.
-    pub fn from_csr_parts(
-        num_points: usize,
-        num_lfs: usize,
-        cardinality: u8,
-        row_ptr: Vec<usize>,
-        col_idx: Vec<u32>,
-        votes: Vec<Vote>,
-    ) -> Result<LabelMatrix, String> {
-        if cardinality < 2 {
-            return Err(format!("cardinality {cardinality} < 2"));
-        }
-        if row_ptr.len() != num_points + 1 {
-            return Err(format!(
-                "row_ptr has {} entries for {num_points} rows (want {})",
-                row_ptr.len(),
-                num_points + 1
-            ));
-        }
-        if col_idx.len() != votes.len() {
-            return Err(format!(
-                "col_idx ({}) and votes ({}) lengths differ",
-                col_idx.len(),
-                votes.len()
-            ));
-        }
-        if row_ptr[0] != 0 || *row_ptr.last().expect("non-empty") != col_idx.len() {
-            return Err("row_ptr must start at 0 and end at nnz".into());
-        }
-        if row_ptr.windows(2).any(|w| w[0] > w[1]) {
-            return Err("row_ptr must be monotone non-decreasing".into());
-        }
-        for i in 0..num_points {
-            let row = &col_idx[row_ptr[i]..row_ptr[i + 1]];
-            if row.windows(2).any(|w| w[0] >= w[1]) {
-                return Err(format!("row {i}: columns not strictly increasing"));
-            }
-            if row.last().is_some_and(|&c| (c as usize) >= num_lfs) {
-                return Err(format!("row {i}: column out of range ({num_lfs} LFs)"));
-            }
-        }
-        if let Some(&v) = votes.iter().find(|&&v| !is_legal_vote(cardinality, v)) {
-            return Err(format!("vote {v} illegal for cardinality {cardinality}"));
-        }
-        Ok(LabelMatrix {
-            m: num_points,
-            n: num_lfs,
-            cardinality,
-            row_ptr,
-            col_idx,
-            votes,
-        })
     }
 }
 
@@ -552,75 +458,6 @@ mod tests {
         b.set(0, 0, 1);
         b.set(0, 0, -1);
         let _ = b.build();
-    }
-
-    #[test]
-    fn csr_parts_round_trip() {
-        let m = sample();
-        let p = m.csr_parts();
-        let back = LabelMatrix::from_csr_parts(
-            p.num_points,
-            p.num_lfs,
-            p.cardinality,
-            p.row_ptr.to_vec(),
-            p.col_idx.to_vec(),
-            p.votes.to_vec(),
-        )
-        .unwrap();
-        assert_eq!(back, m);
-    }
-
-    #[test]
-    fn from_csr_parts_rejects_corruption() {
-        let m = sample();
-        let p = m.csr_parts();
-        // Column out of range.
-        let mut bad_cols = p.col_idx.to_vec();
-        bad_cols[0] = 99;
-        assert!(LabelMatrix::from_csr_parts(
-            p.num_points,
-            p.num_lfs,
-            p.cardinality,
-            p.row_ptr.to_vec(),
-            bad_cols,
-            p.votes.to_vec(),
-        )
-        .is_err());
-        // Illegal vote for the binary scheme.
-        let mut bad_votes = p.votes.to_vec();
-        bad_votes[0] = 3;
-        assert!(LabelMatrix::from_csr_parts(
-            p.num_points,
-            p.num_lfs,
-            p.cardinality,
-            p.row_ptr.to_vec(),
-            p.col_idx.to_vec(),
-            bad_votes,
-        )
-        .is_err());
-        // Non-monotone row pointers.
-        let mut bad_ptr = p.row_ptr.to_vec();
-        bad_ptr[1] = 5;
-        bad_ptr[2] = 2;
-        assert!(LabelMatrix::from_csr_parts(
-            p.num_points,
-            p.num_lfs,
-            p.cardinality,
-            bad_ptr,
-            p.col_idx.to_vec(),
-            p.votes.to_vec(),
-        )
-        .is_err());
-        // Truncated row_ptr.
-        assert!(LabelMatrix::from_csr_parts(
-            p.num_points,
-            p.num_lfs,
-            p.cardinality,
-            p.row_ptr[..p.row_ptr.len() - 1].to_vec(),
-            p.col_idx.to_vec(),
-            p.votes.to_vec(),
-        )
-        .is_err());
     }
 
     #[test]

@@ -258,7 +258,11 @@ impl LabelMatrix {
 
     /// Assemble a matrix from per-column sparse vectors (each sorted by
     /// row) in `O(nnz)` — the LF-result cache's native layout.
-    pub fn from_columns(m: usize, cardinality: u8, columns: &[Vec<(u32, Vote)>]) -> LabelMatrix {
+    pub fn from_columns<C: AsRef<[(u32, Vote)]>>(
+        m: usize,
+        cardinality: u8,
+        columns: &[C],
+    ) -> LabelMatrix {
         assert!(cardinality >= 2, "cardinality must be at least 2");
         let n = columns.len();
         // Count entries per row, then prefix-sum into row_ptr.
@@ -266,7 +270,7 @@ impl LabelMatrix {
         let mut nnz = 0usize;
         for col in columns {
             let mut prev: Option<u32> = None;
-            for &(row, _) in col {
+            for &(row, _) in col.as_ref() {
                 assert!((row as usize) < m, "row {row} out of range ({m} points)");
                 if let Some(p) = prev {
                     assert!(p < row, "column entries must be sorted and unique");
@@ -295,7 +299,7 @@ impl LabelMatrix {
             votes: Vec::new(),
         };
         for (j, col) in columns.iter().enumerate() {
-            for &(row, v) in col {
+            for &(row, v) in col.as_ref() {
                 out.check_vote(v);
                 let slot = cursor[row as usize];
                 cursor[row as usize] += 1;
@@ -492,12 +496,12 @@ mod tests {
 
     #[test]
     fn from_columns_empty_shapes() {
-        let empty = LabelMatrix::from_columns(0, 2, &[]);
+        let empty = LabelMatrix::from_columns(0, 2, &[] as &[Vec<(u32, Vote)>]);
         assert_eq!(empty.num_points(), 0);
         assert_eq!(empty.num_lfs(), 0);
-        let no_rows = LabelMatrix::from_columns(0, 2, &[Vec::new(), Vec::new()]);
+        let no_rows = LabelMatrix::from_columns(0, 2, &[Vec::<(u32, Vote)>::new(), Vec::new()]);
         assert_eq!(no_rows.num_lfs(), 2);
-        let no_votes = LabelMatrix::from_columns(4, 5, &vec![Vec::new(); 3]);
+        let no_votes = LabelMatrix::from_columns(4, 5, &vec![Vec::<(u32, Vote)>::new(); 3]);
         assert_eq!(no_votes.num_points(), 4);
         assert_eq!(no_votes.nnz(), 0);
         assert_eq!(no_votes.cardinality(), 5);

@@ -50,8 +50,7 @@ mod sigtable;
 pub mod stats;
 
 pub use csr::{
-    assert_legal_vote, is_legal_vote, CsrParts, LabelMatrix, LabelMatrixBuilder, SelectError, Vote,
-    ABSTAIN,
+    assert_legal_vote, is_legal_vote, LabelMatrix, LabelMatrixBuilder, SelectError, Vote, ABSTAIN,
 };
 pub use delta::MatrixDelta;
 pub use pattern::{PatternIndex, PatternIndexParts, ResignScratch, ShardedMatrix};

@@ -9,11 +9,12 @@
 //! Two layers:
 //!
 //! * [`snap`] — a hand-rolled, versioned, checksummed binary snapshot
-//!   format round-tripping the label matrix (CSR), the label model
+//!   format round-tripping the label model
 //!   (a [`LabelModel`](snorkel_core::label_model::LabelModel) under its
 //!   backend tag, + [`TrainConfig`](snorkel_core::TrainConfig)), the
 //!   `snorkel-incr` LF-result cache, and the
-//!   [`PatternIndex`](snorkel_matrix::PatternIndex) — so a restarted
+//!   [`PatternIndex`](snorkel_matrix::PatternIndex) — the label matrix
+//!   is rebuilt from the cached LF columns on thaw — so a restarted
 //!   process warm-starts in milliseconds instead of re-running every LF
 //!   and re-fitting from scratch, on the *same backend* it was running.
 //!   Round trips are bit-exact; corrupted, truncated, wrong-version, or

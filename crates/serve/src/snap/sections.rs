@@ -12,7 +12,7 @@ use snorkel_core::optimizer::ModelingStrategy;
 use snorkel_core::pipeline::DiscTrainerConfig;
 use snorkel_disc::{DiscModelParts, DistillConfig, TextFeaturizer};
 use snorkel_incr::{CacheStats, Fingerprint, FrozenCache, FrozenColumn, FrozenDisc, FrozenSession};
-use snorkel_matrix::{LabelMatrix, PatternIndexParts, Vote};
+use snorkel_matrix::{PatternIndexParts, Vote};
 use snorkel_stream::{DriftConfig, FrozenStream, WindowStats};
 
 use super::{corrupt, SnapError};
@@ -132,7 +132,6 @@ pub(super) fn dec_session_meta(r: &mut Reader<'_>) -> Result<FrozenSession, Snap
             stats: Default::default(),
             columns: Vec::new(),
         },
-        lambda: None,
         plan: None,
         model: None,
         last_fingerprints,
@@ -166,31 +165,6 @@ pub(super) fn dec_cache(r: &mut Reader<'_>) -> Result<FrozenCache, SnapError> {
         },
         columns: r.get("cache columns")?,
     })
-}
-
-/// `LMTX`: the label matrix as raw CSR.
-pub(super) fn enc_matrix(m: &LabelMatrix) -> Vec<u8> {
-    let p = m.csr_parts();
-    let mut w = Writer::new();
-    w.put(&p.num_points);
-    w.put(&p.num_lfs);
-    w.put(&p.cardinality);
-    w.put_seq(p.row_ptr);
-    w.put_seq(p.col_idx);
-    w.put_seq(p.votes);
-    w.into_bytes()
-}
-
-pub(super) fn dec_matrix(r: &mut Reader<'_>) -> Result<LabelMatrix, SnapError> {
-    LabelMatrix::from_csr_parts(
-        r.get("matrix rows")?,
-        r.get("matrix cols")?,
-        r.get("matrix cardinality")?,
-        r.get("row_ptr")?,
-        r.get("col_idx")?,
-        r.get("votes")?,
-    )
-    .map_err(corrupt)
 }
 
 /// `PLAN`: the pattern index.

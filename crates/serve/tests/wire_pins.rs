@@ -1,5 +1,5 @@
 //! Byte pins for every binary encoding the serve layer emits: a
-//! hand-built snapshot carrying all nine sections, one WAL record body
+//! hand-built snapshot carrying all eight sections, one WAL record body
 //! per op shape, and every `frame::encode_*` request and reply.
 //!
 //! Each encoding is pinned by its FNV-1a digest and length. The inputs
@@ -15,7 +15,7 @@ use snorkel_core::optimizer::ModelingStrategy;
 use snorkel_core::pipeline::DiscTrainerConfig;
 use snorkel_disc::{DiscModelParts, DistillConfig, TextFeaturizer};
 use snorkel_incr::{CacheStats, Fingerprint, FrozenCache, FrozenColumn, FrozenDisc, FrozenSession};
-use snorkel_matrix::{LabelMatrix, PatternIndexParts};
+use snorkel_matrix::PatternIndexParts;
 use snorkel_serve::frame::{self, IngestRow, VoteRow};
 use snorkel_serve::repl::wal::{self, Op};
 use snorkel_serve::{LfSpec, ReplMark, Snapshot, SuiteEdit};
@@ -45,9 +45,6 @@ fn check_pins(pins: &[(&str, Vec<u8>, u64, usize)]) {
 /// A session image with every optional part present, over two LFs and
 /// three binary candidates.
 fn full_snapshot() -> Snapshot {
-    let lambda =
-        LabelMatrix::from_csr_parts(3, 2, 2, vec![0, 2, 3, 3], vec![0, 1, 1], vec![1, -1, 1])
-            .expect("valid CSR");
     let plan = PatternIndexParts {
         num_lfs: 2,
         sig_cols: vec![0, 1, 1],
@@ -138,7 +135,6 @@ fn full_snapshot() -> Snapshot {
                     },
                 ],
             },
-            lambda: Some(lambda),
             plan: Some(plan),
             model: Some(LabelModel::Generative(model)),
             last_fingerprints: vec![Fingerprint(0xA1), Fingerprint(0xB2)],
@@ -170,10 +166,10 @@ fn snapshot_with_every_section_is_pinned() {
     let bytes = full_snapshot().to_bytes();
     assert_eq!(
         u32::from_le_bytes(bytes[12..16].try_into().unwrap()),
-        9,
-        "all nine sections present"
+        8,
+        "all eight sections present"
     );
-    check_pins(&[("snapshot", bytes.clone(), 0xd56e_cb60_f8ab_ac09, 1406)]);
+    check_pins(&[("snapshot", bytes.clone(), 0xfec7_c3e0_0b0f_c751, 1290)]);
     let back = Snapshot::from_bytes(&bytes).expect("pinned bytes parse");
     assert_eq!(back.to_bytes(), bytes, "re-encodes to the same bytes");
 }

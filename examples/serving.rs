@@ -453,11 +453,10 @@ fn run_verify_snap(args: &Args) -> ! {
         Ok(snapshot) => {
             let s = &snapshot.session;
             println!(
-                "snapshot OK: {} candidates, {} LFs, matrix={}, model={}, plan={}, \
-                 disc={}, {} cached columns",
+                "snapshot OK: {} candidates, {} LFs, model={}, plan={}, disc={}, \
+                 {} cached columns",
                 s.candidates.len(),
                 s.suite.len(),
-                s.lambda.is_some(),
                 s.model.is_some(),
                 s.plan.is_some(),
                 s.disc.is_some(),
