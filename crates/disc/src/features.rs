@@ -17,8 +17,11 @@
 //! * span texts, entity types, argument order, and a bucketed token
 //!   distance.
 
+use std::hash::Hasher;
+
 use snorkel_context::{CandidateView, Token};
 use snorkel_linalg::SparseVec;
+use snorkel_matrix::Fnv1a;
 
 /// FNV-1a hash of a feature string into `[0, buckets)`.
 ///
@@ -29,7 +32,7 @@ use snorkel_linalg::SparseVec;
 /// assert!(a < (1 << 18));
 /// ```
 pub fn hash_feature(name: &str, buckets: u32) -> u32 {
-    FeatureHash::new().str(name).bucket(buckets)
+    feature_bucket(Fnv1a::of(name.as_bytes()), buckets)
 }
 
 /// The bucket of a 64-bit feature hash: `hash % buckets`, taken with a
@@ -49,43 +52,37 @@ pub fn feature_bucket(hash: u64, buckets: u32) -> u32 {
 /// the same pass whether the name left ASCII. The hash reduced by
 /// [`feature_bucket`] is [`hash_feature`] of the name.
 pub fn feature_hash(name: &[u8]) -> (u64, u8) {
-    let mut h = FeatureHash::new();
+    let mut h = Fnv1a::new();
     let mut seen = 0u8;
     for &byte in name {
         seen |= byte;
         h = h.byte(byte);
     }
-    (h.0, seen)
+    (h.finish(), seen)
 }
 
-/// FNV-1a streamed over the pieces of one feature name. FNV-1a folds
-/// one byte at a time, so hashing the pieces in sequence gives the same
-/// value as hashing their concatenation: the featurizer hashes
-/// `"left" + k + "=" + lemma` without ever building that string.
-#[derive(Clone, Copy)]
-struct FeatureHash(u64);
-
-impl FeatureHash {
-    const OFFSET: u64 = 0xcbf29ce484222325;
-    const PRIME: u64 = 0x100000001b3;
-
-    fn new() -> Self {
-        FeatureHash(Self::OFFSET)
-    }
-
-    #[inline]
-    fn byte(self, b: u8) -> Self {
-        FeatureHash((self.0 ^ b as u64).wrapping_mul(Self::PRIME))
-    }
-
-    #[inline]
-    fn str(self, s: &str) -> Self {
-        s.bytes().fold(self, Self::byte)
-    }
+/// The pieces of one feature name, folded into a running [`Fnv1a`].
+/// FNV-1a folds one byte at a time, so hashing the pieces in sequence
+/// gives the same value as hashing their concatenation: the featurizer
+/// hashes `"left" + k + "=" + lemma` without ever building that string.
+trait FeatureName: Sized {
+    fn str(self, s: &str) -> Self;
 
     /// Hash `s.to_lowercase()`. ASCII text is lowered byte by byte;
     /// anything else goes through `str::to_lowercase`, whose final-sigma
     /// rule looks at the whole string.
+    fn lower(self, s: &str) -> Self;
+
+    /// Hash the decimal digits of `k` (what `format!("{k}")` prints).
+    fn num(self, k: usize) -> Self;
+}
+
+impl FeatureName for Fnv1a {
+    #[inline]
+    fn str(self, s: &str) -> Self {
+        self.bytes(s.as_bytes())
+    }
+
     fn lower(self, s: &str) -> Self {
         if s.is_ascii() {
             s.bytes().fold(self, |h, b| h.byte(b.to_ascii_lowercase()))
@@ -94,23 +91,9 @@ impl FeatureHash {
         }
     }
 
-    /// Hash the decimal digits of `k` (what `format!("{k}")` prints).
-    fn num(self, mut k: usize) -> Self {
-        let mut digits = [0u8; 20];
-        let mut at = digits.len();
-        loop {
-            at -= 1;
-            digits[at] = b'0' + (k % 10) as u8;
-            k /= 10;
-            if k == 0 {
-                break;
-            }
-        }
-        digits[at..].iter().fold(self, |h, &b| h.byte(b))
-    }
-
-    fn bucket(self, buckets: u32) -> u32 {
-        feature_bucket(self.0, buckets)
+    fn num(self, k: usize) -> Self {
+        let high = if k >= 10 { self.num(k / 10) } else { self };
+        high.byte(b'0' + (k % 10) as u8)
     }
 }
 
@@ -163,8 +146,8 @@ impl TextFeaturizer {
 
     /// Push the bucket of every feature of `x`, in extraction order.
     fn emit_buckets(&self, x: &CandidateView<'_>, buckets: &mut Vec<u32>) {
-        let mut emit = |h: FeatureHash| buckets.push(h.bucket(self.buckets));
-        let f = FeatureHash::new;
+        let mut emit = |h: Fnv1a| buckets.push(feature_bucket(h.finish(), self.buckets));
+        let f = Fnv1a::new;
         let bigram = |tag: &str, pair: &[Token]| {
             f().str(tag)
                 .str(&pair[0].lemma)
@@ -407,11 +390,14 @@ mod tests {
     fn streamed_hash_equals_the_hash_of_the_concatenation() {
         for k in [0usize, 7, 10, 12345, usize::MAX] {
             let name = format!("left{k}=Σx");
-            let streamed = FeatureHash::new().str("left").num(k).str("=").str("Σx");
-            assert_eq!(streamed.bucket(u32::MAX), hash_feature(&name, u32::MAX));
+            let streamed = Fnv1a::new().str("left").num(k).str("=").str("Σx");
+            assert_eq!(
+                feature_bucket(streamed.finish(), u32::MAX),
+                hash_feature(&name, u32::MAX)
+            );
         }
         for s in ["MiXeD", "ΟΔΟΣ ΑΒ", "İ", ""] {
-            let lowered = FeatureHash::new().lower(s).bucket(1 << 20);
+            let lowered = feature_bucket(Fnv1a::new().lower(s).finish(), 1 << 20);
             assert_eq!(lowered, hash_feature(&s.to_lowercase(), 1 << 20), "{s:?}");
         }
     }

@@ -20,6 +20,8 @@
 
 use std::hash::{Hash, Hasher};
 
+use snorkel_matrix::Fnv1a;
+
 /// A labeling function's behavioral fingerprint.
 #[derive(Clone, Copy, Debug, Hash, PartialEq, Eq, PartialOrd, Ord)]
 pub struct Fingerprint(pub u64);
@@ -50,38 +52,13 @@ impl Fingerprint {
     /// Convenience: a content tag from a byte representation of the LF's
     /// definition (e.g. its source text or pattern string).
     pub fn content_tag(bytes: impl AsRef<[u8]>) -> u64 {
-        let mut h = Fnv1a::new();
-        h.write(bytes.as_ref());
-        h.finish()
+        Fnv1a::of(bytes.as_ref())
     }
 }
 
 impl std::fmt::Display for Fingerprint {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(f, "{:016x}", self.0)
-    }
-}
-
-/// FNV-1a, 64-bit: tiny, dependency-free, and collision-adequate for a
-/// per-session LF namespace (tens to hundreds of entries).
-struct Fnv1a(u64);
-
-impl Fnv1a {
-    fn new() -> Self {
-        Fnv1a(0xcbf2_9ce4_8422_2325)
-    }
-}
-
-impl Hasher for Fnv1a {
-    fn finish(&self) -> u64 {
-        self.0
-    }
-
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.0 ^= b as u64;
-            self.0 = self.0.wrapping_mul(0x0000_0100_0000_01B3);
-        }
     }
 }
 

@@ -21,10 +21,10 @@ pub struct FrozenSession {
     pub suite: Vec<(String, Fingerprint)>,
     /// The LF-result cache.
     pub cache: FrozenCache,
-    /// The pattern index of the last refresh (present exactly when a
-    /// refresh happened). Λ itself is not frozen: thawing rebuilds it
-    /// from the cache's `last_fingerprints` columns over the rows this
-    /// index covers.
+    /// The pattern order of the last refresh's index (present exactly
+    /// when a refresh happened). Λ itself is not frozen: thawing rebuilds
+    /// it from the cache's `last_fingerprints` columns over the rows this
+    /// index covers, and the index from Λ in this order.
     pub plan: Option<PatternIndexParts>,
     /// The label model of the last refresh.
     pub model: Option<LabelModel>,
@@ -219,8 +219,9 @@ impl IncrementalSession {
         }
         let cache = LfResultCache::import(cache, cardinality).map_err(ThawError::Inconsistent)?;
         // Λ is the last refresh's columns of the cache over the rows its
-        // pattern index covers; the index then cross-checks every row.
-        // Peeking leaves the columns' recency as it was frozen.
+        // pattern index covers; the index's pattern order is then read
+        // back against Λ. Peeking leaves the columns' recency as it was
+        // frozen.
         let (lambda, plan) = match plan {
             None if last_fingerprints.is_empty() => (None, None),
             None => {
@@ -229,8 +230,7 @@ impl IncrementalSession {
                 ))
             }
             Some(parts) => {
-                let plan = PatternIndex::from_parts(parts).map_err(ThawError::Inconsistent)?;
-                let rows = plan.num_rows();
+                let rows = parts.rows;
                 if rows > candidates.len() {
                     return Err(ThawError::Inconsistent(format!(
                         "Λ has {rows} rows but only {} candidates are registered",
@@ -249,7 +249,8 @@ impl IncrementalSession {
                     .collect::<Result<Vec<_>, _>>()
                     .map_err(ThawError::Inconsistent)?;
                 let lambda = LabelMatrix::from_columns(rows, cardinality, &columns);
-                plan.validate(&lambda).map_err(ThawError::Inconsistent)?;
+                let plan =
+                    PatternIndex::from_parts(parts, &lambda).map_err(ThawError::Inconsistent)?;
                 (Some(lambda), Some(plan))
             }
         };
@@ -324,7 +325,7 @@ impl IncrementalSession {
             }
         };
 
-        // The running moment statistics are a fold of the validated
+        // The running moment statistics are a fold of the rebuilt
         // index, so they cover Λ's LFs under the executor's scheme by
         // construction.
         let stream = match (stream, lambda.as_ref().zip(plan.as_ref())) {

@@ -100,7 +100,7 @@ impl IncrementalSession {
                     plan.append_rows(lambda);
                 }
                 for &j in &changed_cols {
-                    plan.refresh_column_with(lambda, j, &mut self.resign_scratch);
+                    plan.refresh_column(lambda, j, &mut self.resign_scratch);
                 }
             }
             (Some(_), LambdaUpdate::Unchanged) => {}

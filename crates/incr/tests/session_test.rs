@@ -560,6 +560,77 @@ fn freeze_thaw_round_trip_is_warm_and_bit_identical() {
     assert_eq!(report.lf_invocations, 120);
 }
 
+/// An LF reading one digit of `alpha<d> <verb> beta<e>`: +1 on `pos`,
+/// −1 on `neg`, abstain on the rest.
+fn digit_lf(name: &str, beta: bool, pos: &'static str, neg: &'static str) -> BoxedLf {
+    lf(name.to_string(), move |x| {
+        let text = x.sentence().text();
+        let d = if beta {
+            text.chars().last()
+        } else {
+            text.chars().nth(5)
+        };
+        match d {
+            Some(d) if pos.contains(d) => 1,
+            Some(d) if neg.contains(d) => -1,
+            _ => 0,
+        }
+    })
+}
+
+/// An LF edit leaves zero-count pattern slots (tombstones) in the
+/// index; a snapshot thaw keeps them under their ids, so when the edit
+/// is reverted both sessions revive the same slots and fit the same
+/// bits.
+#[test]
+fn thawed_session_revives_tombstones_like_the_live_one() {
+    let config = || SessionConfig {
+        force_strategy: Some(snorkel_core::optimizer::ModelingStrategy::GenerativeModel {
+            epsilon: 0.0,
+            correlations: Vec::new(),
+            strengths: Vec::new(),
+        }),
+        ..SessionConfig::default()
+    };
+    let v1 = || keyword_lf("lf_c", &["causes"], 1);
+    let v2 = || digit_lf("lf_c", false, "", "456");
+    let (corpus, _) = build_corpus(120);
+    let mut session = IncrementalSession::over_all_candidates(corpus.clone(), config());
+    session.add_lf(digit_lf("lf_a", false, "01", "23"));
+    session.add_lf(digit_lf("lf_b", true, "2", "01"));
+    session.add_lf_tagged(v1(), 1);
+    session.refresh();
+    session.edit_lf_tagged(v2(), 2);
+    session.refresh();
+    let plan = session.pattern_plan().expect("refreshed");
+    assert!(
+        plan.num_slots() > plan.num_patterns(),
+        "the edit leaves tombstones"
+    );
+
+    let lfs = vec![
+        digit_lf("lf_a", false, "01", "23"),
+        digit_lf("lf_b", true, "2", "01"),
+        v2(),
+    ];
+    let mut twin = IncrementalSession::thaw(corpus, config(), session.freeze(), lfs).expect("thaw");
+    let revert = |s: &mut IncrementalSession| {
+        s.edit_lf_tagged(v1(), 1);
+        let (labels, report) = s.refresh();
+        assert_eq!(report.lf_invocations, 0, "v1's column is cached");
+        labels
+    };
+    let (want, got) = (revert(&mut session), revert(&mut twin));
+    assert_eq!(
+        twin.pattern_plan().unwrap().to_parts(),
+        session.pattern_plan().unwrap().to_parts()
+    );
+    let bits = |labels: &[Vec<f64>]| -> Vec<u64> {
+        labels.iter().flatten().map(|p| p.to_bits()).collect()
+    };
+    assert_eq!(bits(&got), bits(&want), "bit-identical labels");
+}
+
 #[test]
 fn thaw_rejects_mismatched_suite_and_corpus() {
     let (corpus, _) = build_corpus(30);
@@ -670,11 +741,16 @@ fn thaw_rejects_mismatched_suite_and_corpus() {
     col.entries.retain(|&(row, _)| row < 20);
     reject(bad, "covers 20 rows but Λ has 30");
 
-    // Cached votes that disagree with the pattern index.
+    // A cached vote flipped to a signature the pattern order has no id
+    // for (every row here votes −1). The cache is Λ's only copy, so a
+    // flip onto another signature the index already holds, on a row
+    // that is not its pattern's first, thaws to the flipped Λ; in a
+    // snapshot file, the section checksum is what refuses a bit flip.
     let mut bad = frozen;
     let col = column(&mut bad);
-    col.entries[0].1 = -col.entries[0].1;
-    reject(bad, "stored signature != matrix row");
+    assert_eq!(col.entries[1], (1, -1));
+    col.entries[1].1 = 1;
+    reject(bad, "row 1: signature has no pattern id");
 }
 
 #[test]

@@ -26,7 +26,8 @@
 //! once per row. One index covers all of Λ, so no result depends on the
 //! core count. Its signatures live in a [`SigTable`], the one
 //! hash-consing table for vote signatures, which the serving layer's
-//! posterior memo uses too.
+//! posterior memo uses too. [`Fnv1a`] is the one unkeyed byte hash:
+//! snapshot and WAL checksums, LF fingerprints and hashed text features.
 //!
 //! ```
 //! use snorkel_matrix::LabelMatrixBuilder;
@@ -45,6 +46,7 @@
 
 mod csr;
 mod delta;
+mod fnv;
 mod pattern;
 mod sigtable;
 pub mod stats;
@@ -53,6 +55,7 @@ pub use csr::{
     assert_legal_vote, is_legal_vote, LabelMatrix, LabelMatrixBuilder, SelectError, Vote, ABSTAIN,
 };
 pub use delta::MatrixDelta;
+pub use fnv::Fnv1a;
 pub use pattern::{PatternIndex, PatternIndexParts, ResignScratch, ShardedMatrix};
 pub use sigtable::SigTable;
 pub use stats::{LfSummary, MatrixStats};

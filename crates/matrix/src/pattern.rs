@@ -34,7 +34,7 @@ use snorkel_arena::ScratchVec;
 use crate::csr::{LabelMatrix, Vote};
 use crate::sigtable::SigTable;
 
-/// Reusable scratch for [`PatternIndex::refresh_column_with`]: the
+/// Reusable scratch for [`PatternIndex::refresh_column`]: the
 /// pattern-touches-column bitmap and the affected-row list that a
 /// column re-sign needs. Owned by long-lived callers (the incremental
 /// session holds one per refresh loop) so that re-signing after every
@@ -58,26 +58,24 @@ impl ResignScratch {
     }
 }
 
-/// Owned copy of a [`PatternIndex`]'s persistent state — the stable
-/// encoding surface for on-disk snapshots. The derived structures (the
-/// signature table's probe slots and the live-pattern count) are *not*
-/// part of the encoding; [`PatternIndex::from_parts`] rebuilds them by
-/// re-interning the patterns in id order, so a round trip reproduces an
-/// index that behaves identically to the original.
+/// What a [`PatternIndex`] stores beyond its matrix — the stable
+/// encoding surface for on-disk snapshots. Signatures, multiplicities
+/// and row → pattern are functions of Λ, so only the pattern *order*
+/// is kept: each id's first row, and the signatures of the zero-count
+/// slots (tombstones), which no row carries. [`PatternIndex::from_parts`]
+/// reads the rest back from Λ, id for id.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct PatternIndexParts {
-    /// LF-column count of the matrix the index was built for.
-    pub num_lfs: usize,
-    /// Concatenated column indices of every interned pattern.
-    pub sig_cols: Vec<u32>,
-    /// Votes parallel to `sig_cols`.
-    pub sig_votes: Vec<Vote>,
-    /// Per-pattern `(offset, len)` into the arenas.
-    pub pat_bounds: Vec<(usize, usize)>,
-    /// Rows currently carrying each pattern (0 = tombstone).
-    pub counts: Vec<usize>,
-    /// Row → pattern id.
-    pub row_pattern: Vec<u32>,
+    /// Row count of the matrix the index covers.
+    pub rows: usize,
+    /// Per pattern id, the first row carrying it; `u32::MAX` marks a
+    /// tombstone.
+    pub first_rows: Vec<u32>,
+    /// The tombstones' signatures `(cols, votes)`, in id order. They
+    /// keep their ids: a later edit that brings a signature back revives
+    /// its tombstone, and the exact E-pass sums live patterns in id
+    /// order.
+    pub tombstones: Vec<(Vec<u32>, Vec<Vote>)>,
 }
 
 /// Groups the rows of a [`LabelMatrix`] by unique vote signature, with
@@ -232,16 +230,12 @@ impl PatternIndex {
     /// Not valid after a column *removal* — deleting a column shifts
     /// every higher column index, changing signatures the edited column
     /// never appeared in; [`Self::build`] a fresh index there.
-    pub fn refresh_column(&mut self, lambda: &LabelMatrix, col: usize) {
-        self.refresh_column_with(lambda, col, &mut ResignScratch::new());
-    }
-
-    /// [`Self::refresh_column`] with caller-owned scratch: the bitmap
-    /// and affected-row list live in `scratch` and are reset (not
-    /// freed) here, so a warm caller re-signs without allocating for
-    /// the selection pass. Interning a *new* pattern still grows the
+    ///
+    /// The bitmap and affected-row list live in `scratch` and are reset
+    /// (not freed) here, so a warm caller re-signs without allocating
+    /// for the selection pass. Interning a *new* pattern still grows the
     /// signature arenas — that is index state, not scratch.
-    pub fn refresh_column_with(
+    pub fn refresh_column(
         &mut self,
         lambda: &LabelMatrix,
         col: usize,
@@ -283,129 +277,116 @@ impl PatternIndex {
         self.counts = counts;
     }
 
-    /// Export the persistent state (see [`PatternIndexParts`]). The
-    /// arenas hold the patterns back to back in id order.
+    /// Export the pattern order (see [`PatternIndexParts`]).
     pub fn to_parts(&self) -> PatternIndexParts {
-        let mut parts = PatternIndexParts {
-            num_lfs: self.n,
-            sig_cols: Vec::new(),
-            sig_votes: Vec::new(),
-            pat_bounds: Vec::with_capacity(self.num_slots()),
-            counts: self.counts.clone(),
-            row_pattern: self.row_pattern.clone(),
-        };
-        for p in 0..self.num_slots() {
-            let (cols, votes) = self.table.get(p);
-            parts.pat_bounds.push((parts.sig_cols.len(), cols.len()));
-            parts.sig_cols.extend_from_slice(cols);
-            parts.sig_votes.extend_from_slice(votes);
+        let mut first_rows = vec![u32::MAX; self.num_slots()];
+        for (r, &p) in self.row_pattern.iter().enumerate().rev() {
+            first_rows[p as usize] = r as u32;
         }
-        parts
+        let tombstones = (0..self.num_slots())
+            .filter(|&p| self.counts[p] == 0)
+            .map(|p| {
+                let (cols, votes) = self.pattern(p);
+                (cols.to_vec(), votes.to_vec())
+            })
+            .collect();
+        PatternIndexParts {
+            rows: self.num_rows(),
+            first_rows,
+            tombstones,
+        }
     }
 
-    /// Rebuild an index from exported parts by re-interning the
-    /// patterns in id order, and recount the live patterns. Structural
-    /// invariants are validated here — including that no two patterns,
-    /// tombstones too, share a signature; consistency with a backing
-    /// matrix is the caller's check ([`Self::validate`]).
-    pub fn from_parts(parts: PatternIndexParts) -> Result<PatternIndex, String> {
+    /// Rebuild the index over `lambda` from its pattern order: intern
+    /// each id's signature (its first row's, or the next tombstone's),
+    /// then give every row the id of its signature. The result equals
+    /// the exported index id for id; parts that do not describe an index
+    /// of `lambda` are refused with the first inconsistency.
+    pub fn from_parts(parts: PatternIndexParts, lambda: &LabelMatrix) -> Result<Self, String> {
         let PatternIndexParts {
-            num_lfs,
-            sig_cols,
-            sig_votes,
-            pat_bounds,
-            counts,
-            row_pattern,
+            rows,
+            first_rows,
+            tombstones,
         } = parts;
-        if sig_cols.len() != sig_votes.len() {
-            return Err(format!(
-                "signature arenas differ in length ({} cols, {} votes)",
-                sig_cols.len(),
-                sig_votes.len()
-            ));
+        if rows != lambda.num_points() {
+            let m = lambda.num_points();
+            return Err(format!("index covers {rows} rows but the matrix has {m}"));
         }
-        if counts.len() != pat_bounds.len() {
-            return Err(format!(
-                "{} counts for {} patterns",
-                counts.len(),
-                pat_bounds.len()
-            ));
+        let markers = first_rows.iter().filter(|&&r| r == u32::MAX).count();
+        if markers != tombstones.len() {
+            let n = tombstones.len();
+            return Err(format!("{markers} tombstone markers for {n} tombstones"));
         }
         let mut table = SigTable::new();
-        for (p, &(off, len)) in pat_bounds.iter().enumerate() {
-            let end = off.checked_add(len).filter(|&e| e <= sig_cols.len());
-            if end.is_none() {
-                return Err(format!("pattern {p}: bounds {off}+{len} exceed arena"));
-            }
-            let (cols, votes) = (&sig_cols[off..off + len], &sig_votes[off..off + len]);
-            if cols.windows(2).any(|w| w[0] >= w[1]) {
-                return Err(format!("pattern {p}: columns not strictly increasing"));
-            }
-            let q = table.intern(cols, votes);
-            if q as usize != p {
-                return Err(format!("patterns {q} and {p} share a signature"));
+        let mut tombs = tombstones.iter();
+        for (p, &first) in first_rows.iter().enumerate() {
+            let (cols, votes) = match first {
+                u32::MAX => {
+                    let (cols, votes) = tombs.next().expect("one tombstone per marker");
+                    if cols.len() != votes.len() || cols.windows(2).any(|w| w[0] >= w[1]) {
+                        return Err(format!("tombstone {p}: malformed signature"));
+                    }
+                    (&cols[..], &votes[..])
+                }
+                r if r as usize >= rows => {
+                    return Err(format!("pattern {p}: first row {r} of {rows}"))
+                }
+                r => lambda.row(r as usize),
+            };
+            match table.intern(cols, votes) {
+                q if q as usize == p => {}
+                q => return Err(format!("patterns {q} and {p} share a signature")),
             }
         }
-        let mut hist = vec![0usize; pat_bounds.len()];
-        for (r, &p) in row_pattern.iter().enumerate() {
-            if (p as usize) >= pat_bounds.len() {
-                return Err(format!("row {r}: pattern id {p} out of range"));
+        let mut counts = vec![0usize; first_rows.len()];
+        let mut row_pattern = Vec::with_capacity(rows);
+        for r in 0..rows {
+            let (cols, votes) = lambda.row(r);
+            let p = table
+                .find(cols, votes)
+                .ok_or_else(|| format!("row {r}: signature has no pattern id"))?;
+            if counts[p as usize] == 0 && first_rows[p as usize] != r as u32 {
+                return Err(match first_rows[p as usize] {
+                    u32::MAX => format!("row {r} carries tombstone {p}"),
+                    first => format!("pattern {p}: first row is {r}, not {first}"),
+                });
             }
-            hist[p as usize] += 1;
+            counts[p as usize] += 1;
+            row_pattern.push(p);
         }
-        if hist != counts {
-            return Err("multiplicity counts disagree with the row histogram".into());
-        }
-        let live = counts.iter().filter(|&&c| c > 0).count();
         Ok(PatternIndex {
-            n: num_lfs,
+            n: lambda.num_lfs(),
             table,
             counts,
             row_pattern,
-            live,
+            live: first_rows.len() - markers,
         })
     }
 
     /// Check every invariant against the backing matrix: the index
-    /// covers exactly its rows and columns, each row's stored signature
-    /// equals its matrix row, multiplicities equal the actual
-    /// row→pattern histogram, `num_patterns` counts exactly the
-    /// non-tombstones, and every pattern is found under its own id.
-    /// Returns a description of the first violation.
+    /// equals the one [`Self::from_parts`] reads back from `lambda` in
+    /// its own pattern order (same LF count, signature per id, pattern
+    /// per row, multiplicities and live count), and every pattern is
+    /// found under its own id. Returns a description of the first
+    /// violation.
     pub fn validate(&self, lambda: &LabelMatrix) -> Result<(), String> {
         if self.n != lambda.num_lfs() {
-            return Err(format!(
-                "index built for {} LFs but matrix has {}",
-                self.n,
-                lambda.num_lfs()
-            ));
+            let n = lambda.num_lfs();
+            return Err(format!("index built for {} LFs but matrix has {n}", self.n));
         }
-        if self.row_pattern.len() != lambda.num_points() {
-            return Err(format!(
-                "index covers {} rows but matrix has {}",
-                self.row_pattern.len(),
-                lambda.num_points()
-            ));
-        }
-        let mut hist = vec![0usize; self.num_slots()];
-        for (r, &p) in self.row_pattern.iter().enumerate() {
-            if self.pattern(p as usize) != lambda.row(r) {
-                return Err(format!("row {r}: stored signature != matrix row"));
-            }
-            hist[p as usize] += 1;
-        }
-        if hist != self.counts {
-            return Err("multiplicity counts drifted from the row histogram".into());
-        }
-        let live = self.counts.iter().filter(|&&c| c > 0).count();
-        if live != self.live {
-            return Err(format!("live count {} != actual {live}", self.live));
-        }
+        let fresh = PatternIndex::from_parts(self.to_parts(), lambda)?;
         for p in 0..self.num_slots() {
             let (cols, votes) = self.pattern(p);
-            if self.table.find(cols, votes) != Some(p as u32) {
-                return Err(format!("pattern {p} is not found under its own id"));
+            if fresh.pattern(p) != (cols, votes) || self.table.find(cols, votes) != Some(p as u32) {
+                return Err(format!(
+                    "pattern {p}: signature not Λ's or not under its id"
+                ));
             }
+        }
+        if (&fresh.row_pattern, &fresh.counts, fresh.live)
+            != (&self.row_pattern, &self.counts, self.live)
+        {
+            return Err("row → pattern or multiplicities drifted from Λ".into());
         }
         Ok(())
     }
@@ -480,7 +461,7 @@ mod tests {
             col: 1,
             entries: vec![(0, 1)],
         });
-        idx.refresh_column(&lambda, 1);
+        idx.refresh_column(&lambda, 1, &mut ResignScratch::new());
         idx.validate(&lambda).unwrap();
         let fresh = PatternIndex::build(&lambda);
         assert_eq!(idx.num_patterns(), fresh.num_patterns());
@@ -500,7 +481,7 @@ mod tests {
         lambda.apply_delta(&MatrixDelta::AppendColumn {
             entries: vec![(1, 1), (4, -1)],
         });
-        idx.refresh_column(&lambda, 3);
+        idx.refresh_column(&lambda, 3, &mut ResignScratch::new());
         idx.validate(&lambda).unwrap();
         assert_eq!(idx.num_lfs(), 4);
     }
@@ -530,7 +511,7 @@ mod tests {
             let v = if round % 2 == 0 { 1 } else { -1 };
             let entries: Vec<(u32, Vote)> = (0..=(round % 37)).map(|r| (r, v)).collect();
             lambda.replace_column(1, &entries);
-            idx.refresh_column(&lambda, 1);
+            idx.refresh_column(&lambda, 1, &mut ResignScratch::new());
         }
         idx.validate(&lambda).unwrap();
         assert!(
@@ -545,13 +526,14 @@ mod tests {
     fn parts_round_trip_behaves_identically() {
         let mut lambda = sample();
         let mut idx = PatternIndex::build(&lambda);
+        let mut scratch = ResignScratch::new();
         // Churn a little so tombstones exist in the exported state.
         lambda.apply_delta(&MatrixDelta::ReplaceColumn {
             col: 1,
             entries: vec![(0, 1), (5, -1)],
         });
-        idx.refresh_column(&lambda, 1);
-        let back = PatternIndex::from_parts(idx.to_parts()).unwrap();
+        idx.refresh_column(&lambda, 1, &mut scratch);
+        let back = PatternIndex::from_parts(idx.to_parts(), &lambda).unwrap();
         back.validate(&lambda).unwrap();
         assert_eq!(back.num_patterns(), idx.num_patterns());
         assert_eq!(back.num_lfs(), idx.num_lfs());
@@ -566,8 +548,8 @@ mod tests {
             col: 0,
             entries: vec![(2, -1)],
         });
-        a.refresh_column(&lambda, 0);
-        b.refresh_column(&lambda, 0);
+        a.refresh_column(&lambda, 0, &mut scratch);
+        b.refresh_column(&lambda, 0, &mut scratch);
         a.validate(&lambda).unwrap();
         b.validate(&lambda).unwrap();
         for r in 0..lambda.num_points() {
@@ -579,47 +561,84 @@ mod tests {
         }
     }
 
+    /// A tombstone keeps its id through the parts, so a later edit that
+    /// brings its signature back revives it on both sides alike.
+    #[test]
+    fn tombstones_survive_the_parts_round_trip() {
+        let mut lambda = sample();
+        let mut idx = PatternIndex::build(&lambda);
+        let mut scratch = ResignScratch::new();
+        // Column 1 emptied: {1,-1} and {·,1} drop to count 0, uncompacted.
+        lambda.replace_column(1, &[]);
+        idx.refresh_column(&lambda, 1, &mut scratch);
+        assert_eq!((idx.num_slots(), idx.num_patterns()), (4, 2));
+        let mut back = PatternIndex::from_parts(idx.to_parts(), &lambda).unwrap();
+        // Column 1 restored on both indexes: the tombstones revive.
+        lambda.replace_column(1, &[(0, -1), (2, -1), (3, 1), (4, -1)]);
+        idx.refresh_column(&lambda, 1, &mut scratch);
+        back.refresh_column(&lambda, 1, &mut scratch);
+        back.validate(&lambda).unwrap();
+        assert_eq!(back.to_parts(), idx.to_parts());
+        for r in 0..lambda.num_points() {
+            assert_eq!(back.pattern_of_row(r), idx.pattern_of_row(r), "row {r}");
+        }
+        assert_eq!(idx.pattern_of_row(0), 0, "revived under its old id");
+    }
+
     #[test]
     fn from_parts_rejects_corruption() {
+        // Patterns: 0 = {1,-1} (rows 0, 2, 4), 1 = {} (rows 1, 5),
+        // 2 = {·,1} (row 3).
         let lambda = sample();
-        let idx = PatternIndex::build(&lambda);
-        // Out-of-range pattern id.
-        let mut parts = idx.to_parts();
-        parts.row_pattern[0] = 99;
-        assert!(PatternIndex::from_parts(parts).is_err());
-        // Drifted multiplicity counts.
-        let mut parts = idx.to_parts();
-        parts.counts[0] += 1;
-        assert!(PatternIndex::from_parts(parts).is_err());
-        // Bounds past the arena end.
-        let mut parts = idx.to_parts();
-        parts.pat_bounds[0] = (0, parts.sig_cols.len() + 1);
-        assert!(PatternIndex::from_parts(parts).is_err());
-        // Arena length mismatch.
-        let mut parts = idx.to_parts();
-        parts.sig_votes.pop();
-        assert!(PatternIndex::from_parts(parts).is_err());
-        // A tombstone repeating a live pattern's signature: thawed, a
-        // later column edit would leave two live patterns on one
-        // signature, so the repeat is refused up front.
-        let mut b = LabelMatrixBuilder::new(2, 2);
-        b.set(0, 0, 1);
-        b.set(1, 0, 1);
-        let lambda = b.build();
-        let parts = PatternIndexParts {
-            num_lfs: 2,
-            sig_cols: vec![0, 0],
-            sig_votes: vec![1, 1],
-            pat_bounds: vec![(0, 1), (1, 1)],
-            counts: vec![0, 2],
-            row_pattern: vec![1, 1],
+        let good = PatternIndex::build(&lambda).to_parts();
+        assert_eq!(good.first_rows, [0, 1, 3]);
+        let refuse = |edit: &dyn Fn(&mut PatternIndexParts), want: &str| {
+            let mut parts = good.clone();
+            edit(&mut parts);
+            assert_eq!(PatternIndex::from_parts(parts, &lambda).unwrap_err(), want);
         };
-        assert_eq!(
-            PatternIndex::from_parts(parts).unwrap_err(),
-            "patterns 0 and 1 share a signature"
+        refuse(&|p| p.rows = 7, "index covers 7 rows but the matrix has 6");
+        refuse(&|p| p.first_rows[2] = 6, "pattern 2: first row 6 of 6");
+        // Two ids naming rows with one signature.
+        refuse(
+            &|p| p.first_rows[2] = 2,
+            "patterns 0 and 2 share a signature",
         );
-        let parts = PatternIndex::build(&lambda).to_parts();
-        PatternIndex::from_parts(parts)
+        // A tombstone repeating a live signature: thawed, a later edit
+        // would leave two live patterns on one signature.
+        refuse(
+            &|p| {
+                p.first_rows.push(u32::MAX);
+                p.tombstones.push((vec![0, 1], vec![1, -1]));
+            },
+            "patterns 0 and 3 share a signature",
+        );
+        refuse(
+            &|p| p.tombstones.push((vec![2], vec![1])),
+            "0 tombstone markers for 1 tombstones",
+        );
+        refuse(
+            &|p| {
+                p.first_rows.push(u32::MAX);
+                p.tombstones.push((vec![2], vec![]));
+            },
+            "tombstone 3: malformed signature",
+        );
+        // Row 3's signature dropped from the order.
+        refuse(
+            &|p| p.first_rows.truncate(2),
+            "row 3: signature has no pattern id",
+        );
+        // Row 3's pattern stored as a tombstone.
+        refuse(
+            &|p| {
+                p.first_rows[2] = u32::MAX;
+                p.tombstones.push((vec![1], vec![1]));
+            },
+            "row 3 carries tombstone 2",
+        );
+        refuse(&|p| p.first_rows[1] = 5, "pattern 1: first row is 1, not 5");
+        PatternIndex::from_parts(good.clone(), &lambda)
             .unwrap()
             .validate(&lambda)
             .unwrap();

@@ -3,7 +3,9 @@
 //! the last column, splices on zero-nnz matrices, and row-batch appends
 //! followed by a pattern-index refresh.
 
-use snorkel_matrix::{LabelMatrix, LabelMatrixBuilder, MatrixDelta, PatternIndex, Vote};
+use snorkel_matrix::{
+    LabelMatrix, LabelMatrixBuilder, MatrixDelta, PatternIndex, ResignScratch, Vote,
+};
 
 fn build(grid: &[Vec<Vote>]) -> LabelMatrix {
     let m = grid.len();
@@ -125,7 +127,7 @@ fn row_batch_append_then_pattern_index_refresh() {
         col: 2,
         entries: vec![(1, 1), (6, -1)],
     });
-    idx.refresh_column(&lambda, 2);
+    idx.refresh_column(&lambda, 2, &mut ResignScratch::new());
     idx.validate(&lambda).unwrap();
     assert_eq!(
         idx.num_patterns(),

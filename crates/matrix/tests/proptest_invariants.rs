@@ -5,7 +5,9 @@
 
 use proptest::prelude::*;
 use snorkel_matrix::stats::{class_balance, empirical_accuracies, matrix_stats};
-use snorkel_matrix::{LabelMatrix, LabelMatrixBuilder, MatrixDelta, PatternIndex, Vote};
+use snorkel_matrix::{
+    LabelMatrix, LabelMatrixBuilder, MatrixDelta, PatternIndex, ResignScratch, Vote,
+};
 
 /// Generate a random binary label matrix as a dense grid, then build.
 fn matrix_strategy() -> impl Strategy<Value = (LabelMatrix, Vec<Vec<Vote>>)> {
@@ -141,7 +143,9 @@ proptest! {
     /// Incremental maintenance over an arbitrary delta sequence keeps
     /// the index equivalent to a fresh rebuild (same row→signature map,
     /// same multiplicities — checked by `validate` + pattern count), and
-    /// never gives one signature two slots.
+    /// never gives one signature two slots. A twin that goes through its
+    /// parts after every op, as a snapshot thaw does, stays equal to the
+    /// index id for id.
     #[test]
     fn pattern_index_survives_arbitrary_delta_sequences(
         (lambda, _) in matrix_strategy(),
@@ -149,6 +153,8 @@ proptest! {
     ) {
         let mut lambda = lambda;
         let mut plan = PatternIndex::build(&lambda);
+        let mut twin = plan.clone();
+        let mut scratch = ResignScratch::new();
         for (kind, pick, entries) in ops {
             match kind {
                 // Column replace.
@@ -162,7 +168,8 @@ proptest! {
                     es.sort_by_key(|e| e.0);
                     es.dedup_by_key(|e| e.0);
                     lambda.apply_delta(&MatrixDelta::ReplaceColumn { col, entries: es });
-                    plan.refresh_column(&lambda, col);
+                    plan.refresh_column(&lambda, col, &mut scratch);
+                    twin.refresh_column(&lambda, col, &mut scratch);
                 }
                 // Row-batch append.
                 1 => {
@@ -181,6 +188,7 @@ proptest! {
                         .collect();
                     lambda.apply_delta(&MatrixDelta::AppendRows { rows });
                     plan.append_rows(&lambda);
+                    twin.append_rows(&lambda);
                 }
                 // Column append (touched rows only).
                 _ => {
@@ -193,7 +201,8 @@ proptest! {
                     es.dedup_by_key(|e| e.0);
                     let new_col = lambda.num_lfs();
                     lambda.apply_delta(&MatrixDelta::AppendColumn { entries: es });
-                    plan.refresh_column(&lambda, new_col);
+                    plan.refresh_column(&lambda, new_col, &mut scratch);
+                    twin.refresh_column(&lambda, new_col, &mut scratch);
                 }
             }
             plan.validate(&lambda).unwrap();
@@ -204,6 +213,16 @@ proptest! {
                 let prev = seen.insert(plan.pattern(p), p);
                 prop_assert_eq!(prev, None, "slot {} repeats a signature", p);
             }
+            twin = PatternIndex::from_parts(twin.to_parts(), &lambda).unwrap();
+            prop_assert_eq!(twin.to_parts(), plan.to_parts());
+            for r in 0..lambda.num_points() {
+                prop_assert_eq!(twin.pattern_of_row(r), plan.pattern_of_row(r), "row {}", r);
+            }
+            for p in 0..plan.num_slots() {
+                prop_assert_eq!(twin.count(p), plan.count(p), "slot {}", p);
+            }
+            prop_assert_eq!(twin.num_slots(), plan.num_slots());
+            prop_assert_eq!(twin.num_patterns(), plan.num_patterns());
         }
     }
 }

@@ -697,7 +697,7 @@ mod tests {
             for (i, names) in rows.iter().enumerate() {
                 let pairs = names
                     .iter()
-                    .map(|n| ((wire::fnv1a(n.as_bytes()) % u64::from(dim)) as u32, 1.0))
+                    .map(|n| ((snorkel_matrix::Fnv1a::of(n.as_bytes()) % u64::from(dim)) as u32, 1.0))
                     .collect();
                 let mut want = SparseVec::from_pairs(pairs);
                 want.l2_normalize();

@@ -12,9 +12,10 @@
 //!   format round-tripping the label model
 //!   (a [`LabelModel`](snorkel_core::label_model::LabelModel) under its
 //!   backend tag, + [`TrainConfig`](snorkel_core::TrainConfig)), the
-//!   `snorkel-incr` LF-result cache, and the
+//!   `snorkel-incr` LF-result cache, and the order of the
 //!   [`PatternIndex`](snorkel_matrix::PatternIndex) — the label matrix
-//!   is rebuilt from the cached LF columns on thaw — so a restarted
+//!   is rebuilt from the cached LF columns on thaw, and the index from
+//!   the label matrix — so a restarted
 //!   process warm-starts in milliseconds instead of re-running every LF
 //!   and re-fitting from scratch, on the *same backend* it was running.
 //!   Round trips are bit-exact; corrupted, truncated, wrong-version, or

@@ -31,10 +31,12 @@ use std::fs::{File, OpenOptions};
 use std::io::{Read as _, Seek as _, SeekFrom, Write as _};
 use std::path::Path;
 
+use snorkel_matrix::Fnv1a;
+
 use crate::frame::IngestRow;
 use crate::protocol::{LfSpec, SuiteEdit};
 use crate::snap::SnapError;
-use crate::wire::{fnv1a, Reader, Writer};
+use crate::wire::{Reader, Writer};
 
 /// First eight bytes of every WAL file.
 pub const WAL_MAGIC: [u8; 8] = *b"SNKLWAL\0";
@@ -197,7 +199,7 @@ pub fn frame_body(body: &[u8]) -> Vec<u8> {
             .expect("record fits u32")
             .to_le_bytes(),
     );
-    out.extend_from_slice(&fnv1a(body).to_le_bytes());
+    out.extend_from_slice(&Fnv1a::of(body).to_le_bytes());
     out.extend_from_slice(body);
     out
 }
@@ -292,7 +294,7 @@ pub fn scan(bytes: &[u8]) -> Result<WalScan, WalError> {
         }
         let crc = u64::from_le_bytes(bytes[pos + 4..pos + 12].try_into().expect("8 bytes"));
         let body = &bytes[pos + RECORD_PREFIX_BYTES..pos + total];
-        if fnv1a(body) != crc {
+        if Fnv1a::of(body) != crc {
             return Err(WalError::ChecksumMismatch { offset: pos as u64 });
         }
         let rec = Record::decode_body(body)?;

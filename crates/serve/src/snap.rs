@@ -35,10 +35,10 @@
 //! | `SESS` | candidates, version counters, suite layout, last-refresh fingerprint layout, strategy | always |
 //! | `CACH` | the LF-result cache, LRU-first                   | always   |
 //! | `TCFG` | the [`TrainConfig`]                              | always   |
-//! | `PLAN` | the pattern index (Λ itself is rebuilt from the `CACH` columns of the last refresh on thaw) | if refreshed |
+//! | `PLAN` | the pattern index's order: Λ's row count, each pattern's first row, the zero-count patterns' signatures (thaw rebuilds Λ from the `CACH` columns of the last refresh, then the index from Λ) | if refreshed |
 //! | `MODL` | the label model, backend-tagged — weights + structure for the generative/moment backends, shape only for majority vote | if trained |
 //! | `DISC` | the distilled serving model: refresh/disc generation counters, featurizer + distill config, sparse per-class weights | if distilled |
-//! | `STRM` | the streaming plane: drift config, frozen reference window, drift scores, lifetime ingest counters (the running moment totals are folded from `PLAN` on thaw) | if streaming |
+//! | `STRM` | the streaming plane: drift config, frozen reference window, drift scores, lifetime ingest counters (the running moment totals are folded from the rebuilt index on thaw) | if streaming |
 //! | `REPL` | the replication mark: the op-log LSN and server generation the snapshot was taken at, so a follower bootstrapped from it resumes tailing exactly where the image ends | if replicated |
 //!
 //! ## Versioning
@@ -66,9 +66,10 @@ use std::path::Path;
 
 use snorkel_core::model::{ParamsError, TrainConfig};
 use snorkel_incr::FrozenSession;
+use snorkel_matrix::Fnv1a;
 
 use crate::repl::ReplMark;
-use crate::wire::{fnv1a, Reader, Writer};
+use crate::wire::{Reader, Writer};
 
 mod sections;
 
@@ -78,7 +79,7 @@ use sections::*;
 pub const MAGIC: [u8; 8] = *b"SNKLSNAP";
 
 /// The one format version this build writes and reads.
-pub const FORMAT_VERSION: u32 = 9;
+pub const FORMAT_VERSION: u32 = 10;
 
 const TAG_SESS: u32 = u32::from_le_bytes(*b"SESS");
 const TAG_CACH: u32 = u32::from_le_bytes(*b"CACH");
@@ -263,11 +264,11 @@ impl Snapshot {
             head.put(tag);
             head.put(&offset);
             head.put(&(payload.len() as u64));
-            head.put(&fnv1a(payload));
+            head.put(&Fnv1a::of(payload));
             offset += payload.len() as u64;
         }
         let mut out = head.into_bytes();
-        let checksum = fnv1a(&out);
+        let checksum = Fnv1a::of(&out);
         out.extend_from_slice(&checksum.to_le_bytes());
         debug_assert_eq!(out.len(), header_end);
         for (_, payload) in &sections {
@@ -311,7 +312,7 @@ impl Snapshot {
                 .try_into()
                 .expect("8 bytes"),
         );
-        if fnv1a(&bytes[..header_end - 8]) != stored {
+        if Fnv1a::of(&bytes[..header_end - 8]) != stored {
             return Err(SnapError::ChecksumMismatch {
                 section: "header".into(),
             });
@@ -341,7 +342,7 @@ impl Snapshot {
                 });
             }
             let payload = &bytes[offset as usize..end as usize];
-            if fnv1a(payload) != checksum {
+            if Fnv1a::of(payload) != checksum {
                 return Err(SnapError::ChecksumMismatch {
                     section: tag_name(tag),
                 });

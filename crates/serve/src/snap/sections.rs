@@ -167,26 +167,21 @@ pub(super) fn dec_cache(r: &mut Reader<'_>) -> Result<FrozenCache, SnapError> {
     })
 }
 
-/// `PLAN`: the pattern index.
+/// `PLAN`: the pattern index's order — Λ's row count, each id's first
+/// row, the tombstones' signatures. The rest is read back from Λ.
 pub(super) fn enc_plan(p: &PatternIndexParts) -> Vec<u8> {
     let mut w = Writer::new();
-    w.put(&p.num_lfs);
-    w.put(&p.sig_cols);
-    w.put(&p.sig_votes);
-    w.put(&p.pat_bounds);
-    w.put(&p.counts);
-    w.put(&p.row_pattern);
+    w.put(&p.rows);
+    w.put(&p.first_rows);
+    w.put(&p.tombstones);
     w.into_bytes()
 }
 
 pub(super) fn dec_plan(r: &mut Reader<'_>) -> Result<PatternIndexParts, SnapError> {
     Ok(PatternIndexParts {
-        num_lfs: r.get("plan LF count")?,
-        sig_cols: r.get("sig_cols")?,
-        sig_votes: r.get("sig_votes")?,
-        pat_bounds: r.get("pat_bounds")?,
-        counts: r.get("pattern counts")?,
-        row_pattern: r.get("row_pattern")?,
+        rows: r.get("plan rows")?,
+        first_rows: r.get("plan first rows")?,
+        tombstones: r.get("plan tombstones")?,
     })
 }
 

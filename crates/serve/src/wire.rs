@@ -305,19 +305,6 @@ pub(crate) fn utf8<'a>(bytes: &'a [u8], context: &'static str) -> Result<&'a str
     })
 }
 
-/// FNV-1a, 64-bit — the snapshot and WAL checksum. Not cryptographic
-/// (snapshots are trusted local files); it exists to catch torn writes,
-/// truncation, and bit rot, which it does with probability
-/// `1 − 2^{-64}` per section.
-pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in bytes {
-        h ^= b as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
-    }
-    h
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -369,15 +369,15 @@ fn model_section_bytes_are_pinned() {
     for (model, digest, len) in [
         (
             LabelModel::MajorityVote(MajorityVoteModel::new(5, LabelScheme::from_cardinality(3))),
-            0x211f_222b_3515_424eu64,
+            0x1a2d_95ac_bcef_7926u64,
             318,
         ),
         (
             LabelModel::Generative(generative),
-            0x62c3_deb9_7b24_dafa,
+            0xe23a_1b18_ba2f_de49,
             510,
         ),
-        (LabelModel::Moment(moment), 0xa349_6ea7_2e8b_7bb1, 446),
+        (LabelModel::Moment(moment), 0x5973_a988_2e30_b66a, 446),
     ] {
         let backend = model.backend_name();
         let bytes = model_only_snapshot(model).to_bytes();
@@ -666,10 +666,11 @@ fn plan_repeating_a_signature_is_refused_at_thaw() {
     let mut snapshot = snapshot_of(&session);
     // A tombstone slot that repeats pattern 0's signature: the section
     // decodes, but the index it describes holds one signature twice.
+    let (cols, votes) = session.pattern_plan().expect("refreshed").pattern(0);
     let plan = snapshot.session.plan.as_mut().expect("PLAN");
-    let last = plan.pat_bounds.len();
-    plan.pat_bounds.push(plan.pat_bounds[0]);
-    plan.counts.push(0);
+    let last = plan.first_rows.len();
+    plan.first_rows.push(u32::MAX);
+    plan.tombstones.push((cols.to_vec(), votes.to_vec()));
     let back = Snapshot::from_bytes(&snapshot.to_bytes()).expect("PLAN decodes");
     let (corpus, _) = build_corpus(40);
     let lfs: Vec<BoxedLf> = salts

@@ -46,12 +46,9 @@ fn check_pins(pins: &[(&str, Vec<u8>, u64, usize)]) {
 /// three binary candidates.
 fn full_snapshot() -> Snapshot {
     let plan = PatternIndexParts {
-        num_lfs: 2,
-        sig_cols: vec![0, 1, 1],
-        sig_votes: vec![1, -1, 1],
-        pat_bounds: vec![(0, 2), (2, 1), (3, 0)],
-        counts: vec![1, 1, 1],
-        row_pattern: vec![0, 1, 2],
+        rows: 3,
+        first_rows: vec![0, 1, 2, u32::MAX],
+        tombstones: vec![(vec![0], vec![-1])],
     };
     let model = GenerativeModel::from_params(ModelParams {
         cardinality: 2,
@@ -169,7 +166,7 @@ fn snapshot_with_every_section_is_pinned() {
         8,
         "all eight sections present"
     );
-    check_pins(&[("snapshot", bytes.clone(), 0xfec7_c3e0_0b0f_c751, 1290)]);
+    check_pins(&[("snapshot", bytes.clone(), 0x9c5c_027f_1532_5239, 1204)]);
     let back = Snapshot::from_bytes(&bytes).expect("pinned bytes parse");
     assert_eq!(back.to_bytes(), bytes, "re-encodes to the same bytes");
 }

@@ -145,6 +145,15 @@ if stale="$(grep -rnwE 'LMTX|CsrParts|csr_parts|from_csr_parts|invalidate_cache'
     fail=1
 fi
 
+# --- Retired pattern-index snapshot encoding: signatures,
+# multiplicities and row → pattern are read back from Λ on thaw, so no
+# doc may describe `PLAN` by the arrays it no longer stores.
+if stale="$(grep -rnwE 'pat_bounds|sig_votes|row_pattern' README.md docs)"; then
+    echo "docs-check: docs still name the retired pattern-index snapshot encoding:" >&2
+    echo "$stale" >&2
+    fail=1
+fi
+
 # --- Metrics: two-way check against docs/OBSERVABILITY.md.
 # Registered names are string literals like "snorkel_serve_requests_total"
 # in the instrumented crates; documented names are the same tokens in the
