@@ -1,7 +1,8 @@
 //! The exact trainer of the independent generative model (`C = ∅`):
-//! the cold and warm fit entry points, the three initializers (class
-//! balance, accuracy from majority vote, propensity from coverage), the
-//! EM warm-up + damped-Newton loop, and its E-pass. A child module of
+//! the cold fit entry point (and the warm entry point of the correlated
+//! trainer), the three initializers (class balance, accuracy from
+//! majority vote, propensity from coverage), the EM warm-up +
+//! damped-Newton loop, and its E-pass. A child module of
 //! `model.rs`, like `correlated.rs`, so the model's fields stay private
 //! to that file and its extensions.
 //!
@@ -30,7 +31,7 @@ impl GenerativeModel {
             return FitReport::empty(false);
         }
         if self.corr_pairs.is_empty() {
-            self.fit_independent_exact(plan, cfg, false)
+            self.fit_independent_exact(plan, cfg)
         } else {
             self.fit_correlated_cd(lambda, cfg)
         }
@@ -174,12 +175,7 @@ impl GenerativeModel {
 
     /// Full-batch exact training of the independent model from the
     /// current weights, every E-pass over `plan`'s unique patterns.
-    fn fit_independent_exact(
-        &mut self,
-        plan: &PatternIndex,
-        cfg: &TrainConfig,
-        warm_started: bool,
-    ) -> FitReport {
+    fn fit_independent_exact(&mut self, plan: &PatternIndex, cfg: &TrainConfig) -> FitReport {
         let (epochs, final_nll) =
             self.run_exact_epochs(plan.num_rows(), cfg, |gm, stats, moments| {
                 gm.exact_pass(plan, stats, moments)
@@ -188,13 +184,13 @@ impl GenerativeModel {
             epochs,
             final_nll,
             used_gibbs: false,
-            warm_started,
+            warm_started: false,
         }
     }
 
-    /// The shared exact-inference training loop (cold fits and warm
-    /// restarts alike), maximizing the pseudocount-smoothed marginal
-    /// likelihood of the independent model in two phases:
+    /// The exact-inference training loop, maximizing the
+    /// pseudocount-smoothed marginal likelihood of the independent model
+    /// in two phases:
     ///
     /// 1. **EM warm-up** — the model is a tied-error-rate Dawid–Skene
     ///    mixture, so the M-step is closed-form per LF: with posteriors
@@ -207,20 +203,21 @@ impl GenerativeModel {
     ///    [`prior_pseudocounts`]). A handful of sweeps reaches the right
     ///    basin from any reasonable initialization.
     /// 2. **Damped Newton** — EM's linear tail is governed by the
-    ///    missing-information ratio and crawls on real suites, for warm
-    ///    restarts just as for cold fits. The exact gradient and Hessian
-    ///    of the smoothed likelihood are cheap here (`O(Σ_i |V_i|²)` per
-    ///    iteration), so a Levenberg-damped Newton phase converges
-    ///    quadratically: the last ten decades of error cost ~3
-    ///    iterations instead of ~150 sweeps — which is precisely what
-    ///    makes a warm restart (already near the optimum) almost free.
+    ///    missing-information ratio and crawls on real suites. The exact
+    ///    gradient and Hessian of the smoothed likelihood are cheap here
+    ///    (`O(Σ_i |V_i|²)` per iteration), so a Levenberg-damped Newton
+    ///    phase converges quadratically: the last ten decades of error
+    ///    cost ~3 iterations instead of ~150 sweeps.
     ///
-    /// Both phases move toward the same stationary point of the same
-    /// smoothed likelihood, independent of where iteration started — the
-    /// property the warm-start path's ≤1e-9 marginal-equivalence
-    /// guarantee rests on. Iteration stops one polish step after the
-    /// gradient sup-norm falls below `(m+1)·cfg.tol` (or at the
-    /// `cfg.epochs` cap).
+    /// The loop stops at *a* stationary point of the smoothed
+    /// likelihood, not *the* one: the independent model's likelihood can
+    /// have several optima even on two-sided planted LFs, and which one
+    /// the loop reaches depends on where it started. (Refits started
+    /// from a previous optimum reached a different stationary point than
+    /// the cold fit over the same Λ — with a lower NLL and marginal gaps
+    /// up to 0.5 — so every fit of this model starts cold.) Iteration
+    /// stops one polish step after the gradient sup-norm falls below
+    /// `(m+1)·cfg.tol` (or at the `cfg.epochs` cap).
     ///
     /// `pass(model, stats, with_moments)` is the E-pass over the `m`
     /// rows being fitted. Returns `(iterations run, final NLL)`.
@@ -441,7 +438,7 @@ impl GenerativeModel {
         s.reset(with_moments);
         let scores = &mut s.scores;
         let row_classes = &mut s.row_classes;
-        for (_, cols, votes, cnt) in plan.live_patterns() {
+        for (_, cols, votes, cnt) in plan.patterns() {
             let c = cnt as f64;
             scores.copy_from_slice(&self.b_class);
             let mut lab_term = 0.0;
@@ -496,6 +493,8 @@ impl GenerativeModel {
         obj
     }
 
+    /// [`GenerativeModel::fit_warm`]: a cold fit without correlation
+    /// pairs; with them, [`Self::init_warm`] and then CD from there.
     pub(super) fn fit_warm_exec(
         &mut self,
         lambda: &LabelMatrix,
@@ -504,17 +503,16 @@ impl GenerativeModel {
         prev: &GenerativeModel,
         changed_cols: &[usize],
     ) -> FitReport {
+        if self.corr_pairs.is_empty() {
+            return self.fit_exec(lambda, plan, cfg);
+        }
         self.init_warm(lambda, plan, cfg, prev, changed_cols);
         if lambda.num_points() == 0 {
             return FitReport::empty(true);
         }
-        if self.corr_pairs.is_empty() {
-            self.fit_independent_exact(plan, cfg, true)
-        } else {
-            let mut report = self.fit_correlated_cd_from_current(lambda, cfg);
-            report.warm_started = true;
-            report
-        }
+        let mut report = self.fit_correlated_cd_from_current(lambda, cfg);
+        report.warm_started = true;
+        report
     }
 
     /// The warm-start initialization: adopt `prev`'s optimum, recompute
@@ -795,20 +793,11 @@ mod tests {
         }
 
         /// The exact trainer driven by the row-wise reference E-pass,
-        /// cold (`warm: None`) or warm-started from `(prev,
-        /// changed_cols)`. The initializers tally whole-row counts, which
-        /// are path-independent, so they run on the pattern index.
-        fn reference_fit(
-            &mut self,
-            lambda: &LabelMatrix,
-            cfg: &TrainConfig,
-            warm: Option<(&GenerativeModel, &[usize])>,
-        ) {
+        /// from a cold start. The initializers tally whole-row counts,
+        /// which are path-independent, so they run on the pattern index.
+        fn reference_fit(&mut self, lambda: &LabelMatrix, cfg: &TrainConfig) {
             let plan = PatternIndex::build(lambda);
-            match warm {
-                None => self.init_cold(lambda, &plan, cfg),
-                Some((prev, changed)) => self.init_warm(lambda, &plan, cfg, prev, changed),
-            }
+            self.init_cold(lambda, &plan, cfg);
             self.run_exact_epochs(lambda.num_points(), cfg, |gm, stats, moments| {
                 gm.exact_pass_rowwise(lambda, stats, moments)
             });
@@ -882,45 +871,13 @@ mod tests {
             let scheme = LabelScheme::from_cardinality(lambda.cardinality());
             let cfg = TrainConfig::default();
             let mut reference = GenerativeModel::new(lambda.num_lfs(), scheme);
-            reference.reference_fit(&lambda, &cfg, None);
+            reference.reference_fit(&lambda, &cfg);
             let mut gm = GenerativeModel::new(lambda.num_lfs(), scheme);
             gm.fit_with(&lambda, &PatternIndex::build(&lambda), &cfg);
             let gap = params_gap(&gm.to_params(), &reference.to_params());
             prop_assert!(gap <= PARAMS_TOL, "params off by {:e}", gap);
             let gap = marginals_gap(&gm, &reference, &lambda);
             prop_assert!(gap <= 1e-12, "marginals off by {:e}", gap);
-        }
-
-        /// Warm restarts after a column edit match the row-wise
-        /// reference's warm restart. Starting next to the optimum, the
-        /// stall backstop can stop each path a few ulps apart along
-        /// near-degenerate ridges, so the bound is the crate-wide
-        /// warm/cold one (≤ 1e-9), not the cold fit's.
-        #[test]
-        fn warm_fit_matches_the_rowwise_reference(
-            lambda in matrix_strategy(),
-            col_seed in 0usize..64,
-        ) {
-            let scheme = LabelScheme::from_cardinality(lambda.cardinality());
-            let cfg = TrainConfig::default();
-            let mut base = GenerativeModel::new(lambda.num_lfs(), scheme);
-            base.fit(&lambda, &cfg);
-
-            // Edit one column: drop every second of its entries.
-            let mut edited = lambda.clone();
-            let j = col_seed % lambda.num_lfs();
-            let entries: Vec<(u32, Vote)> = edited.column(j).into_iter().step_by(2).collect();
-            edited.replace_column(j, &entries);
-
-            let mut reference = GenerativeModel::new(lambda.num_lfs(), scheme);
-            reference.reference_fit(&edited, &cfg, Some((&base, &[j])));
-            let plan = PatternIndex::build(&edited);
-            let mut gm = GenerativeModel::new(lambda.num_lfs(), scheme);
-            gm.fit_warm(&edited, Some(&plan), &cfg, &base, &[j]);
-            let gap = params_gap(&gm.to_params(), &reference.to_params());
-            prop_assert!(gap <= PARAMS_TOL, "params off by {:e}", gap);
-            let gap = marginals_gap(&gm, &reference, &edited);
-            prop_assert!(gap <= 1e-9, "marginals off by {:e}", gap);
         }
     }
 

@@ -158,10 +158,11 @@ impl LabelModel {
     }
 
     /// Refit after an edit, warm-starting from `prev` (a model fitted to
-    /// the pre-edit matrix). `changed_cols` lists the columns whose LF
-    /// was edited. Only the generative backend reuses a generative
-    /// `prev` of its own shape; every other pairing runs a cold
-    /// [`fit`](Self::fit), and the returned
+    /// the pre-edit matrix) where that is the correlated CD fit.
+    /// `changed_cols` lists the columns whose LF was edited. Only a
+    /// generative model with correlation pairs reuses a generative
+    /// `prev` of its own shape ([`GenerativeModel::fit_warm`]); every
+    /// other pairing runs a cold [`fit`](Self::fit), and the returned
     /// [`FitReport::warm_started`] says which path ran.
     pub fn fit_warm(
         &mut self,
@@ -313,8 +314,8 @@ where
             })
             .collect(),
         Some(plan) => {
-            let mut posts = vec![Vec::new(); plan.num_slots()];
-            for (p, cols, votes, _) in plan.live_patterns() {
+            let mut posts = vec![Vec::new(); plan.num_patterns()];
+            for (p, cols, votes, _) in plan.patterns() {
                 posts[p] = posterior(cols, votes);
             }
             (0..lambda.num_points())
@@ -337,7 +338,7 @@ pub(crate) fn fold_signatures<A>(
 ) -> A {
     match plan {
         Some(plan) => {
-            for (_, cols, votes, cnt) in plan.live_patterns() {
+            for (_, cols, votes, cnt) in plan.patterns() {
                 step(&mut acc, cols, votes, cnt);
             }
         }
@@ -529,10 +530,17 @@ pub(crate) mod tests {
         };
         assert_eq!(cold.accuracy_weights(), warm.accuracy_weights());
 
-        // Same backend: genuinely warm.
-        let mut warm2 = LabelModel::Generative(GenerativeModel::new(3, LabelScheme::Binary));
-        let report2 = warm2.fit_warm(&lambda, None, &cfg, &LabelModel::Generative(cold), &[]);
-        assert!(report2.warm_started);
+        // Same backend without correlation pairs: a cold fit too.
+        let cold = LabelModel::Generative(cold);
+        let mut refit = LabelModel::Generative(GenerativeModel::new(3, LabelScheme::Binary));
+        assert!(!refit.fit_warm(&lambda, None, &cfg, &cold, &[]).warm_started);
+        // With correlation pairs the CD fit starts from `prev`.
+        let correlated =
+            || GenerativeModel::new(3, LabelScheme::Binary).with_correlations(&[(0, 1)]);
+        let mut prev = LabelModel::Generative(correlated());
+        prev.fit(&lambda, None, &cfg);
+        let mut warm = LabelModel::Generative(correlated());
+        assert!(warm.fit_warm(&lambda, None, &cfg, &prev, &[]).warm_started);
     }
 
     #[test]

@@ -181,7 +181,7 @@ impl TargetScratch {
             vote_score: vec![0.0; k + 1],
             class_prior: vec![0.0; k],
             grad_corr: vec![0.0; lambda.num_lfs()],
-            diffs: vec![0.0; patterns.num_slots() * k * k],
+            diffs: vec![0.0; patterns.num_patterns() * k * k],
         }
     }
 }
@@ -228,7 +228,7 @@ fn fit_target(
     for _epoch in 0..cfg.epochs {
         // Candidate vote values for Λ_j are abstain (index 0) and one
         // vote per class (index `class + 1`).
-        for p in 0..patterns.num_slots() {
+        for p in 0..patterns.num_patterns() {
             let (cols, votes) = patterns.pattern(p);
             let observed = cols
                 .binary_search(&target_col)

@@ -19,25 +19,20 @@
 //! * **Delta Λ updates** — the cache feeds
 //!   [`snorkel_matrix::MatrixDelta`] column splices and row appends, so
 //!   Λ is patched in place, bit-identical to a full rebuild.
-//! * **Warm-start training** — the session holds whichever
+//! * **Labels that are a function of Λ** — the session holds whichever
 //!   [`snorkel_core::label_model::LabelModel`] variant the optimizer
-//!   selected and refits it through its `fit_warm`: the exact
-//!   generative backend restarts EM from the previous refresh's
-//!   parameters (edited columns re-enter at their conditional MLE),
-//!   converging to the same optimizer-independent fixed point as a cold
-//!   fit — marginals agree to ≤1e-9 on the exact path. Fit-free
-//!   backends (majority vote, the closed-form moment estimator) refit
-//!   from scratch because a cold fit is already the cheap path.
+//!   selected and refits it over a pattern index that always equals
+//!   `PatternIndex::build(Λ)` (a row append extends it, any other
+//!   change rebuilds it). The exact and moment fits are cold, so an
+//!   exact-backend refresh gives the bits a cold
+//!   [`snorkel_core::pipeline::Pipeline`] run over the same Λ gives.
+//!   Two paths still depend on the edit history: the correlated CD fit
+//!   warm-starts from the previous model, and the structure sweep below
+//!   is reused (`docs/ARCHITECTURE.md`).
 //! * **Structure-sweep reuse** — on a one-column edit the Algorithm-1
 //!   ε-sweep (the expensive half of strategy selection) is skipped and
 //!   the previous correlation structure is reused; the cheap `A~*`
 //!   advantage bound is always re-checked.
-//! * **Reused refresh scratch** — the session owns a
-//!   [`snorkel_matrix::ResignScratch`] threaded into the pattern index's
-//!   delta column re-signs, so repeated edits stop allocating once the
-//!   buffers reach the workload's high-water mark (reported on the
-//!   `snorkel_incr_scratch_bytes` gauge; budgets in
-//!   `docs/PERFORMANCE.md`).
 //!
 //! [`IncrementalSession`] ties these together behind an
 //! add/edit/remove/ingest/[`refresh`](IncrementalSession::refresh) API.

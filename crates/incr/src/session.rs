@@ -17,9 +17,7 @@ use snorkel_core::pipeline::{fit_and_label, DiscTrainer, DiscTrainerConfig};
 use snorkel_disc::{DiscModelParts, DistillReport, DistilledModel, TextFeaturizer};
 use snorkel_lf::{BoxedLf, LfExecutor};
 use snorkel_linalg::SparseVec;
-use snorkel_matrix::{
-    LabelMatrix, MatrixDelta, PatternIndex, PatternIndexParts, ResignScratch, Vote,
-};
+use snorkel_matrix::{LabelMatrix, MatrixDelta, PatternIndex, Vote};
 use snorkel_stream::{DriftConfig, FrozenStream, StreamState};
 
 use crate::cache::{CacheStats, FrozenCache, LfResultCache};
@@ -46,7 +44,6 @@ struct IncrMetrics {
     cache_capacity: std::sync::Arc<snorkel_obs::Gauge>,
     rows: std::sync::Arc<snorkel_obs::Gauge>,
     lfs: std::sync::Arc<snorkel_obs::Gauge>,
-    scratch_bytes: std::sync::Arc<snorkel_obs::Gauge>,
 }
 
 fn incr_metrics() -> &'static IncrMetrics {
@@ -65,7 +62,6 @@ fn incr_metrics() -> &'static IncrMetrics {
             cache_capacity: r.gauge("snorkel_incr_cache_capacity", &[]),
             rows: r.gauge("snorkel_incr_rows", &[]),
             lfs: r.gauge("snorkel_incr_lfs", &[]),
-            scratch_bytes: r.gauge("snorkel_incr_scratch_bytes", &[]),
         }
     })
 }
@@ -83,10 +79,7 @@ fn stage_span(stage: &'static str) -> snorkel_obs::Span {
 pub struct SessionConfig {
     /// LF executor (parallelism, vote-scheme cardinality).
     pub executor: LfExecutor,
-    /// Generative-model training settings. Keep
-    /// [`TrainConfig::tol`] non-zero: the warm-start equivalence
-    /// guarantee is "both runs converged", and the tolerance is what
-    /// "converged" means.
+    /// Label-model training settings.
     pub train: TrainConfig,
     /// Optimizer settings (Algorithm 1).
     pub optimizer: OptimizerConfig,
@@ -178,7 +171,9 @@ pub struct RefreshReport {
     pub structure_reused: bool,
     /// Name of the label-model backend that produced the labels.
     pub backend: &'static str,
-    /// Whether training warm-started from the previous model.
+    /// Whether training warm-started from the previous model (only the
+    /// correlated CD fit does; see
+    /// [`GenerativeModel::fit_warm`](snorkel_core::model::GenerativeModel::fit_warm)).
     pub warm_started: bool,
     /// Training iterations run (0 for fit-free backends like MV).
     pub fit_epochs: usize,
@@ -310,10 +305,9 @@ impl DiscTrainingSet {
 ///   unique within the session.
 /// * **Equivalence.** After any edit sequence, [`Self::refresh`]
 ///   produces a Λ bit-identical to applying the current suite from
-///   scratch, and (on the exact training path, with a convergence
-///   tolerance set) marginals within 1e-9 of a cold
-///   [`snorkel_core::pipeline::Pipeline::run`] — asserted by this
-///   crate's property tests.
+///   scratch, and (on the exact training path) labels bit-identical to
+///   a cold [`snorkel_core::pipeline::Pipeline::run_from_matrix`] over
+///   that Λ — asserted by this crate's property tests.
 /// * **Ingest costs its batch.** Beside the registered rows the session
 ///   keeps the *set* of registered candidates, so the append-only check
 ///   of [`Self::ingest_candidates`] is O(batch), not O(corpus). The set
@@ -330,8 +324,9 @@ pub struct IncrementalSession {
     versions: std::collections::HashMap<String, u64>,
     cache: LfResultCache,
     lambda: Option<LabelMatrix>,
-    /// Pattern index over `lambda`, maintained incrementally across
-    /// refreshes (present exactly when `lambda` is).
+    /// `PatternIndex::build(lambda)`, kept across refreshes: a row
+    /// append extends it, any other change to Λ rebuilds it (present
+    /// exactly when `lambda` is).
     plan: Option<PatternIndex>,
     /// The label-model backend of the last refresh (whatever the
     /// optimizer selected — majority vote included).
@@ -365,11 +360,6 @@ pub struct IncrementalSession {
     /// a thawed snapshot) enables it; present only with Λ, whose pattern
     /// index its running statistics are rebuilt from.
     stream: Option<StreamState>,
-    /// Reusable re-sign scratch for the pattern index's delta column
-    /// splices: grown to the workload's high-water mark on the first
-    /// edit, reset (not freed) on every subsequent refresh. Its
-    /// footprint is the `snorkel_incr_scratch_bytes` gauge.
-    resign_scratch: ResignScratch,
 }
 
 impl IncrementalSession {
@@ -395,7 +385,6 @@ impl IncrementalSession {
             last_marginals: None,
             disc: None,
             stream: None,
-            resign_scratch: ResignScratch::new(),
         }
     }
 
@@ -651,9 +640,6 @@ impl IncrementalSession {
         metrics.cache_capacity.set(self.cache.capacity() as i64);
         metrics.rows.set(self.candidates.len() as i64);
         metrics.lfs.set(self.lfs.len() as i64);
-        metrics
-            .scratch_bytes
-            .set(self.resign_scratch.bytes().min(i64::MAX as usize) as i64);
     }
 
     fn column_of(&self, name: &str) -> Option<usize> {

@@ -21,12 +21,15 @@ pub struct FrozenSession {
     pub suite: Vec<(String, Fingerprint)>,
     /// The LF-result cache.
     pub cache: FrozenCache,
-    /// The pattern order of the last refresh's index (present exactly
-    /// when a refresh happened). Λ itself is not frozen: thawing rebuilds
-    /// it from the cache's `last_fingerprints` columns over the rows this
-    /// index covers, and the index from Λ in this order.
-    pub plan: Option<PatternIndexParts>,
-    /// The label model of the last refresh.
+    /// Λ's row count at the last refresh (0 before the first). Λ itself
+    /// is not frozen: thawing rebuilds it from the cache's
+    /// `last_fingerprints` columns, each of which covers exactly these
+    /// rows, and its pattern index with `PatternIndex::build`. The count
+    /// is kept on its own because a refresh over an empty suite leaves
+    /// Λ with rows but no column to read them from.
+    pub lambda_rows: usize,
+    /// The label model of the last refresh (present exactly when a
+    /// refresh happened, and so exactly when Λ exists).
     pub model: Option<LabelModel>,
     /// Column-aligned fingerprint layout at the last refresh.
     pub last_fingerprints: Vec<Fingerprint>,
@@ -40,7 +43,7 @@ pub struct FrozenSession {
     pub disc: Option<FrozenDisc>,
     /// The streaming plane's state (drift reference window, scores,
     /// lifetime counters), if streaming was active. Its running moment
-    /// statistics are not frozen: thawing folds them from `plan`.
+    /// statistics are not frozen: thawing folds them from Λ's index.
     pub stream: Option<FrozenStream>,
 }
 
@@ -98,7 +101,7 @@ impl IncrementalSession {
                 .map(|s| (s.lf.name().to_string(), s.fingerprint))
                 .collect(),
             cache: self.cache.export(),
-            plan: self.plan.as_ref().map(PatternIndex::to_parts),
+            lambda_rows: self.lambda.as_ref().map_or(0, LabelMatrix::num_points),
             model: self.model.clone(),
             last_fingerprints: self.last_fingerprints.clone(),
             last_gm_strategy: self.last_gm_strategy.clone(),
@@ -121,10 +124,13 @@ impl IncrementalSession {
     /// columns — the same contract as [`Self::add_lf_tagged`] with a
     /// reused tag. A thawed session's first
     /// [`refresh`](Self::refresh) with an unchanged suite executes zero
-    /// LF invocations and warm-starts training at the frozen optimum, so
-    /// it reproduces the frozen marginals bit-for-bit. Λ is rebuilt from
+    /// LF invocations and fits the frozen Λ over the same index (a
+    /// correlated CD fit from the frozen model, as the live session's
+    /// would), so it reproduces the live session's next marginals
+    /// bit-for-bit. Λ is rebuilt from
     /// the cached columns of the last refresh, which must each cover
-    /// exactly the rows of the frozen pattern index.
+    /// exactly Λ's frozen row count, and its pattern index is built
+    /// from Λ.
     ///
     /// Every structural invariant of the frozen state is validated
     /// against the corpus and `config` — corrupt or mismatched state
@@ -140,7 +146,7 @@ impl IncrementalSession {
             versions,
             suite,
             cache,
-            plan,
+            lambda_rows,
             model,
             last_fingerprints,
             last_gm_strategy,
@@ -218,19 +224,19 @@ impl IncrementalSession {
             )));
         }
         let cache = LfResultCache::import(cache, cardinality).map_err(ThawError::Inconsistent)?;
-        // Λ is the last refresh's columns of the cache over the rows its
-        // pattern index covers; the index's pattern order is then read
-        // back against Λ. Peeking leaves the columns' recency as it was
-        // frozen.
-        let (lambda, plan) = match plan {
-            None if last_fingerprints.is_empty() => (None, None),
+        // Λ is the last refresh's columns of the cache over its frozen
+        // row count, and its index is built from it. A refresh always
+        // leaves a model, so the model says whether Λ exists. Peeking
+        // leaves the columns' recency as it was frozen.
+        let lambda = match &model {
+            None if last_fingerprints.is_empty() && lambda_rows == 0 => None,
             None => {
                 return Err(ThawError::Inconsistent(
-                    "a refresh happened but its pattern index is missing".into(),
+                    "a refresh happened but its model is missing".into(),
                 ))
             }
-            Some(parts) => {
-                let rows = parts.rows;
+            Some(_) => {
+                let rows = lambda_rows;
                 if rows > candidates.len() {
                     return Err(ThawError::Inconsistent(format!(
                         "Λ has {rows} rows but only {} candidates are registered",
@@ -248,12 +254,10 @@ impl IncrementalSession {
                     })
                     .collect::<Result<Vec<_>, _>>()
                     .map_err(ThawError::Inconsistent)?;
-                let lambda = LabelMatrix::from_columns(rows, cardinality, &columns);
-                let plan =
-                    PatternIndex::from_parts(parts, &lambda).map_err(ThawError::Inconsistent)?;
-                (Some(lambda), Some(plan))
+                Some(LabelMatrix::from_columns(rows, cardinality, &columns))
             }
         };
+        let plan = lambda.as_ref().map(PatternIndex::build);
         if let Some(model) = &model {
             if model.num_lfs() != last_fingerprints.len() {
                 return Err(ThawError::Inconsistent(format!(
@@ -364,7 +368,6 @@ impl IncrementalSession {
             last_marginals: None,
             disc,
             stream,
-            resign_scratch: ResignScratch::new(),
         };
         // A thawed process starts with fresh (zero) counters, but the
         // gauges describe reconstructed state — publish them now so the

@@ -58,7 +58,7 @@ impl IncrementalSession {
     ///    without an online path keep their weights until the next
     ///    refresh);
     /// 5. if the batch pushed the drift score past the configured
-    ///    threshold, an automatic warm [`Self::refresh`] runs and the
+    ///    threshold, an automatic [`Self::refresh`] runs and the
     ///    detector re-anchors on the post-refit regime.
     ///
     /// An online-refit (and the automatic drift refit) advances
@@ -129,16 +129,16 @@ impl IncrementalSession {
             self.last_marginals = None;
         }
 
-        // 6. Drift response: automatic warm refit, then re-anchor.
+        // 6. Drift response: automatic refit, then re-anchor.
         let (drift_score, drifted) = {
             let stream = self.stream.as_ref().expect("enabled above");
             (stream.drift_score(), stream.drifted())
         };
         let mut auto_refit = false;
         if drifted {
-            // Λ is already up to date, so this is the warm no-splice
-            // path: strategy re-selection + warm training + fresh
-            // marginals, bumping the generation.
+            // Λ is already up to date, so this is the no-splice path:
+            // strategy re-selection + training + fresh marginals,
+            // bumping the generation.
             let _ = self.refresh();
             if let Some(stream) = &mut self.stream {
                 stream.record_auto_refit();

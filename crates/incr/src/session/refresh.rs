@@ -4,8 +4,9 @@ impl IncrementalSession {
     /// Bring labels up to date after any sequence of edits: re-execute
     /// exactly the LF columns (and candidate rows) the cache cannot
     /// serve, patch Λ in place, re-select the modeling strategy (reusing
-    /// the previous structure sweep on one-column edits), and train —
-    /// warm-started from the previous model when possible.
+    /// the previous structure sweep on one-column edits), and train. The
+    /// exact and moment fits are cold, so they depend on Λ alone; only a
+    /// correlated CD fit warm-starts from the previous model.
     ///
     /// Returns per-class probabilistic labels (`labels[row][class]`) and
     /// the [`RefreshReport`].
@@ -89,20 +90,19 @@ impl IncrementalSession {
             self.lambda = Some(LabelMatrix::from_columns(m, cardinality, &cols));
             lambda_update = LambdaUpdate::Assembled;
         }
-        // Keep the pattern index in sync with Λ. Delta refreshes touch
-        // only the affected patterns: an appended batch interns just the
-        // new rows; a column splice re-signs just the rows that voted in
-        // the old or new column. Structural suite changes rebuild.
+        // Keep the pattern index equal to `PatternIndex::build(Λ)`, so
+        // every fit over it sums its patterns in Λ's own order: a
+        // row-only append interns just the new rows (a build is an
+        // append from empty), and any other change to Λ rebuilds.
         let lambda = self.lambda.as_ref().expect("Λ assembled above");
         match (&mut self.plan, lambda_update) {
-            (Some(plan), LambdaUpdate::Patched { .. }) => {
-                if new_rows > 0 {
-                    plan.append_rows(lambda);
-                }
-                for &j in &changed_cols {
-                    plan.refresh_column(lambda, j, &mut self.resign_scratch);
-                }
-            }
+            (
+                Some(plan),
+                LambdaUpdate::Patched {
+                    columns_replaced: 0,
+                    ..
+                },
+            ) => plan.append_rows(lambda),
             (Some(_), LambdaUpdate::Unchanged) => {}
             _ => self.plan = Some(PatternIndex::build(lambda)),
         }
@@ -113,8 +113,11 @@ impl IncrementalSession {
         // ------------------------------------------------------------------
         let strat_span = stage_span("strategy");
         // Offer the previous structure sweep (by far the most expensive
-        // part) for reuse on a binary one-column edit with no new rows:
-        // such an edit rarely changes which LF pairs correlate.
+        // part) for reuse on a binary one-column edit with no new rows.
+        // This is not exact: such an edit often changes the correlation
+        // strengths, and a fresh sweep picked a different pair set on 2
+        // to 5 of 10 one-column edits of the CDR and Spouses tasks. So a
+        // reused structure makes the labels depend on the edit history.
         let reuse = lambda.is_binary() && !structural && new_rows == 0 && changed_cols.len() <= 1;
         let reusable = match &self.last_gm_strategy {
             Some((stored, _)) if reuse => Some(stored),
@@ -132,8 +135,9 @@ impl IncrementalSession {
         let strategy_time = strat_span.finish();
 
         // ------------------------------------------------------------------
-        // 4. Labels: build the selected backend and fit it — warm-started
-        //    from the previous refresh's model when possible.
+        // 4. Labels: build the selected backend and fit it. Only the
+        //    correlated CD fit warm-starts from the previous refresh's
+        //    model; every other fit is cold.
         // ------------------------------------------------------------------
         let train_span = stage_span("fit");
         let plan = self

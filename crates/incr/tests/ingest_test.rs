@@ -530,7 +530,7 @@ fn streaming_state_without_a_matrix_does_not_thaw() {
     // A never-refreshed image carrying another session's stream.
     let mut frozen = fresh.freeze();
     frozen.stream = streaming.freeze().stream;
-    assert!(frozen.stream.is_some() && frozen.plan.is_none());
+    assert!(frozen.stream.is_some() && frozen.model.is_none());
     let thawed = IncrementalSession::thaw(
         corpus,
         moment_config(512),

@@ -56,6 +56,6 @@ pub use csr::{
 };
 pub use delta::MatrixDelta;
 pub use fnv::Fnv1a;
-pub use pattern::{PatternIndex, PatternIndexParts, ResignScratch, ShardedMatrix};
+pub use pattern::{PatternIndex, ShardedMatrix};
 pub use sigtable::SigTable;
 pub use stats::{LfSummary, MatrixStats};

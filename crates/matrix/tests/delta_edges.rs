@@ -1,11 +1,9 @@
 //! Edge-case coverage for [`MatrixDelta`] — the delta shapes the
 //! incremental scale-out path leans on: empty-column appends, removing
 //! the last column, splices on zero-nnz matrices, and row-batch appends
-//! followed by a pattern-index refresh.
+//! followed by a pattern-index append.
 
-use snorkel_matrix::{
-    LabelMatrix, LabelMatrixBuilder, MatrixDelta, PatternIndex, ResignScratch, Vote,
-};
+use snorkel_matrix::{LabelMatrix, LabelMatrixBuilder, MatrixDelta, PatternIndex, Vote};
 
 fn build(grid: &[Vec<Vote>]) -> LabelMatrix {
     let m = grid.len();
@@ -122,17 +120,14 @@ fn row_batch_append_then_pattern_index_refresh() {
     assert_eq!(idx.pattern_of_row(5), idx.pattern_of_row(0));
     assert_eq!(idx.count(idx.pattern_of_row(0)), 3);
 
-    // A column splice right after the append refreshes incrementally.
+    // A column splice right after the append moves signatures the
+    // appended index still holds; the index is rebuilt from Λ.
     lambda.apply_delta(&MatrixDelta::ReplaceColumn {
         col: 2,
         entries: vec![(1, 1), (6, -1)],
     });
-    idx.refresh_column(&lambda, 2, &mut ResignScratch::new());
-    idx.validate(&lambda).unwrap();
-    assert_eq!(
-        idx.num_patterns(),
-        PatternIndex::build(&lambda).num_patterns()
-    );
+    assert!(idx.validate(&lambda).is_err());
+    PatternIndex::build(&lambda).validate(&lambda).unwrap();
 }
 
 #[test]

@@ -5,9 +5,7 @@
 
 use proptest::prelude::*;
 use snorkel_matrix::stats::{class_balance, empirical_accuracies, matrix_stats};
-use snorkel_matrix::{
-    LabelMatrix, LabelMatrixBuilder, MatrixDelta, PatternIndex, ResignScratch, Vote,
-};
+use snorkel_matrix::{LabelMatrix, LabelMatrixBuilder, MatrixDelta, PatternIndex, Vote};
 
 /// Generate a random binary label matrix as a dense grid, then build.
 fn matrix_strategy() -> impl Strategy<Value = (LabelMatrix, Vec<Vec<Vote>>)> {
@@ -124,7 +122,7 @@ proptest! {
         let idx = PatternIndex::build(&lambda);
         idx.validate(&lambda).unwrap();
         let total: usize = idx
-            .live_patterns()
+            .patterns()
             .map(|(_, _, _, cnt)| cnt)
             .sum();
         prop_assert_eq!(total, grid.len());
@@ -140,12 +138,11 @@ proptest! {
         }
     }
 
-    /// Incremental maintenance over an arbitrary delta sequence keeps
-    /// the index equivalent to a fresh rebuild (same row→signature map,
-    /// same multiplicities — checked by `validate` + pattern count), and
-    /// never gives one signature two slots. A twin that goes through its
-    /// parts after every op, as a snapshot thaw does, stays equal to the
-    /// index id for id.
+    /// The index a session keeps over an arbitrary delta sequence —
+    /// `append_rows` after a row append, a fresh build after a column
+    /// edit — equals `PatternIndex::build` of the edited Λ id for id
+    /// after every op (signature and multiplicity per id, pattern per
+    /// row), and never gives one signature two ids.
     #[test]
     fn pattern_index_survives_arbitrary_delta_sequences(
         (lambda, _) in matrix_strategy(),
@@ -153,8 +150,6 @@ proptest! {
     ) {
         let mut lambda = lambda;
         let mut plan = PatternIndex::build(&lambda);
-        let mut twin = plan.clone();
-        let mut scratch = ResignScratch::new();
         for (kind, pick, entries) in ops {
             match kind {
                 // Column replace.
@@ -168,8 +163,7 @@ proptest! {
                     es.sort_by_key(|e| e.0);
                     es.dedup_by_key(|e| e.0);
                     lambda.apply_delta(&MatrixDelta::ReplaceColumn { col, entries: es });
-                    plan.refresh_column(&lambda, col, &mut scratch);
-                    twin.refresh_column(&lambda, col, &mut scratch);
+                    plan = PatternIndex::build(&lambda);
                 }
                 // Row-batch append.
                 1 => {
@@ -188,9 +182,8 @@ proptest! {
                         .collect();
                     lambda.apply_delta(&MatrixDelta::AppendRows { rows });
                     plan.append_rows(&lambda);
-                    twin.append_rows(&lambda);
                 }
-                // Column append (touched rows only).
+                // Column append.
                 _ => {
                     let mut es: Vec<(u32, Vote)> = entries
                         .iter()
@@ -199,30 +192,23 @@ proptest! {
                         .collect();
                     es.sort_by_key(|e| e.0);
                     es.dedup_by_key(|e| e.0);
-                    let new_col = lambda.num_lfs();
                     lambda.apply_delta(&MatrixDelta::AppendColumn { entries: es });
-                    plan.refresh_column(&lambda, new_col, &mut scratch);
-                    twin.refresh_column(&lambda, new_col, &mut scratch);
+                    plan = PatternIndex::build(&lambda);
                 }
             }
             plan.validate(&lambda).unwrap();
-            prop_assert_eq!(plan.num_patterns(), PatternIndex::build(&lambda).num_patterns());
-            // No two slots share a signature, tombstones included.
+            let fresh = PatternIndex::build(&lambda);
+            prop_assert_eq!(plan.num_patterns(), fresh.num_patterns());
             let mut seen = std::collections::HashMap::new();
-            for p in 0..plan.num_slots() {
+            for p in 0..plan.num_patterns() {
+                prop_assert_eq!(plan.pattern(p), fresh.pattern(p), "pattern {}", p);
+                prop_assert_eq!(plan.count(p), fresh.count(p), "pattern {}", p);
                 let prev = seen.insert(plan.pattern(p), p);
-                prop_assert_eq!(prev, None, "slot {} repeats a signature", p);
+                prop_assert_eq!(prev, None, "pattern {} repeats a signature", p);
             }
-            twin = PatternIndex::from_parts(twin.to_parts(), &lambda).unwrap();
-            prop_assert_eq!(twin.to_parts(), plan.to_parts());
             for r in 0..lambda.num_points() {
-                prop_assert_eq!(twin.pattern_of_row(r), plan.pattern_of_row(r), "row {}", r);
+                prop_assert_eq!(plan.pattern_of_row(r), fresh.pattern_of_row(r), "row {}", r);
             }
-            for p in 0..plan.num_slots() {
-                prop_assert_eq!(twin.count(p), plan.count(p), "slot {}", p);
-            }
-            prop_assert_eq!(twin.num_slots(), plan.num_slots());
-            prop_assert_eq!(twin.num_patterns(), plan.num_patterns());
         }
     }
 }

@@ -12,10 +12,10 @@
 //!   format round-tripping the label model
 //!   (a [`LabelModel`](snorkel_core::label_model::LabelModel) under its
 //!   backend tag, + [`TrainConfig`](snorkel_core::TrainConfig)), the
-//!   `snorkel-incr` LF-result cache, and the order of the
-//!   [`PatternIndex`](snorkel_matrix::PatternIndex) — the label matrix
-//!   is rebuilt from the cached LF columns on thaw, and the index from
-//!   the label matrix — so a restarted
+//!   `snorkel-incr` LF-result cache and Λ's row count — the label
+//!   matrix is rebuilt from the cached LF columns on thaw, and its
+//!   [`PatternIndex`](snorkel_matrix::PatternIndex) built from it — so
+//!   a restarted
 //!   process warm-starts in milliseconds instead of re-running every LF
 //!   and re-fitting from scratch, on the *same backend* it was running.
 //!   Round trips are bit-exact; corrupted, truncated, wrong-version, or
@@ -29,8 +29,8 @@
 //!   behind an `RwLock`: marginal queries and suite probes run
 //!   concurrently under the read lock (with a per-generation posterior
 //!   memo — the serving counterpart of pattern dedup); LF edits take
-//!   the write lock, splice Λ via `MatrixDelta`, and warm-start
-//!   training. `PREDICT`/`PREDICT_TEXT` answer from the **distilled
+//!   the write lock, splice Λ via `MatrixDelta`, and refit the label
+//!   model. `PREDICT`/`PREDICT_TEXT` answer from the **distilled
 //!   discriminative model** for candidates with zero LF coverage; the
 //!   disc retrain after an edit runs *outside* the write lock, so
 //!   reads never block on it (the reply's `disc_gen=` shows the lag).

@@ -4,7 +4,7 @@
 //! (`MARGINAL`, `APPLY`, `STATS`, `SNAPSHOT`) take the shared lock and
 //! run concurrently; `REFRESH` (an LF edit plus re-label) takes the
 //! exclusive lock, splices Λ via the session's `MatrixDelta` path, and
-//! warm-starts training. A response is always computed against one
+//! refits the label model. A response is always computed against one
 //! consistent model: the generation counter bumps only under the write
 //! lock, so every reply is attributable to exactly the pre- or post-edit
 //! state — never a torn mix. `INGEST` (streaming candidate arrival)

@@ -32,10 +32,9 @@
 //!
 //! | tag    | contents                                         | presence |
 //! |--------|--------------------------------------------------|----------|
-//! | `SESS` | candidates, version counters, suite layout, last-refresh fingerprint layout, strategy | always |
-//! | `CACH` | the LF-result cache, LRU-first                   | always   |
+//! | `SESS` | candidates, version counters, suite layout, last-refresh fingerprint layout and Λ's row count, strategy | always |
+//! | `CACH` | the LF-result cache, LRU-first (thaw rebuilds Λ from the columns of the last refresh, then its pattern index from Λ) | always |
 //! | `TCFG` | the [`TrainConfig`]                              | always   |
-//! | `PLAN` | the pattern index's order: Λ's row count, each pattern's first row, the zero-count patterns' signatures (thaw rebuilds Λ from the `CACH` columns of the last refresh, then the index from Λ) | if refreshed |
 //! | `MODL` | the label model, backend-tagged — weights + structure for the generative/moment backends, shape only for majority vote | if trained |
 //! | `DISC` | the distilled serving model: refresh/disc generation counters, featurizer + distill config, sparse per-class weights | if distilled |
 //! | `STRM` | the streaming plane: drift config, frozen reference window, drift scores, lifetime ingest counters (the running moment totals are folded from the rebuilt index on thaw) | if streaming |
@@ -79,12 +78,11 @@ use sections::*;
 pub const MAGIC: [u8; 8] = *b"SNKLSNAP";
 
 /// The one format version this build writes and reads.
-pub const FORMAT_VERSION: u32 = 10;
+pub const FORMAT_VERSION: u32 = 11;
 
 const TAG_SESS: u32 = u32::from_le_bytes(*b"SESS");
 const TAG_CACH: u32 = u32::from_le_bytes(*b"CACH");
 const TAG_TCFG: u32 = u32::from_le_bytes(*b"TCFG");
-const TAG_PLAN: u32 = u32::from_le_bytes(*b"PLAN");
 const TAG_MODL: u32 = u32::from_le_bytes(*b"MODL");
 const TAG_DISC: u32 = u32::from_le_bytes(*b"DISC");
 const TAG_STRM: u32 = u32::from_le_bytes(*b"STRM");
@@ -236,9 +234,6 @@ impl Snapshot {
         sections.push((TAG_SESS, enc_session_meta(&self.session)));
         sections.push((TAG_CACH, enc_cache(&self.session.cache)));
         sections.push((TAG_TCFG, enc_train(&self.train)));
-        if let Some(plan) = &self.session.plan {
-            sections.push((TAG_PLAN, enc_plan(plan)));
-        }
         if let Some(model) = &self.session.model {
             sections.push((TAG_MODL, enc_model(model)));
         }
@@ -359,7 +354,7 @@ impl Snapshot {
 
         for (tag, _) in &parsed {
             if ![
-                TAG_SESS, TAG_CACH, TAG_TCFG, TAG_PLAN, TAG_MODL, TAG_DISC, TAG_STRM, TAG_REPL,
+                TAG_SESS, TAG_CACH, TAG_TCFG, TAG_MODL, TAG_DISC, TAG_STRM, TAG_REPL,
             ]
             .contains(tag)
             {
@@ -370,7 +365,6 @@ impl Snapshot {
         let mut session = require(&parsed, TAG_SESS, dec_session_meta)?;
         session.cache = require(&parsed, TAG_CACH, dec_cache)?;
         let train = require(&parsed, TAG_TCFG, dec_train)?;
-        session.plan = decode(&parsed, TAG_PLAN, dec_plan)?;
         session.model = decode(&parsed, TAG_MODL, dec_model)?;
         session.disc = decode(&parsed, TAG_DISC, dec_disc)?;
         if let Some(disc) = &session.disc {

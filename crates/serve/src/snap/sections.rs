@@ -12,7 +12,7 @@ use snorkel_core::optimizer::ModelingStrategy;
 use snorkel_core::pipeline::DiscTrainerConfig;
 use snorkel_disc::{DiscModelParts, DistillConfig, TextFeaturizer};
 use snorkel_incr::{CacheStats, Fingerprint, FrozenCache, FrozenColumn, FrozenDisc, FrozenSession};
-use snorkel_matrix::{PatternIndexParts, Vote};
+use snorkel_matrix::Vote;
 use snorkel_stream::{DriftConfig, FrozenStream, WindowStats};
 
 use super::{corrupt, SnapError};
@@ -69,7 +69,8 @@ impl Field for FrozenColumn {
 }
 
 /// `SESS`: candidates, version counters, suite layout, last-refresh
-/// fingerprint layout and strategy, and the refresh-generation counter
+/// fingerprint layout, Λ's row count and strategy, and the
+/// refresh-generation counter
 /// (the disc staleness anchor). The container fills in the other
 /// sections' parts.
 pub(super) fn enc_session_meta(s: &FrozenSession) -> Vec<u8> {
@@ -78,6 +79,7 @@ pub(super) fn enc_session_meta(s: &FrozenSession) -> Vec<u8> {
     w.put(&s.versions);
     w.put(&s.suite);
     w.put(&s.last_fingerprints);
+    w.put(&s.lambda_rows);
     match &s.last_gm_strategy {
         None => w.put(&0u8),
         Some((strategy, layout)) => {
@@ -107,6 +109,7 @@ pub(super) fn dec_session_meta(r: &mut Reader<'_>) -> Result<FrozenSession, Snap
     let versions = r.get("version counters")?;
     let suite = r.get("suite layout")?;
     let last_fingerprints = r.get("fingerprint layout")?;
+    let lambda_rows = r.get("lambda rows")?;
     let last_gm_strategy = match r.get::<u8>("strategy tag")? {
         0 => None,
         tag @ 1..=3 => {
@@ -132,7 +135,7 @@ pub(super) fn dec_session_meta(r: &mut Reader<'_>) -> Result<FrozenSession, Snap
             stats: Default::default(),
             columns: Vec::new(),
         },
-        plan: None,
+        lambda_rows,
         model: None,
         last_fingerprints,
         last_gm_strategy,
@@ -164,24 +167,6 @@ pub(super) fn dec_cache(r: &mut Reader<'_>) -> Result<FrozenCache, SnapError> {
             evictions: r.get("cache evictions")?,
         },
         columns: r.get("cache columns")?,
-    })
-}
-
-/// `PLAN`: the pattern index's order — Λ's row count, each id's first
-/// row, the tombstones' signatures. The rest is read back from Λ.
-pub(super) fn enc_plan(p: &PatternIndexParts) -> Vec<u8> {
-    let mut w = Writer::new();
-    w.put(&p.rows);
-    w.put(&p.first_rows);
-    w.put(&p.tombstones);
-    w.into_bytes()
-}
-
-pub(super) fn dec_plan(r: &mut Reader<'_>) -> Result<PatternIndexParts, SnapError> {
-    Ok(PatternIndexParts {
-        rows: r.get("plan rows")?,
-        first_rows: r.get("plan first rows")?,
-        tombstones: r.get("plan tombstones")?,
     })
 }
 
@@ -381,7 +366,7 @@ pub(super) fn dec_disc(r: &mut Reader<'_>) -> Result<FrozenDisc, SnapError> {
 }
 
 /// `STRM`: the streaming plane's persistent state. The running moment
-/// totals are not in it — thawing folds them from `PLAN` — and the
+/// totals are not in it — thawing folds them from Λ's index — and the
 /// diagnostic window ring is deliberately not persisted.
 pub(super) fn enc_stream(s: &FrozenStream) -> Vec<u8> {
     let mut w = Writer::new();

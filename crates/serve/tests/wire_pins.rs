@@ -1,5 +1,5 @@
 //! Byte pins for every binary encoding the serve layer emits: a
-//! hand-built snapshot carrying all eight sections, one WAL record body
+//! hand-built snapshot carrying all seven sections, one WAL record body
 //! per op shape, and every `frame::encode_*` request and reply.
 //!
 //! Each encoding is pinned by its FNV-1a digest and length. The inputs
@@ -15,7 +15,6 @@ use snorkel_core::optimizer::ModelingStrategy;
 use snorkel_core::pipeline::DiscTrainerConfig;
 use snorkel_disc::{DiscModelParts, DistillConfig, TextFeaturizer};
 use snorkel_incr::{CacheStats, Fingerprint, FrozenCache, FrozenColumn, FrozenDisc, FrozenSession};
-use snorkel_matrix::PatternIndexParts;
 use snorkel_serve::frame::{self, IngestRow, VoteRow};
 use snorkel_serve::repl::wal::{self, Op};
 use snorkel_serve::{LfSpec, ReplMark, Snapshot, SuiteEdit};
@@ -45,11 +44,6 @@ fn check_pins(pins: &[(&str, Vec<u8>, u64, usize)]) {
 /// A session image with every optional part present, over two LFs and
 /// three binary candidates.
 fn full_snapshot() -> Snapshot {
-    let plan = PatternIndexParts {
-        rows: 3,
-        first_rows: vec![0, 1, 2, u32::MAX],
-        tombstones: vec![(vec![0], vec![-1])],
-    };
     let model = GenerativeModel::from_params(ModelParams {
         cardinality: 2,
         num_lfs: 2,
@@ -132,7 +126,7 @@ fn full_snapshot() -> Snapshot {
                     },
                 ],
             },
-            plan: Some(plan),
+            lambda_rows: 3,
             model: Some(LabelModel::Generative(model)),
             last_fingerprints: vec![Fingerprint(0xA1), Fingerprint(0xB2)],
             last_gm_strategy: Some((
@@ -163,10 +157,10 @@ fn snapshot_with_every_section_is_pinned() {
     let bytes = full_snapshot().to_bytes();
     assert_eq!(
         u32::from_le_bytes(bytes[12..16].try_into().unwrap()),
-        8,
-        "all eight sections present"
+        7,
+        "all seven sections present"
     );
-    check_pins(&[("snapshot", bytes.clone(), 0x9c5c_027f_1532_5239, 1204)]);
+    check_pins(&[("snapshot", bytes.clone(), 0x7a2f_0889_3417_3204, 1123)]);
     let back = Snapshot::from_bytes(&bytes).expect("pinned bytes parse");
     assert_eq!(back.to_bytes(), bytes, "re-encodes to the same bytes");
 }

@@ -219,8 +219,9 @@ impl StreamState {
 /// format persists in the `STRM` section: drift configuration, the
 /// frozen reference window, the latest scores, and the lifetime
 /// counters. The running moment totals are not part of the image: they
-/// are a fold of Λ's pattern index, which the snapshot carries in
-/// `PLAN`. The diagnostic window ring is deliberately left out too.
+/// are a fold of Λ's pattern index, which a thaw builds over the Λ it
+/// rebuilds from the LF-result cache. The diagnostic window ring is
+/// deliberately left out too.
 #[derive(Clone, Debug, PartialEq)]
 pub struct FrozenStream {
     /// Drift detector configuration.

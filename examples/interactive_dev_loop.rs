@@ -2,9 +2,10 @@
 //! the incremental engine: grow and edit a labeling-function suite
 //! inside an [`snorkel::incr::IncrementalSession`], and watch each
 //! `refresh()` recompute only what the edit touched — cached columns,
-//! delta Λ patches, structure-sweep reuse, and warm-started training —
-//! while the optimizer (Algorithm 1) decides on every turn whether
-//! generative training is worth it yet.
+//! delta Λ patches and structure-sweep reuse; the exact fit is cold, so
+//! the edit step prints `warm-start false` — while the optimizer
+//! (Algorithm 1) decides on every turn whether generative training is
+//! worth it yet.
 //!
 //! Run with: `cargo run --release --example interactive_dev_loop`
 

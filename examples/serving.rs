@@ -453,12 +453,12 @@ fn run_verify_snap(args: &Args) -> ! {
         Ok(snapshot) => {
             let s = &snapshot.session;
             println!(
-                "snapshot OK: {} candidates, {} LFs, model={}, plan={}, disc={}, \
+                "snapshot OK: {} candidates, {} LFs, model={}, lambda_rows={}, disc={}, \
                  {} cached columns",
                 s.candidates.len(),
                 s.suite.len(),
                 s.model.is_some(),
-                s.plan.is_some(),
+                s.lambda_rows,
                 s.disc.is_some(),
                 s.cache.columns.len(),
             );

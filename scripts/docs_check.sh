@@ -105,8 +105,8 @@ if stale="$(grep -nE 'Scaleout|SCALEOUT_MIN_ROWS' README.md docs/*.md)"; then
 fi
 
 # --- Retired backend plug-ins and session knobs: the three backends are
-# built by one match, and the session always warm-starts and reuses its
-# structure sweep. (Bare `UnknownBackend` stays legal: it names the
+# built by one match, and the session has no switch for its warm CD
+# start or its structure-sweep reuse. (Bare `UnknownBackend` stays legal: it names the
 # snapshot decoder's `SnapError::UnknownBackend`.)
 if stale="$(grep -nE 'ModelRegistry::register|BackendBuilder|reuse_structure_on_column_edit|SessionConfig::warm_start' \
     README.md docs/*.md)"; then
@@ -150,6 +150,17 @@ fi
 # doc may describe `PLAN` by the arrays it no longer stores.
 if stale="$(grep -rnwE 'pat_bounds|sig_votes|row_pattern' README.md docs)"; then
     echo "docs-check: docs still name the retired pattern-index snapshot encoding:" >&2
+    echo "$stale" >&2
+    fail=1
+fi
+
+# --- Retired pattern-index maintenance: the session's index is always
+# `PatternIndex::build(Λ)` and a thaw builds it, so neither the
+# incremental re-sign (its scratch, gauge and zero-count slots) nor the
+# `PLAN` section that kept the index's order may come back.
+if stale="$(grep -rnwE 'PatternIndexParts|ResignScratch|refresh_column|tombstones?|TAG_PLAN|snorkel_incr_scratch_bytes' \
+    README.md docs crates examples src tests)"; then
+    echo "docs-check: docs or code still name the retired pattern-index maintenance:" >&2
     echo "$stale" >&2
     fail=1
 fi

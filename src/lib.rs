@@ -24,7 +24,8 @@
 //!   optimizer, and the end-to-end [`core::pipeline`].
 //! * [`incr`] — the incremental labeling engine for the interactive dev
 //!   loop: content-addressed LF-result caching, delta Λ updates, and
-//!   warm-started training behind [`incr::IncrementalSession`].
+//!   label-model refits over Λ's pattern index behind
+//!   [`incr::IncrementalSession`].
 //! * [`stream`] — the streaming ingestion plane: running moment
 //!   sufficient statistics for online refits, windowed drift detection,
 //!   and bounded ingest admission ([`stream::StreamState`],
