@@ -3,7 +3,7 @@
 //! data, and its fit must be ≥10× faster than the exact Newton fit at
 //! 100k×25.
 
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -74,15 +74,24 @@ fn moment_fit_is_10x_faster_than_newton_at_100k() {
     let plan = PatternIndex::build(&lambda);
     let cfg = TrainConfig::default();
 
-    let t0 = Instant::now();
+    // Each backend's time is its minimum over three alternated fits — a
+    // single `Instant` sample under a loaded test runner is too noisy
+    // to gate on. Every fit starts from a fresh model, so all three
+    // produce the same weights.
+    let (mut exact_time, mut moment_time) = (Duration::MAX, Duration::MAX);
     let mut exact = GenerativeModel::new(n, LabelScheme::Binary);
-    exact.fit_with(&lambda, &plan, &cfg);
-    let exact_time = t0.elapsed();
-
-    let t1 = Instant::now();
     let mut moment = MomentModel::new(n, LabelScheme::Binary);
-    moment.fit(&lambda, Some(&plan), &cfg);
-    let moment_time = t1.elapsed();
+    for _ in 0..3 {
+        let t0 = Instant::now();
+        exact = GenerativeModel::new(n, LabelScheme::Binary);
+        exact.fit_with(&lambda, &plan, &cfg);
+        exact_time = exact_time.min(t0.elapsed());
+
+        let t1 = Instant::now();
+        moment = MomentModel::new(n, LabelScheme::Binary);
+        moment.fit(&lambda, Some(&plan), &cfg);
+        moment_time = moment_time.min(t1.elapsed());
+    }
 
     let speedup = exact_time.as_secs_f64() / moment_time.as_secs_f64().max(1e-9);
     println!(
