@@ -2,7 +2,8 @@
 //! generative-model training (exact and Gibbs/CD, and the dev loop's
 //! warm CD refit after an LF edit), structure learning,
 //! LF application (serial vs parallel), label-matrix diagnostics, the
-//! pattern engine, one discriminative training epoch, and the serving
+//! pattern engine, one discriminative training epoch, the distillation
+//! fit at serving scale (100 k rows, binary and K = 3), and the serving
 //! read path's two hashing kernels (`OP_PREDICT` decode + compute, and
 //! memo probes that miss).
 //!
@@ -16,8 +17,10 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use snorkel_context::{CandidateId, Corpus};
 use snorkel_core::model::{GenerativeModel, LabelScheme, TrainConfig};
-use snorkel_core::optimizer::{decide, OptimizerConfig};
-use snorkel_core::pipeline::{fit_and_label, DiscTrainerConfig};
+use snorkel_core::optimizer::{decide, ModelingStrategy, OptimizerConfig};
+use snorkel_core::pipeline::{
+    fit_and_label, DiscTrainer, DiscTrainerConfig, Pipeline, PipelineConfig,
+};
 use snorkel_core::structure::{learn_structure, structure_sweep, StructureConfig};
 use snorkel_core::vote::majority_vote;
 use snorkel_datasets::synthetic::{correlated_matrix, independent_matrix, Cluster};
@@ -271,6 +274,40 @@ fn bench_discriminative(c: &mut Criterion) {
     group.finish();
 }
 
+/// The distillation fit a leader's `REFRESH` waits on, at serving
+/// scale: 100 000 featurized CDR candidates at the default 2^18 buckets,
+/// 5 epochs, trained on the moment model's marginals (binary) and on a
+/// K = 3 widening of them that puts `(i mod 5) / 10` of row `i`'s mass
+/// on a third class (softmax).
+fn bench_distill_fit(c: &mut Criterion) {
+    let mut group = c.benchmark_group("distill_fit");
+    group.sample_size(10);
+    let task = cdr::build(TaskConfig {
+        num_candidates: 100_000,
+        seed: 5,
+    });
+    let lambda = LfExecutor::default().apply(&task.lfs, &task.corpus, &task.candidates);
+    let pipeline = Pipeline::new(PipelineConfig {
+        force_strategy: Some(ModelingStrategy::MomentMatching),
+        ..PipelineConfig::default()
+    });
+    let (binary, _) = pipeline.run_from_matrix(&lambda);
+    let ternary: Vec<Vec<f64>> = binary
+        .iter()
+        .enumerate()
+        .map(|(i, p)| {
+            let t = (i % 5) as f64 / 10.0;
+            vec![(1.0 - t) * p[0], (1.0 - t) * p[1], t]
+        })
+        .collect();
+    let trainer = DiscTrainer::new(DiscTrainerConfig::default());
+    let xs = trainer.featurize(&task.corpus, &task.candidates);
+    for (name, marginals, k) in [("binary_100k", &binary, 2), ("softmax3_100k", &ternary, 3)] {
+        group.bench_function(name, |b| b.iter(|| trainer.fit(&xs, marginals, k, None).1));
+    }
+    group.finish();
+}
+
 /// A refreshed and distilled serving session: 200 candidates, two
 /// keyword LFs, the default 2^18 hash buckets.
 fn distilled_session() -> IncrementalSession {
@@ -378,6 +415,7 @@ criterion_group!(
     bench_matrix_ops,
     bench_pattern_engine,
     bench_discriminative,
+    bench_distill_fit,
     bench_read_path_hashing
 );
 criterion_main!(benches);

@@ -22,11 +22,15 @@
 //!   with one stream seeded from `(seed, epoch)`, and each step takes
 //!   the next `batch_size` of them, so the result never depends on the
 //!   machine it ran on. The step is one sequential pass on the calling
-//!   thread: every row's gradient is scatter-added into a dense per-fit
-//!   buffer in one canonical order — minibatch row order, then the
-//!   row's feature order — and the touched buckets get a single Adam
-//!   update. No thread is spawned and nothing is allocated inside the
-//!   epoch loop.
+//!   thread. It first gathers the minibatch — each row's buckets,
+//!   values, marginal and weight — into contiguous per-fit buffers, a
+//!   copy loop whose cache misses overlap; then every row's gradient is
+//!   scatter-added from those buffers into a dense per-fit buffer in one
+//!   canonical order — minibatch row order, then the row's feature order
+//!   — and the touched buckets get a single Adam update. The loss terms
+//!   are computed in the last epoch only, the one
+//!   [`DistillReport::final_loss`] reports. No thread is spawned and
+//!   nothing is allocated inside the epoch loop.
 //! * **Warm starts.** `fit` continues from the model's current weights
 //!   (and runs the full `epochs`), so the serving layer's
 //!   retrain-after-edit starts from the previous model, not from zero.
@@ -414,15 +418,20 @@ impl DistilledModel {
         // outgrows this and the epoch loop never allocates.
         let max_touched = (cfg.dim as usize).min(batch * max_nnz);
         let mut scratch = StepScratch::new(groups, k, cfg.dim, max_touched);
+        let mut gathered = Minibatch::new(batch, max_nnz, k);
 
         for epoch in 0..cfg.epochs {
             rows.shuffle(&mut StdRng::seed_from_u64(
                 cfg.seed ^ ((epoch as u64) << 32),
             ));
+            // Only the last epoch's loss is reported, so only it pays
+            // for the loss terms.
+            let with_loss = epoch + 1 == cfg.epochs;
             let mut epoch_loss = 0.0f64;
             let mut epoch_weight = 0.0f64;
             for minibatch in rows.chunks(batch) {
-                self.accumulate(xs, marginals, minibatch, &mut scratch);
+                gathered.gather(xs, marginals, minibatch);
+                self.accumulate(&gathered, &mut scratch, with_loss);
                 if scratch.weight > 0.0 {
                     epoch_loss += scratch.loss;
                     epoch_weight += scratch.weight;
@@ -431,46 +440,44 @@ impl DistilledModel {
                 }
                 scratch.reset();
             }
-            if epoch_weight > 0.0 {
+            if with_loss && epoch_weight > 0.0 {
                 report.final_loss = epoch_loss / epoch_weight;
             }
         }
         report
     }
 
-    /// Add one minibatch of `(row, weight)` pairs to the (reset) step:
-    /// every row's gradient is scatter-added into `s.grad`, and its
-    /// loss, weight and bias gradient into the step totals, in
+    /// Add one gathered minibatch to the (reset) step: every row's
+    /// gradient is scatter-added into `s.grad`, and its weight and bias
+    /// gradient (and, `with_loss`, its loss) into the step totals, in
     /// minibatch order.
-    fn accumulate(
-        &self,
-        xs: &[SparseVec],
-        marginals: &[Vec<f64>],
-        minibatch: &[(usize, f64)],
-        s: &mut StepScratch,
-    ) {
-        for &(i, w) in minibatch {
-            let x = &xs[i];
+    fn accumulate(&self, batch: &Minibatch, s: &mut StepScratch, with_loss: bool) {
+        for r in 0..batch.weights.len() {
+            let (idx, val, targets, w) = batch.row(r);
             match self {
                 DistilledModel::Binary(m) => {
-                    let score = m.score(x);
+                    let score = m.score_slices(idx, val);
                     let p = sigmoid(score);
-                    let target = marginals[i][0];
+                    let target = targets[0];
                     let err = w * (p - target);
-                    s.loss -= w
-                        * (target * p.max(1e-12).ln()
-                            + (1.0 - target) * sigmoid(-score).max(1e-12).ln());
-                    s.scatter(0, x, err);
+                    if with_loss {
+                        s.loss -= w
+                            * (target * p.max(1e-12).ln()
+                                + (1.0 - target) * sigmoid(-score).max(1e-12).ln());
+                    }
+                    s.scatter(0, idx, val, err);
                     s.grad_bias[0] += err;
                 }
                 DistilledModel::Multi(m) => {
-                    m.predict_proba_into(x, &mut s.probs);
-                    for (c, &target) in marginals[i].iter().enumerate() {
+                    m.proba_slices_into(idx, val, &mut s.probs);
+                    for (c, &target) in targets.iter().enumerate() {
                         let p = s.probs[c];
                         let err = w * (p - target);
-                        s.loss -= w * target * p.max(1e-12).ln();
+                        if with_loss {
+                            s.loss -= w * target * p.max(1e-12).ln();
+                        }
                         s.grad_bias[c] += err;
-                        s.scatter(c, x, err);
+                        s.scatter(c, idx, val, err);
                     }
                 }
             }
@@ -521,7 +528,68 @@ impl DistilledModel {
     }
 }
 
-/// Every buffer of [`DistilledModel::fit`]'s minibatch step, built once
+/// One minibatch's rows, copied out of the training set into contiguous
+/// buffers before the step runs: the copy is a tight loop whose cache
+/// misses overlap, where chasing each shuffled row's heap buffers inside
+/// the step's dot-and-scatter loop serialized them. Built once per fit
+/// at `batch` rows of at most `max_nnz` features, so a gather never
+/// allocates.
+struct Minibatch {
+    /// Every row's buckets and values, back to back.
+    idx: Vec<u32>,
+    val: Vec<f64>,
+    /// Row `r`'s features are `idx`/`val`'s `bounds[r]..bounds[r + 1]`.
+    bounds: Vec<usize>,
+    /// Every row's marginal, `classes` values per row.
+    targets: Vec<f64>,
+    classes: usize,
+    /// Per row: its confidence weight.
+    weights: Vec<f64>,
+}
+
+impl Minibatch {
+    fn new(batch: usize, max_nnz: usize, classes: usize) -> Self {
+        Minibatch {
+            idx: Vec::with_capacity(batch * max_nnz),
+            val: Vec::with_capacity(batch * max_nnz),
+            bounds: Vec::with_capacity(batch + 1),
+            targets: Vec::with_capacity(batch * classes),
+            classes,
+            weights: Vec::with_capacity(batch),
+        }
+    }
+
+    /// Copy the `(row, weight)` pairs' features and marginals, in order.
+    fn gather(&mut self, xs: &[SparseVec], marginals: &[Vec<f64>], rows: &[(usize, f64)]) {
+        self.idx.clear();
+        self.val.clear();
+        self.bounds.clear();
+        self.bounds.push(0);
+        self.targets.clear();
+        self.weights.clear();
+        for &(i, w) in rows {
+            self.idx.extend_from_slice(xs[i].indices());
+            self.val.extend_from_slice(xs[i].values());
+            self.bounds.push(self.idx.len());
+            self.targets.extend_from_slice(&marginals[i]);
+            self.weights.push(w);
+        }
+    }
+
+    /// Row `r`'s buckets, values, marginal and weight.
+    fn row(&self, r: usize) -> (&[u32], &[f64], &[f64], f64) {
+        let (start, end) = (self.bounds[r], self.bounds[r + 1]);
+        let k = self.classes;
+        (
+            &self.idx[start..end],
+            &self.val[start..end],
+            &self.targets[r * k..(r + 1) * k],
+            self.weights[r],
+        )
+    }
+}
+
+/// The gradient side of [`DistilledModel::fit`]'s minibatch step, built once
 /// per fit. Between steps (after [`Self::reset`]) every gradient slot
 /// and `seen` flag is clear, so a bucket's first contribution in a step
 /// lands on an exact zero — the same sum as seeding the slot with it.
@@ -558,11 +626,12 @@ impl StepScratch {
         }
     }
 
-    /// Add `err · x` to group `c`'s gradient, in `x`'s feature order,
-    /// listing the buckets not yet touched this step as it goes.
-    fn scatter(&mut self, c: usize, x: &SparseVec, err: f64) {
+    /// Add `err · x` to group `c`'s gradient, for the row `x` held as
+    /// `idx`/`val`, in its feature order, listing the buckets not yet
+    /// touched this step as it goes.
+    fn scatter(&mut self, c: usize, idx: &[u32], val: &[f64], err: f64) {
         let grad = &mut self.grad[c];
-        for (b, v) in x.iter() {
+        for (&b, &v) in idx.iter().zip(val) {
             let seen = &mut self.seen[b as usize];
             if !*seen {
                 *seen = true;

@@ -16,7 +16,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use snorkel_linalg::math::sigmoid;
-use snorkel_linalg::SparseVec;
+use snorkel_linalg::{dot_dense_slices, SparseVec};
 use snorkel_matrix::Vote;
 
 use crate::adam::Adam;
@@ -93,7 +93,12 @@ impl LogisticRegression {
 
     /// The raw score `w·x + b`.
     pub fn score(&self, x: &SparseVec) -> f64 {
-        x.dot_dense(&self.weights) + self.bias
+        self.score_slices(x.indices(), x.values())
+    }
+
+    /// [`Self::score`] of a row held as parallel index/value slices.
+    pub(crate) fn score_slices(&self, idx: &[u32], val: &[f64]) -> f64 {
+        dot_dense_slices(idx, val, &self.weights) + self.bias
     }
 
     /// `P(y = +1 | x)`.

@@ -10,7 +10,7 @@ use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
 use snorkel_linalg::math::softmax_in_place;
-use snorkel_linalg::SparseVec;
+use snorkel_linalg::{dot_dense_slices, SparseVec};
 use snorkel_matrix::Vote;
 
 use crate::adam::Adam;
@@ -106,13 +106,19 @@ impl SoftmaxRegression {
     ///
     /// Panics if `out.len() != num_classes()`.
     pub fn predict_proba_into(&self, x: &SparseVec, out: &mut [f64]) {
+        self.proba_slices_into(x.indices(), x.values(), out);
+    }
+
+    /// [`Self::predict_proba_into`] of a row held as parallel
+    /// index/value slices.
+    pub(crate) fn proba_slices_into(&self, idx: &[u32], val: &[f64], out: &mut [f64]) {
         assert_eq!(
             out.len(),
             self.weights.len(),
             "predict_proba_into needs one slot per class"
         );
         for (slot, (w, b)) in out.iter_mut().zip(self.weights.iter().zip(&self.bias)) {
-            *slot = x.dot_dense(w) + b;
+            *slot = dot_dense_slices(idx, val, w) + b;
         }
         softmax_in_place(out);
     }

@@ -15,7 +15,7 @@ use snorkel_core::model::{LabelScheme, TrainConfig};
 use snorkel_core::optimizer::{decide, ModelingStrategy, OptimizerConfig};
 use snorkel_core::pipeline::{fit_and_label, DiscTrainer, DiscTrainerConfig};
 use snorkel_disc::{DiscModelParts, DistillReport, DistilledModel, TextFeaturizer};
-use snorkel_lf::{BoxedLf, LfExecutor};
+use snorkel_lf::{BoxedLf, LfCounters, LfExecutor};
 use snorkel_linalg::SparseVec;
 use snorkel_matrix::{LabelMatrix, MatrixDelta, PatternIndex, Vote};
 use snorkel_stream::{DriftConfig, FrozenStream, StreamState};
@@ -212,9 +212,25 @@ pub struct IngestReport {
     pub generation: u64,
 }
 
+/// One suite column: the LF, its cache identity, and its metric handles
+/// (tally counters and drift gauge), resolved on first use and kept for
+/// the column's life so the write path looks no name up per batch.
 struct SessionLf {
     lf: BoxedLf,
     fingerprint: Fingerprint,
+    counters: LfCounters,
+    drift_gauge: OnceLock<std::sync::Arc<snorkel_obs::Gauge>>,
+}
+
+impl SessionLf {
+    fn new(lf: BoxedLf, fingerprint: Fingerprint) -> Self {
+        SessionLf {
+            lf,
+            fingerprint,
+            counters: LfCounters::default(),
+            drift_gauge: OnceLock::new(),
+        }
+    }
 }
 
 /// The session's distilled serving model, stamped with the refresh
@@ -674,7 +690,7 @@ impl IncrementalSession {
             "LF {:?} is already in the suite (names are unique; use edit_lf)",
             lf.name()
         );
-        self.lfs.push(SessionLf { lf, fingerprint });
+        self.lfs.push(SessionLf::new(lf, fingerprint));
         self.lfs.len() - 1
     }
 
@@ -698,7 +714,7 @@ impl IncrementalSession {
         let col = self
             .column_of(lf.name())
             .unwrap_or_else(|| panic!("LF {:?} is not in the suite (use add_lf)", lf.name()));
-        self.lfs[col] = SessionLf { lf, fingerprint };
+        self.lfs[col] = SessionLf::new(lf, fingerprint);
         col
     }
 

@@ -178,10 +178,7 @@ impl IncrementalSession {
                     "frozen suite expects LF {name:?}, not supplied"
                 )));
             };
-            session_lfs.push(SessionLf {
-                lf,
-                fingerprint: *fingerprint,
-            });
+            session_lfs.push(SessionLf::new(lf, *fingerprint));
         }
 
         // --- Validate the frozen state against corpus and config.

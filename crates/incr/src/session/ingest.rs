@@ -16,13 +16,18 @@ fn ingest_span() -> snorkel_obs::Span {
 
 /// Publish the per-LF drift gauges
 /// (`snorkel_stream_drift_score_lf_ppm{lf="…"}`, scores × 10⁶ — the
-/// registry's gauges are integers). Registered here rather than in
-/// `snorkel-stream` because only the session knows the LF names.
-fn publish_drift_gauges<'a>(names: impl Iterator<Item = &'a str>, scores: &[f64]) {
-    let registry = snorkel_obs::global();
-    for (name, score) in names.zip(scores) {
-        registry
-            .gauge("snorkel_stream_drift_score_lf_ppm", &[("lf", name)])
+/// registry's gauges are integers), each resolved once per column.
+/// Registered here rather than in `snorkel-stream` because only the
+/// session knows the LF names.
+fn publish_drift_gauges(lfs: &[SessionLf], scores: &[f64]) {
+    for (slf, score) in lfs.iter().zip(scores) {
+        slf.drift_gauge
+            .get_or_init(|| {
+                snorkel_obs::global().gauge(
+                    "snorkel_stream_drift_score_lf_ppm",
+                    &[("lf", slf.lf.name())],
+                )
+            })
             .set((score * 1_000_000.0).round() as i64);
     }
 }
@@ -110,7 +115,7 @@ impl IncrementalSession {
             stream.observe_row(cols, votes);
         }
         stream.note_batch(new_rows);
-        publish_drift_gauges(self.lfs.iter().map(|s| s.lf.name()), stream.per_lf_scores());
+        publish_drift_gauges(&self.lfs, stream.per_lf_scores());
 
         // 4. Online refit from the running statistics — the steady-state
         //    fast path the streaming bench gates: O(n³) in the LF count,
@@ -191,10 +196,13 @@ impl IncrementalSession {
                 continue;
             }
             let slice = &self.candidates[covered..];
-            let entries = self
-                .config
-                .executor
-                .apply_column(&slf.lf, &self.corpus, slice, covered);
+            let entries = self.config.executor.apply_column(
+                &slf.lf,
+                &slf.counters,
+                &self.corpus,
+                slice,
+                covered,
+            );
             sync.lf_invocations += slice.len();
             if covered == 0 {
                 sync.recomputed += 1;

@@ -6,7 +6,7 @@
 //! threads, and merges the per-chunk triplets into one [`LabelMatrix`].
 //! The output is bit-for-bit identical regardless of thread count.
 
-use std::sync::OnceLock;
+use std::sync::{Arc, OnceLock};
 
 use snorkel_context::{CandidateId, Corpus};
 use snorkel_matrix::{
@@ -47,19 +47,54 @@ impl LfTally {
     }
 }
 
+/// One LF's `snorkel_lf_{invocations,abstains,errors}_total{lf="…"}`
+/// counters, each resolved in the global registry the first time it is
+/// published to and hit lock-free after. A caller that applies the same
+/// LF again and again (a session extending its column on every ingest)
+/// keeps one per LF through [`LfExecutor::apply_column`], so each name
+/// is resolved once, not on every call. One instance serves one LF name.
+#[derive(Default)]
+pub struct LfCounters {
+    tallies: OnceLock<[Arc<snorkel_obs::Counter>; 2]>,
+    errors: OnceLock<Arc<snorkel_obs::Counter>>,
+}
+
+impl LfCounters {
+    /// Add `tally` to the counters of the LF called `name`. The errors
+    /// counter is registered only once an error is counted.
+    fn publish(&self, name: &str, tally: LfTally) {
+        let counter = |metric| snorkel_obs::global().counter(metric, &[("lf", name)]);
+        let [invocations, abstains] = self.tallies.get_or_init(|| {
+            [
+                counter("snorkel_lf_invocations_total"),
+                counter("snorkel_lf_abstains_total"),
+            ]
+        });
+        invocations.add(tally.invocations);
+        abstains.add(tally.abstains);
+        if tally.errors > 0 {
+            self.errors
+                .get_or_init(|| counter("snorkel_lf_errors_total"))
+                .add(tally.errors);
+        }
+    }
+}
+
 /// Accumulates per-LF tallies during an `apply` call and publishes them
-/// as `snorkel_lf_{invocations,abstains,errors}_total{lf="…"}` on drop
-/// — so illegal votes are already counted when the matrix layer's
-/// rejection panic unwinds through the executor.
+/// to the LFs' [`LfCounters`] on drop — so illegal votes are already
+/// counted when the matrix layer's rejection panic unwinds through the
+/// executor.
 struct TallyGuard<'a> {
     lfs: &'a [BoxedLf],
+    counters: &'a [LfCounters],
     tallies: Vec<LfTally>,
 }
 
 impl<'a> TallyGuard<'a> {
-    fn new(lfs: &'a [BoxedLf]) -> Self {
+    fn new(lfs: &'a [BoxedLf], counters: &'a [LfCounters]) -> Self {
         TallyGuard {
             lfs,
+            counters,
             tallies: vec![LfTally::default(); lfs.len()],
         }
     }
@@ -67,20 +102,8 @@ impl<'a> TallyGuard<'a> {
 
 impl Drop for TallyGuard<'_> {
     fn drop(&mut self) {
-        let registry = snorkel_obs::global();
-        for (lf, tally) in self.lfs.iter().zip(&self.tallies) {
-            let labels = [("lf", lf.name())];
-            registry
-                .counter("snorkel_lf_invocations_total", &labels)
-                .add(tally.invocations);
-            registry
-                .counter("snorkel_lf_abstains_total", &labels)
-                .add(tally.abstains);
-            if tally.errors > 0 {
-                registry
-                    .counter("snorkel_lf_errors_total", &labels)
-                    .add(tally.errors);
-            }
+        for ((lf, counters), &tally) in self.lfs.iter().zip(self.counters).zip(&self.tallies) {
+            counters.publish(lf.name(), tally);
         }
     }
 }
@@ -149,7 +172,8 @@ impl LfExecutor {
     ) -> LabelMatrix {
         let mut builder =
             LabelMatrixBuilder::with_cardinality(candidates.len(), lfs.len(), self.cardinality);
-        self.label(lfs, corpus, candidates, |row, col, v| {
+        let counters: Vec<LfCounters> = lfs.iter().map(|_| LfCounters::default()).collect();
+        self.label(lfs, &counters, corpus, candidates, |row, col, v| {
             builder.set(row, col, v)
         });
         builder.build()
@@ -159,37 +183,47 @@ impl LfExecutor {
     /// the `(first_row + i, vote)` entries of its non-abstain votes, in
     /// row order — what `apply(&[lf], ..).column(0)` returns, shifted by
     /// `first_row`, without building a matrix. Votes are validated and
-    /// tallied exactly as [`Self::apply`] does.
+    /// tallied exactly as [`Self::apply`] does, into `counters` (the
+    /// caller's for this LF).
     pub fn apply_column(
         &self,
         lf: &BoxedLf,
+        counters: &LfCounters,
         corpus: &Corpus,
         candidates: &[CandidateId],
         first_row: usize,
     ) -> Vec<(u32, Vote)> {
         let mut entries = Vec::new();
-        self.label(std::slice::from_ref(lf), corpus, candidates, |row, _, v| {
-            assert_legal_vote(self.cardinality, v);
-            entries.push(((first_row + row) as u32, v));
-        });
+        self.label(
+            std::slice::from_ref(lf),
+            std::slice::from_ref(counters),
+            corpus,
+            candidates,
+            |row, _, v| {
+                assert_legal_vote(self.cardinality, v);
+                entries.push(((first_row + row) as u32, v));
+            },
+        );
         entries
     }
 
-    /// Label every candidate with every LF, tallying each vote, and hand
-    /// each non-abstain `(row, col, vote)` to `sink` in row-major order.
+    /// Label every candidate with every LF, tallying each vote into
+    /// `counters` (parallel to `lfs`), and hand each non-abstain
+    /// `(row, col, vote)` to `sink` in row-major order.
     /// Serially `sink` sees a vote right after its LF ran; in parallel,
     /// once every worker has finished, chunk by chunk, each chunk's votes
     /// right after its tallies are merged.
     fn label(
         &self,
         lfs: &[BoxedLf],
+        counters: &[LfCounters],
         corpus: &Corpus,
         candidates: &[CandidateId],
         mut sink: impl FnMut(usize, usize, Vote),
     ) {
         let m = candidates.len();
         let n = lfs.len();
-        let mut guard = TallyGuard::new(lfs);
+        let mut guard = TallyGuard::new(lfs, counters);
         let parallelism = self.effective_parallelism();
         if parallelism <= 1 || m < 2 {
             for (row, &cid) in candidates.iter().enumerate() {
@@ -430,7 +464,8 @@ mod tests {
                     .into_iter()
                     .map(|(i, v)| (i + 100, v))
                     .collect();
-                assert_eq!(exec.apply_column(lf, &c, &ids, 100), shifted);
+                let counters = LfCounters::default();
+                assert_eq!(exec.apply_column(lf, &counters, &c, &ids, 100), shifted);
             }
         }
     }
@@ -460,7 +495,8 @@ mod tests {
             ),
         ] {
             let by_matrix = run(&|| drop(exec.apply(&bad, &c, &ids)));
-            let by_column = run(&|| drop(exec.apply_column(&bad[0], &c, &ids, 0)));
+            let by_column =
+                run(&|| drop(exec.apply_column(&bad[0], &LfCounters::default(), &c, &ids, 0)));
             assert_eq!(by_matrix.0, want);
             assert_eq!(by_column, by_matrix);
         }

@@ -32,7 +32,7 @@ mod traits;
 
 pub use crowd::{crowd_lfs, CrowdWorkerLf};
 pub use declarative::{KeywordBetweenLf, PatternLf, ThresholdLf};
-pub use executor::LfExecutor;
+pub use executor::{LfCounters, LfExecutor};
 pub use kb::{ontology_lfs, KnowledgeBase, OntologyLf};
 pub use traits::{lf, BoxedLf, FnLf, LabelingFunction};
 

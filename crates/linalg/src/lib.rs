@@ -38,5 +38,5 @@ pub mod stats;
 pub use dense::Mat;
 pub use math::{log1pexp, logsumexp, sigmoid, softmax_in_place};
 pub use soa::{logsumexp_chunked, softmax_rows_in_place};
-pub use sparse::SparseVec;
+pub use sparse::{dot_dense_slices, SparseVec};
 pub use stats::{OnlineStats, Summary};

@@ -122,11 +122,7 @@ impl SparseVec {
     /// Panics if any stored index is out of bounds for `dense` — feature
     /// vectors must be hashed into the model's bucket count.
     pub fn dot_dense(&self, dense: &[f64]) -> f64 {
-        let mut s = 0.0;
-        for (i, v) in self.iter() {
-            s += dense[i as usize] * v;
-        }
-        s
+        dot_dense_slices(&self.idx, &self.val, dense)
     }
 
     /// Squared Euclidean norm of the stored values.
@@ -165,6 +161,21 @@ impl SparseVec {
         }
         s
     }
+}
+
+/// Dot product of a sparse row held as parallel index/value slices
+/// against a dense weight slice, summed in slice order: the kernel
+/// behind [`SparseVec::dot_dense`], for callers that keep rows in
+/// buffers of their own.
+///
+/// Panics if an index is out of bounds for `dense`.
+#[inline]
+pub fn dot_dense_slices(idx: &[u32], val: &[f64], dense: &[f64]) -> f64 {
+    let mut s = 0.0;
+    for (&i, &v) in idx.iter().zip(val) {
+        s += dense[i as usize] * v;
+    }
+    s
 }
 
 impl FromIterator<(u32, f64)> for SparseVec {
